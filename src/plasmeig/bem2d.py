@@ -8,17 +8,16 @@ remainder), which is spectrally accurate for smooth densities. The adjoint
 double-layer kernel is smooth on smooth curves and keeps plain trapezoid
 weights; its diagonal is the curvature limit.
 
-From these the interior and exterior Dirichlet-to-Neumann operators are
+Both Dirichlet-to-Neumann operators come from the bordered solve B: g -> phi
+with S phi + c = g, <phi, 1>_w = 0. The function S phi + c is harmonic off
+the curve with trace g and bounded at infinity, and c has no normal
+derivative, so the jump relations give
 
-    N- = (-1/2 I + K*) S^{-1}
-    N+ = (+1/2 I + K*) B        with B the bordered solve
-                                 S phi + c = g, <phi, 1>_w = 0,
+    N- = (-1/2 I + K*) B,     N+ = (+1/2 I + K*) B.
 
-the bordered system enforcing boundedness of the exterior extension, so
-both operators annihilate constants. N- is positive semidefinite and N+
-negative semidefinite on mean-zero data. Curves whose single layer is
-singular (logarithmic capacity near 1) are rescaled by the fixed factor 2
-and the resulting operators mapped back to the original curve.
+Both operators annihilate constants. N- is positive semidefinite and N+
+negative semidefinite on mean-zero data. The bordered system is invertible
+whatever the logarithmic capacity, also at capacity 1, where S is singular.
 """
 
 import json
@@ -28,10 +27,12 @@ import numpy as np
 import scipy.linalg
 
 from .curve2d import sample_curve
-from .errors import GeometryError, NumericalError, RescaleRequiredError
+from .errors import GeometryError, NumericalError
 
-_CAPACITY_TOL = 1e-6
-_RESCALE_FACTOR = 2.0
+# Smallest accepted LAPACK reciprocal 1-norm condition estimate of a factored
+# system. The bordered single-layer systems of resolved smooth curves read
+# 1e-7 to 1e-3; a singular single layer (capacity 1) reads about 1e-16.
+_RCOND_FLOOR = 1e-12
 
 
 class BoundaryOperator:
@@ -90,15 +91,12 @@ class BoundaryOperator:
 class DtNPair:
     """Interior and exterior DtN operators sharing one curve sample."""
 
-    def __init__(self, nminus, nplus, sample, single_layer, np_adjoint,
-                 rescaled=False, scaled_sample=None):
+    def __init__(self, nminus, nplus, sample, single_layer, np_adjoint):
         self.nminus = nminus
         self.nplus = nplus
         self.sample = sample
         self.single_layer = single_layer
         self.np_adjoint = np_adjoint
-        self.rescaled = rescaled
-        self.scaled_sample = scaled_sample if rescaled else sample
 
     @property
     def n(self):
@@ -124,12 +122,11 @@ def _log_quadrature_weights(n):
     return w
 
 
-def assemble_single_layer(sample, check_capacity=True):
+def assemble_single_layer(sample):
     """Single-layer operator with spectrally accurate log-split quadrature.
 
-    Raises RescaleRequiredError when the smallest singular value indicates a
-    logarithmic capacity degeneracy (the constant eigenvalue R log R of a
-    circle of radius 1 vanishes).
+    On a circle of radius R constants map to R log R, so the operator is
+    singular when the logarithmic capacity of the curve is 1.
     """
     n = sample.n
     x = sample.nodes
@@ -147,16 +144,7 @@ def assemble_single_layer(sample, check_capacity=True):
     logpart = w[idx]
     mat = (logpart + (2.0 * math.pi / n) * np.log(smooth)) / (2.0 * math.pi)
     mat = mat * sample.speed[None, :]
-    op = BoundaryOperator(mat, sample.weights, "single_layer")
-    if check_capacity:
-        smin = scipy.linalg.svdvals(mat)[-1]
-        if smin < _CAPACITY_TOL:
-            raise RescaleRequiredError(
-                "bem2d", "assemble_single_layer",
-                "single layer must be invertible; logarithmic capacity near 1"
-                " requires rescaling the curve",
-                "sigma_min=%.3g" % smin)
-    return op
+    return BoundaryOperator(mat, sample.weights, "single_layer")
 
 
 def assemble_np_adjoint(sample):
@@ -180,61 +168,43 @@ def assemble_np_adjoint(sample):
     return BoundaryOperator(mat, sample.weights, "np_adjoint")
 
 
-def _bordered_density_solver(smat, weights):
-    """Factorized solver for S phi + c = g with the zero-mean constraint."""
-    n = len(weights)
-    big = np.zeros((n + 1, n + 1))
-    big[:n, :n] = smat
-    big[:n, n] = 1.0
-    big[n, :n] = weights
-    lu = scipy.linalg.lu_factor(big)
+def _checked_lu(mat, operation, contract):
+    """LU factors of mat, refused when LAPACK's condition estimate is tiny.
 
-    def solve(rhs):
-        ext = np.zeros(rhs.shape[0] + 1 if rhs.ndim == 1 else (n + 1, rhs.shape[1]))
-        ext[:n] = rhs
-        sol = scipy.linalg.lu_solve(lu, ext)
-        return sol[:n], sol[n]
-
-    return solve
+    The reciprocal 1-norm condition number comes from gecon on the factors,
+    O(N^2) on top of the O(N^3) factorization.
+    """
+    anorm = np.linalg.norm(mat, 1)
+    lu, piv = scipy.linalg.lu_factor(mat)
+    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    if not rcond >= _RCOND_FLOOR:
+        raise NumericalError("bem2d", operation, contract,
+                             "rcond=%.3g < %.0e" % (rcond, _RCOND_FLOOR))
+    return lu, piv
 
 
 def build_dtn(sample):
     """Assemble the interior/exterior DtN pair for a curve sample.
 
-    Auto-rescales by the fixed factor 2 when the single layer is capacity
-    degenerate; the returned operators always act on node values of the
-    original curve (DtN of the scaled curve times the scale factor).
+    One LU of the bordered single-layer system gives the density map B, and
+    one product K* B gives both operators.
     """
-    work = sample
-    scale = 1.0
-    try:
-        sop = assemble_single_layer(work)
-    except RescaleRequiredError:
-        scale = _RESCALE_FACTOR
-        work = sample.scaled(scale)
-        sop = assemble_single_layer(work)
-
-    kstar = assemble_np_adjoint(sample)  # scale invariant; assemble on base
-    smat = sop.matrix
+    sop = assemble_single_layer(sample)
+    kstar = assemble_np_adjoint(sample)
     n = sample.n
-    eye = np.eye(n)
-
-    s_inv = scipy.linalg.solve(smat, eye)
-    nminus = scale * ((-0.5 * eye + kstar.matrix) @ s_inv)
-
-    solve = _bordered_density_solver(smat, work.weights)
-    phi_cols, _ = solve(eye)
-    nplus = scale * ((0.5 * eye + kstar.matrix) @ phi_cols)
-
-    pair = DtNPair(
-        nminus=BoundaryOperator(nminus, sample.weights, "dtn_interior"),
-        nplus=BoundaryOperator(nplus, sample.weights, "dtn_exterior"),
+    big = np.block([[sop.matrix, np.ones((n, 1))],
+                    [sample.weights[None, :], np.zeros((1, 1))]])
+    lu = _checked_lu(big, "build_dtn",
+                     "bordered single-layer system must be invertible")
+    b = scipy.linalg.lu_solve(lu, np.eye(n + 1, n))[:n]
+    kb = kstar.matrix @ b
+    half_b = 0.5 * b
+    return DtNPair(
+        nminus=BoundaryOperator(kb - half_b, sample.weights, "dtn_interior"),
+        nplus=BoundaryOperator(kb + half_b, sample.weights, "dtn_exterior"),
         sample=sample,
         single_layer=sop,
-        np_adjoint=kstar,
-        rescaled=(scale != 1.0),
-        scaled_sample=work)
-    return pair
+        np_adjoint=kstar)
 
 
 def build_dtn_for_curve(curve, n):
@@ -290,8 +260,14 @@ def farfield_log_coefficient(dtn, g):
     """Coefficient of log|x| in the plain single-layer exterior extension.
 
     Vanishes (to quadrature accuracy) exactly when <g, g0> = 0; mean-zero
-    densities produce bounded extensions.
+    densities produce bounded extensions. It also vanishes exactly when the
+    constant c of the bordered solve S phi + c = g behind build_dtn does,
+    since then both solves give the same density. Needs the plain single
+    layer to be invertible, so it raises NumericalError on curves of
+    logarithmic capacity 1.
     """
-    work = dtn.scaled_sample
-    phi = scipy.linalg.solve(dtn.single_layer.matrix, np.asarray(g, dtype=float))
-    return float(np.dot(phi, work.weights)) / (2.0 * math.pi)
+    lu = _checked_lu(dtn.single_layer.matrix, "farfield_log_coefficient",
+                     "plain single layer must be invertible; logarithmic "
+                     "capacity is 1")
+    phi = scipy.linalg.lu_solve(lu, np.asarray(g, dtype=float))
+    return float(np.dot(phi, dtn.sample.weights)) / (2.0 * math.pi)

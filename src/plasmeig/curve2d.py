@@ -179,7 +179,7 @@ class CurveParam:
         return hashlib.sha256(blob).hexdigest()[:16]
 
     def scaled(self, factor):
-        """The curve {factor * x}; used by the capacity rescale."""
+        """The curve {factor * x}."""
         if self.kind == "circle":
             return CurveParam.circle(self.radius * factor)
         if self.kind == "ellipse":
@@ -246,18 +246,6 @@ class CurveSample:
 
     def norm(self, f):
         return math.sqrt(max(self.inner(f, f), 0.0))
-
-    def scaled(self, factor):
-        """Sample of the curve {factor * x} on the same parameter grid."""
-        return CurveSample(
-            t=self.t.copy(),
-            nodes=factor * self.nodes,
-            tangents=self.tangents.copy(),
-            normals=self.normals.copy(),
-            curvature=self.curvature / factor,
-            speed=factor * self.speed,
-            weights=factor * self.weights,
-            curve=self.curve.scaled(factor) if self.curve is not None else None)
 
 
 def _geometry_from_derivatives(t, der, curve=None):

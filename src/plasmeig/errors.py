@@ -36,10 +36,6 @@ class PerturbationError(NumericalError):
     """A shape perturbation is invalid or leaves an operation's domain."""
 
 
-class RescaleRequiredError(NumericalError):
-    """Single-layer operator is singular (logarithmic capacity ~ 1)."""
-
-
 class DegeneracyError(NumericalError):
     """A spectral map hit a pole or an eigenvalue cluster it cannot resolve."""
 

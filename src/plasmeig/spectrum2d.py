@@ -80,14 +80,29 @@ class PlasmonicSpectrum:
             fh.write(self.csv_text())
 
 
-def _mean_zero_basis(weights):
-    """Columns spanning the weighted-mean-zero subspace, M-orthonormal."""
-    w = np.asarray(weights, dtype=float)
-    basis = scipy.linalg.null_space(w[None, :] / np.linalg.norm(w))
-    # M-orthonormalize: columns q with q_i^T M q_j = delta_ij
-    sq = np.sqrt(w)
-    qr_q, _ = np.linalg.qr(sq[:, None] * basis)
-    return qr_q / sq[:, None]
+def _mean_zero_reflector(weights):
+    """sqrt(w) and the vector v of the reflector H taking sqrt(w) onto the e1 axis.
+
+    With D = diag(sqrt(w)), the columns of Q = D^{-1} H[:, 1:] are an
+    M-orthonormal basis of the weighted-mean-zero subspace, and Q^T M A Q is
+    the trailing block of H (D A D^{-1}) H.
+    """
+    root = np.sqrt(weights)
+    v = root / np.linalg.norm(root)
+    v[0] += 1.0   # weights are positive, so this adds without cancellation
+    return root, v
+
+
+def _reflect(v, a):
+    """H a for H = I - 2 v v^T / (v^T v): one rank-1 update."""
+    return a - np.outer(v, (2.0 / (v @ v)) * (v @ a))
+
+
+def _project(mat, root, v):
+    """Q^T M mat Q on the mean-zero basis, symmetrized; O(N^2)."""
+    c = _reflect(v, _reflect(v, root[:, None] * mat / root[None, :]).T).T
+    c = c[1:, 1:]
+    return 0.5 * (c + c.T)
 
 
 def _select_far_from_one(eps, num):
@@ -102,7 +117,9 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     eps are reciprocals of the eigenvalues of -N+^{-1} N-, computed as
     eigenvalues of the pencil (A-, A+) with A- = Q^T M N- Q and
     A+ = -Q^T M N+ Q on an M-orthonormal mean-zero basis Q; A+ is positive
-    definite there, so scipy's symmetric solver applies.
+    definite there, so scipy's symmetric solver applies. Q is a weighted
+    Householder reflector (_mean_zero_reflector): projecting onto it and
+    back costs O(N^2).
     """
     sample = dtn.sample
     if num < 1:
@@ -112,12 +129,9 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
         raise ConfigError("spectrum2d", "solve_plasmonic",
                           "num must not exceed the mean-zero subspace dimension",
                           "num=%d, N=%d" % (num, sample.n))
-    q = _mean_zero_basis(sample.weights)
-    m = sample.weights[:, None]
-    aminus = q.T @ (m * dtn.nminus.matrix) @ q
-    aplus = -(q.T @ (m * dtn.nplus.matrix) @ q)
-    aminus = 0.5 * (aminus + aminus.T)
-    aplus = 0.5 * (aplus + aplus.T)
+    root, v = _mean_zero_reflector(sample.weights)
+    aminus = _project(dtn.nminus.matrix, root, v)
+    aplus = -_project(dtn.nplus.matrix, root, v)
     try:
         mu, y = scipy.linalg.eigh(aminus, aplus)
     except scipy.linalg.LinAlgError as exc:
@@ -134,9 +148,9 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     eps_sel = eps[keep]
     # columns of y are A+-orthonormal: y^T A+ y = I, so g = Q y sqrt(eps)
     # gives <g, N- g> = eps * y^T A- y / eps ... = mu * eps = 1
-    g = q @ (y[:, keep] * np.sqrt(eps_sel)[None, :])
-    res = np.array([residual_norm(dtn, e, g[:, i])
-                    for i, e in enumerate(eps_sel)])
+    z = np.vstack([np.zeros(len(keep)), y[:, keep] * np.sqrt(eps_sel)])
+    g = _reflect(v, z) / root[:, None]
+    res = residual_norm(dtn, eps_sel, g)
     return PlasmonicSpectrum(eps_sel, g, res, dtn, "dtn",
                              curve_config or {}, sample.n)
 
@@ -182,23 +196,27 @@ def np_route(dtn, num=20, curve_config=None):
     eps_sel = eps[keep]
     g = dtn.single_layer.matrix @ phi[:, keep]
     g = g - (sample.weights @ g)[None, :] / sample.weights.sum()
-    for i in range(g.shape[1]):
-        quad = float(g[:, i] @ (sample.weights * dtn.nminus.apply(g[:, i])))
-        if quad <= 0.0:
-            raise NumericalError("spectrum2d", "np_route",
-                                 "interior energy of an eigenfunction must "
-                                 "be positive", "got %.3g" % quad)
-        g[:, i] /= np.sqrt(quad)
-    res = np.array([residual_norm(dtn, e, g[:, i])
-                    for i, e in enumerate(eps_sel)])
+    quad = sample.weights @ (g * dtn.nminus.apply(g))
+    if np.any(quad <= 0.0):
+        raise NumericalError("spectrum2d", "np_route",
+                             "interior energy of an eigenfunction must "
+                             "be positive", "got %.3g" % quad.min())
+    g /= np.sqrt(quad)
+    res = residual_norm(dtn, eps_sel, g)
     return PlasmonicSpectrum(eps_sel, g, res, dtn, "np",
                              curve_config or {}, sample.n)
 
 
 def residual_norm(dtn, eps, g):
-    """Weighted norm of (eps N- + N+) g for a normalized candidate pair."""
-    r = eps * dtn.nminus.apply(g) + dtn.nplus.apply(g)
-    return float(np.sqrt(np.dot(r * r, dtn.sample.weights)))
+    """Weighted norms of (eps N- + N+) g for normalized candidate pairs.
+
+    Takes one pair (scalar eps, vector g) and returns a float, or a vector
+    of eps with one column of g each and returns their norms as an array.
+    """
+    g = np.asarray(g, dtype=float)
+    r = dtn.nminus.apply(g) * eps + dtn.nplus.apply(g)
+    norms = np.sqrt(dtn.sample.weights @ (r * r))
+    return float(norms) if g.ndim == 1 else norms
 
 
 def rayleigh(dtn, g):

@@ -155,7 +155,13 @@ def check_clustering():
 
 
 def check_two_routes(n=128):
-    """Criterion 4: pencil route vs adjoint-double-layer route."""
+    """Criterion 4: pencil route vs adjoint-double-layer route.
+
+    Both DtN maps share the bordered density map B, so
+    eps N- + N+ = [((1 - eps)/2) I + (1 + eps) K*] B and this agreement is
+    an algebraic identity, not an independent check of the discretization.
+    The independent checks are ellipse_oracle and tests/oracle2d.py.
+    """
     def body():
         _, dtn = _ellipse_dtn(n)
         s1 = solve_plasmonic(dtn, num=10)

@@ -11,8 +11,7 @@ from plasmeig.bem2d import (BoundaryOperator, assemble_np_adjoint,
                             build_dtn_for_curve, compute_g0,
                             farfield_log_coefficient)
 from plasmeig.curve2d import CurveParam, sample_curve
-from plasmeig.errors import (GeometryError, NumericalError,
-                             RescaleRequiredError)
+from plasmeig.errors import GeometryError, NumericalError
 
 from oracle2d import ellipse_np_eigenvalues
 
@@ -38,13 +37,14 @@ def test_single_layer_is_weighted_symmetric():
     assert sop.symmetry_residual() < 1e-13
 
 
-def test_unit_capacity_triggers_rescale_error():
+def test_unit_capacity_singular_single_layer_still_builds_dtn():
+    # capacity 1: the plain single layer is singular, the bordered one is not
     sample = sample_curve(CurveParam.circle(1.0), 64)
-    with pytest.raises(RescaleRequiredError):
-        assemble_single_layer(sample)
-    # the check can be bypassed for diagnostics
-    sop = assemble_single_layer(sample, check_capacity=False)
+    sop = assemble_single_layer(sample)
     assert scipy.linalg.svdvals(sop.matrix)[-1] < 1e-6
+    dtn = build_dtn(sample)
+    assert np.all(np.isfinite(dtn.nminus.matrix))
+    assert np.all(np.isfinite(dtn.nplus.matrix))
 
 
 def test_np_adjoint_circle_action():
@@ -88,11 +88,11 @@ def test_dtn_reproduces_decaying_exterior_harmonic():
 
 
 def test_dtn_circle_multipliers_through_rescale():
-    # radius 1 exercises the capacity rescale; multipliers stay l and -(l+1)
-    # pattern of the plane: l (interior) and -l (exterior)
-    for radius, rescaled in ((1.0, True), (2.0, False)):
+    # radius 1 has logarithmic capacity 1 (singular plain single layer);
+    # multipliers follow the pattern of the plane: l (interior) and -l
+    # (exterior)
+    for radius in (1.0, 2.0):
         dtn = build_dtn_for_curve(CurveParam.circle(radius), 64)
-        assert dtn.rescaled is rescaled
         t = dtn.sample.t
         for l in (1, 3, 6):
             g = np.cos(l * t)
@@ -142,3 +142,9 @@ def test_farfield_log_coefficient_vanishes_on_admissible_data():
     # on the circle g0 is constant, so mean-zero data is admissible
     assert abs(farfield_log_coefficient(dtn, np.cos(t))) < 1e-12
     assert abs(farfield_log_coefficient(dtn, np.ones(64))) > 1e-3
+
+
+def test_farfield_log_coefficient_refuses_unit_capacity():
+    dtn = build_dtn_for_curve(CurveParam.circle(1.0), 64)
+    with pytest.raises(NumericalError, match="logarithmic capacity is 1"):
+        farfield_log_coefficient(dtn, np.cos(dtn.sample.t))

@@ -148,9 +148,6 @@ def test_scaled_curve_geometry():
     doubled = sample_curve(CurveParam.ellipse(2.0, 1.0).scaled(2.0), 64)
     assert np.allclose(doubled.nodes, 2.0 * base.nodes, atol=1e-13)
     assert np.allclose(doubled.curvature, 0.5 * base.curvature, atol=1e-13)
-    scaled_sample = base.scaled(2.0)
-    assert np.allclose(scaled_sample.nodes, doubled.nodes, atol=1e-13)
-    assert np.allclose(scaled_sample.weights, doubled.weights, atol=1e-13)
 
 
 _small = st.floats(min_value=-0.08, max_value=0.08, allow_nan=False)

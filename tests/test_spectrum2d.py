@@ -9,7 +9,8 @@ import pytest
 from plasmeig.bem2d import build_dtn_for_curve
 from plasmeig.curve2d import CurveParam
 from plasmeig.errors import ConfigError, EInfinitySignal
-from plasmeig.spectrum2d import (criticality_residual, np_route, rayleigh,
+from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
+                                 criticality_residual, np_route, rayleigh,
                                  residual_norm, solve_plasmonic)
 
 from oracle2d import ellipse_plasmonic_eigenvalues
@@ -21,6 +22,14 @@ def test_ellipse_matches_separation_of_variables():
     dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 96)
     spec = solve_plasmonic(dtn, num=10)
     exact = ellipse_plasmonic_eigenvalues(2.0, 1.0, num=10)
+    assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-10
+
+
+def test_unit_capacity_ellipse_matches_separation_of_variables():
+    # a + b = 2: logarithmic capacity 1, so the plain single layer is singular
+    dtn = build_dtn_for_curve(CurveParam.ellipse(1.2, 0.8), 256)
+    spec = solve_plasmonic(dtn, num=10)
+    exact = ellipse_plasmonic_eigenvalues(1.2, 0.8, num=10)
     assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-10
 
 
@@ -65,6 +74,17 @@ def test_eigenpairs_are_normalized_with_small_residuals():
         assert abs(energy - 1.0) < 1e-10
         assert abs(residual_norm(dtn, eps, g) - spec.residuals[i]) < 1e-14
         assert abs(float(np.dot(g, w))) < 1e-9
+
+
+def test_householder_basis_is_mean_zero_and_m_orthonormal():
+    dtn = build_dtn_for_curve(KITE, 128)
+    w = dtn.sample.weights
+    spec = solve_plasmonic(dtn, num=20)
+    assert np.max(np.abs(w @ spec.eigenfunctions)) < 1e-12
+    root, v = _mean_zero_reflector(w)
+    q = _reflect(v, np.eye(128))[:, 1:] / root[:, None]
+    assert np.max(np.abs(w @ q)) < 1e-13
+    assert np.max(np.abs(q.T @ (w[:, None] * q) - np.eye(127))) < 1e-13
 
 
 def test_both_routes_agree_on_kite():
