@@ -20,7 +20,6 @@ negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
 """
 
-import json
 import math
 
 import numpy as np
@@ -42,10 +41,9 @@ class BoundaryOperator:
     all symmetry and definiteness statements.
     """
 
-    def __init__(self, matrix, weights, name):
+    def __init__(self, matrix, weights):
         self.matrix = np.asarray(matrix, dtype=float)
         self.weights = np.asarray(weights, dtype=float)
-        self.name = name
         if self.matrix.shape != (len(self.weights),) * 2:
             raise NumericalError("bem2d", "BoundaryOperator",
                                  "matrix must be square and match the weights",
@@ -54,38 +52,13 @@ class BoundaryOperator:
         self.matrix.setflags(write=False)
         self.weights.setflags(write=False)
 
-    @property
-    def n(self):
-        return len(self.weights)
-
     def apply(self, g):
         return self.matrix @ np.asarray(g, dtype=float)
-
-    def inner(self, f, g):
-        return float(np.dot(np.asarray(f) * self.weights, g))
 
     def symmetry_residual(self):
         """Relative departure from weighted self-adjointness."""
         wm = self.weights[:, None] * self.matrix
         return float(np.linalg.norm(wm - wm.T) / max(np.linalg.norm(wm), 1e-300))
-
-    def dump(self, path, curve_hash=""):
-        """Binary row-major float64 with a one-line JSON header."""
-        header = {"n": self.n, "curve_hash": curve_hash, "name": self.name,
-                  "dtype": "float64", "order": "C"}
-        with open(path, "wb") as fh:
-            fh.write(json.dumps(header, sort_keys=True).encode() + b"\n")
-            fh.write(np.ascontiguousarray(self.matrix).tobytes())
-            fh.write(np.ascontiguousarray(self.weights).tobytes())
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as fh:
-            header = json.loads(fh.readline().decode())
-            n = header["n"]
-            mat = np.frombuffer(fh.read(8 * n * n), dtype=float).reshape(n, n)
-            w = np.frombuffer(fh.read(8 * n), dtype=float)
-        return cls(mat.copy(), w.copy(), header["name"]), header
 
 
 class DtNPair:
@@ -144,7 +117,7 @@ def assemble_single_layer(sample):
     logpart = w[idx]
     mat = (logpart + (2.0 * math.pi / n) * np.log(smooth)) / (2.0 * math.pi)
     mat = mat * sample.speed[None, :]
-    return BoundaryOperator(mat, sample.weights, "single_layer")
+    return BoundaryOperator(mat, sample.weights)
 
 
 def assemble_np_adjoint(sample):
@@ -165,7 +138,7 @@ def assemble_np_adjoint(sample):
     # i.e. minus half the signed curvature in the outward-normal convention
     np.fill_diagonal(kern, -0.5 * sample.curvature)
     mat = kern * sample.speed[None, :] / n
-    return BoundaryOperator(mat, sample.weights, "np_adjoint")
+    return BoundaryOperator(mat, sample.weights)
 
 
 def _checked_lu(mat, operation, contract):
@@ -200,8 +173,8 @@ def build_dtn(sample):
     kb = kstar.matrix @ b
     half_b = 0.5 * b
     return DtNPair(
-        nminus=BoundaryOperator(kb - half_b, sample.weights, "dtn_interior"),
-        nplus=BoundaryOperator(kb + half_b, sample.weights, "dtn_exterior"),
+        nminus=BoundaryOperator(kb - half_b, sample.weights),
+        nplus=BoundaryOperator(kb + half_b, sample.weights),
         sample=sample,
         single_layer=sop,
         np_adjoint=kstar)

@@ -71,6 +71,17 @@ def _positive_int(config, key, default, operation):
     return value
 
 
+def _step_list(config, operation):
+    from .errors import ConfigError, finite_numbers
+    h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
+    steps = finite_numbers(h_list, "h_list", "cli", operation)
+    if len(steps) < 2 or min(steps) <= 0:
+        raise ConfigError("cli", operation,
+                          "h_list must hold at least two positive steps",
+                          "h_list=%r" % (h_list,))
+    return steps
+
+
 def _shape_2d(config, key, operation):
     from .curve2d import ShapeFn2D
     from .errors import ConfigError
@@ -82,11 +93,12 @@ def _shape_2d(config, key, operation):
 
 
 def _shape_sphere(obj, operation):
-    from .errors import ConfigError
+    from .errors import ConfigError, finite_number
     from .perturb import uniform_shape
     from .sphere3d import SHField
     if isinstance(obj, dict) and set(obj) == {"uniform"}:
-        return uniform_shape(float(obj["uniform"]))
+        return uniform_shape(finite_number(obj["uniform"], "uniform", "cli",
+                                           operation))
     if isinstance(obj, dict):
         return SHField.from_json_dict(obj)
     raise ConfigError("cli", operation,
@@ -97,7 +109,7 @@ def _shape_sphere(obj, operation):
 def cmd_spectrum(config, seed):
     from .bem2d import build_dtn
     from .curve2d import CurveParam, sample_curve
-    from .errors import ConfigError
+    from .errors import ConfigError, finite_number
     from .spectrum2d import np_route, solve_plasmonic
     _check_keys(config, {"curve"}, {"N", "num_eigs", "route", "scale"},
                 "cmd_spectrum")
@@ -108,14 +120,14 @@ def cmd_spectrum(config, seed):
     if route not in ("dtn", "np"):
         raise ConfigError("cli", "cmd_spectrum",
                           "route must be 'dtn' or 'np'", "route=%r" % route)
-    scale = config.get("scale", 1.0)
-    if not isinstance(scale, (int, float)) or isinstance(scale, bool) \
-            or scale <= 0:
+    scale = finite_number(config.get("scale", 1.0), "scale", "cli",
+                          "cmd_spectrum")
+    if scale <= 0:
         raise ConfigError("cli", "cmd_spectrum",
                           "scale must be a positive number",
                           "scale=%r" % (scale,))
     if scale != 1.0:
-        curve = curve.scaled(float(scale))
+        curve = curve.scaled(scale)
     dtn = build_dtn(sample_curve(curve, n))
     solver = solve_plasmonic if route == "dtn" else np_route
     spec = solver(dtn, num=num, curve_config=curve.to_config())
@@ -154,9 +166,12 @@ def _perturb_sphere(config, seed):
         outputs["second_order"] = second.to_json_dict()
         outputs["second_order_flux_route"] = flux
         outputs["route_gap"] = gap
-        flags["gauge_independent"] = second.gauge_residual <= 1e-10
+        # roundoff in the route gap and the gauge residual grows with the
+        # magnitude of the quadrature terms, so their tolerances scale
+        scale = max(1.0, sum(abs(x) for x in second.lines))
+        flags["gauge_independent"] = second.gauge_residual <= 1e-10 * scale
         flags["compatible"] = second.compatibility_residual <= 1e-8
-        flags["routes_agree"] = gap <= 1e-8
+        flags["routes_agree"] = gap <= 1e-8 * scale
     record = ResultRecord("perturb", config, outputs, flags)
     return record, []
 
@@ -181,19 +196,13 @@ def _perturb_2d(config, seed):
         raise ConfigError("cli", "cmd_perturb",
                           "eps_index must index the computed spectrum",
                           "eps_index=%r" % (index,))
-    h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
-    if (not isinstance(h_list, list) or len(h_list) < 2
-            or not all(isinstance(h, (int, float)) and h > 0 for h in h_list)):
-        raise ConfigError("cli", "cmd_perturb",
-                          "h_list must hold at least two positive steps",
-                          "h_list=%r" % (h_list,))
+    h_list = _step_list(config, "cmd_perturb")
     dtn = build_dtn(sample_curve(curve, n))
     spec = solve_plasmonic(dtn, num=num, curve_config=curve.to_config())
     eps = float(spec.eigenvalues[index])
     value = epsdot_2d(dtn, eps, spec.eigenfunctions[:, index], a,
                       spectrum=spec)
-    _, _, diffs = finite_difference_epsdot(curve, a, index, h_list,
-                                           n=n, num=num)
+    diffs = finite_difference_epsdot(curve, a, eps, h_list, n=n, num=num)
     errors = [abs(d - value) for d in diffs]
     slope = float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
     outputs = {"epsilon": eps, "epsdot": value,
@@ -234,12 +243,7 @@ def cmd_dn_derivative(config, seed):
         raise ConfigError("cli", "cmd_dn_derivative",
                           "side must be 'interior' or 'exterior'",
                           "side=%r" % (side,))
-    h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
-    if (not isinstance(h_list, list) or len(h_list) < 2
-            or not all(isinstance(h, (int, float)) and h > 0 for h in h_list)):
-        raise ConfigError("cli", "cmd_dn_derivative",
-                          "h_list must hold at least two positive steps",
-                          "h_list=%r" % (h_list,))
+    h_list = _step_list(config, "cmd_dn_derivative")
     report = fd_operator_check(curve, a, n, h_list, side=side)
     if report["slopes"]["central"] is None:
         flags = {"zero_deformation_ok": max(report["max_errors"]) <= 1e-12}
@@ -251,12 +255,16 @@ def cmd_dn_derivative(config, seed):
 
 
 def cmd_validate(config, seed):
+    from .errors import ConfigError
     from .validate import CHECK_NAMES, run_all
     _check_keys(config, set(), {"N", "checks"}, "cmd_validate")
     n = _positive_int(config, "N", 128, "cmd_validate")
+    if n % 2 != 0 or n < 4:
+        raise ConfigError("cli", "cmd_validate",
+                          "N must be an even node count of at least 4",
+                          "N=%r" % (n,))
     names = config.get("checks")
     if names is not None:
-        from .errors import ConfigError
         if not isinstance(names, list) \
                 or not all(isinstance(s, str) for s in names):
             raise ConfigError("cli", "cmd_validate",

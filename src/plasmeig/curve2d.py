@@ -12,13 +12,12 @@ every accepted curve has total signed curvature -2*pi. (Convexity toward
 the outward normal counts negative: the boundary bends away from it.)
 """
 
-import hashlib
-import json
 import math
 
 import numpy as np
 
-from .errors import ConfigError, GeometryError, PerturbationError
+from .errors import (ConfigError, GeometryError, PerturbationError,
+                     finite_number, finite_numbers)
 
 _TWOPI = 2.0 * math.pi
 
@@ -50,7 +49,9 @@ class ShapeFn2D:
             raise ConfigError("curve2d", "ShapeFn2D.from_config",
                               "shape function keys are 'cos' and 'sin'",
                               "unknown keys %s" % sorted(unknown))
-        return cls(cos=obj.get("cos", ()), sin=obj.get("sin", ()))
+        op = "ShapeFn2D.from_config"
+        return cls(cos=finite_numbers(obj.get("cos", ()), "cos", "curve2d", op),
+                   sin=finite_numbers(obj.get("sin", ()), "sin", "curve2d", op))
 
     def to_config(self):
         return {"cos": list(self.cos), "sin": list(self.sin)}
@@ -154,17 +155,21 @@ class CurveParam:
         if unknown:
             raise ConfigError("curve2d", "CurveParam.from_config",
                               "unknown curve keys", "%s" % sorted(unknown))
+        op = "CurveParam.from_config"
         if kind == "circle":
             if "radius" not in obj:
-                raise ConfigError("curve2d", "CurveParam.from_config",
-                                  "circle needs 'radius'", "")
-            return cls.circle(obj["radius"])
+                raise ConfigError("curve2d", op, "circle needs 'radius'", "")
+            return cls.circle(
+                finite_number(obj["radius"], "radius", "curve2d", op))
         if kind == "ellipse":
             if "a" not in obj or "b" not in obj:
-                raise ConfigError("curve2d", "CurveParam.from_config",
-                                  "ellipse needs 'a' and 'b'", "")
-            return cls.ellipse(obj["a"], obj["b"])
-        return cls.fourier(cos=obj.get("cos", ()), sin=obj.get("sin", ()))
+                raise ConfigError("curve2d", op, "ellipse needs 'a' and 'b'",
+                                  "")
+            return cls.ellipse(finite_number(obj["a"], "a", "curve2d", op),
+                               finite_number(obj["b"], "b", "curve2d", op))
+        return cls.fourier(
+            cos=finite_numbers(obj.get("cos", ()), "cos", "curve2d", op),
+            sin=finite_numbers(obj.get("sin", ()), "sin", "curve2d", op))
 
     def to_config(self):
         if self.kind == "circle":
@@ -173,10 +178,6 @@ class CurveParam:
             return {"kind": "ellipse", "a": self.a, "b": self.b}
         return {"kind": "fourier", "cos": list(self.radial.cos),
                 "sin": list(self.radial.sin)}
-
-    def content_hash(self):
-        blob = json.dumps(self.to_config(), sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()[:16]
 
     def scaled(self, factor):
         """The curve {factor * x}."""
@@ -223,8 +224,7 @@ class CurveSample:
     perimeter and dot products against weights are boundary integrals.
     """
 
-    def __init__(self, t, nodes, tangents, normals, curvature, speed, weights,
-                 curve=None):
+    def __init__(self, t, nodes, tangents, normals, curvature, speed, weights):
         self.t = t
         self.nodes = nodes
         self.tangents = tangents
@@ -232,7 +232,6 @@ class CurveSample:
         self.curvature = curvature
         self.speed = speed
         self.weights = weights
-        self.curve = curve
         for arr in (t, nodes, tangents, normals, curvature, speed, weights):
             arr.setflags(write=False)
 
@@ -240,15 +239,8 @@ class CurveSample:
     def n(self):
         return len(self.t)
 
-    def inner(self, f, g):
-        """Weighted (boundary L2) inner product of node vectors."""
-        return float(np.dot(f * self.weights, g))
 
-    def norm(self, f):
-        return math.sqrt(max(self.inner(f, f), 0.0))
-
-
-def _geometry_from_derivatives(t, der, curve=None):
+def _geometry_from_derivatives(t, der):
     x, xp, xpp = der[0], der[1], der[2]
     speed = np.linalg.norm(xp, axis=-1)
     if speed.min() <= 0:
@@ -262,8 +254,7 @@ def _geometry_from_derivatives(t, der, curve=None):
     n = len(t)
     weights = (_TWOPI / n) * speed
     return CurveSample(t=t, nodes=x, tangents=tangents, normals=normals,
-                       curvature=curvature, speed=speed, weights=weights,
-                       curve=curve)
+                       curvature=curvature, speed=speed, weights=weights)
 
 
 def sample_curve(curve, n):
@@ -274,7 +265,7 @@ def sample_curve(curve, n):
                           "N=%r" % n)
     t = _TWOPI * np.arange(n) / n
     der = curve.derivatives(t)
-    return _geometry_from_derivatives(t, der, curve=curve)
+    return _geometry_from_derivatives(t, der)
 
 
 def spectral_diff_matrix(n):

@@ -7,11 +7,11 @@ operator acts on boundary data g as
 
 with kappa the signed curvature and d/ds the arclength derivative; the
 exterior operator obeys the same formula with its own N. The derivative is
-validated two ways: against transplanted operators on perturbed curves by
-finite differences in the weighted operator norm over a resolved frequency
-band, and against the expected first-order (not second-order) growth in
-frequency that distinguishes the derivative from a generic second-order
-operator.
+validated against transplanted operators on perturbed curves by finite
+differences in the weighted operator norm over a resolved frequency band.
+Its expected first-order (not second-order) growth in frequency, which
+distinguishes it from a generic second-order operator, is checked in the
+test suite.
 
 Transplantation uses exact image nodes: the perturbed curve is sampled at
 the images x(t) + h a(t) n(t) of the base nodes, so the resulting matrix
@@ -28,12 +28,6 @@ from .bem2d import build_dtn
 from .curve2d import (perturbed_sample, sample_curve, spectral_diff_matrix,
                       tangential_derivative)
 from .errors import ConfigError
-
-
-def weighted_opnorm(mat, weights):
-    """Operator norm of mat on the weighted l2 space of node values."""
-    root = np.sqrt(np.asarray(weights, dtype=float))
-    return float(scipy.linalg.svdvals(mat * (root[:, None] / root[None, :]))[0])
 
 
 def _band_basis(t, max_degree):
@@ -95,23 +89,11 @@ def shape_derivative_matrix(dtn, a, side="interior"):
             + sample.curvature[:, None] * an - nmat @ an)
 
 
-class TransplantedDtN:
-    """Interior/exterior DtN of a perturbed curve pulled back to base nodes."""
-
-    def __init__(self, h, matrix, sample, side):
-        self.h = h
-        self.matrix = matrix
-        self.sample = sample
-        self.side = side
-
-
 def transplanted_dtn(curve, a, h, n, side="interior"):
-    """DtN operator of the curve shifted by h*a along its normal, assembled
-    on the exact images of the n base nodes."""
-    base = sample_curve(curve, n)
-    shifted = perturbed_sample(curve, a, h, n)
-    dtn = build_dtn(shifted)
-    return TransplantedDtN(h, _side_operator(dtn, side), base, side)
+    """Matrix of the DtN operator of the curve shifted by h*a along its
+    normal, assembled on the exact images of the n base nodes."""
+    dtn = build_dtn(perturbed_sample(curve, a, h, n))
+    return _side_operator(dtn, side)
 
 
 def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
@@ -134,8 +116,8 @@ def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
     one_sided = []
     central = []
     for h in h_list:
-        plus = transplanted_dtn(curve, a, h, n, side=side).matrix
-        minus = transplanted_dtn(curve, a, -h, n, side=side).matrix
+        plus = transplanted_dtn(curve, a, h, n, side=side)
+        minus = transplanted_dtn(curve, a, -h, n, side=side)
         one_sided.append(banded_opnorm((plus - n0) / h - dmat,
                                        base_sample.weights,
                                        base_sample.t, band))
@@ -158,27 +140,3 @@ def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
                            for o, c in zip(one_sided, central)],
             "slopes": slopes}
 
-
-def principal_order_check(dtn, a, l_list=(4, 8, 16, 32)):
-    """Growth rate of the shape derivative on oscillatory data.
-
-    Applies the derivative to cos(l t) and sin(l t) and fits the log-log
-    slope of the weighted response norm against l. First-order growth
-    (slope near 1) reflects the cancellation of the second-order pieces;
-    a generic combination of the same terms would grow like l^2.
-    """
-    sample = dtn.sample
-    dmat = shape_derivative_matrix(dtn, a, side="interior")
-    norms = []
-    for l in l_list:
-        level = 0.0
-        for g in (np.cos(l * sample.t), np.sin(l * sample.t)):
-            resp = dmat @ g
-            level = max(level, float(np.sqrt(np.dot(resp * resp,
-                                                    sample.weights))))
-        norms.append(level)
-    slope = float(np.polyfit(np.log(np.asarray(l_list, dtype=float)),
-                             np.log(norms), 1)[0])
-    return {"l_list": [int(l) for l in l_list],
-            "norms": [float(v) for v in norms],
-            "slope": slope}

@@ -1,9 +1,12 @@
-"""Error types shared across the library.
+"""Error types shared across the library, and the config-value checks that
+raise them.
 
 Every numerical failure carries the module, the operation and a short
 statement of the violated contract, so a failing pipeline names the exact
 property that broke instead of a bare linear-algebra traceback.
 """
+
+import sys
 
 
 class PlasmeigError(Exception):
@@ -55,3 +58,23 @@ class EInfinitySignal(NumericalError):
     the Rayleigh quotient denominator vanishes and no finite eigenvalue
     exists for that direction.
     """
+
+
+def finite_number(value, key, module, operation):
+    """A config value as a float; a ConfigError naming key when it is a
+    JSON boolean, string, null, array or object, a NaN or infinity, or an
+    integer too large for a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:
+        raise ConfigError(module, operation, "%s must be a finite number" % key,
+                          "%s=%r" % (key, value))
+    return float(value)
+
+
+def finite_numbers(values, key, module, operation):
+    """A config list of finite numbers as floats (see finite_number)."""
+    if not isinstance(values, (list, tuple)):
+        raise ConfigError(module, operation,
+                          "%s must be a list of finite numbers" % key,
+                          "%s=%r" % (key, values))
+    return [finite_number(v, key, module, operation) for v in values]

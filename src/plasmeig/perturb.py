@@ -25,12 +25,13 @@ import scipy.linalg
 
 from .curve2d import tangential_derivative
 from .errors import ConfigError, PerturbationError, SplittingError
-from .sphere3d import (SHField, SphereGeometry, dtn_sphere_apply,
-                       laplace_beltrami, sh_analysis, sh_multiply,
+from .sphere3d import (SHField, dtn_sphere_apply, sh_analysis, sh_multiply,
                        sh_synthesis, sphere_grid, surface_divergence,
                        surface_gradient)
 
-_H = SphereGeometry.mean_curvature
+# Mean curvature of the unit sphere, outward normal: the Weingarten map is
+# -I, so H = -1 and the trace-free part W0 = W - H I vanishes.
+_H = -1.0
 _EIG_TIE_RTOL = 1e-9
 
 
@@ -90,15 +91,13 @@ class FirstOrderReport:
     normalized spherical harmonics Y_{k,m} / sqrt(k), m = -k..k.
     """
 
-    def __init__(self, k, epsilon, matrix, branches, basis, shape,
-                 basis_residual):
+    def __init__(self, k, epsilon, matrix, branches, basis, basis_residual):
         self.k = k
         self.epsilon = epsilon
         self.dimension = 2 * k + 1
         self.matrix = matrix
         self.branches = branches
         self.basis = basis
-        self.shape = shape
         self.basis_residual = basis_residual
 
     def branch_trace(self, index):
@@ -150,7 +149,7 @@ def q1_matrix(k, a):
             gram[i, j] = grid.integrate(vals[i] * vals[j])
     bg = basis.T @ gram @ basis
     basis_residual = float(np.max(np.abs(bg - np.eye(d))))
-    return FirstOrderReport(k, eps, mat, branches, basis, a, basis_residual)
+    return FirstOrderReport(k, eps, mat, branches, basis, basis_residual)
 
 
 class UdotSolution:
@@ -161,11 +160,10 @@ class UdotSolution:
     for the first-derivative system.
     """
 
-    def __init__(self, phi, psi, gauge, compatibility_residual,
-                 system_residual, k, branch_index, epsilon, epsdot):
+    def __init__(self, phi, psi, compatibility_residual, system_residual, k,
+                 branch_index, epsilon, epsdot):
         self.phi = phi
         self.psi = psi
-        self.gauge = gauge
         self.compatibility_residual = compatibility_residual
         self.system_residual = system_residual
         self.k = k
@@ -227,8 +225,8 @@ def solve_udot(k, branch_index, a, epsdot=None, report=None,
     r1[k] = 0.0
     r2[k] = 0.0
     system_residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    return UdotSolution(phi, psi, "zeroE", compat, system_residual,
-                        k, branch_index, eps, epsdot)
+    return UdotSolution(phi, psi, compat, system_residual, k, branch_index,
+                        eps, epsdot)
 
 
 class SecondOrderReport:
@@ -319,44 +317,6 @@ def p1_apply(a, v, L_out=None):
     a_vals = sh_synthesis(a, grid)
     flow = surface_gradient(v, grid).scaled_pointwise(a_vals)
     return surface_divergence(flow, L_out).scaled(-1.0)
-
-
-def q1_op_apply(a, v, L_out=None):
-    """Q1 v = 2 a H v (H constant on the sphere)."""
-    if L_out is None:
-        L_out = a.L + v.L
-    return sh_multiply(a, v, L=L_out).scaled(2.0 * _H)
-
-
-def p2_apply(a, v, L_out=None):
-    """P2 v = -2(a^2 H lap v + div(a^2 W grad v) - a^2 grad H . grad v).
-
-    On the sphere W = H I and grad H = 0, so this reduces to
-    -2H (a^2 lap v + div(a^2 grad v)).
-    """
-    if L_out is None:
-        L_out = 2 * a.L + v.L + 2
-    grid = sphere_grid((2 * a.L + v.L + L_out + 2) // 2)
-    a2 = sh_synthesis(a, grid) ** 2
-    lap_vals = sh_synthesis(laplace_beltrami(v), grid)
-    part = sh_analysis(-2.0 * _H * a2 * lap_vals, L_out, grid)
-    flow = surface_gradient(v, grid).scaled_pointwise(a2)
-    return part.plus(surface_divergence(flow, L_out), -2.0 * _H)
-
-
-def q2_apply(a, v, L_out=None):
-    """Q2 v = -div(a^2 grad v) + a^2 (8H^2 - 2K) v - |grad a|^2 v."""
-    if L_out is None:
-        L_out = 2 * a.L + v.L + 2
-    grid = sphere_grid((2 * a.L + v.L + L_out + 3) // 2)
-    a_vals = sh_synthesis(a, grid)
-    ga = surface_gradient(a, grid)
-    curv = 8.0 * _H * _H - 2.0 * SphereGeometry.gauss_curvature
-    v_vals = sh_synthesis(v, grid)
-    part = sh_analysis(
-        (curv * a_vals * a_vals - ga.dot(ga)) * v_vals, L_out, grid)
-    flow = surface_gradient(v, grid).scaled_pointwise(a_vals * a_vals)
-    return part.plus(surface_divergence(flow, L_out), -1.0)
 
 
 def epsddot_flux_route(k, branch_index, a, epsdot=None, udot=None,

@@ -13,8 +13,6 @@ accumulate at 1 from both sides; the selected ones are the num farthest
 from 1, reported in ascending order.
 """
 
-import json
-
 import numpy as np
 import scipy.linalg
 
@@ -31,12 +29,11 @@ class PlasmonicSpectrum:
     ||(eps N- + N+) g||.
     """
 
-    def __init__(self, eigenvalues, eigenfunctions, residuals, dtn, route,
+    def __init__(self, eigenvalues, eigenfunctions, residuals, route,
                  curve_config, n):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenfunctions = np.asarray(eigenfunctions, dtype=float)
         self.residuals = np.asarray(residuals, dtype=float)
-        self.dtn = dtn
         self.route = route
         self.curve_config = curve_config
         self.n = n
@@ -63,21 +60,11 @@ class PlasmonicSpectrum:
             "clustering": self.clustering_stats(),
         }
 
-    def write_json(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json_dict(), fh, sort_keys=True,
-                      separators=(",", ":"))
-            fh.write("\n")
-
     def csv_text(self):
         lines = ["k,epsilon,residual"]
         for k, (e, r) in enumerate(zip(self.eigenvalues, self.residuals)):
             lines.append("%d,%s,%s" % (k, repr(float(e)), repr(float(r))))
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            fh.write(self.csv_text())
 
 
 def _mean_zero_reflector(weights):
@@ -151,7 +138,7 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     z = np.vstack([np.zeros(len(keep)), y[:, keep] * np.sqrt(eps_sel)])
     g = _reflect(v, z) / root[:, None]
     res = residual_norm(dtn, eps_sel, g)
-    return PlasmonicSpectrum(eps_sel, g, res, dtn, "dtn",
+    return PlasmonicSpectrum(eps_sel, g, res, "dtn",
                              curve_config or {}, sample.n)
 
 
@@ -203,7 +190,7 @@ def np_route(dtn, num=20, curve_config=None):
                              "be positive", "got %.3g" % quad.min())
     g /= np.sqrt(quad)
     res = residual_norm(dtn, eps_sel, g)
-    return PlasmonicSpectrum(eps_sel, g, res, dtn, "np",
+    return PlasmonicSpectrum(eps_sel, g, res, "np",
                              curve_config or {}, sample.n)
 
 

@@ -29,21 +29,14 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, EInfinitySignal, ShapeMismatchError
+from .errors import (ConfigError, EInfinitySignal, ShapeMismatchError,
+                     finite_number)
 
 _SQRT2 = math.sqrt(2.0)
 
 
-class SphereGeometry:
-    """Curvature data of the unit sphere in the outward-normal convention.
-
-    The Weingarten map is -I, so the mean curvature is -1, the Gauss
-    curvature +1 and the trace-free part W0 = W - H I vanishes.
-    """
-
-    mean_curvature = -1.0
-    gauss_curvature = 1.0
-    weingarten_tracefree = 0.0
+def _is_int(value):
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _legendre_tables(L, x):
@@ -167,22 +160,25 @@ class SHField:
             raise ConfigError("sphere3d", "SHField.from_json_dict",
                               "field spec must have exactly the keys L, coeffs",
                               "got %s" % sorted(data))
-        L = int(data["L"])
-        if L < 0:
+        L, coeffs = data["L"], data["coeffs"]
+        if not _is_int(L) or L < 0 or not isinstance(coeffs, list):
             raise ConfigError("sphere3d", "SHField.from_json_dict",
-                              "band limit must be nonnegative", "L=%d" % L)
+                              "band limit L must be a nonnegative integer "
+                              "and coeffs a list", "L=%r coeffs=%r" % (L, coeffs))
         f = cls(L)
-        for entry in data["coeffs"]:
-            if set(entry) != {"l", "m", "c"}:
+        for entry in coeffs:
+            if not isinstance(entry, dict) or set(entry) != {"l", "m", "c"}:
                 raise ConfigError("sphere3d", "SHField.from_json_dict",
                                   "coefficient entries must have keys l, m, c",
-                                  "got %s" % sorted(entry))
-            l, m = int(entry["l"]), int(entry["m"])
-            if not (0 <= l <= L and abs(m) <= l):
+                                  "got %r" % (entry,))
+            l, m = entry["l"], entry["m"]
+            if not (_is_int(l) and _is_int(m) and 0 <= l <= L and abs(m) <= l):
                 raise ConfigError("sphere3d", "SHField.from_json_dict",
-                                  "coefficient indices must satisfy 0<=l<=L, |m|<=l",
-                                  "l=%d m=%d L=%d" % (l, m, L))
-            f.coeffs[l, m + L] = float(entry["c"])
+                                  "coefficient indices must be integers with "
+                                  "0<=l<=L, |m|<=l",
+                                  "l=%r m=%r L=%d" % (l, m, L))
+            f.coeffs[l, m + L] = finite_number(entry["c"], "c", "sphere3d",
+                                               "SHField.from_json_dict")
         return f
 
 
@@ -201,13 +197,6 @@ class TangentField:
 
     def scaled_pointwise(self, values):
         return TangentField(values * self.vtheta, values * self.vphi, self.grid)
-
-    def plus(self, other, factor=1.0):
-        if other.grid is not self.grid:
-            raise ShapeMismatchError("sphere3d", "TangentField.plus",
-                                     "operands must share a grid", "")
-        return TangentField(self.vtheta + factor * other.vtheta,
-                            self.vphi + factor * other.vphi, self.grid)
 
     def dot(self, other):
         return self.vtheta * other.vtheta + self.vphi * other.vphi

@@ -8,7 +8,12 @@ import pytest
 
 from plasmeig.cli import canonical_json, main
 
+from test_perturb import random_shape
+
 KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
+ELLIPSE = {"kind": "ellipse", "a": 2.0, "b": 1.0}
+NAN = float("nan")
+INF = float("inf")
 
 
 def write_config(tmp_path, name, payload):
@@ -109,6 +114,21 @@ def test_perturb_sphere_uniform_shift(tmp_path):
                                     "compatible", "routes_agree"}
 
 
+def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
+    # k = L = 30: the route gap (~1.4e-8) and the gauge residual (~4.7e-10)
+    # are roundoff on quadrature terms summing to ~2.8e6 in magnitude
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "sphere", "k": 30, "branch": 0, "order": 2,
+                        "a": random_shape(30, seed=0).to_json_dict()})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert all(record["flags"].values())
+    scale = sum(abs(x) for x in record["outputs"]["second_order"]["lines"])
+    assert scale > 1e6
+    assert record["outputs"]["route_gap"] <= 1e-8 * scale
+
+
 def test_perturb_sphere_first_order_only(tmp_path):
     field = {"L": 2, "coeffs": [{"l": 2, "m": 0, "c": 1.0}]}
     cfg = write_config(tmp_path, "job.json",
@@ -201,6 +221,37 @@ def test_config_errors_exit_2(tmp_path, capsys):
     cfg = write_config(tmp_path, "ok.json", {"curve": KITE})
     assert main(["spectrum", "--config", cfg, "--seed", "-1"]) == 2
     assert main(["spectrum", "--config", cfg, "--threads", "0"]) == 2
+
+
+@pytest.mark.parametrize("command, payload, key", [
+    ("spectrum", {"curve": {"kind": "circle", "radius": NAN}}, "radius"),
+    ("spectrum", {"curve": {"kind": "circle", "radius": "1"}}, "radius"),
+    ("spectrum", {"curve": {"kind": "circle", "radius": 10 ** 400}},
+     "radius"),
+    ("spectrum", {"curve": KITE, "scale": NAN}, "scale"),
+    ("spectrum", {"curve": KITE, "scale": INF}, "scale"),
+    ("spectrum", {"curve": {"kind": "fourier", "cos": ["a"]}}, "cos"),
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": "ab"}}, "cos"),
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                 "h_list": [True, 0.01]}, "h_list"),
+    ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                       "h_list": [INF, 0.01]}, "h_list"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": "abc"}},
+     "uniform"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": None}},
+     "uniform"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"L": "x", "coeffs": []}},
+     "L"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"L": 2, "coeffs": 5}},
+     "coeffs"),
+    ("validate", {"N": 7}, "N"),
+])
+def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
+                                        key):
+    cfg = write_config(tmp_path, "job.json", payload)
+    assert main([command, "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "contract" in err
 
 
 def test_numerical_errors_exit_3(tmp_path, capsys):

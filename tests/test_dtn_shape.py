@@ -1,14 +1,16 @@
 """Shape derivative of the DtN map and its transplanted finite differences."""
 
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plasmeig.bem2d import BoundaryOperator, build_dtn_for_curve
 from plasmeig.curve2d import CurveParam, ShapeFn2D, sample_curve
 from plasmeig.dtn_shape import (banded_opnorm, fd_operator_check,
-                                principal_order_check, shape_derivative_apply,
-                                shape_derivative_matrix, transplanted_dtn,
-                                weighted_opnorm)
+                                shape_derivative_apply,
+                                shape_derivative_matrix, transplanted_dtn)
 from plasmeig.errors import ConfigError
 
 ELLIPSE = CurveParam.ellipse(2.0, 1.0)
@@ -53,8 +55,7 @@ def test_zero_shape_gives_zero_derivative():
 def test_transplanted_operator_at_zero_is_the_base_operator():
     base = build_dtn_for_curve(ELLIPSE, 96)
     tp = transplanted_dtn(ELLIPSE, A_COS, 0.0, 96)
-    assert tp.h == 0.0
-    assert np.max(np.abs(tp.matrix - base.nminus.matrix)) < 1e-10
+    assert np.max(np.abs(tp - base.nminus.matrix)) < 1e-10
 
 
 def test_transplanted_circle_multipliers():
@@ -65,17 +66,15 @@ def test_transplanted_circle_multipliers():
     t = sample_curve(CurveParam.circle(1.0), 128).t
     for l in (1, 2, 4, 7):
         g = np.cos(l * t)
-        assert np.max(np.abs(tp.matrix @ g - (l / (1.0 + h)) * g)) < 1e-10
+        assert np.max(np.abs(tp @ g - (l / (1.0 + h)) * g)) < 1e-10
 
 
 def test_transplanted_operator_symmetric_only_at_zero():
     w = sample_curve(ELLIPSE, 96).weights
     at_zero = transplanted_dtn(ELLIPSE, A_COS, 0.0, 96)
     shifted = transplanted_dtn(ELLIPSE, A_COS, 0.05, 96)
-    assert BoundaryOperator(at_zero.matrix, w, "t0").symmetry_residual() \
-        < 1e-12
-    assert BoundaryOperator(shifted.matrix, w, "th").symmetry_residual() \
-        > 1e-4
+    assert BoundaryOperator(at_zero, w).symmetry_residual() < 1e-12
+    assert BoundaryOperator(shifted, w).symmetry_residual() > 1e-4
 
 
 def test_finite_differences_converge_to_the_formula():
@@ -111,22 +110,35 @@ def test_circle_derivative_matches_multiplier_rule_in_norm():
     assert banded_opnorm(resid, dtn.weights, t, 32) < 1e-8
 
 
+def _growth_slope(dtn, a, l_list=(4, 8, 16, 32)):
+    # log-log slope against l of the weighted norm of the derivative applied
+    # to cos(l t) and sin(l t)
+    dmat = shape_derivative_matrix(dtn, a)
+    t, w = dtn.sample.t, dtn.sample.weights
+    norms = [max(math.sqrt(float(np.dot((dmat @ g) ** 2, w)))
+                 for g in (np.cos(l * t), np.sin(l * t))) for l in l_list]
+    return float(np.polyfit(np.log(l_list), np.log(norms), 1)[0])
+
+
 def test_principal_symbol_order():
-    circle = principal_order_check(build_dtn_for_curve(CurveParam.circle(2.0),
-                                                       128),
-                                   ShapeFn2D.constant(1.0))
-    assert abs(circle["slope"] - 1.0) < 1e-6
-    ellipse = principal_order_check(build_dtn_for_curve(ELLIPSE, 128), A_COS)
-    assert 0.8 <= ellipse["slope"] <= 1.2
-    assert len(ellipse["norms"]) == len(ellipse["l_list"])
+    # first-order growth (slope near 1) reflects the cancellation of the
+    # second-order pieces; a generic combination of the same terms would
+    # grow like l^2
+    circle = _growth_slope(build_dtn_for_curve(CurveParam.circle(2.0), 128),
+                           ShapeFn2D.constant(1.0))
+    assert abs(circle - 1.0) < 1e-6
+    ellipse = _growth_slope(build_dtn_for_curve(ELLIPSE, 128), A_COS)
+    assert 0.8 <= ellipse <= 1.2
 
 
 def test_opnorm_helpers():
     w = np.full(8, 0.5)
     mat = np.diag([3.0, -1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 2.0])
-    assert abs(weighted_opnorm(mat, w) - 3.0) < 1e-12
+    root = np.sqrt(w)
+    full = scipy.linalg.svdvals(mat * (root[:, None] / root[None, :]))[0]
+    assert abs(full - 3.0) < 1e-12
     t = 2.0 * np.pi * np.arange(8) / 8
-    assert banded_opnorm(mat, w, t, 2) <= weighted_opnorm(mat, w) + 1e-12
+    assert banded_opnorm(mat, w, t, 2) <= full + 1e-12
 
 
 def test_side_validation():

@@ -11,8 +11,7 @@ from plasmeig.bem2d import build_dtn_for_curve
 from plasmeig.curve2d import CurveParam, ShapeFn2D
 from plasmeig.errors import ConfigError, PerturbationError, SplittingError
 from plasmeig.perturb import (epsddot, epsddot_flux_route, epsdot_2d,
-                              p1_apply, p2_apply, q1_matrix, q1_op_apply,
-                              q2_apply, solve_udot, uniform_shape)
+                              p1_apply, q1_matrix, solve_udot, uniform_shape)
 from plasmeig.sphere3d import SHField
 from plasmeig.validate import GOLDEN_EPSDDOT_Y20
 
@@ -87,7 +86,6 @@ def test_eigenfunction_derivative_solves_the_system():
     assert sol.compatibility_residual < 1e-10
     # zero-E gauge: no resonant-degree component in the interior trace
     assert np.max(np.abs(sol.phi.coeffs[1])) < 1e-15
-    assert sol.gauge == "zeroE"
     assert sol.epsilon == 2.0
     assert abs(sol.epsdot - BRANCH_SCALE) < 1e-12
 
@@ -133,15 +131,11 @@ def test_flux_route_agrees_with_quadrature_formula():
 
 
 def test_operator_identities_on_the_unit_shape():
-    # with a constant shape the four perturbation operators reduce to
-    # degree multipliers: l(l+1), -2, -4l(l+1) and l(l+1)+6
+    # with a constant shape P1 = -div(a grad) reduces to the degree
+    # multiplier l(l+1)
     one = uniform_shape(1.0)
     v = SHField.basis(3, 3, 2)
-    ll = 12.0
-    assert abs(p1_apply(one, v).coeff(3, 2) - ll) < 1e-12
-    assert abs(q1_op_apply(one, v).coeff(3, 2) + 2.0) < 1e-12
-    assert abs(p2_apply(one, v).coeff(3, 2) + 4.0 * ll) < 1e-11
-    assert abs(q2_apply(one, v).coeff(3, 2) - (ll + 6.0)) < 1e-11
+    assert abs(p1_apply(one, v).coeff(3, 2) - 12.0) < 1e-12
 
 
 def test_degree_validation():

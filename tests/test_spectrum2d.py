@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from plasmeig.bem2d import build_dtn_for_curve
+from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam
 from plasmeig.errors import ConfigError, EInfinitySignal
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
@@ -134,22 +135,18 @@ def test_clustering_stats_shrink_with_the_window():
     assert wider["tail_max"] <= stats["tail_max"]
 
 
-def test_json_and_csv_artifacts(tmp_path):
+def test_json_and_csv_artifacts():
     curve = CurveParam.ellipse(2.0, 1.0)
     spec = solve_plasmonic(build_dtn_for_curve(curve, 64), num=5,
                            curve_config=curve.to_config())
-    jpath = tmp_path / "spec.json"
-    spec.write_json(jpath)
-    spec.write_json(tmp_path / "spec2.json")
-    assert jpath.read_bytes() == (tmp_path / "spec2.json").read_bytes()
-    data = json.loads(jpath.read_text())
+    text = canonical_json(spec.to_json_dict())
+    data = json.loads(text)
+    assert canonical_json(data) == text
     assert data["curve"] == curve.to_config()
     assert data["N"] == 64
     assert data["route"] == "dtn"
     assert len(data["eigenvalues"]) == 5
-    cpath = tmp_path / "spec.csv"
-    spec.write_csv(cpath)
-    lines = cpath.read_text().splitlines()
+    lines = spec.csv_text().splitlines()
     assert lines[0] == "k,epsilon,residual"
     assert len(lines) == 6
     k, eps, res = lines[1].split(",")
