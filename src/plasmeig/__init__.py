@@ -17,7 +17,6 @@ _EXPORTS = {
     "ShapeFn2D": ".curve2d",
     "CurveSample": ".curve2d",
     "sample_curve": ".curve2d",
-    "perturb_curve": ".curve2d",
     "perturbed_sample": ".curve2d",
     "BoundaryOperator": ".bem2d",
     "DtNPair": ".bem2d",

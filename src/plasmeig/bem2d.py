@@ -71,14 +71,6 @@ class DtNPair:
         self.single_layer = single_layer
         self.np_adjoint = np_adjoint
 
-    @property
-    def n(self):
-        return self.sample.n
-
-    @property
-    def weights(self):
-        return self.sample.weights
-
 
 def _log_quadrature_weights(n):
     """Weights w_d for int_0^{2pi} log(2 |sin((t - s)/2)|) f(s) ds.

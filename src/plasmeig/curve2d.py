@@ -75,9 +75,6 @@ class ShapeFn2D:
     def d2(self, t):
         return self._eval(t, 2)
 
-    def is_zero(self):
-        return all(c == 0.0 for c in self.cos) and all(s == 0.0 for s in self.sin)
-
 
 def _trig_derivative(m, t, order, kind):
     """order-th derivative of cos(m t) or sin(m t)."""
@@ -298,18 +295,20 @@ def perturbed_sample(curve, a, h, n):
     n); derivatives of the shifted parametrization are formed from exact
     derivatives of the base curve and of the shape function, so the node
     correspondence used for operator transplantation carries no interpolation
-    error. Raises if the shifted boundary stops being star-shaped (local
-    self-intersection proxy).
+    error. The same sample serves the eigenvalue finite differences: plasmonic
+    eigenvalues depend on the shifted domain and not on how its boundary is
+    parametrized, so no re-parametrization is needed. Raises if the shift
+    folds the boundary or it stops being star-shaped (local self-intersection
+    proxies).
     """
     if n % 2 != 0 or n < 4:
         raise ConfigError("curve2d", "perturbed_sample",
                           "node count must be even and at least 4",
                           "N=%r" % n)
+    _check_star_shaped(curve, a, h)
     t = _TWOPI * np.arange(n) / n
     der = _perturbed_derivatives(curve, a, h, t)
-    sample = _geometry_from_derivatives(t, der)
-    _check_star_shaped(curve, a, h)
-    return sample
+    return _geometry_from_derivatives(t, der)
 
 
 def _perturbed_derivatives(curve, a, h, t):
@@ -348,81 +347,20 @@ def _check_star_shaped(curve, a, h, dense=720):
     p, pp = der[0], der[1]
     r2 = np.einsum("ij,ij->i", p, p)
     if r2.min() <= 0:
-        raise PerturbationError("curve2d", "perturb_curve",
+        raise PerturbationError("curve2d", "perturbed_sample",
                                 "shifted boundary must stay away from the origin",
                                 "h=%g" % h)
     dtheta = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / r2
     if dtheta.min() <= 0:
         raise PerturbationError(
-            "curve2d", "perturb_curve",
+            "curve2d", "perturbed_sample",
             "shifted boundary must stay star-shaped (no local self-intersection)",
             "h=%g, min dtheta/dt=%.3g" % (h, dtheta.min()))
-
-
-def perturb_curve(curve, a, h, dense=None, tol=1e-13):
-    """Re-encode the normal-shift image {x + h a(x) n(x)} as a radial curve.
-
-    Returns a CurveParam whose trace is the shifted boundary. The circle with
-    a constant shape function shifts to a circle; every other case is encoded
-    as a radial Fourier descriptor obtained by solving theta(t) = alpha on a
-    dense grid and transforming the radii. Node correspondence for operator
-    transplantation is provided by perturbed_sample, which evaluates the same
-    shifted parametrization at base-grid images.
-    """
-    if h == 0.0 or a.is_zero():
-        return curve
-    if curve.kind == "circle" and len(a.cos) <= 1 and not any(a.sin):
-        shift = a.cos[0] if a.cos else 0.0
-        radius = curve.radius + h * shift
-        if radius <= 0:
-            raise PerturbationError("curve2d", "perturb_curve",
-                                    "shifted circle radius must be positive",
-                                    "radius=%g" % radius)
-        return CurveParam.circle(radius)
-
-    _check_star_shaped(curve, a, h)
-    if dense is None:
-        base_modes = 1
-        if curve.kind == "fourier":
-            base_modes = max(len(curve.radial.cos), len(curve.radial.sin) + 1)
-        amodes = max(len(a.cos), len(a.sin) + 1)
-        dense = max(512, 16 * (base_modes + amodes))
-    dense = int(2 ** math.ceil(math.log2(dense)))
-
-    tgrid = _TWOPI * np.arange(dense) / dense
-    p = _perturbed_derivatives(curve, a, h, tgrid)[0]
-    theta = np.unwrap(np.arctan2(p[:, 1], p[:, 0]))
-    theta0 = theta[0]
-    targets = theta0 + _TWOPI * np.arange(dense) / dense
-
-    # invert theta(t) = target by monotone interpolation + Newton polish;
-    # extend one period so every target lies inside the table
-    theta_ext = np.concatenate([theta, theta[:1] + _TWOPI])
-    t_ext = np.concatenate([tgrid, tgrid[:1] + _TWOPI])
-    tt = np.interp(targets, theta_ext, t_ext)
-    for _ in range(60):
-        der = _perturbed_derivatives(curve, a, h, tt)
-        p_it, pp_it = der[0], der[1]
-        th = np.arctan2(p_it[:, 1], p_it[:, 0])
-        resid = np.angle(np.exp(1j * (th - targets)))
-        dth = (p_it[:, 0] * pp_it[:, 1] - p_it[:, 1] * pp_it[:, 0]) / \
-            np.einsum("ij,ij->i", p_it, p_it)
-        tt = tt - resid / dth
-        if np.max(np.abs(resid)) < 1e-14:
-            break
-    p_fin = _perturbed_derivatives(curve, a, h, tt)[0]
-    radii = np.hypot(p_fin[:, 0], p_fin[:, 1])
-
-    coeffs = np.fft.rfft(radii) / dense
-    # radii sampled at angles theta0 + 2 pi j / dense: shift back to angle 0
-    m = np.arange(len(coeffs))
-    coeffs = coeffs * np.exp(1j * m * theta0)
-    cos_c = 2.0 * coeffs.real
-    cos_c[0] *= 0.5
-    sin_c = -2.0 * coeffs.imag
-    scale = max(np.max(np.abs(cos_c)), np.max(np.abs(sin_c)), 1.0)
-    keep = max(np.max(np.nonzero(np.abs(cos_c) > tol * scale)[0], initial=0),
-               np.max(np.nonzero(np.abs(sin_c) > tol * scale)[0], initial=0))
-    keep = int(min(keep, dense // 2 - 1))
-    return CurveParam.fourier(cos=cos_c[:keep + 1].tolist(),
-                              sin=sin_c[1:keep + 1].tolist())
+    # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
+    fold = np.einsum("ij,ij->i", curve.derivatives(t)[1], pp)
+    if fold.min() <= 0:
+        raise PerturbationError(
+            "curve2d", "perturbed_sample",
+            "normal shift must not fold the boundary (x'.p' > 0, "
+            "i.e. 1 - h a kappa > 0)",
+            "h=%g, min x'.p'=%.3g" % (h, fold.min()))

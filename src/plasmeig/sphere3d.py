@@ -114,14 +114,8 @@ class SHField:
         f.coeffs[l, m + L] = 1.0
         return f
 
-    def coeff(self, l, m):
-        return float(self.coeffs[l, m + self.L])
-
     def set_coeff(self, l, m, c):
         self.coeffs[l, m + self.L] = c
-
-    def copy(self):
-        return SHField(self.L, self.coeffs.copy())
 
     def truncated(self, L_new):
         out = SHField(L_new)
@@ -139,9 +133,6 @@ class SHField:
         out = self.truncated(L)
         out.coeffs += other.truncated(L).coeffs * factor
         return out
-
-    def norm(self):
-        return float(np.linalg.norm(self.coeffs))
 
     def degree_multiplied(self, multipliers):
         """Apply a diagonal-in-l multiplier (length L+1 array)."""

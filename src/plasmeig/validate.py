@@ -13,10 +13,10 @@ import time
 import numpy as np
 
 from .bem2d import build_dtn, compute_g0, farfield_log_coefficient
-from .curve2d import CurveParam, ShapeFn2D, perturb_curve, sample_curve
+from .curve2d import CurveParam, ShapeFn2D, perturbed_sample, sample_curve
 from .dtn_shape import (banded_opnorm, fd_operator_check,
                         shape_derivative_matrix)
-from .errors import ConfigError, PlasmeigError
+from .errors import ConfigError, NumericalError
 from .perturb import epsddot, epsdot_2d, q1_matrix, uniform_shape
 from .spectrum2d import (criticality_residual, np_route, rayleigh,
                          solve_plasmonic)
@@ -55,7 +55,7 @@ def _timed(name, fn):
     start = time.perf_counter()
     try:
         passed, details = fn()
-    except PlasmeigError as exc:
+    except NumericalError as exc:
         passed, details = False, {"error": str(exc)}
     return CheckResult(name, passed, details, time.perf_counter() - start)
 
@@ -258,16 +258,18 @@ def finite_difference_epsdot(curve, a, eps0, h_list, n=128, num=10):
     """Central-difference derivatives of the eigenvalue eps0 of the base
     curve along normal shift a, one per step in h_list.
 
-    Re-solves on re-encoded perturbed curves for each step and tracks the
-    eigenvalue nearest eps0 (valid for the well-separated low modes this is
-    used on).
+    Re-solves on the shifted samples perturbed_sample(curve, a, +-h, n) for
+    each step and tracks the eigenvalue nearest eps0 (valid for the
+    well-separated low modes this is used on). The eigenvalues belong to the
+    shifted domain, not to its parametrization, so the exact node images need
+    no re-parametrization; dtn_shape transplants operators on the same sample.
     """
     diffs = []
     for h in h_list:
         plus = solve_plasmonic(
-            build_dtn(sample_curve(perturb_curve(curve, a, h), n)), num=num)
+            build_dtn(perturbed_sample(curve, a, h, n)), num=num)
         minus = solve_plasmonic(
-            build_dtn(sample_curve(perturb_curve(curve, a, -h), n)), num=num)
+            build_dtn(perturbed_sample(curve, a, -h, n)), num=num)
         diffs.append((_tracked_eigenvalue(plus, eps0)
                       - _tracked_eigenvalue(minus, eps0)) / (2.0 * h))
     return diffs

@@ -154,6 +154,20 @@ def test_perturb_2d_matches_finite_differences(tmp_path):
     assert abs(record["outputs"]["slope"] - 2.0) <= 0.2
 
 
+def test_perturb_2d_elongated_ellipse(tmp_path):
+    # the shifted sample keeps the node images of the base grid, so the
+    # tips of an aspect-5 ellipse stay resolved at N = 128
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d",
+                        "curve": {"kind": "ellipse", "a": 5.0, "b": 1.0},
+                        "a": {"cos": [0.0, 0.0, 1.0]}, "N": 128,
+                        "eps_index": 0})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert 1.8 <= record["outputs"]["slope"] <= 2.2
+
+
 def test_dn_derivative_job(tmp_path):
     cfg = write_config(tmp_path, "job.json",
                        {"curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
@@ -245,6 +259,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("perturb", {"mode": "sphere", "k": 1, "a": {"L": 2, "coeffs": 5}},
      "coeffs"),
     ("validate", {"N": 7}, "N"),
+    # N = 16 leaves too few mean-zero modes for the 20 this check asks for
+    ("validate", {"N": 16, "checks": ["disk_degeneracy"]}, "N"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):
@@ -262,6 +278,13 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
                         "h_list": [0.8, 0.4]})
     assert main(["dn-derivative", "--config", cfg]) == 3
     assert "star-shaped" in capsys.readouterr().err
+    # radius 1 - 1.5 < 0 folds the circle onto its opposite side
+    cfg = write_config(tmp_path, "fold.json",
+                       {"curve": {"kind": "circle", "radius": 1.0},
+                        "a": {"cos": [-1.0]}, "N": 64,
+                        "h_list": [1.5, 1.2]})
+    assert main(["dn-derivative", "--config", cfg]) == 3
+    assert "must not fold the boundary" in capsys.readouterr().err
 
 
 def test_stdout_mode_prints_record_and_wall_time(tmp_path, capsys):

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturb_curve,
-                              perturbed_sample, sample_curve,
-                              spectral_diff_matrix, tangential_derivative)
+from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
+                              sample_curve, spectral_diff_matrix,
+                              tangential_derivative)
 from plasmeig.errors import ConfigError, GeometryError, PerturbationError
 
 _TWOPI = 2.0 * math.pi
@@ -89,35 +89,16 @@ def test_perturbed_circle_with_constant_shift_is_circle():
     assert np.allclose(sample.speed, 1.1, atol=1e-14)
 
 
-def test_perturb_curve_circle_constant_stays_exact():
-    out = perturb_curve(CurveParam.circle(2.0), ShapeFn2D.constant(-1.0), 0.5)
-    assert out.kind == "circle"
-    assert out.radius == 1.5
-
-
-def test_perturb_curve_radial_reencoding_matches_shift():
-    curve = CurveParam.ellipse(2.0, 1.0)
-    a = ShapeFn2D(cos=[0.0, 1.0])
-    h = 1e-2
-    encoded = perturb_curve(curve, a, h)
-    shifted = perturbed_sample(curve, a, h, 256)
-    theta = np.arctan2(shifted.nodes[:, 1], shifted.nodes[:, 0])
-    r_true = np.hypot(shifted.nodes[:, 0], shifted.nodes[:, 1])
-    assert np.max(np.abs(encoded.radial.value(theta) - r_true)) < 1e-10
-
-
-def test_perturb_curve_zero_step_returns_same_object():
-    curve = CurveParam.ellipse(2.0, 1.0)
-    assert perturb_curve(curve, ShapeFn2D(cos=[0.0, 1.0]), 0.0) is curve
-    assert perturb_curve(curve, ShapeFn2D(), 0.3) is curve
-
-
 def test_shift_losing_star_shape_is_rejected():
     with pytest.raises(PerturbationError):
         perturbed_sample(CurveParam.ellipse(4.0, 1.0),
                          ShapeFn2D(sin=[0.0, 1.0]), 0.8, 64)
-    with pytest.raises(PerturbationError):
-        perturb_curve(CurveParam.circle(1.0), ShapeFn2D.constant(-1.0), 1.5)
+    # radius 1 - 1.5 < 0: the shift folds the circle onto its opposite side
+    with pytest.raises(PerturbationError) as info:
+        perturbed_sample(CurveParam.circle(1.0), ShapeFn2D(cos=[-1.0]), 1.5,
+                         64)
+    assert info.value.operation == "perturbed_sample"
+    assert "fold" in info.value.contract
 
 
 def test_config_validation():

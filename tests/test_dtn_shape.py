@@ -107,7 +107,7 @@ def test_circle_derivative_matches_multiplier_rule_in_norm():
     dmat = shape_derivative_matrix(dtn, ShapeFn2D.constant(1.0))
     resid = dmat + dtn.nminus.matrix / 2.0
     t = dtn.sample.t
-    assert banded_opnorm(resid, dtn.weights, t, 32) < 1e-8
+    assert banded_opnorm(resid, dtn.sample.weights, t, 32) < 1e-8
 
 
 def _growth_slope(dtn, a, l_list=(4, 8, 16, 32)):

@@ -103,7 +103,7 @@ def test_rayleigh_recovers_eigenvalues_and_rejects_constants():
     for i, eps in enumerate(spec.eigenvalues):
         assert abs(rayleigh(dtn, spec.eigenfunctions[:, i]) - eps) < 1e-10
     with pytest.raises(EInfinitySignal):
-        rayleigh(dtn, np.ones(dtn.n))
+        rayleigh(dtn, np.ones(dtn.sample.n))
 
 
 def test_eigenpairs_are_critical_points():
