@@ -20,6 +20,8 @@ from .errors import (ConfigError, GeometryError, PerturbationError,
                      finite_number, finite_numbers)
 
 _TWOPI = 2.0 * math.pi
+# dense parameter grid on which a normal shift is checked for star shape
+_STAR_CHECK_NODES = 720
 
 
 class ShapeFn2D:
@@ -341,8 +343,8 @@ def _perturbed_derivatives(curve, a, h, t):
     return np.stack([p, pp, ppp, np.zeros_like(p)])
 
 
-def _check_star_shaped(curve, a, h, dense=720):
-    t = _TWOPI * np.arange(dense) / dense
+def _check_star_shaped(curve, a, h):
+    t = _TWOPI * np.arange(_STAR_CHECK_NODES) / _STAR_CHECK_NODES
     der = _perturbed_derivatives(curve, a, h, t)
     p, pp = der[0], der[1]
     r2 = np.einsum("ij,ij->i", p, p)

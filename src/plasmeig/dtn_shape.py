@@ -96,9 +96,18 @@ def transplanted_dtn(curve, a, h, n, side="interior"):
     return _side_operator(dtn, side)
 
 
-def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
+def loglog_slope(h_list, errors):
+    """Least-squares slope of log(errors) against log(h_list), or None when
+    every error is below 1e-13: an identically zero deformation leaves no
+    slope to fit."""
+    if max(errors) < 1e-13:
+        return None
+    return float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
+
+
+def fd_operator_check(curve, a, n, h_list, side="interior"):
     """Finite-difference consistency of the shape derivative in operator
-    norm over trigonometric inputs of degree at most band (default n // 4).
+    norm over trigonometric inputs of degree at most n // 4.
 
     Returns a report with one-sided and central errors per step and the
     fitted log-log slopes (expected near 1 and 2).
@@ -107,8 +116,7 @@ def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
         raise ConfigError("dtn_shape", "fd_operator_check",
                           "at least two step sizes are required",
                           "h_list=%r" % (h_list,))
-    if band is None:
-        band = n // 4
+    band = n // 4
     base_sample = sample_curve(curve, n)
     dtn = build_dtn(base_sample)
     dmat = shape_derivative_matrix(dtn, a, side=side)
@@ -124,13 +132,6 @@ def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
         central.append(banded_opnorm((plus - minus) / (2.0 * h) - dmat,
                                      base_sample.weights,
                                      base_sample.t, band))
-    if max(max(one_sided), max(central)) < 1e-13:
-        # identically zero deformation: no slope to fit
-        slopes = {"one_sided": None, "central": None}
-    else:
-        logs = np.log(np.asarray(h_list, dtype=float))
-        slopes = {"one_sided": float(np.polyfit(logs, np.log(one_sided), 1)[0]),
-                  "central": float(np.polyfit(logs, np.log(central), 1)[0])}
     return {"curve": curve.to_config(), "a": a.to_config(),
             "n": n, "side": side, "band": band,
             "h_list": [float(h) for h in h_list],
@@ -138,5 +139,6 @@ def fd_operator_check(curve, a, n, h_list, side="interior", band=None):
             "central_errors": [float(e) for e in central],
             "max_errors": [float(max(o, c))
                            for o, c in zip(one_sided, central)],
-            "slopes": slopes}
+            "slopes": {"one_sided": loglog_slope(h_list, one_sided),
+                       "central": loglog_slope(h_list, central)}}
 

@@ -14,6 +14,10 @@ through the flux compatibility identity is provided for cross-checking.
 Plane side: the same first-order formula with the arclength derivative as
 the surface gradient, evaluated on BEM eigenpairs.
 
+Both sides build q1 from one weighted Gram product, and the second-order
+chain passes objects: q1_matrix(k, a) -> solve_udot(report, branch) ->
+epsddot(udot) or epsddot_flux_route(udot).
+
 All sphere quadratures run on grids sized from the exact band arithmetic of
 the integrands, so the only error is roundoff.
 """
@@ -33,6 +37,10 @@ from .sphere3d import (SHField, dtn_sphere_apply, sh_analysis, sh_multiply,
 # -I, so H = -1 and the trace-free part W0 = W - H I vanishes.
 _H = -1.0
 _EIG_TIE_RTOL = 1e-9
+# resonant-degree flux compatibility residual accepted by solve_udot
+_COMPAT_TOL = 1e-8
+# drift tolerance for a plane branch vector on a degenerate eigenvalue
+_SPLIT_TOL = 1e-6
 
 
 def uniform_shape(value):
@@ -47,6 +55,18 @@ def _ball_eps(k):
         raise ConfigError("perturb", "q1_matrix",
                           "degree k must be an integer >= 1", "k=%r" % (k,))
     return (k + 1.0) / k
+
+
+def _first_order_form(eps, wa, grads, dns):
+    """Matrix q1(u_i, u_j) over d stacked fields: grads is (d, ..., points)
+    with the gradient components in the middle axes, dns is (d, points) and
+    wa is the quadrature weights times a. A GEMM is not bitwise symmetric,
+    so the result is symmetrized."""
+    d = len(dns)
+    gw = (grads * wa).reshape(d, -1)
+    mat = (eps + 1.0) * (-gw @ grads.reshape(d, -1).T
+                         + eps * ((dns * wa) @ dns.T))
+    return 0.5 * (mat + mat.T)
 
 
 def _canonical_eigenbasis(vals, vecs):
@@ -88,12 +108,15 @@ class FirstOrderReport:
 
     branches are the eigenvalues of the q1 matrix in ascending order; column
     b of basis holds the expansion of the b-th branch eigenfunction over the
-    normalized spherical harmonics Y_{k,m} / sqrt(k), m = -k..k.
+    normalized spherical harmonics Y_{k,m} / sqrt(k), m = -k..k. The shape a
+    is kept so that the second-order chain needs nothing else.
     """
 
-    def __init__(self, k, epsilon, matrix, branches, basis, basis_residual):
+    def __init__(self, k, epsilon, a, matrix, branches, basis,
+                 basis_residual):
         self.k = k
         self.epsilon = epsilon
+        self.a = a
         self.dimension = 2 * k + 1
         self.matrix = matrix
         self.branches = branches
@@ -126,30 +149,26 @@ class FirstOrderReport:
 
 
 def q1_matrix(k, a):
-    """First-order splitting of the ball eigenvalue (k+1)/k for shape a."""
+    """First-order splitting of the ball eigenvalue (k+1)/k for shape a.
+
+    The eigenspace is stacked as the fields u_m = Y_{k,m} / sqrt(k), whose
+    normal derivatives are sqrt(k) Y_{k,m}.
+    """
     eps = _ball_eps(k)
-    d = 2 * k + 1
     grid = sphere_grid(k + a.L + 2)
-    a_vals = sh_synthesis(a, grid)
+    w = grid.area_weights.ravel()
     fields = [SHField.basis(k, k, m) for m in range(-k, k + 1)]
-    vals = [sh_synthesis(f, grid) for f in fields]
+    vals = np.array([sh_synthesis(f, grid).ravel() for f in fields])
     grads = [surface_gradient(f, grid) for f in fields]
-    mat = np.zeros((d, d))
-    for i in range(d):
-        for j in range(i, d):
-            grad_term = grid.integrate(a_vals * grads[i].dot(grads[j])) / k
-            val_term = grid.integrate(a_vals * vals[i] * vals[j]) * k
-            mat[i, j] = mat[j, i] = (eps + 1.0) * (-grad_term + eps * val_term)
+    grads = np.array([[g.vtheta.ravel(), g.vphi.ravel()] for g in grads])
+    mat = _first_order_form(eps, w * sh_synthesis(a, grid).ravel(),
+                            grads / math.sqrt(k), math.sqrt(k) * vals)
     branches, vecs = scipy.linalg.eigh(mat)
     basis = _canonical_eigenbasis(branches, vecs)
     # quadrature check of <u_i, dn u_j> = delta_ij for the branch basis
-    gram = np.zeros((d, d))
-    for i in range(d):
-        for j in range(d):
-            gram[i, j] = grid.integrate(vals[i] * vals[j])
-    bg = basis.T @ gram @ basis
-    basis_residual = float(np.max(np.abs(bg - np.eye(d))))
-    return FirstOrderReport(k, eps, mat, branches, basis, basis_residual)
+    bg = basis.T @ ((vals * w) @ vals.T) @ basis
+    basis_residual = float(np.max(np.abs(bg - np.eye(len(vals)))))
+    return FirstOrderReport(k, eps, a, mat, branches, basis, basis_residual)
 
 
 class UdotSolution:
@@ -157,36 +176,36 @@ class UdotSolution:
 
     phi and psi are the interior and exterior traces; the degree-k component
     of phi is zero by the gauge choice, which fixes the non-uniqueness noted
-    for the first-derivative system.
+    for the first-derivative system. The solution keeps the first-order
+    report, the branch index and the branch trace it was solved for; its
+    epsdot is always report.branches[branch].
     """
 
-    def __init__(self, phi, psi, compatibility_residual, system_residual, k,
-                 branch_index, epsilon, epsdot):
+    def __init__(self, report, branch, trace, phi, psi,
+                 compatibility_residual, system_residual):
+        self.report = report
+        self.branch = branch
+        self.trace = trace
         self.phi = phi
         self.psi = psi
         self.compatibility_residual = compatibility_residual
         self.system_residual = system_residual
-        self.k = k
-        self.branch_index = branch_index
-        self.epsilon = epsilon
-        self.epsdot = epsdot
+        self.epsilon = report.epsilon
+        self.epsdot = float(report.branches[branch])
 
 
-def solve_udot(k, branch_index, a, epsdot=None, report=None,
-               compat_tol=1e-8):
-    """Solve the first-derivative transmission system for one branch.
+def solve_udot(report, branch):
+    """Solve the first-derivative transmission system for one branch of a
+    FirstOrderReport.
 
     Right-hand sides are expanded in spherical harmonics; every degree
     l != k yields a regular 2x2 system for the trace coefficients, and the
     resonant degree k must satisfy the flux compatibility identity, which
     holds exactly when the branch diagonalizes q1.
     """
-    if report is None:
-        report = q1_matrix(k, a)
-    eps = report.epsilon
-    if epsdot is None:
-        epsdot = float(report.branches[branch_index])
-    ub = report.branch_trace(branch_index)
+    ub = report.branch_trace(branch)
+    k, a, eps = report.k, report.a, report.epsilon
+    epsdot = float(report.branches[branch])
     dnu = dtn_sphere_apply(ub, "interior")
     l_sys = a.L + k + 2
     grid = sphere_grid(l_sys)
@@ -197,58 +216,43 @@ def solve_udot(k, branch_index, a, epsdot=None, report=None,
     gtil = surface_divergence(flow, l_sys).scaled(eps + 1.0) \
         .plus(dnu.truncated(l_sys), -epsdot)
 
-    phi = SHField(l_sys)
-    psi = SHField(l_sys)
-    compat = 0.0
-    for l in range(l_sys + 1):
-        frow = f1.coeffs[l]
-        grow = gtil.coeffs[l]
-        if l == k:
-            compat = float(np.linalg.norm(grow - eps * k * frow))
-            psi.coeffs[l] = -frow
-        elif l == 0:
-            psi.coeffs[l] = -grow
-            phi.coeffs[l] = frow + psi.coeffs[l]
-        else:
-            denom = eps * l - (l + 1.0)
-            phi.coeffs[l] = (grow - (l + 1.0) * frow) / denom
-            psi.coeffs[l] = phi.coeffs[l] - frow
-    if compat > compat_tol:
+    compat = float(np.linalg.norm(gtil.coeffs[k] - eps * k * f1.coeffs[k]))
+    if compat > _COMPAT_TOL:
         raise SplittingError(
             "perturb", "solve_udot",
             "resonant-degree flux compatibility requires a branch that "
             "diagonalizes q1", "residual %.3g" % compat)
-
     lvec = np.arange(l_sys + 1, dtype=float)[:, None]
+    denom = eps * lvec - (lvec + 1.0)
+    # the resonant degree k is singular; the zero-E gauge sets phi_k = 0
+    denom[k] = np.inf
+    phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
+    psi = SHField(l_sys, phi.coeffs - f1.coeffs)
+
     r1 = phi.coeffs - psi.coeffs - f1.coeffs
     r2 = eps * lvec * phi.coeffs - (lvec + 1.0) * psi.coeffs - gtil.coeffs
     r1[k] = 0.0
     r2[k] = 0.0
     system_residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    return UdotSolution(phi, psi, compat, system_residual, k, branch_index,
-                        eps, epsdot)
+    return UdotSolution(report, branch, ub, phi, psi, compat, system_residual)
 
 
 class SecondOrderReport:
-    """Second derivative of the eigenvalue along one branch."""
+    """Second derivative of the eigenvalue along the branch of udot."""
 
-    def __init__(self, k, branch_index, epsilon, epsdot, epsddot, lines,
-                 gauge_residual, compatibility_residual):
-        self.k = k
-        self.branch_index = branch_index
-        self.epsilon = epsilon
-        self.epsdot = epsdot
+    def __init__(self, udot, epsddot, lines, gauge_residual):
+        self.udot = udot
         self.epsddot = epsddot
         self.lines = lines
         self.gauge_residual = gauge_residual
-        self.compatibility_residual = compatibility_residual
+        self.compatibility_residual = udot.compatibility_residual
 
     def to_json_dict(self):
         return {
-            "k": self.k,
-            "branch": self.branch_index,
-            "epsilon": self.epsilon,
-            "epsdot": self.epsdot,
+            "k": self.udot.report.k,
+            "branch": self.udot.branch,
+            "epsilon": self.udot.epsilon,
+            "epsdot": self.udot.epsdot,
             "epsddot": self.epsddot,
             "lines": [float(x) for x in self.lines],
             "gauge_residual": float(self.gauge_residual),
@@ -274,22 +278,17 @@ def _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals, gu, gw, phi):
     return [l1, l2, l3, l4, l5, l6]
 
 
-def epsddot(k, branch_index, a, epsdot=None, udot=None, report=None):
-    """Second derivative of the eigenvalue along one branch (zero-E gauge).
+def epsddot(udot):
+    """Second derivative of the eigenvalue along the branch of udot, the
+    solve_udot solution (zero-E gauge).
 
     Returns a report carrying the six quadrature terms, the total
     (twice their sum), and a gauge-independence residual obtained by
     re-evaluating with the eigenfunction derivative shifted by an element
     of the eigenspace.
     """
-    if report is None:
-        report = q1_matrix(k, a)
-    eps = report.epsilon
-    if epsdot is None:
-        epsdot = float(report.branches[branch_index])
-    if udot is None:
-        udot = solve_udot(k, branch_index, a, epsdot=epsdot, report=report)
-    ub = report.branch_trace(branch_index)
+    report, ub = udot.report, udot.trace
+    k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
     dnu = dtn_sphere_apply(ub, "interior")
     grid = sphere_grid(max(a.L + k + 2, udot.phi.L))
     a_vals = sh_synthesis(a, grid)
@@ -305,22 +304,19 @@ def epsddot(k, branch_index, a, epsdot=None, udot=None, report=None):
     lines_shifted = _epsddot_lines(grid, eps, epsdot, a_vals, u_vals,
                                    dnu_vals, gu, gw, shifted)
     gauge_residual = abs(2.0 * sum(lines_shifted) - total)
-    return SecondOrderReport(k, branch_index, eps, epsdot, total, lines,
-                             gauge_residual, udot.compatibility_residual)
+    return SecondOrderReport(udot, total, lines, gauge_residual)
 
 
-def p1_apply(a, v, L_out=None):
-    """P1 v = -div(a grad v)."""
-    if L_out is None:
-        L_out = a.L + v.L + 2
-    grid = sphere_grid((a.L + v.L + L_out + 2) // 2)
+def p1_apply(a, v):
+    """P1 v = -div(a grad v), analyzed to band a.L + v.L + 2."""
+    L_out = a.L + v.L + 2
+    grid = sphere_grid(L_out)
     a_vals = sh_synthesis(a, grid)
     flow = surface_gradient(v, grid).scaled_pointwise(a_vals)
     return surface_divergence(flow, L_out).scaled(-1.0)
 
 
-def epsddot_flux_route(k, branch_index, a, epsdot=None, udot=None,
-                       report=None):
+def epsddot_flux_route(udot):
     """Second derivative via the compatibility identity of the
     second-derivative transmission system: <G2, u> - eps <F2, dn u>.
 
@@ -328,14 +324,8 @@ def epsddot_flux_route(k, branch_index, a, epsdot=None, udot=None,
     different intermediate expressions, so agreement is a strong
     cross-check.
     """
-    if report is None:
-        report = q1_matrix(k, a)
-    eps = report.epsilon
-    if epsdot is None:
-        epsdot = float(report.branches[branch_index])
-    if udot is None:
-        udot = solve_udot(k, branch_index, a, epsdot=epsdot, report=report)
-    ub = report.branch_trace(branch_index)
+    report, ub = udot.report, udot.trace
+    k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
     dnu = dtn_sphere_apply(ub, "interior")
     dnudot = dtn_sphere_apply(udot.phi, "interior")
     p1u = p1_apply(a, ub)
@@ -358,14 +348,14 @@ def epsddot_flux_route(k, branch_index, a, epsdot=None, udot=None,
         - eps * grid.integrate(f2_vals * dnu_vals)
 
 
-def epsdot_2d(dtn, eps, g, a, spectrum=None, split_tol=1e-6):
+def epsdot_2d(dtn, eps, g, a, spectrum=None):
     """First derivative of a plane eigenvalue for normal shift a.
 
     Evaluates (eps+1) * integral of a [ -(ds g)^2 + eps (N- g)^2 ] over the
-    curve. Requires eps != 1 and the eigenpair normalized to unit interior
-    energy; for a degenerate eps the supplied g must diagonalize the
-    first-order form on the eigenspace (pass the spectrum to have this
-    verified).
+    curve, the 1x1 case of the first-order form. Requires eps != 1 and the
+    eigenpair normalized to unit interior energy; for a degenerate eps the
+    supplied g must diagonalize the first-order form on the eigenspace (pass
+    the spectrum to have this verified).
     """
     sample = dtn.sample
     g = np.asarray(g, dtype=float)
@@ -380,45 +370,28 @@ def epsdot_2d(dtn, eps, g, a, spectrum=None, split_tol=1e-6):
         raise PerturbationError("perturb", "epsdot_2d",
                                 "eigenpair must satisfy <g, N- g> = 1",
                                 "got %.3g" % energy)
-    a_vals = a.value(sample.t)
-    dsg = tangential_derivative(sample, g)
+    wa = w * a.value(sample.t)
     if spectrum is not None:
-        _check_2d_splitting(dtn, eps, g, a_vals, spectrum, split_tol)
-    form = (eps + 1.0) * float(
-        np.dot(w * a_vals, -dsg * dsg + eps * dng * dng))
-    return form
+        _check_2d_splitting(dtn, eps, g, wa, spectrum)
+    dsg = tangential_derivative(sample, g)
+    return float(_first_order_form(eps, wa, dsg[None], dng[None])[0, 0])
 
 
-def _q1_form_2d(dtn, eps, a_vals, gi, gj):
-    sample = dtn.sample
-    w = sample.weights
-    dsi = tangential_derivative(sample, gi)
-    dsj = tangential_derivative(sample, gj)
-    dni = dtn.nminus.apply(gi)
-    dnj = dtn.nminus.apply(gj)
-    return (eps + 1.0) * float(
-        np.dot(w * a_vals, -dsi * dsj + eps * dni * dnj))
-
-
-def _check_2d_splitting(dtn, eps, g, a_vals, spectrum, tol):
+def _check_2d_splitting(dtn, eps, g, wa, spectrum):
     """For a degenerate eps, verify that g diagonalizes the first-order
     form restricted to the eigenspace spanned by the nearby eigenpairs."""
     close = np.nonzero(np.abs(spectrum.eigenvalues - eps)
                        <= 1e-8 * max(1.0, abs(eps)))[0]
     if len(close) <= 1:
         return
-    basis = spectrum.eigenfunctions[:, close]
-    w = dtn.sample.weights
-    coef = np.array([float(g @ (w * dtn.nminus.apply(basis[:, j])))
-                     for j in range(basis.shape[1])])
-    qmat = np.zeros((len(close), len(close)))
-    for i in range(len(close)):
-        for j in range(i, len(close)):
-            qmat[i, j] = qmat[j, i] = _q1_form_2d(
-                dtn, eps, a_vals, basis[:, i], basis[:, j])
+    block = spectrum.eigenfunctions[:, close]
+    dns = dtn.nminus.apply(block).T
+    qmat = _first_order_form(
+        eps, wa, tangential_derivative(dtn.sample, block).T, dns)
+    coef = dns @ (dtn.sample.weights * g)
     drift = qmat @ coef - (coef @ qmat @ coef) * coef
     scale = max(1.0, float(np.linalg.norm(qmat)))
-    if np.linalg.norm(drift) > tol * scale:
+    if np.linalg.norm(drift) > _SPLIT_TOL * scale:
         raise SplittingError(
             "perturb", "epsdot_2d",
             "degenerate eigenvalue requires a branch vector that "

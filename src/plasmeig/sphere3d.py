@@ -310,12 +310,6 @@ def surface_divergence(vfield, L=None):
     return out
 
 
-def laplace_beltrami(field):
-    """Surface Laplacian: multiplier -l(l+1) per degree."""
-    l = np.arange(field.L + 1, dtype=float)
-    return field.degree_multiplied(-l * (l + 1.0))
-
-
 def sh_multiply(f, g, L=None):
     """Pointwise product re-analyzed to band L (default: full band f.L+g.L).
 

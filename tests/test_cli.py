@@ -168,6 +168,19 @@ def test_perturb_2d_elongated_ellipse(tmp_path):
     assert 1.8 <= record["outputs"]["slope"] <= 2.2
 
 
+def test_perturb_2d_zero_deformation(tmp_path):
+    # a = 0 leaves every finite difference at exactly zero: no slope to fit
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d", "curve": ELLIPSE, "a": {"cos": []},
+                        "N": 64, "num_eigs": 4})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, raw = read_record(out, "perturb")
+    assert b"NaN" not in raw
+    assert record["outputs"]["slope"] is None
+    assert record["flags"] == {"zero_deformation_ok": True}
+
+
 def test_dn_derivative_job(tmp_path):
     cfg = write_config(tmp_path, "job.json",
                        {"curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
@@ -261,6 +274,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("validate", {"N": 7}, "N"),
     # N = 16 leaves too few mean-zero modes for the 20 this check asks for
     ("validate", {"N": 16, "checks": ["disk_degeneracy"]}, "N"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": 1.0},
+                 "order": True}, "order"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": 1.0},
+                 "order": 2.0}, "order"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": 1.0},
+                 "order": 1, "branch": "x"}, "branch"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

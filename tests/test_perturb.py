@@ -8,11 +8,13 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 from plasmeig.bem2d import build_dtn_for_curve
-from plasmeig.curve2d import CurveParam, ShapeFn2D
+from plasmeig.curve2d import CurveParam, ShapeFn2D, tangential_derivative
 from plasmeig.errors import ConfigError, PerturbationError, SplittingError
-from plasmeig.perturb import (epsddot, epsddot_flux_route, epsdot_2d,
-                              p1_apply, q1_matrix, solve_udot, uniform_shape)
-from plasmeig.sphere3d import SHField
+from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
+                              epsdot_2d, p1_apply, q1_matrix, solve_udot,
+                              uniform_shape)
+from plasmeig.sphere3d import (SHField, sh_synthesis, sphere_grid,
+                               surface_gradient)
 from plasmeig.validate import GOLDEN_EPSDDOT_Y20
 
 Y20 = SHField.basis(2, 2, 0)
@@ -20,6 +22,10 @@ Y20 = SHField.basis(2, 2, 0)
 # first-derivative branches of the threefold eigenvalue 2 for shape Y20:
 # twice-degenerate -9/(2 sqrt(5 pi)) plus a simple 9/sqrt(5 pi)
 BRANCH_SCALE = 9.0 / math.sqrt(5.0 * math.pi)
+
+
+def second_order(k, branch, a):
+    return epsddot(solve_udot(q1_matrix(k, a), branch))
 
 
 def random_shape(L, seed):
@@ -31,7 +37,6 @@ def random_shape(L, seed):
 
 
 def test_uniform_shape_is_constant():
-    from plasmeig.sphere3d import sh_synthesis
     vals = sh_synthesis(uniform_shape(0.3))
     assert np.max(np.abs(vals - 0.3)) < 1e-14
 
@@ -73,6 +78,23 @@ def test_splitting_branches_for_axial_quadrupole():
         report.branch_trace(3)
 
 
+def test_q1_matrix_matches_per_entry_quadrature():
+    k, a = 3, random_shape(4, seed=3)
+    report = q1_matrix(k, a)
+    eps = (k + 1.0) / k
+    grid = sphere_grid(k + a.L + 2)
+    a_vals = sh_synthesis(a, grid)
+    fields = [SHField.basis(k, k, m) for m in range(-k, k + 1)]
+    vals = [sh_synthesis(f, grid) for f in fields]
+    grads = [surface_gradient(f, grid) for f in fields]
+    want = np.array([[(eps + 1.0) * (
+        -grid.integrate(a_vals * gi.dot(gj)) / k
+        + eps * k * grid.integrate(a_vals * vi * vj))
+        for gj, vj in zip(grads, vals)] for gi, vi in zip(grads, vals)])
+    scale = max(1.0, float(np.max(np.abs(report.matrix))))
+    assert np.max(np.abs(report.matrix - want)) < 1e-13 * scale
+
+
 def test_splitting_is_linear_in_the_shape():
     a = random_shape(2, seed=5)
     m1 = q1_matrix(1, a).matrix
@@ -81,7 +103,7 @@ def test_splitting_is_linear_in_the_shape():
 
 
 def test_eigenfunction_derivative_solves_the_system():
-    sol = solve_udot(1, 2, Y20)
+    sol = solve_udot(q1_matrix(1, Y20), 2)
     assert sol.system_residual < 1e-12
     assert sol.compatibility_residual < 1e-10
     # zero-E gauge: no resonant-degree component in the interior trace
@@ -92,20 +114,20 @@ def test_eigenfunction_derivative_solves_the_system():
 
 def test_wrong_branch_slope_fails_compatibility():
     report = q1_matrix(1, Y20)
+    report.branches = report.branches + 0.1
     with pytest.raises(SplittingError):
-        solve_udot(1, 2, Y20, epsdot=float(report.branches[2]) + 0.1,
-                   report=report)
+        solve_udot(report, 2)
 
 
 def test_second_derivative_vanishes_for_uniform_shift():
     for k in (1, 2):
-        report = epsddot(k, 0, uniform_shape(1.0))
+        report = second_order(k, 0, uniform_shape(1.0))
         assert abs(report.epsddot) < 1e-8
         assert report.gauge_residual < 1e-10
 
 
 def test_second_derivative_golden_value():
-    report = epsddot(1, 2, Y20)
+    report = second_order(1, 2, Y20)
     assert abs(report.epsddot - GOLDEN_EPSDDOT_Y20) < 1e-10
     assert report.gauge_residual < 1e-10
     assert report.compatibility_residual < 1e-10
@@ -115,18 +137,17 @@ def test_second_derivative_golden_value():
 
 def test_second_derivative_scales_quadratically():
     a = random_shape(2, seed=12)
-    base = epsddot(1, 0, a).epsddot
-    doubled = epsddot(1, 0, a.scaled(2.0)).epsddot
+    base = second_order(1, 0, a).epsddot
+    doubled = second_order(1, 0, a.scaled(2.0)).epsddot
     assert abs(doubled - 4.0 * base) < 1e-8 * max(1.0, abs(base))
 
 
 def test_flux_route_agrees_with_quadrature_formula():
     for seed in (0, 1):
         a = random_shape(2, seed=seed)
-        report = q1_matrix(1, a)
-        udot = solve_udot(1, 1, a, report=report)
-        direct = epsddot(1, 1, a, udot=udot, report=report).epsddot
-        flux = epsddot_flux_route(1, 1, a, udot=udot, report=report)
+        udot = solve_udot(q1_matrix(1, a), 1)
+        direct = epsddot(udot).epsddot
+        flux = epsddot_flux_route(udot)
         assert abs(direct - flux) < 1e-8 * max(1.0, abs(direct))
 
 
@@ -167,7 +188,6 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     # threefold-symmetric curve: double eigenvalues; a twofold shape splits
     # them, so raw eigenvectors fail and form-diagonalizing ones succeed
     from plasmeig.spectrum2d import solve_plasmonic
-    from plasmeig.perturb import _q1_form_2d
     dtn = build_dtn_for_curve(C3_CURVE, 132)
     spec = solve_plasmonic(dtn, num=6, curve_config=C3_CURVE.to_config())
     eps = spec.eigenvalues
@@ -176,12 +196,12 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     with pytest.raises(SplittingError):
         epsdot_2d(dtn, eps[0], spec.eigenfunctions[:, 0], a, spectrum=spec)
 
-    a_vals = a.value(dtn.sample.t)
-    pair = spec.eigenfunctions[:, :2]
-    form = np.array([[_q1_form_2d(dtn, eps[0], a_vals, pair[:, i], pair[:, j])
-                      for j in range(2)] for i in range(2)])
-    w, v = scipy.linalg.eigh(form)
     weights = dtn.sample.weights
+    pair = spec.eigenfunctions[:, :2]
+    form = _first_order_form(eps[0], weights * a.value(dtn.sample.t),
+                             tangential_derivative(dtn.sample, pair).T,
+                             dtn.nminus.apply(pair).T)
+    w, v = scipy.linalg.eigh(form)
     for j in range(2):
         g = pair @ v[:, j]
         g /= math.sqrt(float(g @ (weights * dtn.nminus.apply(g))))
