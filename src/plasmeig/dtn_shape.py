@@ -66,10 +66,9 @@ def _side_operator(dtn, side):
                       "side=%r" % (side,))
 
 
-def shape_derivative_apply(g, a, dtn, sample=None, side="interior"):
+def shape_derivative_apply(g, a, dtn, side="interior"):
     """Apply the shape derivative of the chosen DtN operator to data g."""
-    if sample is None:
-        sample = dtn.sample
+    sample = dtn.sample
     nmat = _side_operator(dtn, side)
     a_vals = a.value(sample.t)
     ng = nmat @ np.asarray(g, dtype=float)

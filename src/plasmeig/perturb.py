@@ -182,14 +182,13 @@ class UdotSolution:
     """
 
     def __init__(self, report, branch, trace, phi, psi,
-                 compatibility_residual, system_residual):
+                 compatibility_residual):
         self.report = report
         self.branch = branch
         self.trace = trace
         self.phi = phi
         self.psi = psi
         self.compatibility_residual = compatibility_residual
-        self.system_residual = system_residual
         self.epsilon = report.epsilon
         self.epsdot = float(report.branches[branch])
 
@@ -228,13 +227,7 @@ def solve_udot(report, branch):
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
     psi = SHField(l_sys, phi.coeffs - f1.coeffs)
-
-    r1 = phi.coeffs - psi.coeffs - f1.coeffs
-    r2 = eps * lvec * phi.coeffs - (lvec + 1.0) * psi.coeffs - gtil.coeffs
-    r1[k] = 0.0
-    r2[k] = 0.0
-    system_residual = float(max(np.max(np.abs(r1)), np.max(np.abs(r2))))
-    return UdotSolution(report, branch, ub, phi, psi, compat, system_residual)
+    return UdotSolution(report, branch, ub, phi, psi, compat)
 
 
 class SecondOrderReport:

@@ -19,6 +19,8 @@ import scipy.linalg
 from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalError
 
 _DENOM_TOL = 1e-12
+_CRIT_STEP = 1e-5
+_CRIT_DIRECTIONS = 20
 
 
 class PlasmonicSpectrum:
@@ -92,6 +94,17 @@ def _project(mat, root, v):
     return 0.5 * (c + c.T)
 
 
+def _check_num(num, n, operation):
+    """Refuse a count num outside 1..n-1, the mean-zero subspace dimension."""
+    if num < 1:
+        raise ConfigError("spectrum2d", operation,
+                          "num must be a positive integer", "num=%d" % num)
+    if num > n - 1:
+        raise ConfigError("spectrum2d", operation,
+                          "num must not exceed the mean-zero subspace dimension",
+                          "num=%d, N=%d" % (num, n))
+
+
 def _select_far_from_one(eps, num):
     order = np.argsort(-np.abs(eps - 1.0), kind="stable")
     keep = order[:num]
@@ -109,13 +122,7 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     back costs O(N^2).
     """
     sample = dtn.sample
-    if num < 1:
-        raise ConfigError("spectrum2d", "solve_plasmonic",
-                          "num must be a positive integer", "num=%d" % num)
-    if num > sample.n - 1:
-        raise ConfigError("spectrum2d", "solve_plasmonic",
-                          "num must not exceed the mean-zero subspace dimension",
-                          "num=%d, N=%d" % (num, sample.n))
+    _check_num(num, sample.n, "solve_plasmonic")
     root, v = _mean_zero_reflector(sample.weights)
     aminus = _project(dtn.nminus.matrix, root, v)
     aplus = -_project(dtn.nplus.matrix, root, v)
@@ -152,6 +159,7 @@ def np_route(dtn, num=20, curve_config=None):
     g = S phi of the K* eigendensities, renormalized like the pencil route.
     """
     sample = dtn.sample
+    _check_num(num, sample.n, "np_route")
     kmat = dtn.np_adjoint.matrix
     lam, phi = scipy.linalg.eig(kmat)
     if np.max(np.abs(lam.imag)) > 1e-8:
@@ -175,10 +183,6 @@ def np_route(dtn, num=20, curve_config=None):
                               "K* eigenvalue 1/2 of multiplicity > 1 maps to "
                               "no finite eps", "")
     eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
-    if num > len(eps):
-        raise ConfigError("spectrum2d", "np_route",
-                          "num must not exceed the mean-zero subspace dimension",
-                          "num=%d, N=%d" % (num, sample.n))
     keep = _select_far_from_one(eps, num)
     eps_sel = eps[keep]
     g = dtn.single_layer.matrix @ phi[:, keep]
@@ -225,22 +229,23 @@ def rayleigh(dtn, g):
     return numer / denom
 
 
-def criticality_residual(dtn, eps, g, step=1e-5, directions=20, seed=0):
-    """Max first-order variation of the Rayleigh quotient at (eps, g).
+def criticality_residual(dtn, g, seed=0):
+    """Max first-order variation of the Rayleigh quotient at g.
 
-    Probes random weighted-mean-zero directions with central differences;
-    near zero at eigenpairs since they are critical points.
+    Probes _CRIT_DIRECTIONS random weighted-mean-zero directions with
+    central differences of step _CRIT_STEP; near zero at eigenfunctions
+    since they are critical points.
     """
     rng = np.random.default_rng(seed)
     w = dtn.sample.weights
     base = np.asarray(g, dtype=float)
     scale = np.sqrt(float(base @ (w * base)))
     worst = 0.0
-    for _ in range(directions):
+    for _ in range(_CRIT_DIRECTIONS):
         v = rng.standard_normal(len(base))
         v -= (w @ v) / w.sum()
         v *= scale / np.sqrt(float(v @ (w * v)))
-        plus = rayleigh(dtn, base + step * v)
-        minus = rayleigh(dtn, base - step * v)
-        worst = max(worst, abs(plus - minus) / (2.0 * step))
+        plus = rayleigh(dtn, base + _CRIT_STEP * v)
+        minus = rayleigh(dtn, base - _CRIT_STEP * v)
+        worst = max(worst, abs(plus - minus) / (2.0 * _CRIT_STEP))
     return worst

@@ -18,10 +18,12 @@ spherical-polynomial degree up to 2L+1 exactly; band bookkeeping for
 quadrature exactness is the caller's job and every routine here states its
 requirement.
 
-The divergence is the exact quadrature adjoint of the gradient, so the
-integration-by-parts identity <grad f, V> = -<f, div V> holds to roundoff on
-any grid, and it agrees with the analytic divergence whenever the quadrature
-is exact for the integrand band.
+One synthesis kernel (_to_grid) and its exact quadrature adjoint
+(_from_grid) carry all four transforms; _unpack and _pack alone know the
+coefficient layout. Synthesis and the gradient are the kernel, analysis and
+the divergence its adjoint, so <grad f, V> = -<f, div V> holds to roundoff
+on any grid, and the divergence agrees with the analytic one whenever the
+quadrature is exact for the integrand band.
 """
 
 import functools
@@ -44,26 +46,28 @@ def _legendre_tables(L, x):
 
     Returns arrays of shape (L+1, L+1, len(x)) indexed [l, m, node]; entries
     with m > l stay zero. Normalization: int Pbar_{lm}^2 sin t dt = 1/(2 pi).
+    The nodes must avoid the poles (Gauss nodes do), since the diagonal
+    derivative is m cot(theta) Pbar_{mm}.
     """
     s = np.sqrt(1.0 - x * x)
-    p = np.zeros((L + 1, L + 1, len(x)))
+    m = np.arange(L + 1)
+    # row L+1 is a zero pad standing in for l = -1
+    p = np.zeros((L + 2, L + 1, len(x)))
     dp = np.zeros_like(p)
-    p[0, 0] = math.sqrt(0.25 / math.pi)
-    for m in range(1, L + 1):
-        c = math.sqrt((2.0 * m + 1.0) / (2.0 * m))
-        p[m, m] = c * s * p[m - 1, m - 1]
-        dp[m, m] = c * (x * p[m - 1, m - 1] + s * dp[m - 1, m - 1])
-    for m in range(L):
-        c = math.sqrt(2.0 * m + 3.0)
-        p[m + 1, m] = c * x * p[m, m]
-        dp[m + 1, m] = c * (x * dp[m, m] - s * p[m, m])
-    for m in range(L + 1):
-        for l in range(m + 2, L + 1):
-            a = math.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))
-            b = math.sqrt(((l - 1.0) ** 2 - m * m) / (4.0 * (l - 1.0) ** 2 - 1.0))
-            p[l, m] = a * (x * p[l - 1, m] - b * p[l - 2, m])
-            dp[l, m] = a * (x * dp[l - 1, m] - s * p[l - 1, m] - b * dp[l - 2, m])
-    return p, dp
+    # Pbar_mm = Pbar_00 prod_{j=1..m} sqrt((2j+1)/(2j)) sin^m; ratio[0] = 1
+    ratio = np.sqrt((2.0 * m + 1.0) / np.maximum(2.0 * m, 1.0))
+    p[m, m] = (math.sqrt(0.25 / math.pi) * np.cumprod(ratio)[:, None]
+               * s ** m[:, None])
+    dp[m, m] = m[:, None] * (x / s) * p[m, m]
+    for l in range(1, L + 1):
+        ml = m[:l]
+        a = np.sqrt((4.0 * l * l - 1.0) / (l * l - ml * ml))[:, None]
+        b = np.sqrt(((l - 1.0) ** 2 - ml * ml)
+                    / (4.0 * (l - 1.0) ** 2 - 1.0))[:, None]
+        p[l, :l] = a * (x * p[l - 1, :l] - b * p[l - 2, :l])
+        dp[l, :l] = a * (x * dp[l - 1, :l] - s * p[l - 1, :l]
+                         - b * dp[l - 2, :l])
+    return p[:L + 1], dp[:L + 1]
 
 
 class SphereGrid:
@@ -201,29 +205,49 @@ def _check_band(grid, L, operation):
                                  "grid L=%d, requested L=%d" % (grid.L, L))
 
 
-def _cos_sin_tilde(field):
-    """Repack coefficients as cos/sin expansion weights over m >= 0."""
+def _unpack(field):
+    """Cos/sin expansion weights (c, s), each indexed [l, m >= 0]."""
     L = field.L
-    ctil = np.zeros((L + 1, L + 1))
-    stil = np.zeros((L + 1, L + 1))
-    ctil[:, 0] = field.coeffs[:, L]
-    for m in range(1, L + 1):
-        ctil[:, m] = _SQRT2 * field.coeffs[:, L + m]
-        stil[:, m] = _SQRT2 * field.coeffs[:, L - m]
-    return ctil, stil
+    c = _SQRT2 * field.coeffs[:, L:]
+    c[:, 0] = field.coeffs[:, L]
+    s = np.zeros_like(c)
+    s[:, 1:] = _SQRT2 * field.coeffs[:, :L][:, ::-1]
+    return c, s
+
+
+def _pack(c, s):
+    """Inverse of _unpack: the field with cos/sin weights (c, s)."""
+    L = c.shape[0] - 1
+    out = SHField(L)
+    out.coeffs[:, L:] = _SQRT2 * c
+    out.coeffs[:, L] = c[:, 0]
+    out.coeffs[:, :L] = _SQRT2 * s[:, :0:-1]
+    return out
+
+
+def _to_grid(c, s, table, grid):
+    """Values of sum_{l,m} table[l, m] (c[l, m] cos m phi + s[l, m] sin m phi)."""
+    sub = slice(0, c.shape[0])
+    gc, gs = np.einsum("klm,lmi->kim", np.stack((c, s)), table[sub, sub])
+    return gc @ grid.cosm[sub] + gs @ grid.sinm[sub]
+
+
+def _from_grid(values, table, weights, grid, L):
+    """Quadrature adjoint of _to_grid up to band L, theta weights given."""
+    sub = slice(0, L + 1)
+    fc = values @ grid.cosm[sub].T * grid.phi_weight
+    fs = values @ grid.sinm[sub].T * grid.phi_weight
+    wtable = table[sub, sub] * weights
+    return (np.einsum("lmi,im->lm", wtable, fc),
+            np.einsum("lmi,im->lm", wtable, fs))
 
 
 def sh_synthesis(field, grid=None):
     """Evaluate a coefficient field on the grid (exact for any band)."""
     if grid is None:
         grid = sphere_grid(field.L)
-    L = field.L
-    _check_band(grid, L, "sh_synthesis")
-    ctil, stil = _cos_sin_tilde(field)
-    sub = slice(0, L + 1)
-    gc = np.einsum("lm,lmi->mi", ctil, grid.plm[sub, sub])
-    gs = np.einsum("lm,lmi->mi", stil, grid.plm[sub, sub])
-    return gc.T @ grid.cosm[sub] + gs.T @ grid.sinm[sub]
+    _check_band(grid, field.L, "sh_synthesis")
+    return _to_grid(*_unpack(field), grid.plm, grid)
 
 
 def sh_analysis(values, L, grid=None):
@@ -241,18 +265,7 @@ def sh_analysis(values, L, grid=None):
                                  "values must match the grid shape",
                                  "got %s, grid %s"
                                  % (values.shape, (grid.ntheta, grid.nphi)))
-    sub = slice(0, L + 1)
-    fc = values @ grid.cosm[sub].T * grid.phi_weight
-    fs = values @ grid.sinm[sub].T * grid.phi_weight
-    wplm = grid.plm[sub, sub] * grid.wx
-    araw = np.einsum("lmi,im->lm", wplm, fc)
-    braw = np.einsum("lmi,im->lm", wplm, fs)
-    out = SHField(L)
-    out.coeffs[:, L] = araw[:, 0]
-    for m in range(1, L + 1):
-        out.coeffs[:, L + m] = _SQRT2 * araw[:, m]
-        out.coeffs[:, L - m] = _SQRT2 * braw[:, m]
-    return out
+    return _pack(*_from_grid(values, grid.plm, grid.wx, grid, L))
 
 
 def surface_gradient(field, grid=None):
@@ -263,20 +276,11 @@ def surface_gradient(field, grid=None):
     """
     if grid is None:
         grid = sphere_grid(field.L + 1)
-    L = field.L
-    _check_band(grid, L, "surface_gradient")
-    ctil, stil = _cos_sin_tilde(field)
-    sub = slice(0, L + 1)
-    gtc = np.einsum("lm,lmi->mi", ctil, grid.dplm[sub, sub])
-    gts = np.einsum("lm,lmi->mi", stil, grid.dplm[sub, sub])
-    vtheta = gtc.T @ grid.cosm[sub] + gts.T @ grid.sinm[sub]
-    marr = np.arange(L + 1)
-    pc = stil * marr[None, :]
-    ps = -ctil * marr[None, :]
-    gpc = np.einsum("lm,lmi->mi", pc, grid.plm[sub, sub])
-    gps = np.einsum("lm,lmi->mi", ps, grid.plm[sub, sub])
-    vphi = (gpc.T @ grid.cosm[sub] + gps.T @ grid.sinm[sub]) \
-        / grid.sin_theta[:, None]
+    _check_band(grid, field.L, "surface_gradient")
+    c, s = _unpack(field)
+    m = np.arange(field.L + 1)
+    vtheta = _to_grid(c, s, grid.dplm, grid)
+    vphi = _to_grid(m * s, -m * c, grid.plm, grid) / grid.sin_theta[:, None]
     return TangentField(vtheta, vphi, grid)
 
 
@@ -290,24 +294,11 @@ def surface_divergence(vfield, L=None):
     if L is None:
         L = grid.L
     _check_band(grid, L, "surface_divergence")
-    sub = slice(0, L + 1)
-    tc = vfield.vtheta @ grid.cosm[sub].T * grid.phi_weight
-    ts = vfield.vtheta @ grid.sinm[sub].T * grid.phi_weight
-    pc = vfield.vphi @ grid.cosm[sub].T * grid.phi_weight
-    ps = vfield.vphi @ grid.sinm[sub].T * grid.phi_weight
-    dwplm = grid.dplm[sub, sub] * grid.wx
-    wplm_s = grid.plm[sub, sub] * (grid.wx / grid.sin_theta)
-    theta_c = np.einsum("lmi,im->lm", dwplm, tc)
-    theta_s = np.einsum("lmi,im->lm", dwplm, ts)
-    phi_c = np.einsum("lmi,im->lm", wplm_s, pc)
-    phi_s = np.einsum("lmi,im->lm", wplm_s, ps)
-    marr = np.arange(L + 1)[None, :]
-    out = SHField(L)
-    out.coeffs[:, L] = -theta_c[:, 0]
-    for m in range(1, L + 1):
-        out.coeffs[:, L + m] = -_SQRT2 * (theta_c[:, m] - m * phi_s[:, m])
-        out.coeffs[:, L - m] = -_SQRT2 * (theta_s[:, m] + m * phi_c[:, m])
-    return out
+    tc, ts = _from_grid(vfield.vtheta, grid.dplm, grid.wx, grid, L)
+    pc, ps = _from_grid(vfield.vphi, grid.plm, grid.wx / grid.sin_theta,
+                        grid, L)
+    m = np.arange(L + 1)
+    return _pack(m * ps - tc, -m * pc - ts)
 
 
 def sh_multiply(f, g, L=None):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import lpmv
 
 from plasmeig.errors import ConfigError, EInfinitySignal, ShapeMismatchError
 from plasmeig.sphere3d import (SHField, ball_spectrum, dtn_sphere_apply,
@@ -40,9 +41,11 @@ def test_basis_functions_are_orthonormal():
 
 @given(st.integers(min_value=0, max_value=10_000))
 def test_analysis_inverts_synthesis(seed):
+    # the band-9 grid takes the sliced path: tables wider than the band
     f = random_field(5, seed)
-    back = sh_analysis(sh_synthesis(f), 5)
-    assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
+    for grid in (sphere_grid(5), sphere_grid(9)):
+        back = sh_analysis(sh_synthesis(f, grid), 5, grid)
+        assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
 @given(st.integers(min_value=0, max_value=10_000))
@@ -77,11 +80,25 @@ def test_divergence_is_adjoint_to_gradient():
 
 def test_divergence_of_gradient_is_laplacian():
     # the surface Laplacian multiplies degree l by -l(l+1); Y_{5,3,2} -> -12
-    grid = sphere_grid(7)
-    l = np.arange(6, dtype=float)[:, None]
-    for f in (random_field(5, seed=7), SHField.basis(5, 3, 2)):
-        div = surface_divergence(surface_gradient(f, grid), L=5)
+    for f in (random_field(5, seed=7), SHField.basis(5, 3, 2),
+              random_field(30, seed=8)):
+        grid = sphere_grid(f.L + 2)
+        l = np.arange(f.L + 1, dtype=float)[:, None]
+        div = surface_divergence(surface_gradient(f, grid), L=f.L)
         assert np.max(np.abs(div.coeffs + l * (l + 1.0) * f.coeffs)) < 1e-10
+
+
+def test_legendre_table_matches_scipy_at_band_30():
+    # Pbar_l^m = (-1)^m P_l^m sqrt((2l+1)/(4 pi) (l-m)!/(l+m)!): scipy's
+    # lpmv carries the Condon-Shortley phase, the table does not
+    grid = sphere_grid(30)
+    want = np.zeros_like(grid.plm)
+    for l in range(31):
+        for m in range(l + 1):
+            norm = math.sqrt((2 * l + 1) / (4.0 * math.pi)
+                             * math.factorial(l - m) / math.factorial(l + m))
+            want[l, m] = (-1) ** m * norm * lpmv(m, l, grid.x)
+    assert np.max(np.abs(grid.plm - want)) < 1e-13
 
 
 def test_product_of_axial_harmonics_closed_form():
