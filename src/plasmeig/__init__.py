@@ -18,10 +18,8 @@ _EXPORTS = {
     "CurveSample": ".curve2d",
     "sample_curve": ".curve2d",
     "perturbed_sample": ".curve2d",
-    "BoundaryOperator": ".bem2d",
     "DtNPair": ".bem2d",
     "build_dtn": ".bem2d",
-    "build_dtn_for_curve": ".bem2d",
     "compute_g0": ".bem2d",
     "farfield_log_coefficient": ".bem2d",
     "PlasmonicSpectrum": ".spectrum2d",
@@ -39,7 +37,6 @@ _EXPORTS = {
     "epsddot_flux_route": ".perturb",
     "epsdot_2d": ".perturb",
     "uniform_shape": ".perturb",
-    "shape_derivative_apply": ".dtn_shape",
     "shape_derivative_matrix": ".dtn_shape",
     "transplanted_dtn": ".dtn_shape",
     "fd_operator_check": ".dtn_shape",

@@ -18,6 +18,10 @@ derivative, so the jump relations give
 Both operators annihilate constants. N- is positive semidefinite and N+
 negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
+
+Operators are plain (N, N) arrays acting on node values; the quadrature
+weights of the discrete inner product <f, g> = sum f g w come only from the
+sample.
 """
 
 import math
@@ -25,7 +29,6 @@ import math
 import numpy as np
 import scipy.linalg
 
-from .curve2d import sample_curve
 from .errors import GeometryError, NumericalError
 
 # Smallest accepted LAPACK reciprocal 1-norm condition estimate of a factored
@@ -34,35 +37,8 @@ from .errors import GeometryError, NumericalError
 _RCOND_FLOOR = 1e-12
 
 
-class BoundaryOperator:
-    """A dense operator on boundary node values plus its quadrature weights.
-
-    The weights define the discrete inner product <f, g> = sum f g w used in
-    all symmetry and definiteness statements.
-    """
-
-    def __init__(self, matrix, weights):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.weights = np.asarray(weights, dtype=float)
-        if self.matrix.shape != (len(self.weights),) * 2:
-            raise NumericalError("bem2d", "BoundaryOperator",
-                                 "matrix must be square and match the weights",
-                                 "shape %s vs %d weights"
-                                 % (self.matrix.shape, len(self.weights)))
-        self.matrix.setflags(write=False)
-        self.weights.setflags(write=False)
-
-    def apply(self, g):
-        return self.matrix @ np.asarray(g, dtype=float)
-
-    def symmetry_residual(self):
-        """Relative departure from weighted self-adjointness."""
-        wm = self.weights[:, None] * self.matrix
-        return float(np.linalg.norm(wm - wm.T) / max(np.linalg.norm(wm), 1e-300))
-
-
 class DtNPair:
-    """Interior and exterior DtN operators sharing one curve sample."""
+    """N-, N+, S and K* on one curve sample, as read-only (N, N) arrays."""
 
     def __init__(self, nminus, nplus, sample, single_layer, np_adjoint):
         self.nminus = nminus
@@ -70,6 +46,8 @@ class DtNPair:
         self.sample = sample
         self.single_layer = single_layer
         self.np_adjoint = np_adjoint
+        for arr in (nminus, nplus, single_layer, np_adjoint):
+            arr.setflags(write=False)
 
 
 def _log_quadrature_weights(n):
@@ -108,8 +86,7 @@ def assemble_single_layer(sample):
     idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
     logpart = w[idx]
     mat = (logpart + (2.0 * math.pi / n) * np.log(smooth)) / (2.0 * math.pi)
-    mat = mat * sample.speed[None, :]
-    return BoundaryOperator(mat, sample.weights)
+    return mat * sample.speed[None, :]
 
 
 def assemble_np_adjoint(sample):
@@ -129,8 +106,7 @@ def assemble_np_adjoint(sample):
     # kernel diagonal: limit is half the standard (counterclockwise) curvature,
     # i.e. minus half the signed curvature in the outward-normal convention
     np.fill_diagonal(kern, -0.5 * sample.curvature)
-    mat = kern * sample.speed[None, :] / n
-    return BoundaryOperator(mat, sample.weights)
+    return kern * sample.speed[None, :] / n
 
 
 def _checked_lu(mat, operation, contract):
@@ -157,23 +133,15 @@ def build_dtn(sample):
     sop = assemble_single_layer(sample)
     kstar = assemble_np_adjoint(sample)
     n = sample.n
-    big = np.block([[sop.matrix, np.ones((n, 1))],
+    big = np.block([[sop, np.ones((n, 1))],
                     [sample.weights[None, :], np.zeros((1, 1))]])
     lu = _checked_lu(big, "build_dtn",
                      "bordered single-layer system must be invertible")
     b = scipy.linalg.lu_solve(lu, np.eye(n + 1, n))[:n]
-    kb = kstar.matrix @ b
+    kb = kstar @ b
     half_b = 0.5 * b
-    return DtNPair(
-        nminus=BoundaryOperator(kb - half_b, sample.weights),
-        nplus=BoundaryOperator(kb + half_b, sample.weights),
-        sample=sample,
-        single_layer=sop,
-        np_adjoint=kstar)
-
-
-def build_dtn_for_curve(curve, n):
-    return build_dtn(sample_curve(curve, n))
+    return DtNPair(nminus=kb - half_b, nplus=kb + half_b, sample=sample,
+                   single_layer=sop, np_adjoint=kstar)
 
 
 def _point_in_polygon(point, nodes):
@@ -212,7 +180,7 @@ def compute_g0(dtn, y0=None):
     r2 = np.einsum("ij,ij->i", diff, diff)
     boundary_vals = 0.25 * np.log(r2) / math.pi
     dn_newton = np.einsum("ij,ij->i", sample.normals, diff) / (2.0 * math.pi * r2)
-    g0 = dn_newton - dtn.nplus.apply(boundary_vals)
+    g0 = dn_newton - dtn.nplus @ boundary_vals
     flux = float(np.dot(g0, sample.weights))
     if abs(flux) < 1e-8:
         raise NumericalError("bem2d", "compute_g0",
@@ -231,7 +199,7 @@ def farfield_log_coefficient(dtn, g):
     layer to be invertible, so it raises NumericalError on curves of
     logarithmic capacity 1.
     """
-    lu = _checked_lu(dtn.single_layer.matrix, "farfield_log_coefficient",
+    lu = _checked_lu(dtn.single_layer, "farfield_log_coefficient",
                      "plain single layer must be invertible; logarithmic "
                      "capacity is 1")
     phi = scipy.linalg.lu_solve(lu, np.asarray(g, dtype=float))

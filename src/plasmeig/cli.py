@@ -266,11 +266,11 @@ def cmd_validate(config, seed):
                           "N=%r" % (n,))
     names = config.get("checks")
     if names is not None:
-        if not isinstance(names, list) \
+        if not isinstance(names, list) or not names \
                 or not all(isinstance(s, str) for s in names):
             raise ConfigError("cli", "cmd_validate",
-                              "checks must be a list of check names",
-                              "checks=%r" % (names,))
+                              "checks must be a non-empty list of check "
+                              "names", "checks=%r" % (names,))
     results = run_all(seed=seed, n=n, names=names)
     width = max(len(name) for name in CHECK_NAMES)
     for res in results:

@@ -25,8 +25,7 @@ import numpy as np
 import scipy.linalg
 
 from .bem2d import build_dtn
-from .curve2d import (perturbed_sample, sample_curve, spectral_diff_matrix,
-                      tangential_derivative)
+from .curve2d import perturbed_sample, sample_curve, spectral_diff_matrix
 from .errors import ConfigError
 
 
@@ -58,23 +57,12 @@ def banded_opnorm(mat, weights, t, max_degree):
 
 def _side_operator(dtn, side):
     if side == "interior":
-        return dtn.nminus.matrix
+        return dtn.nminus
     if side == "exterior":
-        return dtn.nplus.matrix
+        return dtn.nplus
     raise ConfigError("dtn_shape", "side",
                       "side must be 'interior' or 'exterior'",
                       "side=%r" % (side,))
-
-
-def shape_derivative_apply(g, a, dtn, side="interior"):
-    """Apply the shape derivative of the chosen DtN operator to data g."""
-    sample = dtn.sample
-    nmat = _side_operator(dtn, side)
-    a_vals = a.value(sample.t)
-    ng = nmat @ np.asarray(g, dtype=float)
-    curl = tangential_derivative(sample, a_vals
-                                 * tangential_derivative(sample, g))
-    return -curl + sample.curvature * a_vals * ng - nmat @ (a_vals * ng)
 
 
 def shape_derivative_matrix(dtn, a, side="interior"):

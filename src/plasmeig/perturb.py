@@ -159,10 +159,10 @@ def q1_matrix(k, a):
     w = grid.area_weights.ravel()
     fields = [SHField.basis(k, k, m) for m in range(-k, k + 1)]
     vals = np.array([sh_synthesis(f, grid).ravel() for f in fields])
-    grads = [surface_gradient(f, grid) for f in fields]
-    grads = np.array([[g.vtheta.ravel(), g.vphi.ravel()] for g in grads])
+    grads = np.array([surface_gradient(f, grid) for f in fields])
     mat = _first_order_form(eps, w * sh_synthesis(a, grid).ravel(),
-                            grads / math.sqrt(k), math.sqrt(k) * vals)
+                            grads.reshape(len(fields), 2, -1) / math.sqrt(k),
+                            math.sqrt(k) * vals)
     branches, vecs = scipy.linalg.eigh(mat)
     basis = _canonical_eigenbasis(branches, vecs)
     # quadrature check of <u_i, dn u_j> = delta_ij for the branch basis
@@ -205,14 +205,14 @@ def solve_udot(report, branch):
     ub = report.branch_trace(branch)
     k, a, eps = report.k, report.a, report.epsilon
     epsdot = float(report.branches[branch])
-    dnu = dtn_sphere_apply(ub, "interior")
+    dnu = dtn_sphere_apply(ub)
     l_sys = a.L + k + 2
     grid = sphere_grid(l_sys)
     a_vals = sh_synthesis(a, grid)
     dnu_vals = sh_synthesis(dnu, grid)
     f1 = sh_analysis(-(eps + 1.0) * a_vals * dnu_vals, l_sys, grid)
-    flow = surface_gradient(ub, grid).scaled_pointwise(a_vals)
-    gtil = surface_divergence(flow, l_sys).scaled(eps + 1.0) \
+    flow = surface_gradient(ub, grid) * a_vals
+    gtil = surface_divergence(flow, grid, l_sys).scaled(eps + 1.0) \
         .plus(dnu.truncated(l_sys), -epsdot)
 
     compat = float(np.linalg.norm(gtil.coeffs[k] - eps * k * f1.coeffs[k]))
@@ -260,10 +260,12 @@ def _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals, gu, gw, phi):
     the sphere (W0 = 0) and is omitted.
     """
     gphi = surface_gradient(phi, grid)
-    dnudot_vals = sh_synthesis(dtn_sphere_apply(phi, "interior"), grid)
-    l1 = grid.integrate(-epsdot * a_vals * gu.dot(gu))
-    l2 = (eps * eps - 1.0) * grid.integrate(a_vals * gu.dot(gw))
-    l3 = -(eps + 1.0) * grid.integrate(a_vals * gu.dot(gphi))
+    dnudot_vals = sh_synthesis(dtn_sphere_apply(phi), grid)
+    l1 = grid.integrate(-epsdot * a_vals * (gu[0] * gu[0] + gu[1] * gu[1]))
+    l2 = (eps * eps - 1.0) * grid.integrate(
+        a_vals * (gu[0] * gw[0] + gu[1] * gw[1]))
+    l3 = -(eps + 1.0) * grid.integrate(
+        a_vals * (gu[0] * gphi[0] + gu[1] * gphi[1]))
     l4 = -epsdot * grid.integrate(u_vals * dnudot_vals)
     l5 = eps * grid.integrate(
         a_vals * (epsdot + (eps + 1.0) * a_vals * _H) * dnu_vals * dnu_vals)
@@ -282,7 +284,7 @@ def epsddot(udot):
     """
     report, ub = udot.report, udot.trace
     k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
-    dnu = dtn_sphere_apply(ub, "interior")
+    dnu = dtn_sphere_apply(ub)
     grid = sphere_grid(max(a.L + k + 2, udot.phi.L))
     a_vals = sh_synthesis(a, grid)
     u_vals = sh_synthesis(ub, grid)
@@ -305,8 +307,8 @@ def p1_apply(a, v):
     L_out = a.L + v.L + 2
     grid = sphere_grid(L_out)
     a_vals = sh_synthesis(a, grid)
-    flow = surface_gradient(v, grid).scaled_pointwise(a_vals)
-    return surface_divergence(flow, L_out).scaled(-1.0)
+    flow = surface_gradient(v, grid) * a_vals
+    return surface_divergence(flow, grid, L_out).scaled(-1.0)
 
 
 def epsddot_flux_route(udot):
@@ -319,8 +321,8 @@ def epsddot_flux_route(udot):
     """
     report, ub = udot.report, udot.trace
     k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
-    dnu = dtn_sphere_apply(ub, "interior")
-    dnudot = dtn_sphere_apply(udot.phi, "interior")
+    dnu = dtn_sphere_apply(ub)
+    dnudot = dtn_sphere_apply(udot.phi)
     p1u = p1_apply(a, ub)
     grid = sphere_grid(max(2 * a.L + k + 4, a.L + udot.phi.L + 2))
     a_vals = sh_synthesis(a, grid)
@@ -357,7 +359,7 @@ def epsdot_2d(dtn, eps, g, a, spectrum=None):
                                 "first-order formula requires eps != 1",
                                 "eps=%.17g" % eps)
     w = sample.weights
-    dng = dtn.nminus.apply(g)
+    dng = dtn.nminus @ g
     energy = float(g @ (w * dng))
     if abs(energy - 1.0) > 1e-6:
         raise PerturbationError("perturb", "epsdot_2d",
@@ -378,7 +380,7 @@ def _check_2d_splitting(dtn, eps, g, wa, spectrum):
     if len(close) <= 1:
         return
     block = spectrum.eigenfunctions[:, close]
-    dns = dtn.nminus.apply(block).T
+    dns = (dtn.nminus @ block).T
     qmat = _first_order_form(
         eps, wa, tangential_derivative(dtn.sample, block).T, dns)
     coef = dns @ (dtn.sample.weights * g)

@@ -124,8 +124,8 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     sample = dtn.sample
     _check_num(num, sample.n, "solve_plasmonic")
     root, v = _mean_zero_reflector(sample.weights)
-    aminus = _project(dtn.nminus.matrix, root, v)
-    aplus = -_project(dtn.nplus.matrix, root, v)
+    aminus = _project(dtn.nminus, root, v)
+    aplus = -_project(dtn.nplus, root, v)
     try:
         mu, y = scipy.linalg.eigh(aminus, aplus)
     except scipy.linalg.LinAlgError as exc:
@@ -160,8 +160,7 @@ def np_route(dtn, num=20, curve_config=None):
     """
     sample = dtn.sample
     _check_num(num, sample.n, "np_route")
-    kmat = dtn.np_adjoint.matrix
-    lam, phi = scipy.linalg.eig(kmat)
+    lam, phi = scipy.linalg.eig(dtn.np_adjoint)
     if np.max(np.abs(lam.imag)) > 1e-8:
         raise NumericalError("spectrum2d", "np_route",
                              "K* spectrum must be real on smooth curves",
@@ -185,9 +184,9 @@ def np_route(dtn, num=20, curve_config=None):
     eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
     keep = _select_far_from_one(eps, num)
     eps_sel = eps[keep]
-    g = dtn.single_layer.matrix @ phi[:, keep]
+    g = dtn.single_layer @ phi[:, keep]
     g = g - (sample.weights @ g)[None, :] / sample.weights.sum()
-    quad = sample.weights @ (g * dtn.nminus.apply(g))
+    quad = sample.weights @ (g * (dtn.nminus @ g))
     if np.any(quad <= 0.0):
         raise NumericalError("spectrum2d", "np_route",
                              "interior energy of an eigenfunction must "
@@ -199,15 +198,10 @@ def np_route(dtn, num=20, curve_config=None):
 
 
 def residual_norm(dtn, eps, g):
-    """Weighted norms of (eps N- + N+) g for normalized candidate pairs.
-
-    Takes one pair (scalar eps, vector g) and returns a float, or a vector
-    of eps with one column of g each and returns their norms as an array.
-    """
-    g = np.asarray(g, dtype=float)
-    r = dtn.nminus.apply(g) * eps + dtn.nplus.apply(g)
-    norms = np.sqrt(dtn.sample.weights @ (r * r))
-    return float(norms) if g.ndim == 1 else norms
+    """Weighted norms of (eps N- + N+) g, one per column of g (one eps
+    each)."""
+    r = (dtn.nminus @ g) * eps + dtn.nplus @ g
+    return np.sqrt(dtn.sample.weights @ (r * r))
 
 
 def rayleigh(dtn, g):
@@ -218,8 +212,8 @@ def rayleigh(dtn, g):
     """
     w = dtn.sample.weights
     g = np.asarray(g, dtype=float)
-    denom = float(g @ (w * dtn.nminus.apply(g)))
-    numer = -float(g @ (w * dtn.nplus.apply(g)))
+    denom = float(g @ (w * (dtn.nminus @ g)))
+    numer = -float(g @ (w * (dtn.nplus @ g)))
     scale = float(g @ (w * g))
     if abs(denom) <= _DENOM_TOL * max(scale, 1.0):
         raise EInfinitySignal("spectrum2d", "rayleigh",

@@ -3,7 +3,7 @@
 Transforms between coefficients and values on a Gauss-Legendre(theta) x
 uniform(phi) grid, surface gradient and divergence, pointwise products with
 band headroom, the exact plasmonic spectrum of the ball, and the diagonal
-DtN multipliers.
+interior DtN multipliers.
 
 Conventions: fully normalized real harmonics
 
@@ -23,7 +23,10 @@ One synthesis kernel (_to_grid) and its exact quadrature adjoint
 coefficient layout. Synthesis and the gradient are the kernel, analysis and
 the divergence its adjoint, so <grad f, V> = -<f, div V> holds to roundoff
 on any grid, and the divergence agrees with the analytic one whenever the
-quadrature is exact for the integrand band.
+quadrature is exact for the integrand band. A tangent field is one
+(2, ntheta, nphi) array of (theta, phi) frame components on a grid; every
+transform takes its grid explicitly, and analysis and the divergence
+their output band.
 """
 
 import functools
@@ -138,10 +141,6 @@ class SHField:
         out.coeffs += other.truncated(L).coeffs * factor
         return out
 
-    def degree_multiplied(self, multipliers):
-        """Apply a diagonal-in-l multiplier (length L+1 array)."""
-        return SHField(self.L, np.asarray(multipliers)[:, None] * self.coeffs)
-
     def to_json_dict(self):
         coeffs = []
         for l in range(self.L + 1):
@@ -161,6 +160,7 @@ class SHField:
                               "band limit L must be a nonnegative integer "
                               "and coeffs a list", "L=%r coeffs=%r" % (L, coeffs))
         f = cls(L)
+        seen = set()
         for entry in coeffs:
             if not isinstance(entry, dict) or set(entry) != {"l", "m", "c"}:
                 raise ConfigError("sphere3d", "SHField.from_json_dict",
@@ -172,29 +172,14 @@ class SHField:
                                   "coefficient indices must be integers with "
                                   "0<=l<=L, |m|<=l",
                                   "l=%r m=%r L=%d" % (l, m, L))
+            if (l, m) in seen:
+                raise ConfigError("sphere3d", "SHField.from_json_dict",
+                                  "coeffs must list each index pair (l, m) "
+                                  "once", "duplicate l=%d m=%d" % (l, m))
+            seen.add((l, m))
             f.coeffs[l, m + L] = finite_number(entry["c"], "c", "sphere3d",
                                                "SHField.from_json_dict")
         return f
-
-
-class TangentField:
-    """Tangent vector field as (theta, phi) frame components on a grid."""
-
-    def __init__(self, vtheta, vphi, grid):
-        self.vtheta = np.asarray(vtheta, dtype=float)
-        self.vphi = np.asarray(vphi, dtype=float)
-        self.grid = grid
-        shape = (grid.ntheta, grid.nphi)
-        if self.vtheta.shape != shape or self.vphi.shape != shape:
-            raise ShapeMismatchError("sphere3d", "TangentField",
-                                     "components must match the grid shape",
-                                     "grid %s" % (shape,))
-
-    def scaled_pointwise(self, values):
-        return TangentField(values * self.vtheta, values * self.vphi, self.grid)
-
-    def dot(self, other):
-        return self.vtheta * other.vtheta + self.vphi * other.vphi
 
 
 def _check_band(grid, L, operation):
@@ -242,89 +227,75 @@ def _from_grid(values, table, weights, grid, L):
             np.einsum("lmi,im->lm", wtable, fs))
 
 
-def sh_synthesis(field, grid=None):
+def sh_synthesis(field, grid):
     """Evaluate a coefficient field on the grid (exact for any band)."""
-    if grid is None:
-        grid = sphere_grid(field.L)
     _check_band(grid, field.L, "sh_synthesis")
     return _to_grid(*_unpack(field), grid.plm, grid)
 
 
-def sh_analysis(values, L, grid=None):
+def _check_shape(values, lead, grid, operation):
+    """Refuse values whose trailing axes are not the grid's."""
+    if values.shape != lead + (grid.ntheta, grid.nphi):
+        raise ShapeMismatchError("sphere3d", operation,
+                                 "values must match the grid shape",
+                                 "got %s, grid %s"
+                                 % (values.shape, (grid.ntheta, grid.nphi)))
+
+
+def sh_analysis(values, L, grid):
     """Project grid values onto harmonics up to band L.
 
     Exact when the values come from a band-limited function with
     band(values) + L <= 2 grid.L + 1.
     """
-    if grid is None:
-        grid = sphere_grid(L)
     _check_band(grid, L, "sh_analysis")
     values = np.asarray(values, dtype=float)
-    if values.shape != (grid.ntheta, grid.nphi):
-        raise ShapeMismatchError("sphere3d", "sh_analysis",
-                                 "values must match the grid shape",
-                                 "got %s, grid %s"
-                                 % (values.shape, (grid.ntheta, grid.nphi)))
+    _check_shape(values, (), grid, "sh_analysis")
     return _pack(*_from_grid(values, grid.plm, grid.wx, grid, L))
 
 
-def surface_gradient(field, grid=None):
-    """Tangential gradient as a TangentField.
-
-    Default grid has one band of headroom so that quadratic expressions in
-    the gradient of a band-L field are still integrated exactly.
-    """
-    if grid is None:
-        grid = sphere_grid(field.L + 1)
+def surface_gradient(field, grid):
+    """Tangential gradient as one (2, ntheta, nphi) array of (theta, phi)
+    frame components on the grid."""
     _check_band(grid, field.L, "surface_gradient")
     c, s = _unpack(field)
     m = np.arange(field.L + 1)
     vtheta = _to_grid(c, s, grid.dplm, grid)
     vphi = _to_grid(m * s, -m * c, grid.plm, grid) / grid.sin_theta[:, None]
-    return TangentField(vtheta, vphi, grid)
+    return np.stack((vtheta, vphi))
 
 
-def surface_divergence(vfield, L=None):
-    """Divergence by quadrature adjointness: <div V, Y> := -<V, grad Y>.
+def surface_divergence(v, grid, L):
+    """Divergence of the (2, ntheta, nphi) tangent field v by quadrature
+    adjointness: <div V, Y> := -<V, grad Y>.
 
     Agrees with the analytic divergence whenever the grid integrates
     V . grad(Y_{lm}) exactly for all l <= L.
     """
-    grid = vfield.grid
-    if L is None:
-        L = grid.L
     _check_band(grid, L, "surface_divergence")
-    tc, ts = _from_grid(vfield.vtheta, grid.dplm, grid.wx, grid, L)
-    pc, ps = _from_grid(vfield.vphi, grid.plm, grid.wx / grid.sin_theta,
-                        grid, L)
+    _check_shape(v, (2,), grid, "surface_divergence")
+    tc, ts = _from_grid(v[0], grid.dplm, grid.wx, grid, L)
+    pc, ps = _from_grid(v[1], grid.plm, grid.wx / grid.sin_theta, grid, L)
     m = np.arange(L + 1)
     return _pack(m * ps - tc, -m * pc - ts)
 
 
-def sh_multiply(f, g, L=None):
-    """Pointwise product re-analyzed to band L (default: full band f.L+g.L).
+def sh_multiply(f, g, L):
+    """Pointwise product re-analyzed to band L.
 
     The quadrature grid carries enough headroom that the analysis of the
     product (exact band f.L + g.L) is exact up to the requested L.
     """
-    if L is None:
-        L = f.L + g.L
     lq = (f.L + g.L + L) // 2 + 1
     grid = sphere_grid(lq)
     prod = sh_synthesis(f, grid) * sh_synthesis(g, grid)
     return sh_analysis(prod, L, grid)
 
 
-def dtn_sphere_apply(field, side):
-    """Diagonal DtN of the unit ball: l (interior), -(l+1) (exterior)."""
+def dtn_sphere_apply(field):
+    """Interior DtN of the unit ball: degree l is multiplied by l."""
     l = np.arange(field.L + 1, dtype=float)
-    if side == "interior":
-        return field.degree_multiplied(l)
-    if side == "exterior":
-        return field.degree_multiplied(-(l + 1.0))
-    raise ConfigError("sphere3d", "dtn_sphere_apply",
-                      "side must be 'interior' or 'exterior'",
-                      "got %r" % (side,))
+    return SHField(field.L, l[:, None] * field.coeffs)
 
 
 def ball_spectrum(k):

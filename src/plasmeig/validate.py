@@ -308,7 +308,7 @@ def check_shape_derivative():
         cdtn = build_dtn(sample_curve(circle, 128))
         one = ShapeFn2D.constant(1.0)
         dmat = shape_derivative_matrix(cdtn, one, side="interior")
-        circle_err = banded_opnorm(dmat + cdtn.nminus.matrix,
+        circle_err = banded_opnorm(dmat + cdtn.nminus,
                                    cdtn.sample.weights, cdtn.sample.t, 32)
         a = ShapeFn2D(cos=(0.0, 0.0, 1.0))
         ell = CurveParam.from_config(ELLIPSE)

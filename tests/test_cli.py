@@ -280,6 +280,13 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "order": 2.0}, "order"),
     ("perturb", {"mode": "sphere", "k": 1, "a": {"uniform": 1.0},
                  "order": 1, "branch": "x"}, "branch"),
+    # a release gate that runs no check must not pass
+    ("validate", {"checks": []}, "checks"),
+    # a repeated (l, m) would silently keep only its last value
+    ("perturb", {"mode": "sphere", "k": 1,
+                 "a": {"L": 2, "coeffs": [{"l": 2, "m": 0, "c": 1.0},
+                                          {"l": 2, "m": 0, "c": 5.0}]}},
+     "coeffs"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

@@ -7,8 +7,9 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
-from plasmeig.bem2d import build_dtn_for_curve
-from plasmeig.curve2d import CurveParam, ShapeFn2D, tangential_derivative
+from plasmeig.bem2d import build_dtn
+from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
+                              tangential_derivative)
 from plasmeig.errors import ConfigError, PerturbationError, SplittingError
 from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
                               epsdot_2d, p1_apply, q1_matrix, solve_udot,
@@ -37,7 +38,7 @@ def random_shape(L, seed):
 
 
 def test_uniform_shape_is_constant():
-    vals = sh_synthesis(uniform_shape(0.3))
+    vals = sh_synthesis(uniform_shape(0.3), sphere_grid(0))
     assert np.max(np.abs(vals - 0.3)) < 1e-14
 
 
@@ -88,7 +89,7 @@ def test_q1_matrix_matches_per_entry_quadrature():
     vals = [sh_synthesis(f, grid) for f in fields]
     grads = [surface_gradient(f, grid) for f in fields]
     want = np.array([[(eps + 1.0) * (
-        -grid.integrate(a_vals * gi.dot(gj)) / k
+        -grid.integrate(a_vals * (gi[0] * gj[0] + gi[1] * gj[1])) / k
         + eps * k * grid.integrate(a_vals * vi * vj))
         for gj, vj in zip(grads, vals)] for gi, vi in zip(grads, vals)])
     scale = max(1.0, float(np.max(np.abs(report.matrix))))
@@ -172,7 +173,7 @@ C3_CURVE = CurveParam.fourier(cos=[1.0, 0.0, 0.0, 0.2])
 
 
 def test_plane_derivative_preconditions():
-    dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 64)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 64))
     from plasmeig.spectrum2d import solve_plasmonic
     spec = solve_plasmonic(dtn, num=4)
     a = ShapeFn2D(cos=[0.0, 0.0, 1.0])
@@ -187,7 +188,7 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     # threefold-symmetric curve: double eigenvalues; a twofold shape splits
     # them, so raw eigenvectors fail and form-diagonalizing ones succeed
     from plasmeig.spectrum2d import solve_plasmonic
-    dtn = build_dtn_for_curve(C3_CURVE, 132)
+    dtn = build_dtn(sample_curve(C3_CURVE, 132))
     spec = solve_plasmonic(dtn, num=6, curve_config=C3_CURVE.to_config())
     eps = spec.eigenvalues
     assert abs(eps[1] - eps[0]) < 1e-10
@@ -199,10 +200,10 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     pair = spec.eigenfunctions[:, :2]
     form = _first_order_form(eps[0], weights * a.value(dtn.sample.t),
                              tangential_derivative(dtn.sample, pair).T,
-                             dtn.nminus.apply(pair).T)
+                             (dtn.nminus @ pair).T)
     w, v = scipy.linalg.eigh(form)
     for j in range(2):
         g = pair @ v[:, j]
-        g /= math.sqrt(float(g @ (weights * dtn.nminus.apply(g))))
+        g /= math.sqrt(float(g @ (weights * (dtn.nminus @ g))))
         slope = epsdot_2d(dtn, eps[0], g, a, spectrum=spec)
         assert abs(slope - w[j]) < 1e-10 * max(1.0, abs(w[j]))

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from plasmeig.bem2d import build_dtn_for_curve
+from plasmeig.bem2d import build_dtn
 from plasmeig.cli import canonical_json
-from plasmeig.curve2d import CurveParam
+from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import ConfigError, EInfinitySignal
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
                                  criticality_residual, np_route, rayleigh,
@@ -20,7 +20,7 @@ KITE = CurveParam.fourier(cos=[1.0, 0.25, 0.15], sin=[0.0, 0.0, 0.05])
 
 
 def test_ellipse_matches_separation_of_variables():
-    dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 96)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 96))
     spec = solve_plasmonic(dtn, num=10)
     exact = ellipse_plasmonic_eigenvalues(2.0, 1.0, num=10)
     assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-10
@@ -28,28 +28,32 @@ def test_ellipse_matches_separation_of_variables():
 
 def test_unit_capacity_ellipse_matches_separation_of_variables():
     # a + b = 2: logarithmic capacity 1, so the plain single layer is singular
-    dtn = build_dtn_for_curve(CurveParam.ellipse(1.2, 0.8), 256)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(1.2, 0.8), 256))
     spec = solve_plasmonic(dtn, num=10)
     exact = ellipse_plasmonic_eigenvalues(1.2, 0.8, num=10)
     assert np.max(np.abs(spec.eigenvalues - np.array(exact))) < 1e-10
 
 
 def test_eigenvalues_are_scale_invariant():
-    base = solve_plasmonic(build_dtn_for_curve(KITE, 96), num=12).eigenvalues
+    base = solve_plasmonic(build_dtn(sample_curve(KITE, 96)),
+                           num=12).eigenvalues
     for factor in (2.0, 0.5):
         scaled = solve_plasmonic(
-            build_dtn_for_curve(KITE.scaled(factor), 96), num=12).eigenvalues
+            build_dtn(sample_curve(KITE.scaled(factor), 96)),
+            num=12).eigenvalues
         assert np.max(np.abs(scaled - base)) < 1e-8
 
 
 def test_eigenvalues_stable_under_grid_doubling():
-    coarse = solve_plasmonic(build_dtn_for_curve(KITE, 96), num=12).eigenvalues
-    fine = solve_plasmonic(build_dtn_for_curve(KITE, 192), num=12).eigenvalues
+    coarse = solve_plasmonic(build_dtn(sample_curve(KITE, 96)),
+                             num=12).eigenvalues
+    fine = solve_plasmonic(build_dtn(sample_curve(KITE, 192)),
+                           num=12).eigenvalues
     assert np.max(np.abs(coarse - fine)) < 1e-9
 
 
 def test_selection_keeps_values_farthest_from_one():
-    dtn = build_dtn_for_curve(KITE, 64)
+    dtn = build_dtn(sample_curve(KITE, 64))
     few = solve_plasmonic(dtn, num=8).eigenvalues
     everything = solve_plasmonic(dtn, num=63).eigenvalues
     assert np.all(np.diff(few) >= 0.0)
@@ -59,26 +63,29 @@ def test_selection_keeps_values_farthest_from_one():
 
 def test_spectrum_is_symmetric_under_inversion():
     # eigenvalues come in reciprocal pairs (eps, 1/eps) on any smooth curve
-    eps = solve_plasmonic(build_dtn_for_curve(KITE, 128), num=16).eigenvalues
+    eps = solve_plasmonic(build_dtn(sample_curve(KITE, 128)),
+                          num=16).eigenvalues
     for i in np.argsort(-np.abs(eps - 1.0))[:6]:
         assert np.min(np.abs(eps * eps[i] - 1.0)) < 1e-10
 
 
 def test_eigenpairs_are_normalized_with_small_residuals():
-    dtn = build_dtn_for_curve(KITE, 128)
+    dtn = build_dtn(sample_curve(KITE, 128))
     spec = solve_plasmonic(dtn, num=10)
     w = dtn.sample.weights
     assert np.max(spec.residuals) < 1e-10
     for i, eps in enumerate(spec.eigenvalues):
         g = spec.eigenfunctions[:, i]
-        energy = float(g @ (w * dtn.nminus.apply(g)))
+        energy = float(g @ (w * (dtn.nminus @ g)))
         assert abs(energy - 1.0) < 1e-10
-        assert abs(residual_norm(dtn, eps, g) - spec.residuals[i]) < 1e-14
+        one = residual_norm(dtn, eps, g[:, None])
+        assert one.shape == (1,)
+        assert abs(one[0] - spec.residuals[i]) < 1e-14
         assert abs(float(np.dot(g, w))) < 1e-9
 
 
 def test_householder_basis_is_mean_zero_and_m_orthonormal():
-    dtn = build_dtn_for_curve(KITE, 128)
+    dtn = build_dtn(sample_curve(KITE, 128))
     w = dtn.sample.weights
     spec = solve_plasmonic(dtn, num=20)
     assert np.max(np.abs(w @ spec.eigenfunctions)) < 1e-12
@@ -89,7 +96,7 @@ def test_householder_basis_is_mean_zero_and_m_orthonormal():
 
 
 def test_both_routes_agree_on_kite():
-    dtn = build_dtn_for_curve(KITE, 128)
+    dtn = build_dtn(sample_curve(KITE, 128))
     a = solve_plasmonic(dtn, num=10)
     b = np_route(dtn, num=10)
     assert a.route == "dtn" and b.route == "np"
@@ -98,7 +105,7 @@ def test_both_routes_agree_on_kite():
 
 
 def test_rayleigh_recovers_eigenvalues_and_rejects_constants():
-    dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 96)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 96))
     spec = solve_plasmonic(dtn, num=6)
     for i, eps in enumerate(spec.eigenvalues):
         assert abs(rayleigh(dtn, spec.eigenfunctions[:, i]) - eps) < 1e-10
@@ -107,7 +114,7 @@ def test_rayleigh_recovers_eigenvalues_and_rejects_constants():
 
 
 def test_eigenpairs_are_critical_points():
-    dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 96)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 96))
     spec = solve_plasmonic(dtn, num=4)
     for i in range(4):
         worst = criticality_residual(dtn, spec.eigenfunctions[:, i], seed=i)
@@ -115,7 +122,7 @@ def test_eigenpairs_are_critical_points():
 
 
 def test_num_validation():
-    dtn = build_dtn_for_curve(CurveParam.ellipse(2.0, 1.0), 32)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 32))
     with pytest.raises(ConfigError):
         solve_plasmonic(dtn, num=0)
     with pytest.raises(ConfigError):
@@ -126,7 +133,7 @@ def test_num_validation():
 
 
 def test_clustering_stats_shrink_with_the_window():
-    spec = solve_plasmonic(build_dtn_for_curve(KITE, 128), num=40)
+    spec = solve_plasmonic(build_dtn(sample_curve(KITE, 128)), num=40)
     stats = spec.clustering_stats()
     assert stats["tail_max"] < 0.05
     assert stats["tail_mean"] <= stats["tail_max"]
@@ -136,7 +143,7 @@ def test_clustering_stats_shrink_with_the_window():
 
 def test_json_and_csv_artifacts():
     curve = CurveParam.ellipse(2.0, 1.0)
-    spec = solve_plasmonic(build_dtn_for_curve(curve, 64), num=5,
+    spec = solve_plasmonic(build_dtn(sample_curve(curve, 64)), num=5,
                            curve_config=curve.to_config())
     text = canonical_json(spec.to_json_dict())
     data = json.loads(text)
