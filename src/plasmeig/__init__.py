@@ -38,7 +38,6 @@ _EXPORTS = {
     "epsdot_2d": ".perturb",
     "uniform_shape": ".perturb",
     "shape_derivative_matrix": ".dtn_shape",
-    "transplanted_dtn": ".dtn_shape",
     "fd_operator_check": ".dtn_shape",
     "run_all": ".validate",
 }

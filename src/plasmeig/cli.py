@@ -140,9 +140,9 @@ def cmd_spectrum(config, seed):
         curve = curve.scaled(scale)
     dtn = build_dtn(sample_curve(curve, n))
     solver = solve_plasmonic if route == "dtn" else np_route
-    spec = solver(dtn, num=num, curve_config=curve.to_config())
-    record = ResultRecord("spectrum", config,
-                          {"spectrum": spec.to_json_dict()}, {})
+    spec = solver(dtn, num=num)
+    outputs = {"spectrum": dict(spec.to_json_dict(), curve=curve.to_config())}
+    record = ResultRecord("spectrum", config, outputs, {})
     return record, [("spectrum.csv", spec.csv_text())]
 
 
@@ -159,7 +159,7 @@ def _perturb_sphere(config, seed):
                          "cmd_perturb")
     first = q1_matrix(k, a)
     outputs = {"first_order": first.to_json_dict()}
-    flags = {"q1_symmetric": first.symmetry_residual() <= 1e-12}
+    flags = {}
     if order == 2:
         udot = solve_udot(first, branch)
         second = epsddot(udot)
@@ -196,7 +196,7 @@ def _perturb_2d(config, seed):
                         "cmd_perturb")
     h_list = _step_list(config, "cmd_perturb")
     dtn = build_dtn(sample_curve(curve, n))
-    spec = solve_plasmonic(dtn, num=num, curve_config=curve.to_config())
+    spec = solve_plasmonic(dtn, num=num)
     eps = float(spec.eigenvalues[index])
     value = epsdot_2d(dtn, eps, spec.eigenfunctions[:, index], a,
                       spectrum=spec)
@@ -245,7 +245,7 @@ def cmd_dn_derivative(config, seed):
                           "side must be 'interior' or 'exterior'",
                           "side=%r" % (side,))
     h_list = _step_list(config, "cmd_dn_derivative")
-    report = fd_operator_check(curve, a, n, h_list, side=side)
+    report = fd_operator_check(curve, a, n, h_list)[side]
     if None in report["slopes"].values():
         flags = {"zero_deformation_ok": max(report["max_errors"]) <= 1e-12}
     else:
@@ -266,11 +266,11 @@ def cmd_validate(config, seed):
                           "N=%r" % (n,))
     names = config.get("checks")
     if names is not None:
-        if not isinstance(names, list) or not names \
+        if not isinstance(names, list) \
                 or not all(isinstance(s, str) for s in names):
             raise ConfigError("cli", "cmd_validate",
-                              "checks must be a non-empty list of check "
-                              "names", "checks=%r" % (names,))
+                              "checks must be a list of check names",
+                              "checks=%r" % (names,))
     results = run_all(seed=seed, n=n, names=names)
     width = max(len(name) for name in CHECK_NAMES)
     for res in results:

@@ -29,58 +29,52 @@ from .curve2d import perturbed_sample, sample_curve, spectral_diff_matrix
 from .errors import ConfigError
 
 
-def _band_basis(t, max_degree):
-    n = len(t)
-    cols = [np.full(n, 1.0 / math.sqrt(n))]
-    for l in range(1, max_degree + 1):
-        cols.append(np.cos(l * t) * math.sqrt(2.0 / n))
-        if l < n // 2:
-            cols.append(np.sin(l * t) * math.sqrt(2.0 / n))
-    return np.array(cols).T
-
-
-def banded_opnorm(mat, weights, t, max_degree):
-    """Weighted operator norm of mat restricted to trigonometric inputs of
-    degree at most max_degree.
+def band_domain(weights, t, max_degree):
+    """sqrt(weights) and a basis, orthonormal in <f, g> = sum f g weights,
+    of the trigonometric polynomials of degree at most max_degree on the
+    nodes t: the (root, domain) pair that banded_opnorm takes.
 
     Unresolved frequencies near the grid Nyquist carry discretization
     aliasing of size O(n^2) that has nothing to do with the operators being
     compared, so convergence statements are measured on a band the grid
     genuinely resolves.
     """
+    n = len(t)
+    cols = [np.full(n, 1.0 / math.sqrt(n))]
+    for l in range(1, max_degree + 1):
+        cols.append(np.cos(l * t) * math.sqrt(2.0 / n))
+        if l < n // 2:
+            cols.append(np.sin(l * t) * math.sqrt(2.0 / n))
+    basis = np.array(cols).T
     root = np.sqrt(np.asarray(weights, dtype=float))
-    basis = _band_basis(t, max_degree)
     _, r = np.linalg.qr(root[:, None] * basis)
-    domain = scipy.linalg.solve_triangular(r, basis.T, trans="T").T
+    return root, scipy.linalg.solve_triangular(r, basis.T, trans="T").T
+
+
+def banded_opnorm(mat, band):
+    """Weighted operator norm of mat restricted to the inputs spanned by
+    band = band_domain(weights, t, max_degree)."""
+    root, domain = band
     return float(scipy.linalg.svdvals(root[:, None] * (mat @ domain))[0])
 
 
-def _side_operator(dtn, side):
-    if side == "interior":
-        return dtn.nminus
-    if side == "exterior":
-        return dtn.nplus
-    raise ConfigError("dtn_shape", "side",
-                      "side must be 'interior' or 'exterior'",
-                      "side=%r" % (side,))
+# the DtN pair attribute that holds each side's operator
+_SIDES = {"interior": "nminus", "exterior": "nplus"}
 
 
 def shape_derivative_matrix(dtn, a, side="interior"):
     """Matrix of the shape derivative on node values."""
+    if side not in _SIDES:
+        raise ConfigError("dtn_shape", "shape_derivative_matrix",
+                          "side must be 'interior' or 'exterior'",
+                          "side=%r" % (side,))
     sample = dtn.sample
-    nmat = _side_operator(dtn, side)
+    nmat = getattr(dtn, _SIDES[side])
     a_vals = a.value(sample.t)
     tmat = spectral_diff_matrix(sample.n) / sample.speed[:, None]
     an = a_vals[:, None] * nmat
     return (-tmat @ (a_vals[:, None] * tmat)
             + sample.curvature[:, None] * an - nmat @ an)
-
-
-def transplanted_dtn(curve, a, h, n, side="interior"):
-    """Matrix of the DtN operator of the curve shifted by h*a along its
-    normal, assembled on the exact images of the n base nodes."""
-    dtn = build_dtn(perturbed_sample(curve, a, h, n))
-    return _side_operator(dtn, side)
 
 
 def loglog_slope(h_list, errors):
@@ -92,35 +86,48 @@ def loglog_slope(h_list, errors):
     return float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
 
 
-def fd_operator_check(curve, a, n, h_list, side="interior"):
-    """Finite-difference consistency of the shape derivative in operator
-    norm over trigonometric inputs of degree at most n // 4.
+def _step_errors(dtn, plus, minus, h, dmats, band):
+    """One-sided and central errors of the step h, per side, from the base
+    pair and the pairs shifted by +h and -h."""
+    errors = {}
+    for side, attr in _SIDES.items():
+        n0, up, down = (getattr(pair, attr) for pair in (dtn, plus, minus))
+        errors[side] = (
+            banded_opnorm((up - n0) / h - dmats[side], band),
+            banded_opnorm((up - down) / (2.0 * h) - dmats[side], band))
+    return errors
 
-    Returns a report with one-sided and central errors per step and the
-    fitted log-log slopes (expected near 1 and 2).
+
+def fd_operator_check(curve, a, n, h_list):
+    """Finite-difference consistency of the shape derivative in operator
+    norm over trigonometric inputs of degree at most n // 4, for the
+    interior and the exterior operator.
+
+    Each shifted curve perturbed_sample(curve, a, +-h, n) is assembled once,
+    its DtN pair serves both sides, and the pairs of one step are released
+    before the next step is built. Returns {"interior": report,
+    "exterior": report}, each with one-sided and central errors per step and
+    the fitted log-log slopes (expected near 1 and 2).
     """
     if len(h_list) < 2:
         raise ConfigError("dtn_shape", "fd_operator_check",
                           "at least two step sizes are required",
                           "h_list=%r" % (h_list,))
-    band = n // 4
-    base_sample = sample_curve(curve, n)
-    dtn = build_dtn(base_sample)
-    dmat = shape_derivative_matrix(dtn, a, side=side)
-    n0 = _side_operator(dtn, side)
-    one_sided = []
-    central = []
-    for h in h_list:
-        plus = transplanted_dtn(curve, a, h, n, side=side)
-        minus = transplanted_dtn(curve, a, -h, n, side=side)
-        one_sided.append(banded_opnorm((plus - n0) / h - dmat,
-                                       base_sample.weights,
-                                       base_sample.t, band))
-        central.append(banded_opnorm((plus - minus) / (2.0 * h) - dmat,
-                                     base_sample.weights,
-                                     base_sample.t, band))
-    return {"curve": curve.to_config(), "a": a.to_config(),
-            "n": n, "side": side, "band": band,
+    max_degree = n // 4
+    dtn = build_dtn(sample_curve(curve, n))
+    band = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
+    dmats = {side: shape_derivative_matrix(dtn, a, side) for side in _SIDES}
+    steps = [_step_errors(dtn, build_dtn(perturbed_sample(curve, a, h, n)),
+                          build_dtn(perturbed_sample(curve, a, -h, n)),
+                          h, dmats, band)
+             for h in h_list]
+    reports = {}
+    for side in _SIDES:
+        one_sided = [step[side][0] for step in steps]
+        central = [step[side][1] for step in steps]
+        reports[side] = {
+            "curve": curve.to_config(), "a": a.to_config(),
+            "n": n, "side": side, "band": max_degree,
             "h_list": [float(h) for h in h_list],
             "one_sided_errors": [float(e) for e in one_sided],
             "central_errors": [float(e) for e in central],
@@ -128,4 +135,4 @@ def fd_operator_check(curve, a, n, h_list, side="interior"):
                            for o, c in zip(one_sided, central)],
             "slopes": {"one_sided": loglog_slope(h_list, one_sided),
                        "central": loglog_slope(h_list, central)}}
-
+    return reports

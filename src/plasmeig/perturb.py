@@ -134,9 +134,6 @@ class FirstOrderReport:
         f.coeffs[k, :] = self.basis[:, index] / math.sqrt(k)
         return f
 
-    def symmetry_residual(self):
-        return float(np.max(np.abs(self.matrix - self.matrix.T)))
-
     def to_json_dict(self):
         return {
             "k": self.k,

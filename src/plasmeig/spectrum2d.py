@@ -21,6 +21,7 @@ from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalErro
 _DENOM_TOL = 1e-12
 _CRIT_STEP = 1e-5
 _CRIT_DIRECTIONS = 20
+_CLUSTER_TAIL = 20
 
 
 class PlasmonicSpectrum:
@@ -31,30 +32,27 @@ class PlasmonicSpectrum:
     ||(eps N- + N+) g||.
     """
 
-    def __init__(self, eigenvalues, eigenfunctions, residuals, route,
-                 curve_config, n):
+    def __init__(self, eigenvalues, eigenfunctions, residuals, route, n):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenfunctions = np.asarray(eigenfunctions, dtype=float)
         self.residuals = np.asarray(residuals, dtype=float)
         self.route = route
-        self.curve_config = curve_config
         self.n = n
 
-    def clustering_stats(self, tail_after=20):
+    def clustering_stats(self):
         """Tail statistics of |eps - 1| in decreasing order.
 
-        The distances to 1 beyond index tail_after quantify how fast the
+        The distances to 1 beyond index _CLUSTER_TAIL quantify how fast the
         computed spectrum accumulates at the limit point.
         """
         d = np.sort(np.abs(self.eigenvalues - 1.0))[::-1]
-        tail = d[tail_after:]
+        tail = d[_CLUSTER_TAIL:]
         if len(tail) == 0:
             return {"tail_mean": 0.0, "tail_max": 0.0}
         return {"tail_mean": float(tail.mean()), "tail_max": float(tail.max())}
 
     def to_json_dict(self):
         return {
-            "curve": self.curve_config,
             "N": self.n,
             "route": self.route,
             "eigenvalues": [float(e) for e in self.eigenvalues],
@@ -111,7 +109,7 @@ def _select_far_from_one(eps, num):
     return keep[np.argsort(eps[keep], kind="stable")]
 
 
-def solve_plasmonic(dtn, num=20, curve_config=None):
+def solve_plasmonic(dtn, num=20):
     """DtN-pencil route: symmetric generalized eigensolve on mean-zero data.
 
     eps are reciprocals of the eigenvalues of -N+^{-1} N-, computed as
@@ -145,11 +143,10 @@ def solve_plasmonic(dtn, num=20, curve_config=None):
     z = np.vstack([np.zeros(len(keep)), y[:, keep] * np.sqrt(eps_sel)])
     g = _reflect(v, z) / root[:, None]
     res = residual_norm(dtn, eps_sel, g)
-    return PlasmonicSpectrum(eps_sel, g, res, "dtn",
-                             curve_config or {}, sample.n)
+    return PlasmonicSpectrum(eps_sel, g, res, "dtn", sample.n)
 
 
-def np_route(dtn, num=20, curve_config=None):
+def np_route(dtn, num=20):
     """Neumann-Poincare route: eps from the eigenvalues of K*.
 
     The transmission pencil factors through K*: an eigenvalue lam of K* on
@@ -193,8 +190,7 @@ def np_route(dtn, num=20, curve_config=None):
                              "be positive", "got %.3g" % quad.min())
     g /= np.sqrt(quad)
     res = residual_norm(dtn, eps_sel, g)
-    return PlasmonicSpectrum(eps_sel, g, res, "np",
-                             curve_config or {}, sample.n)
+    return PlasmonicSpectrum(eps_sel, g, res, "np", sample.n)
 
 
 def residual_norm(dtn, eps, g):

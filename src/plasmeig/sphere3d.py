@@ -141,13 +141,6 @@ class SHField:
         out.coeffs += other.truncated(L).coeffs * factor
         return out
 
-    def to_json_dict(self):
-        coeffs = []
-        for l in range(self.L + 1):
-            for m in range(-l, l + 1):
-                coeffs.append({"l": l, "m": m, "c": float(self.coeffs[l, m + self.L])})
-        return {"L": self.L, "coeffs": coeffs}
-
     @classmethod
     def from_json_dict(cls, data):
         if set(data) != {"L", "coeffs"}:

@@ -14,8 +14,8 @@ import numpy as np
 
 from .bem2d import build_dtn, compute_g0, farfield_log_coefficient
 from .curve2d import CurveParam, ShapeFn2D, perturbed_sample, sample_curve
-from .dtn_shape import (banded_opnorm, fd_operator_check, loglog_slope,
-                        shape_derivative_matrix)
+from .dtn_shape import (band_domain, banded_opnorm, fd_operator_check,
+                        loglog_slope, shape_derivative_matrix)
 from .errors import ConfigError, NumericalError
 from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
                       uniform_shape)
@@ -308,20 +308,18 @@ def check_shape_derivative():
         cdtn = build_dtn(sample_curve(circle, 128))
         one = ShapeFn2D.constant(1.0)
         dmat = shape_derivative_matrix(cdtn, one, side="interior")
-        circle_err = banded_opnorm(dmat + cdtn.nminus,
-                                   cdtn.sample.weights, cdtn.sample.t, 32)
+        circle_err = banded_opnorm(
+            dmat + cdtn.nminus,
+            band_domain(cdtn.sample.weights, cdtn.sample.t, 32))
         a = ShapeFn2D(cos=(0.0, 0.0, 1.0))
         ell = CurveParam.from_config(ELLIPSE)
-        inner = fd_operator_check(ell, a, 128, [1e-2, 5e-3, 2.5e-3],
-                                  side="interior")
-        outer = fd_operator_check(ell, a, 128, [1e-2, 5e-3, 2.5e-3],
-                                  side="exterior")
+        reports = fd_operator_check(ell, a, 128, [1e-2, 5e-3, 2.5e-3])
         ok = (circle_err <= 1e-8
-              and inner["slopes"]["central"] >= 1.8
-              and outer["slopes"]["central"] >= 1.8)
+              and reports["interior"]["slopes"]["central"] >= 1.8
+              and reports["exterior"]["slopes"]["central"] >= 1.8)
         return ok, {"circle_opnorm_error": circle_err, "circle_tol": 1e-8,
-                    "interior_slopes": inner["slopes"],
-                    "exterior_slopes": outer["slopes"]}
+                    "interior_slopes": reports["interior"]["slopes"],
+                    "exterior_slopes": reports["exterior"]["slopes"]}
     return _timed("dtn_shape_derivative", body)
 
 
@@ -370,9 +368,16 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 
 def run_all(seed=0, n=128, names=None):
     """Run the acceptance suite; seed feeds only random probe vectors and n
-    overrides the 2D resolution of the circle/ellipse checks. names, when
-    given, restricts the run to the listed checks in suite order."""
+    overrides the 2D resolution of disk_degeneracy, ellipse_oracle,
+    two_routes and rayleigh_identity (the other checks fix their own sizes).
+    names, when given, restricts the run to the listed checks in suite
+    order; it must name at least one, since a suite that runs nothing
+    passes nothing."""
     if names is not None:
+        if not names:
+            raise ConfigError("validate", "run_all",
+                              "checks must name at least one check",
+                              "checks=%r" % (names,))
         unknown = set(names) - set(CHECK_NAMES)
         if unknown:
             raise ConfigError("validate", "run_all",

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from plasmeig.cli import canonical_json, main
+from plasmeig.curve2d import CurveParam
 
 from test_perturb import random_shape
+from test_sphere3d import field_json
 
 KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
 ELLIPSE = {"kind": "ellipse", "a": 2.0, "b": 1.0}
@@ -41,6 +43,8 @@ def test_spectrum_job_writes_versioned_artifacts(tmp_path):
     assert record["job"]["N"] == 64
     eigs = record["outputs"]["spectrum"]["eigenvalues"]
     assert len(eigs) == 8
+    assert record["outputs"]["spectrum"]["curve"] == \
+        CurveParam.from_config(KITE).to_config()
     assert b"wall" not in raw  # timings go to stdout, never into artifacts
     csv_lines = (out / "spectrum.csv").read_text().splitlines()
     assert csv_lines[0] == "k,epsilon,residual"
@@ -110,8 +114,8 @@ def test_perturb_sphere_uniform_shift(tmp_path):
     assert record["passed"] is True
     assert abs(record["outputs"]["second_order"]["epsddot"]) < 1e-8
     assert record["outputs"]["route_gap"] <= 1e-8
-    assert set(record["flags"]) == {"q1_symmetric", "gauge_independent",
-                                    "compatible", "routes_agree"}
+    assert set(record["flags"]) == {"gauge_independent", "compatible",
+                                    "routes_agree"}
 
 
 def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
@@ -119,7 +123,7 @@ def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
     # are roundoff on quadrature terms summing to ~2.8e6 in magnitude
     cfg = write_config(tmp_path, "job.json",
                        {"mode": "sphere", "k": 30, "branch": 0, "order": 2,
-                        "a": random_shape(30, seed=0).to_json_dict()})
+                        "a": field_json(random_shape(30, seed=0))})
     out = tmp_path / "out"
     assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
     record, _ = read_record(out, "perturb")
@@ -287,6 +291,8 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "a": {"L": 2, "coeffs": [{"l": 2, "m": 0, "c": 1.0},
                                           {"l": 2, "m": 0, "c": 5.0}]}},
      "coeffs"),
+    ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                       "side": "both"}, "side"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

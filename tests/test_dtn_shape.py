@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from plasmeig import dtn_shape, validate
 from plasmeig.bem2d import build_dtn
-from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
-                              tangential_derivative)
-from plasmeig.dtn_shape import (banded_opnorm, fd_operator_check,
-                                shape_derivative_matrix, transplanted_dtn)
+from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
+                              sample_curve, tangential_derivative)
+from plasmeig.dtn_shape import (band_domain, banded_opnorm,
+                                fd_operator_check, shape_derivative_matrix)
 from plasmeig.errors import ConfigError
 
 ELLIPSE = CurveParam.ellipse(2.0, 1.0)
@@ -60,23 +61,29 @@ def test_zero_shape_gives_zero_derivative():
     g = np.cos(dtn.sample.t)
     out = shape_derivative_matrix(dtn, ShapeFn2D()) @ g
     assert np.max(np.abs(out)) < 1e-12
-    report = fd_operator_check(ELLIPSE, ShapeFn2D(), 64, [1e-2, 5e-3])
-    assert report["slopes"]["one_sided"] is None
-    assert report["slopes"]["central"] is None
-    assert max(report["max_errors"]) < 1e-12
+    reports = fd_operator_check(ELLIPSE, ShapeFn2D(), 64, [1e-2, 5e-3])
+    for report in reports.values():
+        assert report["slopes"]["one_sided"] is None
+        assert report["slopes"]["central"] is None
+        assert max(report["max_errors"]) < 1e-12
+
+
+def transplanted(curve, a, h, n):
+    # interior DtN matrix of the curve shifted by h*a along its normal,
+    # assembled on the exact images of the n base nodes
+    return build_dtn(perturbed_sample(curve, a, h, n)).nminus
 
 
 def test_transplanted_operator_at_zero_is_the_base_operator():
     base = build_dtn(sample_curve(ELLIPSE, 96))
-    tp = transplanted_dtn(ELLIPSE, A_COS, 0.0, 96)
+    tp = transplanted(ELLIPSE, A_COS, 0.0, 96)
     assert np.max(np.abs(tp - base.nminus)) < 1e-10
 
 
 def test_transplanted_circle_multipliers():
     # transplanting a uniformly inflated circle: multipliers l / (1 + h)
     h = 0.1
-    tp = transplanted_dtn(CurveParam.circle(1.0), ShapeFn2D.constant(1.0),
-                          h, 128)
+    tp = transplanted(CurveParam.circle(1.0), ShapeFn2D.constant(1.0), h, 128)
     t = sample_curve(CurveParam.circle(1.0), 128).t
     for l in (1, 2, 4, 7):
         g = np.cos(l * t)
@@ -85,16 +92,16 @@ def test_transplanted_circle_multipliers():
 
 def test_transplanted_operator_symmetric_only_at_zero():
     w = sample_curve(ELLIPSE, 96).weights
-    at_zero = transplanted_dtn(ELLIPSE, A_COS, 0.0, 96)
-    shifted = transplanted_dtn(ELLIPSE, A_COS, 0.05, 96)
+    at_zero = transplanted(ELLIPSE, A_COS, 0.0, 96)
+    shifted = transplanted(ELLIPSE, A_COS, 0.05, 96)
     assert weighted_symmetry_residual(at_zero, w) < 1e-12
     assert weighted_symmetry_residual(shifted, w) > 1e-4
 
 
 def test_finite_differences_converge_to_the_formula():
-    for side in ("interior", "exterior"):
-        report = fd_operator_check(ELLIPSE, A_COS, 96, [1e-2, 5e-3],
-                                   side=side)
+    reports = fd_operator_check(ELLIPSE, A_COS, 96, [1e-2, 5e-3])
+    assert set(reports) == {"interior", "exterior"}
+    for side, report in reports.items():
         assert report["slopes"]["one_sided"] >= 0.8
         assert report["slopes"]["central"] >= 1.8
         assert report["side"] == side
@@ -104,7 +111,7 @@ def test_finite_differences_converge_to_the_formula():
 def test_fd_report_schema():
     with pytest.raises(ConfigError):
         fd_operator_check(ELLIPSE, A_COS, 64, [1e-2])
-    report = fd_operator_check(ELLIPSE, A_COS, 64, [1e-2, 5e-3])
+    report = fd_operator_check(ELLIPSE, A_COS, 64, [1e-2, 5e-3])["interior"]
     assert set(report) == {"curve", "a", "n", "side", "band", "h_list",
                            "one_sided_errors", "central_errors",
                            "max_errors", "slopes"}
@@ -115,13 +122,34 @@ def test_fd_report_schema():
     assert set(report["slopes"]) == {"one_sided", "central"}
 
 
+def test_each_shifted_curve_is_assembled_once(monkeypatch):
+    # one DtN pair per curve serves both sides: the base curve plus one
+    # pair for each of +h and -h, and in the acceptance check one more for
+    # the circle oracle
+    calls = []
+
+    def counting(sample):
+        calls.append(sample.n)
+        return build_dtn(sample)
+
+    monkeypatch.setattr(dtn_shape, "build_dtn", counting)
+    monkeypatch.setattr(validate, "build_dtn", counting)
+    h_list = [1e-2, 5e-3, 2.5e-3]
+    reports = fd_operator_check(ELLIPSE, A_COS, 64, h_list)
+    assert set(reports) == {"interior", "exterior"}
+    assert len(calls) == 1 + 2 * len(h_list)
+    calls.clear()
+    assert validate.check_shape_derivative().passed
+    assert len(calls) == 8
+
+
 def test_circle_derivative_matches_multiplier_rule_in_norm():
     # on a circle of radius R with unit shift, dN/dh = -N / R
     dtn = build_dtn(sample_curve(CurveParam.circle(2.0), 128))
     dmat = shape_derivative_matrix(dtn, ShapeFn2D.constant(1.0))
     resid = dmat + dtn.nminus / 2.0
-    t = dtn.sample.t
-    assert banded_opnorm(resid, dtn.sample.weights, t, 32) < 1e-8
+    band = band_domain(dtn.sample.weights, dtn.sample.t, 32)
+    assert banded_opnorm(resid, band) < 1e-8
 
 
 def _growth_slope(dtn, a, l_list=(4, 8, 16, 32)):
@@ -153,12 +181,10 @@ def test_opnorm_helpers():
     full = scipy.linalg.svdvals(mat * (root[:, None] / root[None, :]))[0]
     assert abs(full - 3.0) < 1e-12
     t = 2.0 * np.pi * np.arange(8) / 8
-    assert banded_opnorm(mat, w, t, 2) <= full + 1e-12
+    assert banded_opnorm(mat, band_domain(w, t, 2)) <= full + 1e-12
 
 
 def test_side_validation():
     dtn = build_dtn(sample_curve(ELLIPSE, 64))
     with pytest.raises(ConfigError):
         shape_derivative_matrix(dtn, A_COS, side="both")
-    with pytest.raises(ConfigError):
-        transplanted_dtn(ELLIPSE, A_COS, 0.0, 64, side="both")

@@ -46,6 +46,13 @@ def test_unknown_check_name_is_a_config_error():
         run_all(names=["ball_spectrum", "nonexistent"])
 
 
+def test_empty_check_list_is_a_config_error():
+    # a caller that gates on all(r.passed for r in results) must not pass
+    # having run nothing
+    with pytest.raises(ConfigError, match="checks"):
+        run_all(names=[])
+
+
 def test_elliptic_eigenvalues_cross_check():
     # two independently written closed forms must agree exactly
     ours = elliptic_eigenvalues(2.0, 1.0, 10)
