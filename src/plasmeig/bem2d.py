@@ -18,12 +18,15 @@ derivative, so the jump relations give
 Both operators annihilate constants. N- is positive semidefinite and N+
 negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
+A DtNPair assembles only S and K* and builds N- and N+ on first use, so the
+spectrum pencil, which needs only S and K*, factors nothing.
 
 Operators are plain (N, N) arrays acting on node values; the quadrature
 weights of the discrete inner product <f, g> = sum f g w come only from the
 sample.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -38,16 +41,36 @@ _RCOND_FLOOR = 1e-12
 
 
 class DtNPair:
-    """N-, N+, S and K* on one curve sample, as read-only (N, N) arrays."""
+    """S and K* on one curve sample, with N- and N+ built on first use.
 
-    def __init__(self, nminus, nplus, sample, single_layer, np_adjoint):
-        self.nminus = nminus
-        self.nplus = nplus
+    All four are read-only (N, N) arrays. The first read of nminus or nplus
+    factors the bordered system once; both maps come from one product K* B.
+    """
+
+    def __init__(self, sample, single_layer, np_adjoint):
         self.sample = sample
         self.single_layer = single_layer
         self.np_adjoint = np_adjoint
-        for arr in (nminus, nplus, single_layer, np_adjoint):
+        for arr in (single_layer, np_adjoint):
             arr.setflags(write=False)
+
+    @functools.cached_property
+    def _maps(self):
+        n = self.sample.n
+        big = np.block([[self.single_layer, np.ones((n, 1))],
+                        [self.sample.weights[None, :], np.zeros((1, 1))]])
+        lu = _checked_lu(big, "build_dtn",
+                         "bordered single-layer system must be invertible")
+        b = scipy.linalg.lu_solve(lu, np.eye(n + 1, n))[:n]
+        kb = self.np_adjoint @ b
+        b *= 0.5
+        maps = (kb - b, kb + b)
+        for arr in maps:
+            arr.setflags(write=False)
+        return maps
+
+    nminus = property(lambda self: self._maps[0], doc="Interior DtN map N-.")
+    nplus = property(lambda self: self._maps[1], doc="Exterior DtN map N+.")
 
 
 def _log_quadrature_weights(n):
@@ -68,25 +91,29 @@ def _log_quadrature_weights(n):
 def assemble_single_layer(sample):
     """Single-layer operator with spectrally accurate log-split quadrature.
 
-    On a circle of radius R constants map to R log R, so the operator is
-    singular when the logarithmic capacity of the curve is 1.
+    The smooth remainder log(|x_i - x_j| / (2 |sin((t_i - t_j)/2)|)) is
+    (1/2) log r^2 minus a circulant term, which joins the log weights; its
+    diagonal limit is log(speed). On a circle of radius R constants map to
+    R log R, so the operator is singular when the logarithmic capacity of
+    the curve is 1.
     """
     n = sample.n
     x = sample.nodes
-    t = sample.t
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.linalg.norm(diff, axis=-1)
-    halfsin = np.abs(np.sin(0.5 * (t[:, None] - t[None, :])))
-    np.fill_diagonal(dist, 1.0)
-    np.fill_diagonal(halfsin, 0.5)
-    smooth = dist / (2.0 * halfsin)
-    np.fill_diagonal(smooth, sample.speed)
-
+    mat = np.subtract.outer(x[:, 0], x[:, 0])
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    mat *= mat
+    dy *= dy
+    mat += dy
+    del dy
+    np.fill_diagonal(mat, sample.speed ** 2)
+    np.log(mat, out=mat)
+    mat *= 0.5 / n
     w = _log_quadrature_weights(n)
-    idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) % n
-    logpart = w[idx]
-    mat = (logpart + (2.0 * math.pi / n) * np.log(smooth)) / (2.0 * math.pi)
-    return mat * sample.speed[None, :]
+    w[1:] -= (2.0 * math.pi / n) * np.log(
+        2.0 * np.sin(math.pi * np.arange(1, n) / n))
+    mat += scipy.linalg.circulant(w / (2.0 * math.pi))
+    mat *= sample.speed[None, :]
+    return mat
 
 
 def assemble_np_adjoint(sample):
@@ -98,15 +125,21 @@ def assemble_np_adjoint(sample):
     """
     n = sample.n
     x = sample.nodes
-    diff = x[:, None, :] - x[None, :, :]
-    r2 = np.einsum("ijk,ijk->ij", diff, diff)
+    kern = np.subtract.outer(x[:, 0], x[:, 0])
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    r2 = kern * kern
+    r2 += dy * dy
     np.fill_diagonal(r2, 1.0)
-    num = np.einsum("ik,ijk->ij", sample.normals, diff)
-    kern = num / r2
+    kern *= sample.normals[:, 0, None]
+    dy *= sample.normals[:, 1, None]
+    kern += dy
+    kern /= r2
     # kernel diagonal: limit is half the standard (counterclockwise) curvature,
     # i.e. minus half the signed curvature in the outward-normal convention
     np.fill_diagonal(kern, -0.5 * sample.curvature)
-    return kern * sample.speed[None, :] / n
+    kern *= sample.speed
+    kern /= n
+    return kern
 
 
 def _checked_lu(mat, operation, contract):
@@ -125,23 +158,9 @@ def _checked_lu(mat, operation, contract):
 
 
 def build_dtn(sample):
-    """Assemble the interior/exterior DtN pair for a curve sample.
-
-    One LU of the bordered single-layer system gives the density map B, and
-    one product K* B gives both operators.
-    """
-    sop = assemble_single_layer(sample)
-    kstar = assemble_np_adjoint(sample)
-    n = sample.n
-    big = np.block([[sop, np.ones((n, 1))],
-                    [sample.weights[None, :], np.zeros((1, 1))]])
-    lu = _checked_lu(big, "build_dtn",
-                     "bordered single-layer system must be invertible")
-    b = scipy.linalg.lu_solve(lu, np.eye(n + 1, n))[:n]
-    kb = kstar @ b
-    half_b = 0.5 * b
-    return DtNPair(nminus=kb - half_b, nplus=kb + half_b, sample=sample,
-                   single_layer=sop, np_adjoint=kstar)
+    """Assemble S and K* for a curve sample; N- and N+ follow on first use."""
+    return DtNPair(sample, assemble_single_layer(sample),
+                   assemble_np_adjoint(sample))
 
 
 def _point_in_polygon(point, nodes):

@@ -6,8 +6,8 @@ Computes permittivities eps for which the transmission problem
     eps dn(u-) + dn(u+) = 0,       u bounded at infinity
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
-data. Two independent routes are provided: a generalized symmetric
-eigensolve of the DtN pencil on a mean-zero basis, and the classical
+data. Two routes are provided: a generalized symmetric eigensolve of the
+DtN pencil on mean-zero densities, from S and K* alone, and the classical
 Neumann-Poincare route through the eigenvalues of K*. Eigenvalues
 accumulate at 1 from both sides; the selected ones are the num farthest
 from 1, reported in ascending order.
@@ -71,8 +71,8 @@ def _mean_zero_reflector(weights):
     """sqrt(w) and the vector v of the reflector H taking sqrt(w) onto the e1 axis.
 
     With D = diag(sqrt(w)), the columns of Q = D^{-1} H[:, 1:] are an
-    M-orthonormal basis of the weighted-mean-zero subspace, and Q^T M A Q is
-    the trailing block of H (D A D^{-1}) H.
+    M-orthonormal basis of the weighted-mean-zero subspace, and Q^T A Q is
+    the trailing block of H (D^{-1} A D^{-1}) H.
     """
     root = np.sqrt(weights)
     v = root / np.linalg.norm(root)
@@ -85,9 +85,9 @@ def _reflect(v, a):
     return a - np.outer(v, (2.0 / (v @ v)) * (v @ a))
 
 
-def _project(mat, root, v):
-    """Q^T M mat Q on the mean-zero basis, symmetrized; O(N^2)."""
-    c = _reflect(v, _reflect(v, root[:, None] * mat / root[None, :]).T).T
+def _mean_zero_block(mat, root, v):
+    """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2)."""
+    c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T
     c = c[1:, 1:]
     return 0.5 * (c + c.T)
 
@@ -110,22 +110,29 @@ def _select_far_from_one(eps, num):
 
 
 def solve_plasmonic(dtn, num=20):
-    """DtN-pencil route: symmetric generalized eigensolve on mean-zero data.
+    """DtN-pencil route: a symmetric generalized eigensolve on densities.
 
-    eps are reciprocals of the eigenvalues of -N+^{-1} N-, computed as
-    eigenvalues of the pencil (A-, A+) with A- = Q^T M N- Q and
-    A+ = -Q^T M N+ Q on an M-orthonormal mean-zero basis Q; A+ is positive
-    definite there, so scipy's symmetric solver applies. Q is a weighted
-    Householder reflector (_mean_zero_reflector): projecting onto it and
-    back costs O(N^2).
+    A mean-zero density phi has the mean-zero datum g = P S phi, with
+    P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu for
+    the pencil A- = Q^T (PS)^T M (K* - 1/2) Q, A+ = -Q^T (PS)^T M (K* + 1/2) Q
+    on the M-orthonormal mean-zero basis Q of _mean_zero_reflector (O(N^2)),
+    congruent to the DtN pencil on mean-zero data, so A+ is positive
+    definite; the discrete Calderon identity S K* = K S makes both forms
+    symmetric. Only S and K* are used; nothing is factored.
     """
     sample = dtn.sample
+    w = sample.weights
     _check_num(num, sample.n, "solve_plasmonic")
-    root, v = _mean_zero_reflector(sample.weights)
-    aminus = _project(dtn.nminus, root, v)
-    aplus = -_project(dtn.nplus, root, v)
+    root, v = _mean_zero_reflector(w)
+    form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
+    pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
+    half = 0.5 * _mean_zero_block(form, root, v)
+    # exactly symmetric, so the transposes reach LAPACK uncopied (Fortran order)
+    aminus, aplus = (pair - half).T, (-pair - half).T
+    del pair, half
     try:
-        mu, y = scipy.linalg.eigh(aminus, aplus)
+        mu, y = scipy.linalg.eigh(aminus, aplus, overwrite_a=True,
+                                  overwrite_b=True)
     except scipy.linalg.LinAlgError as exc:
         raise NumericalError("spectrum2d", "solve_plasmonic",
                              "exterior energy form must be positive definite "
@@ -138,11 +145,14 @@ def solve_plasmonic(dtn, num=20):
     eps = 1.0 / mu
     keep = _select_far_from_one(eps, num)
     eps_sel = eps[keep]
-    # columns of y are A+-orthonormal: y^T A+ y = I, so g = Q y sqrt(eps)
-    # gives <g, N- g> = eps * y^T A- y / eps ... = mu * eps = 1
+    # columns of y are A+-orthonormal, so <g, N- g> = y^T A- y eps = mu eps
+    # = 1 for phi = Q y sqrt(eps) and g = P S phi
     z = np.vstack([np.zeros(len(keep)), y[:, keep] * np.sqrt(eps_sel)])
-    g = _reflect(v, z) / root[:, None]
-    res = residual_norm(dtn, eps_sel, g)
+    phi = _reflect(v, z) / root[:, None]
+    # (eps N- + N+) g = ((eps + 1) K* + (1 - eps)/2) phi
+    r = (dtn.np_adjoint @ phi) * (eps_sel + 1.0) + phi * (0.5 - 0.5 * eps_sel)
+    res = np.sqrt(w @ (r * r))
+    g = (form.T @ phi) / w[:, None]   # form^T = M P S
     return PlasmonicSpectrum(eps_sel, g, res, "dtn", sample.n)
 
 
@@ -165,7 +175,8 @@ def np_route(dtn, num=20):
     lam = lam.real
     phi = phi.real
     # discard the constant-density eigenvalue 1/2 (maps to eps infinite)
-    flux = np.abs(sample.weights @ phi) / np.linalg.norm(phi, axis=0)
+    flux = np.abs(sample.weights @ phi) / (
+        np.linalg.norm(sample.weights) * np.linalg.norm(phi, axis=0))
     keep_mask = ~((np.abs(lam - 0.5) < 1e-6) & (flux > 1e-6))
     drop = np.count_nonzero(~keep_mask)
     if drop != 1:

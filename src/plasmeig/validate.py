@@ -158,10 +158,10 @@ def check_clustering():
 def check_two_routes(n=128):
     """Criterion 4: pencil route vs adjoint-double-layer route.
 
-    Both DtN maps share the bordered density map B, so
-    eps N- + N+ = [((1 - eps)/2) I + (1 + eps) K*] B and this agreement is
-    an algebraic identity, not an independent check of the discretization.
-    The independent checks are ellipse_oracle and tests/oracle2d.py.
+    The pencil is solved on densities from S and K* alone, where eps N- + N+
+    acts as ((1 - eps)/2) I + (1 + eps) K*, so both routes give the K*
+    spectrum: an algebraic identity, not an independent check. The
+    independent checks are ellipse_oracle and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)

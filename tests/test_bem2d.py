@@ -114,14 +114,33 @@ def test_dtn_annihilates_constants():
 
 def test_boundary_operator_validation():
     # the four operators of a DtN pair are read-only (N, N) arrays on the
-    # nodes of one sample, whose weights are read-only too
+    # nodes of one sample, whose weights are read-only too; N- and N+ are
+    # built on first use and are read-only as well
     dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 32))
     for op in (dtn.nminus, dtn.nplus, dtn.single_layer, dtn.np_adjoint):
         assert op.shape == (32, 32)
         assert not op.flags.writeable
+        with pytest.raises(ValueError):
+            op[0, 0] = 1.0
     assert not dtn.sample.weights.flags.writeable
     assert weighted_symmetry_residual(dtn.nminus, dtn.sample.weights) < 1e-12
     assert weighted_symmetry_residual(dtn.nplus, dtn.sample.weights) < 1e-12
+
+
+def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    dtn = build_dtn(sample_curve(KITE, 64))
+    assert calls == []
+    first = (dtn.nminus, dtn.nplus)
+    assert dtn.nminus is first[0] and dtn.nplus is first[1]
+    assert len(calls) == 1
 
 
 def test_g0_constant_on_circle_and_normalized():

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plasmeig.cli import canonical_json, main
 from plasmeig.curve2d import CurveParam
@@ -88,6 +89,27 @@ def test_spectrum_scale_leaves_eigenvalues_unchanged(tmp_path):
         record, _ = read_record(out, "spectrum")
         values[sub] = np.array(record["outputs"]["spectrum"]["eigenvalues"])
     assert np.max(np.abs(values["base"] - values["scaled"])) < 1e-8
+
+
+def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
+    # the pencil needs only S and K*: no LU on the dtn route; the np route
+    # normalizes with N-, which costs the one bordered LU
+    calls = []
+    lu_factor = scipy.linalg.lu_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return lu_factor(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    for route, factored in (("dtn", 0), ("np", 1)):
+        cfg = write_config(tmp_path, "job_%s.json" % route,
+                           {"curve": KITE, "N": 64, "num_eigs": 8,
+                            "route": route})
+        calls.clear()
+        assert main(["spectrum", "--config", cfg, "--out",
+                     str(tmp_path / route)]) == 0
+        assert len(calls) == factored
 
 
 def test_spectrum_routes_agree(tmp_path):
