@@ -18,8 +18,10 @@ derivative, so the jump relations give
 Both operators annihilate constants. N- is positive semidefinite and N+
 negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
-A DtNPair assembles only S and K* and builds N- and N+ on first use, so the
-spectrum pencil, which needs only S and K*, factors nothing.
+On a weighted-mean-zero density phi they give N-+ g = (K* -+ 1/2) phi for
+g = P S phi, P = I - 1 w^T / sum(w), without B. A DtNPair assembles only S
+and K* and builds N- and N+ on first use, so work on densities (both
+spectrum routes, the plane eigenvalue derivative) factors nothing.
 
 Operators are plain (N, N) arrays acting on node values; the quadrature
 weights of the discrete inner product <f, g> = sum f g w come only from the
@@ -44,7 +46,8 @@ class DtNPair:
     """S and K* on one curve sample, with N- and N+ built on first use.
 
     All four are read-only (N, N) arrays. The first read of nminus or nplus
-    factors the bordered system once; both maps come from one product K* B.
+    factors the bordered system once; both maps come from one product K* B,
+    which interior_data does without.
     """
 
     def __init__(self, sample, single_layer, np_adjoint):
@@ -68,6 +71,14 @@ class DtNPair:
         for arr in maps:
             arr.setflags(write=False)
         return maps
+
+    def interior_data(self, phi):
+        """g = P S phi and N- g = (K* - 1/2) phi for weighted-mean-zero
+        densities phi (one per column), from S and K* alone."""
+        w = self.sample.weights
+        g = self.single_layer @ phi
+        g -= (w @ g) / w.sum()
+        return g, self.np_adjoint @ phi - 0.5 * phi
 
     nminus = property(lambda self: self._maps[0], doc="Interior DtN map N-.")
     nplus = property(lambda self: self._maps[1], doc="Exterior DtN map N+.")

@@ -179,12 +179,8 @@ def _perturb_sphere(config, seed):
 
 
 def _perturb_2d(config, seed):
-    from .bem2d import build_dtn
-    from .curve2d import CurveParam, sample_curve
-    from .dtn_shape import loglog_slope
-    from .perturb import epsdot_2d
-    from .spectrum2d import solve_plasmonic
-    from .validate import finite_difference_epsdot
+    from .curve2d import CurveParam
+    from .validate import epsdot_fd_report
     _check_keys(config, {"mode", "curve", "a"},
                 {"N", "num_eigs", "eps_index", "h_list"}, "cmd_perturb")
     curve = CurveParam.from_config(config["curve"])
@@ -194,24 +190,14 @@ def _perturb_2d(config, seed):
     index = _int_choice(config, "eps_index", 0, range(num),
                         "eps_index must index the computed spectrum",
                         "cmd_perturb")
-    h_list = _step_list(config, "cmd_perturb")
-    dtn = build_dtn(sample_curve(curve, n))
-    spec = solve_plasmonic(dtn, num=num)
-    eps = float(spec.eigenvalues[index])
-    value = epsdot_2d(dtn, eps, spec.eigenfunctions[:, index], a,
-                      spectrum=spec)
-    diffs = finite_difference_epsdot(curve, a, eps, h_list, n=n, num=num)
-    errors = [abs(d - value) for d in diffs]
-    slope = loglog_slope(h_list, errors)
-    outputs = {"epsilon": eps, "epsdot": value,
-               "fd_values": [float(d) for d in diffs],
-               "fd_errors": [float(e) for e in errors],
-               "h_list": [float(h) for h in h_list],
-               "slope": slope}
-    if slope is None:
-        flags = {"zero_deformation_ok": max(errors) <= 1e-12}
+    outputs = epsdot_fd_report(curve, a, _step_list(config, "cmd_perturb"),
+                               n=n, num=num, index=index)
+    if outputs["slope"] is None:
+        flags = {"zero_deformation_ok": all(
+            e <= f for e, f in zip(outputs["fd_errors"],
+                                   outputs["fd_floors"]))}
     else:
-        flags = {"fd_slope_ok": abs(slope - 2.0) <= 0.2}
+        flags = {"fd_slope_ok": abs(outputs["slope"] - 2.0) <= 0.2}
     record = ResultRecord("perturb", config, outputs, flags)
     return record, []
 

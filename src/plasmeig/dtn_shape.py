@@ -77,13 +77,15 @@ def shape_derivative_matrix(dtn, a, side="interior"):
             + sample.curvature[:, None] * an - nmat @ an)
 
 
-def loglog_slope(h_list, errors):
-    """Least-squares slope of log(errors) against log(h_list), or None when
-    every error is below 1e-13: an identically zero deformation leaves no
-    slope to fit."""
-    if max(errors) < 1e-13:
+def loglog_slope(h_list, errors, floors):
+    """Least-squares slope of log(errors) against log(h_list) over the steps
+    whose error exceeds its floor (one per step, or one for all), or None
+    when fewer than two do: errors at the roundoff floor of an identically
+    zero deformation leave no slope to fit."""
+    keep = np.asarray(errors) > floors
+    if np.count_nonzero(keep) < 2:
         return None
-    return float(np.polyfit(np.log(h_list), np.log(errors), 1)[0])
+    return float(np.polyfit(np.log(h_list)[keep], np.log(errors)[keep], 1)[0])
 
 
 def _step_errors(dtn, plus, minus, h, dmats, band):
@@ -133,6 +135,6 @@ def fd_operator_check(curve, a, n, h_list):
             "central_errors": [float(e) for e in central],
             "max_errors": [float(max(o, c))
                            for o, c in zip(one_sided, central)],
-            "slopes": {"one_sided": loglog_slope(h_list, one_sided),
-                       "central": loglog_slope(h_list, central)}}
+            "slopes": {"one_sided": loglog_slope(h_list, one_sided, 1e-13),
+                       "central": loglog_slope(h_list, central, 1e-13)}}
     return reports

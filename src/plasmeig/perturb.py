@@ -340,31 +340,35 @@ def epsddot_flux_route(udot):
         - eps * grid.integrate(f2_vals * dnu_vals)
 
 
-def epsdot_2d(dtn, eps, g, a, spectrum=None):
+def epsdot_2d(dtn, eps, phi, a, spectrum):
     """First derivative of a plane eigenvalue for normal shift a.
 
     Evaluates (eps+1) * integral of a [ -(ds g)^2 + eps (N- g)^2 ] over the
-    curve, the 1x1 case of the first-order form. Requires eps != 1 and the
-    eigenpair normalized to unit interior energy; for a degenerate eps the
-    supplied g must diagonalize the first-order form on the eigenspace (pass
-    the spectrum to have this verified).
+    curve, the 1x1 case of the first-order form, on the eigenfunction
+    g = P S phi of a weighted-mean-zero eigendensity phi, with N- g =
+    (K* - 1/2) phi: nothing is factored. Requires eps != 1 and unit interior
+    energy; for a degenerate eps, phi must diagonalize the first-order form
+    on the span of the nearby densities of spectrum.
     """
     sample = dtn.sample
-    g = np.asarray(g, dtype=float)
+    phi = np.asarray(phi, dtype=float)
     if abs(eps - 1.0) < 1e-10:
         raise PerturbationError("perturb", "epsdot_2d",
                                 "first-order formula requires eps != 1",
                                 "eps=%.17g" % eps)
     w = sample.weights
-    dng = dtn.nminus @ g
+    if abs(w @ phi) > 1e-8 * math.sqrt((w @ (phi * phi)) * w.sum()):
+        raise PerturbationError("perturb", "epsdot_2d",
+                                "eigendensity must be weighted-mean-zero",
+                                "<phi, 1> = %.3g" % (w @ phi))
+    g, dng = dtn.interior_data(phi)
     energy = float(g @ (w * dng))
     if abs(energy - 1.0) > 1e-6:
         raise PerturbationError("perturb", "epsdot_2d",
                                 "eigenpair must satisfy <g, N- g> = 1",
                                 "got %.3g" % energy)
     wa = w * a.value(sample.t)
-    if spectrum is not None:
-        _check_2d_splitting(dtn, eps, g, wa, spectrum)
+    _check_2d_splitting(dtn, eps, g, wa, spectrum)
     dsg = tangential_derivative(sample, g)
     return float(_first_order_form(eps, wa, dsg[None], dng[None])[0, 0])
 
@@ -376,11 +380,10 @@ def _check_2d_splitting(dtn, eps, g, wa, spectrum):
                        <= 1e-8 * max(1.0, abs(eps)))[0]
     if len(close) <= 1:
         return
-    block = spectrum.eigenfunctions[:, close]
-    dns = (dtn.nminus @ block).T
+    block, dns = dtn.interior_data(spectrum.densities[:, close])
     qmat = _first_order_form(
-        eps, wa, tangential_derivative(dtn.sample, block).T, dns)
-    coef = dns @ (dtn.sample.weights * g)
+        eps, wa, tangential_derivative(dtn.sample, block).T, dns.T)
+    coef = (dtn.sample.weights * g) @ dns
     drift = qmat @ coef - (coef @ qmat @ coef) * coef
     scale = max(1.0, float(np.linalg.norm(qmat)))
     if np.linalg.norm(drift) > _SPLIT_TOL * scale:

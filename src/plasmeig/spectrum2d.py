@@ -7,8 +7,9 @@ Computes permittivities eps for which the transmission problem
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: a generalized symmetric eigensolve of the
-DtN pencil on mean-zero densities, from S and K* alone, and the classical
-Neumann-Poincare route through the eigenvalues of K*. Eigenvalues
+DtN pencil on mean-zero densities and the classical Neumann-Poincare route
+through the eigenvalues of K*. Both find eigendensities phi from S and K*
+alone and share one normalization of phi and g = P S phi. Eigenvalues
 accumulate at 1 from both sides; the selected ones are the num farthest
 from 1, reported in ascending order.
 """
@@ -27,14 +28,17 @@ _CLUSTER_TAIL = 20
 class PlasmonicSpectrum:
     """Selected plasmonic eigenvalues with eigenfunctions and diagnostics.
 
-    eigenvalues are ascending; eigenfunctions has one column per eigenvalue,
-    normalized so <g, N- g> = 1. residuals are the weighted norms
-    ||(eps N- + N+) g||.
+    eigenvalues are ascending; eigenfunctions has one column g per
+    eigenvalue, normalized so <g, N- g> = 1, and densities the
+    weighted-mean-zero phi with g = P S phi, normalized with them.
+    residuals are the weighted norms ||(eps N- + N+) g||.
     """
 
-    def __init__(self, eigenvalues, eigenfunctions, residuals, route, n):
+    def __init__(self, eigenvalues, eigenfunctions, densities, residuals,
+                 route, n):
         self.eigenvalues = np.asarray(eigenvalues, dtype=float)
         self.eigenfunctions = np.asarray(eigenfunctions, dtype=float)
+        self.densities = np.asarray(densities, dtype=float)
         self.residuals = np.asarray(residuals, dtype=float)
         self.route = route
         self.n = n
@@ -87,8 +91,7 @@ def _reflect(v, a):
 
 def _mean_zero_block(mat, root, v):
     """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2)."""
-    c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T
-    c = c[1:, 1:]
+    c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T[1:, 1:]
     return 0.5 * (c + c.T)
 
 
@@ -104,8 +107,7 @@ def _check_num(num, n, operation):
 
 
 def _select_far_from_one(eps, num):
-    order = np.argsort(-np.abs(eps - 1.0), kind="stable")
-    keep = order[:num]
+    keep = np.argsort(-np.abs(eps - 1.0), kind="stable")[:num]
     return keep[np.argsort(eps[keep], kind="stable")]
 
 
@@ -120,9 +122,8 @@ def solve_plasmonic(dtn, num=20):
     definite; the discrete Calderon identity S K* = K S makes both forms
     symmetric. Only S and K* are used; nothing is factored.
     """
-    sample = dtn.sample
-    w = sample.weights
-    _check_num(num, sample.n, "solve_plasmonic")
+    w = dtn.sample.weights
+    _check_num(num, dtn.sample.n, "solve_plasmonic")
     root, v = _mean_zero_reflector(w)
     form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
     pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
@@ -144,16 +145,8 @@ def solve_plasmonic(dtn, num=20):
                              "(eps = 1/mu > 0)", "%d nonpositive" % bad)
     eps = 1.0 / mu
     keep = _select_far_from_one(eps, num)
-    eps_sel = eps[keep]
-    # columns of y are A+-orthonormal, so <g, N- g> = y^T A- y eps = mu eps
-    # = 1 for phi = Q y sqrt(eps) and g = P S phi
-    z = np.vstack([np.zeros(len(keep)), y[:, keep] * np.sqrt(eps_sel)])
-    phi = _reflect(v, z) / root[:, None]
-    # (eps N- + N+) g = ((eps + 1) K* + (1 - eps)/2) phi
-    r = (dtn.np_adjoint @ phi) * (eps_sel + 1.0) + phi * (0.5 - 0.5 * eps_sel)
-    res = np.sqrt(w @ (r * r))
-    g = (form.T @ phi) / w[:, None]   # form^T = M P S
-    return PlasmonicSpectrum(eps_sel, g, res, "dtn", sample.n)
+    z = np.vstack([np.zeros(len(keep)), y[:, keep]])
+    return _spectrum(dtn, eps[keep], _reflect(v, z) / root[:, None], "dtn")
 
 
 def np_route(dtn, num=20):
@@ -162,8 +155,9 @@ def np_route(dtn, num=20):
     The transmission pencil factors through K*: an eigenvalue lam of K* on
     mean-zero densities gives eps = (1 + 2 lam) / (1 - 2 lam). The plane
     spectrum of K* is symmetric about 0, so the resulting eps multiset
-    matches the pencil route. Eigenfunctions are recovered as boundary data
-    g = S phi of the K* eigendensities, renormalized like the pencil route.
+    matches the pencil route. The K* eigendensities are mean-zero up to
+    the quadrature error of the Gauss integral w^T K* = w^T / 2 and are
+    normalized like the pencil route's, so nothing is factored here either.
     """
     sample = dtn.sample
     _check_num(num, sample.n, "np_route")
@@ -172,8 +166,7 @@ def np_route(dtn, num=20):
         raise NumericalError("spectrum2d", "np_route",
                              "K* spectrum must be real on smooth curves",
                              "max imag %.3g" % float(np.max(np.abs(lam.imag))))
-    lam = lam.real
-    phi = phi.real
+    lam, phi = lam.real, phi.real
     # discard the constant-density eigenvalue 1/2 (maps to eps infinite)
     flux = np.abs(sample.weights @ phi) / (
         np.linalg.norm(sample.weights) * np.linalg.norm(phi, axis=0))
@@ -183,32 +176,31 @@ def np_route(dtn, num=20):
         raise NumericalError("spectrum2d", "np_route",
                              "K* must have exactly one flux-carrying "
                              "eigenvalue 1/2", "found %d" % drop)
-    lam = lam[keep_mask]
-    phi = phi[:, keep_mask]
+    lam, phi = lam[keep_mask], phi[:, keep_mask]
     if np.any(np.abs(1.0 - 2.0 * lam) < _DENOM_TOL):
         raise DegeneracyError("spectrum2d", "np_route",
                               "K* eigenvalue 1/2 of multiplicity > 1 maps to "
                               "no finite eps", "")
     eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
     keep = _select_far_from_one(eps, num)
-    eps_sel = eps[keep]
-    g = dtn.single_layer @ phi[:, keep]
-    g = g - (sample.weights @ g)[None, :] / sample.weights.sum()
-    quad = sample.weights @ (g * (dtn.nminus @ g))
-    if np.any(quad <= 0.0):
-        raise NumericalError("spectrum2d", "np_route",
-                             "interior energy of an eigenfunction must "
-                             "be positive", "got %.3g" % quad.min())
-    g /= np.sqrt(quad)
-    res = residual_norm(dtn, eps_sel, g)
-    return PlasmonicSpectrum(eps_sel, g, res, "np", sample.n)
+    return _spectrum(dtn, eps[keep], phi[:, keep], "np")
 
 
-def residual_norm(dtn, eps, g):
-    """Weighted norms of (eps N- + N+) g, one per column of g (one eps
-    each)."""
-    r = (dtn.nminus @ g) * eps + dtn.nplus @ g
-    return np.sqrt(dtn.sample.weights @ (r * r))
+def _spectrum(dtn, eps, phi, route):
+    """The spectrum of eigendensities phi scaled to unit interior energy
+    <g, N- g> = 1 of g = P S phi; (eps N- + N+) g = (eps + 1) N- g + phi."""
+    w = dtn.sample.weights
+    g, dng = dtn.interior_data(phi)
+    energy = w @ (g * dng)
+    if not np.all(energy > 0.0):
+        raise NumericalError(
+            "spectrum2d", "solve_plasmonic" if route == "dtn" else "np_route",
+            "interior energy of an eigenfunction must be positive",
+            "got %.3g" % energy.min())
+    scale = 1.0 / np.sqrt(energy)
+    r = (dng * (eps + 1.0) + phi) * scale
+    return PlasmonicSpectrum(eps, g * scale, phi * scale,
+                             np.sqrt(w @ (r * r)), route, dtn.sample.n)
 
 
 def rayleigh(dtn, g):

@@ -33,6 +33,9 @@ KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
 # collocation oracle in the test suite.
 GOLDEN_EPSDDOT_Y20 = 333.0 / (35.0 * math.pi)
 
+# FD roundoff floor in units of u max(1, |eps|) / h (u the machine epsilon)
+_FD_FLOOR = 1e3
+
 
 class CheckResult:
     """Outcome of one acceptance check."""
@@ -158,10 +161,11 @@ def check_clustering():
 def check_two_routes(n=128):
     """Criterion 4: pencil route vs adjoint-double-layer route.
 
-    The pencil is solved on densities from S and K* alone, where eps N- + N+
-    acts as ((1 - eps)/2) I + (1 + eps) K*, so both routes give the K*
-    spectrum: an algebraic identity, not an independent check. The
-    independent checks are ellipse_oracle and tests/oracle2d.py.
+    Both routes find eigendensities of K* from S and K* alone, where
+    eps N- + N+ acts as ((1 - eps)/2) I + (1 + eps) K*, and share one
+    normalization and residual; only the eigensolvers differ (pencil eigh,
+    dense eig). An algebraic identity, not an independent check: that is
+    ellipse_oracle and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)
@@ -275,27 +279,38 @@ def finite_difference_epsdot(curve, a, eps0, h_list, n=128, num=10):
     return diffs
 
 
+def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
+    """epsdot_2d of the eigenvalue at index against its central
+    differences: the outputs of a 2D perturb job. The slope is fitted to
+    the errors above their roundoff floors."""
+    dtn = build_dtn(sample_curve(curve, n))
+    spec = solve_plasmonic(dtn, num=num)
+    eps = float(spec.eigenvalues[index])
+    value = epsdot_2d(dtn, eps, spec.densities[:, index], a, spec)
+    diffs = finite_difference_epsdot(curve, a, eps, h_list, n=n, num=num)
+    errors = [abs(d - value) for d in diffs]
+    floors = [_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps)) / h
+              for h in h_list]
+    return {"epsilon": eps, "epsdot": value,
+            "fd_values": [float(d) for d in diffs],
+            "fd_errors": [float(e) for e in errors],
+            "fd_floors": floors, "h_list": [float(h) for h in h_list],
+            "slope": loglog_slope(h_list, errors, floors)}
+
+
 def check_2d_first_order():
     """Criterion 9: analytic first-order value vs tracked finite
     differences on the ellipse with shape cos(2t)."""
     def body():
-        curve = CurveParam.from_config(ELLIPSE)
-        a = ShapeFn2D(cos=(0.0, 0.0, 1.0))
-        dtn = build_dtn(sample_curve(curve, 128))
-        spec = solve_plasmonic(dtn, num=10)
-        eps0 = float(spec.eigenvalues[0])
-        value = epsdot_2d(dtn, eps0, spec.eigenfunctions[:, 0], a,
-                          spectrum=spec)
-        h_list = [1e-2, 5e-3, 2.5e-3]
-        diffs = finite_difference_epsdot(curve, a, eps0, h_list)
-        errors = [abs(d - value) for d in diffs]
-        slope = loglog_slope(h_list, errors)
-        extrapolated = (4.0 * diffs[2] - diffs[1]) / 3.0
-        extr_gap = abs(extrapolated - value)
+        report = epsdot_fd_report(CurveParam.from_config(ELLIPSE),
+                                  ShapeFn2D(cos=(0.0, 0.0, 1.0)),
+                                  [1e-2, 5e-3, 2.5e-3])
+        diffs, slope = report["fd_values"], report["slope"]
+        extr_gap = abs((4.0 * diffs[2] - diffs[1]) / 3.0 - report["epsdot"])
         ok = (slope is not None and abs(slope - 2.0) <= 0.2
               and extr_gap <= 1e-6)
-        return ok, {"epsdot": value, "fd_values": diffs,
-                    "errors": errors, "slope": slope,
+        return ok, {"epsdot": report["epsdot"], "fd_values": diffs,
+                    "errors": report["fd_errors"], "slope": slope,
                     "slope_window": [1.8, 2.2],
                     "extrapolated_gap": extr_gap, "extrapolated_tol": 1e-6}
     return _timed("first_order_2d_fd", body)

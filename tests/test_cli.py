@@ -92,8 +92,8 @@ def test_spectrum_scale_leaves_eigenvalues_unchanged(tmp_path):
 
 
 def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
-    # the pencil needs only S and K*: no LU on the dtn route; the np route
-    # normalizes with N-, which costs the one bordered LU
+    # both spectrum routes and 2D perturb work on eigendensities, which
+    # need only S and K*: no LU anywhere
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
@@ -102,14 +102,17 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
         return lu_factor(*args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
-    for route, factored in (("dtn", 0), ("np", 1)):
-        cfg = write_config(tmp_path, "job_%s.json" % route,
-                           {"curve": KITE, "N": 64, "num_eigs": 8,
-                            "route": route})
-        calls.clear()
-        assert main(["spectrum", "--config", cfg, "--out",
-                     str(tmp_path / route)]) == 0
-        assert len(calls) == factored
+    jobs = {"dtn": ("spectrum", {"curve": KITE, "N": 64, "num_eigs": 8}),
+            "np": ("spectrum", {"curve": KITE, "N": 64, "num_eigs": 8,
+                                "route": "np"}),
+            "2d": ("perturb", {"mode": "2d", "curve": KITE, "N": 64,
+                               "a": {"cos": [0.0, 1.0]},
+                               "h_list": [1e-2, 5e-3]})}
+    for name, (command, job) in jobs.items():
+        cfg = write_config(tmp_path, "job_%s.json" % name, job)
+        assert main([command, "--config", cfg, "--out",
+                     str(tmp_path / name)]) == 0
+    assert calls == []
 
 
 def test_spectrum_routes_agree(tmp_path):
@@ -203,6 +206,31 @@ def test_perturb_2d_zero_deformation(tmp_path):
     assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
     record, raw = read_record(out, "perturb")
     assert b"NaN" not in raw
+    assert record["outputs"]["slope"] is None
+    assert record["flags"] == {"zero_deformation_ok": True}
+
+
+C3 = {"kind": "fourier", "cos": [1.0, 0.0, 0.0, 0.1]}
+
+
+@pytest.mark.parametrize("curve, shape, index, n", [
+    (C3, {"sin": [0.0, 1.0]}, 2, 128),
+    (C3, {"sin": [0.0, 1.0]}, 2, 256),
+    (C3, {"sin": [0.0, 1.0]}, 7, 128),
+    ({"kind": "ellipse", "a": 10.0, "b": 1.0}, {"cos": [0.0, 1.0]}, 9, 128)],
+    ids=["threefold-2-N128", "threefold-2-N256", "threefold-7-N128",
+         "ellipse10-9-N128"])
+def test_perturb_2d_roundoff_derivative_has_no_slope(tmp_path, curve, shape,
+                                                     index, n):
+    # a mirror symmetry of the curve maps the shape to its negative, so
+    # eps(h) = eps(-h): the central differences are roundoff of about
+    # u max(1, |eps|) / h, below their floors, with no slope to fit
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d", "curve": curve, "a": shape, "N": n,
+                        "num_eigs": 10, "eps_index": index})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
     assert record["outputs"]["slope"] is None
     assert record["flags"] == {"zero_deformation_ok": True}
 

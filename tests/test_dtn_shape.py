@@ -11,7 +11,8 @@ from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve, tangential_derivative)
 from plasmeig.dtn_shape import (band_domain, banded_opnorm,
-                                fd_operator_check, shape_derivative_matrix)
+                                fd_operator_check, loglog_slope,
+                                shape_derivative_matrix)
 from plasmeig.errors import ConfigError
 
 ELLIPSE = CurveParam.ellipse(2.0, 1.0)
@@ -188,3 +189,15 @@ def test_side_validation():
     dtn = build_dtn(sample_curve(ELLIPSE, 64))
     with pytest.raises(ConfigError):
         shape_derivative_matrix(dtn, A_COS, side="both")
+
+
+def test_loglog_slope_drops_steps_at_their_floor():
+    h = [4e-2, 2e-2, 1e-2, 5e-3]
+    # a second-order series fits exactly; a step at its floor is left out
+    assert abs(loglog_slope(h, [x * x for x in h], 0.0) - 2.0) < 1e-12
+    errors = [1.6e-3, 4e-4, 1e-4, 3e-13]
+    assert abs(loglog_slope(h, errors, [1e-12] * 4) - 2.0) < 1e-12
+    # roundoff growing like 1/h, under floors that grow the same way
+    roundoff = [3e-14 / x for x in h]
+    assert loglog_slope(h, roundoff, [1e-13 / x for x in h]) is None
+    assert loglog_slope(h, [1e-3, 1e-16, 1e-16, 1e-16], 1e-13) is None

@@ -176,11 +176,16 @@ def test_plane_derivative_preconditions():
     from plasmeig.spectrum2d import solve_plasmonic
     spec = solve_plasmonic(dtn, num=4)
     a = ShapeFn2D(cos=[0.0, 0.0, 1.0])
-    with pytest.raises(PerturbationError):
-        epsdot_2d(dtn, 1.0, spec.eigenfunctions[:, 0], a)
-    with pytest.raises(PerturbationError):
-        epsdot_2d(dtn, spec.eigenvalues[0],
-                  2.0 * spec.eigenfunctions[:, 0], a)
+    phi = spec.densities[:, 0]
+    w = dtn.sample.weights
+    # a constant part leaves no trace g with N- g = (K* - 1/2) phi
+    shift = 1e-6 * math.sqrt(float(w @ (phi * phi)) / w.sum())
+    for eps, density, contract in ((1.0, phi, "eps != 1"),
+                                   (spec.eigenvalues[0], 2.0 * phi, "N- g"),
+                                   (spec.eigenvalues[0], phi + shift,
+                                    "mean-zero")):
+        with pytest.raises(PerturbationError, match=contract):
+            epsdot_2d(dtn, eps, density, a, spec)
 
 
 def test_symmetric_curve_splitting_requires_branch_vectors():
@@ -193,16 +198,18 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     assert abs(eps[1] - eps[0]) < 1e-10
     a = ShapeFn2D(cos=[0.0, 0.0, 1.0])
     with pytest.raises(SplittingError):
-        epsdot_2d(dtn, eps[0], spec.eigenfunctions[:, 0], a, spectrum=spec)
+        epsdot_2d(dtn, eps[0], spec.densities[:, 0], a, spec)
 
     weights = dtn.sample.weights
-    pair = spec.eigenfunctions[:, :2]
+    pair = spec.densities[:, :2]
+    traces = spec.eigenfunctions[:, :2]
+    fluxes = dtn.np_adjoint @ pair - 0.5 * pair
     form = _first_order_form(eps[0], weights * a.value(dtn.sample.t),
-                             tangential_derivative(dtn.sample, pair).T,
-                             (dtn.nminus @ pair).T)
+                             tangential_derivative(dtn.sample, traces).T,
+                             fluxes.T)
     w, v = scipy.linalg.eigh(form)
     for j in range(2):
-        g = pair @ v[:, j]
-        g /= math.sqrt(float(g @ (weights * (dtn.nminus @ g))))
-        slope = epsdot_2d(dtn, eps[0], g, a, spectrum=spec)
+        energy = (traces @ v[:, j]) @ (weights * (fluxes @ v[:, j]))
+        phi = pair @ v[:, j] / math.sqrt(float(energy))
+        slope = epsdot_2d(dtn, eps[0], phi, a, spec)
         assert abs(slope - w[j]) < 1e-10 * max(1.0, abs(w[j]))

@@ -12,11 +12,18 @@ from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import ConfigError, EInfinitySignal
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
                                  criticality_residual, np_route, rayleigh,
-                                 residual_norm, solve_plasmonic)
+                                 solve_plasmonic)
 
 from oracle2d import ellipse_plasmonic_eigenvalues
 
 KITE = CurveParam.fourier(cos=[1.0, 0.25, 0.15], sin=[0.0, 0.0, 0.05])
+
+
+def bordered_residuals(dtn, eps, g):
+    """Reference residuals: weighted norms of (eps N- + N+) g, one per
+    column of g, with N- and N+ from the bordered LU."""
+    r = (dtn.nminus @ g) * eps + dtn.nplus @ g
+    return np.sqrt(dtn.sample.weights @ (r * r))
 
 
 def test_ellipse_matches_separation_of_variables():
@@ -38,11 +45,11 @@ def test_eigenvalues_are_scale_invariant():
     # the pencil on densities is scale-covariant (P removes the s log s
     # rank-one part of the scaled S), so it also takes scales at which the
     # bordered single-layer system is too ill-conditioned to factor; the
-    # flux test of the np route is a cosine, so it holds at any scale too
-    for solver, factors in ((solve_plasmonic, (2.0, 0.5, 1e-7, 1e8, 1e-9)),
-                            (np_route, (2.0, 0.5, 1e-7, 1e8))):
+    # np route normalizes on densities too, and its flux test is a cosine,
+    # so it holds at any scale as well
+    for solver in (solve_plasmonic, np_route):
         base = solver(build_dtn(sample_curve(KITE, 96)), num=12).eigenvalues
-        for factor in factors:
+        for factor in (2.0, 0.5, 1e-7, 1e8, 1e-9):
             scaled = solver(
                 build_dtn(sample_curve(KITE.scaled(factor), 96)),
                 num=12).eigenvalues
@@ -76,29 +83,55 @@ def test_spectrum_is_symmetric_under_inversion():
 
 def test_eigenpairs_are_normalized_with_small_residuals():
     dtn = build_dtn(sample_curve(KITE, 128))
-    spec = solve_plasmonic(dtn, num=10)
     w = dtn.sample.weights
-    assert np.max(spec.residuals) < 1e-10
-    for i, eps in enumerate(spec.eigenvalues):
-        g = spec.eigenfunctions[:, i]
-        energy = float(g @ (w * (dtn.nminus @ g)))
-        assert abs(energy - 1.0) < 1e-10
-        one = residual_norm(dtn, eps, g[:, None])
-        assert one.shape == (1,)
-        assert abs(one[0] - spec.residuals[i]) < 1e-14
-        assert abs(float(np.dot(g, w))) < 1e-9
+    for solver in (solve_plasmonic, np_route):
+        spec = solver(dtn, num=10)
+        assert np.max(spec.residuals) < 1e-10
+        for i, eps in enumerate(spec.eigenvalues):
+            g = spec.eigenfunctions[:, i]
+            energy = float(g @ (w * (dtn.nminus @ g)))
+            assert abs(energy - 1.0) < 1e-10
+            assert abs(float(np.dot(g, w))) < 1e-9
+            # np-route residuals (about 1e-15) lie below the bordered LU's
+            # own roundoff (about 1e-13); the scaled comparison of
+            # test_density_residuals_equal_the_dtn_residuals covers them
+            if solver is solve_plasmonic:
+                one = bordered_residuals(dtn, eps, g[:, None])
+                assert one.shape == (1,)
+                assert abs(one[0] - spec.residuals[i]) < 1e-14
+
+
+def test_densities_carry_the_eigenfunctions():
+    # on both routes the densities phi are weighted-mean-zero with
+    # g = P S phi and <g, (K* - 1/2) phi> = 1, and the bordered-LU map
+    # gives N- g = (K* - 1/2) phi on them
+    dtn = build_dtn(sample_curve(KITE, 128))
+    w = dtn.sample.weights
+    for solver in (solve_plasmonic, np_route):
+        spec = solver(dtn, num=40)
+        phi, g = spec.densities, spec.eigenfunctions
+        size = np.sqrt(w @ (phi * phi) * w.sum())
+        assert np.all(np.abs(w @ phi) <= 1e-12 * size)
+        sphi = dtn.single_layer @ phi
+        assert np.max(np.abs(g - (sphi - (w @ sphi) / w.sum()))) < 1e-14
+        dng = dtn.np_adjoint @ phi - 0.5 * phi
+        assert np.max(np.abs(w @ (g * dng) - 1.0)) < 1e-12
+        gap = np.sqrt(w @ (dtn.nminus @ g - dng) ** 2)
+        assert np.all(gap <= 1e-10 * np.maximum(1.0, np.sqrt(w @ dng ** 2)))
 
 
 def test_density_residuals_equal_the_dtn_residuals():
     # ((eps + 1) K* + (1 - eps)/2) phi, computed on the densities, is
     # (eps N- + N+) g for g = P S phi, with N- and N+ built from the
-    # bordered LU
+    # bordered LU, on both routes
     dtn = build_dtn(sample_curve(KITE, 128))
-    spec = solve_plasmonic(dtn, num=40)
-    g = spec.eigenfunctions
-    ref = residual_norm(dtn, spec.eigenvalues, g)
-    ng = np.sqrt(dtn.sample.weights @ (dtn.nminus @ g) ** 2)
-    assert np.all(np.abs(spec.residuals - ref) <= 1e-10 * np.maximum(1.0, ng))
+    for solver in (solve_plasmonic, np_route):
+        spec = solver(dtn, num=40)
+        g = spec.eigenfunctions
+        ref = bordered_residuals(dtn, spec.eigenvalues, g)
+        ng = np.sqrt(dtn.sample.weights @ (dtn.nminus @ g) ** 2)
+        assert np.all(np.abs(spec.residuals - ref)
+                      <= 1e-10 * np.maximum(1.0, ng))
 
 
 def test_householder_basis_is_mean_zero_and_m_orthonormal():
