@@ -6,12 +6,12 @@ Computes permittivities eps for which the transmission problem
     eps dn(u-) + dn(u+) = 0,       u bounded at infinity
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
-data. Two routes are provided: a generalized symmetric eigensolve of the
-DtN pencil on mean-zero densities and the classical Neumann-Poincare route
-through the eigenvalues of K*. Both find eigendensities phi from S and K*
-alone and share one normalization of phi and g = P S phi. Eigenvalues
-accumulate at 1 from both sides; the selected ones are the num farthest
-from 1, reported in ascending order.
+data. Two routes are provided: the DtN route (Arnoldi on K* at large N,
+else a symmetric eigensolve of the DtN pencil on mean-zero densities) and
+the classical Neumann-Poincare route through every eigenvalue of K*. All
+find eigendensities phi from S and K* alone and share one normalization of
+phi and g = P S phi. Eigenvalues accumulate at 1 from both sides; the
+selected ones are the num farthest from 1, reported in ascending order.
 """
 
 import numpy as np
@@ -23,6 +23,11 @@ _DENOM_TOL = 1e-12
 _CRIT_STEP = 1e-5
 _CRIT_DIRECTIONS = 20
 _CLUSTER_TAIL = 20
+_FLUX_COS = 1e-6
+_TIE = 1e3 * np.finfo(float).eps
+# Arnoldi beats the dense pencil from N = 8 (num + margin) on (measured)
+_ARNOLDI_MARGIN = 12
+_ARNOLDI_N_PER_PAIR = 8
 
 
 class PlasmonicSpectrum:
@@ -111,19 +116,80 @@ def _select_far_from_one(eps, num):
     return keep[np.argsort(eps[keep], kind="stable")]
 
 
-def solve_plasmonic(dtn, num=20):
-    """DtN-pencil route: a symmetric generalized eigensolve on densities.
+def _k_star_pairs(sample, lam, phi, num, operation):
+    """eps and densities of the num K* eigenpairs (lam, phi) farthest from 1.
 
-    A mean-zero density phi has the mean-zero datum g = P S phi, with
-    P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu for
-    the pencil A- = Q^T (PS)^T M (K* - 1/2) Q, A+ = -Q^T (PS)^T M (K* + 1/2) Q
-    on the M-orthonormal mean-zero basis Q of _mean_zero_reflector (O(N^2)),
+    A complex-conjugate pair (a double eigenvalue split by roundoff) gives
+    the real and imaginary parts of its vector. The one density with a flux
+    cosine above _FLUX_COS (eigenvalue 1/2, eps infinite) is dropped; every
+    other lam must satisfy |lam| < 1/2, i.e. eps > 0."""
+    if np.max(np.abs(lam.imag)) > 1e-8:
+        raise NumericalError("spectrum2d", operation,
+                             "K* spectrum must be real on smooth curves",
+                             "max imag %.3g" % float(np.max(np.abs(lam.imag))))
+    phi = np.where(lam.imag < 0.0, phi.imag, phi.real)
+    lam = lam.real
+    w = sample.weights
+    flux = np.abs(w @ phi) / (np.linalg.norm(w) * np.linalg.norm(phi, axis=0))
+    carrier = flux > _FLUX_COS
+    if np.count_nonzero(carrier) != 1:
+        raise NumericalError("spectrum2d", operation, "K* must have exactly "
+                             "one flux-carrying eigenvalue 1/2",
+                             "found %d" % np.count_nonzero(carrier))
+    lam, phi = lam[~carrier], phi[:, ~carrier]
+    if np.any(np.abs(1.0 - 2.0 * lam) < _DENOM_TOL):
+        raise DegeneracyError("spectrum2d", operation, "K* eigenvalue 1/2 "
+                              "of multiplicity > 1 maps to no finite eps")
+    if np.any(np.abs(lam) >= 0.5):
+        raise NumericalError("spectrum2d", operation, "|lam| < 1/2 (eps > 0)",
+                             "max |lam| %.17g" % np.max(np.abs(lam)))
+    eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
+    keep = _select_far_from_one(eps, num)
+    return eps[keep], phi[:, keep]
+
+
+def _selection_complete(lam, eps):
+    """Whether eps, selected from the largest-modulus K* eigenvalues lam, are
+    the farthest from 1 of the whole spectrum: an eigenvalue not in lam has
+    modulus m <= min |lam|, so |eps - 1| <= 4m / (1 - 2m), which must not
+    pass the smallest selected |eps - 1| by more than _TIE (1 + |eps - 1|)
+    (near-circle spectra tie at roundoff, lam about 1e-14)."""
+    m = np.min(np.abs(lam))
+    gap = np.min(np.abs(eps - 1.0))
+    return 4.0 * m / (1.0 - 2.0 * m) <= gap + _TIE * (1.0 + gap)
+
+
+def solve_plasmonic(dtn, num=20):
+    """DtN route: the num eigenvalues eps farthest from 1, from S and K*.
+
+    When N >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN), ARPACK's
+    implicitly restarted Arnoldi (one O(N^2) product with K* a step, a fixed
+    start vector for repeatable bits) finds the num + margin K* eigenvalues
+    lam of largest modulus, mapped as in np_route (|lam| < 1/2 for each kept
+    one); if _selection_complete fails, the dense pencil below solves.
+
+    The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
+    with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
+    for A- = Q^T (PS)^T M (K* - 1/2) Q, A+ = -Q^T (PS)^T M (K* + 1/2) Q on
+    the M-orthonormal mean-zero basis Q of _mean_zero_reflector (O(N^2)),
     congruent to the DtN pencil on mean-zero data, so A+ is positive
-    definite; the discrete Calderon identity S K* = K S makes both forms
-    symmetric. Only S and K* are used; nothing is factored.
-    """
+    definite and mu > 0; the discrete Calderon identity S K* = K S makes
+    both forms symmetric. Either way every eigenfunction must have positive
+    interior energy, and nothing is factored."""
     w = dtn.sample.weights
     _check_num(num, dtn.sample.n, "solve_plasmonic")
+    if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN):
+        from scipy.sparse.linalg import ArpackError, eigs
+        start = np.random.default_rng(0).standard_normal(dtn.sample.n)
+        try:
+            lam, phi = eigs(dtn.np_adjoint, k=num + _ARNOLDI_MARGIN,
+                            which="LM", tol=0, v0=start)
+        except ArpackError as exc:
+            raise NumericalError("spectrum2d", "solve_plasmonic", "Arnoldi "
+                                 "iteration on K* must converge", str(exc))
+        eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "solve_plasmonic")
+        if _selection_complete(lam, eps):
+            return _spectrum(dtn, eps, phi, "dtn")
     root, v = _mean_zero_reflector(w)
     form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
     pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
@@ -150,40 +216,14 @@ def solve_plasmonic(dtn, num=20):
 
 
 def np_route(dtn, num=20):
-    """Neumann-Poincare route: eps from the eigenvalues of K*.
-
-    The transmission pencil factors through K*: an eigenvalue lam of K* on
-    mean-zero densities gives eps = (1 + 2 lam) / (1 - 2 lam). The plane
-    spectrum of K* is symmetric about 0, so the resulting eps multiset
-    matches the pencil route. The K* eigendensities are mean-zero up to
-    the quadrature error of the Gauss integral w^T K* = w^T / 2 and are
-    normalized like the pencil route's, so nothing is factored here either.
-    """
-    sample = dtn.sample
-    _check_num(num, sample.n, "np_route")
+    """Neumann-Poincare route: eps = (1 + 2 lam) / (1 - 2 lam) from every
+    eigenvalue lam of K* (dense eig). The K* eigendensities are mean-zero up
+    to the quadrature error of the Gauss integral w^T K* = w^T / 2 and are
+    normalized like the DtN route's, so nothing is factored here either."""
+    _check_num(num, dtn.sample.n, "np_route")
     lam, phi = scipy.linalg.eig(dtn.np_adjoint)
-    if np.max(np.abs(lam.imag)) > 1e-8:
-        raise NumericalError("spectrum2d", "np_route",
-                             "K* spectrum must be real on smooth curves",
-                             "max imag %.3g" % float(np.max(np.abs(lam.imag))))
-    lam, phi = lam.real, phi.real
-    # discard the constant-density eigenvalue 1/2 (maps to eps infinite)
-    flux = np.abs(sample.weights @ phi) / (
-        np.linalg.norm(sample.weights) * np.linalg.norm(phi, axis=0))
-    keep_mask = ~((np.abs(lam - 0.5) < 1e-6) & (flux > 1e-6))
-    drop = np.count_nonzero(~keep_mask)
-    if drop != 1:
-        raise NumericalError("spectrum2d", "np_route",
-                             "K* must have exactly one flux-carrying "
-                             "eigenvalue 1/2", "found %d" % drop)
-    lam, phi = lam[keep_mask], phi[:, keep_mask]
-    if np.any(np.abs(1.0 - 2.0 * lam) < _DENOM_TOL):
-        raise DegeneracyError("spectrum2d", "np_route",
-                              "K* eigenvalue 1/2 of multiplicity > 1 maps to "
-                              "no finite eps", "")
-    eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
-    keep = _select_far_from_one(eps, num)
-    return _spectrum(dtn, eps[keep], phi[:, keep], "np")
+    eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
+    return _spectrum(dtn, eps, phi, "np")
 
 
 def _spectrum(dtn, eps, phi, route):

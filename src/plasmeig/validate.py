@@ -159,13 +159,13 @@ def check_clustering():
 
 
 def check_two_routes(n=128):
-    """Criterion 4: pencil route vs adjoint-double-layer route.
+    """Criterion 4: DtN route vs adjoint-double-layer route.
 
-    Both routes find eigendensities of K* from S and K* alone, where
-    eps N- + N+ acts as ((1 - eps)/2) I + (1 + eps) K*, and share one
-    normalization and residual; only the eigensolvers differ (pencil eigh,
-    dense eig). An algebraic identity, not an independent check: that is
-    ellipse_oracle and tests/oracle2d.py.
+    Both find eigendensities from S and K* alone and share one normalization
+    and residual; only the eigensolvers differ. At n = 128 both are dense
+    (pencil eigh, eig), so this checks an algebraic identity; only from
+    n = 8 (10 + 12) on, where the DtN route runs Arnoldi, does it cross-check
+    two eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)

@@ -11,6 +11,7 @@ from plasmeig.cli import canonical_json, main
 from plasmeig.curve2d import CurveParam
 
 from test_perturb import random_shape
+from test_spectrum2d import count_eigs
 from test_sphere3d import field_json
 
 KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
@@ -113,6 +114,33 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / name)]) == 0
     assert calls == []
+
+
+def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
+    # N >= 8 (num + 12) solves by Arnoldi on K* (one scipy eigs call per
+    # spectrum); below that the dense pencil, which calls eigs 0 times
+    calls = count_eigs(monkeypatch)
+    for n, expected in ((1024, 1), (128, 0)):
+        calls.clear()
+        cfg = write_config(tmp_path, "job_%d.json" % n,
+                           {"curve": KITE, "N": n, "num_eigs": 40})
+        assert main(["spectrum", "--config", cfg, "--out",
+                     str(tmp_path / str(n))]) == 0
+        assert len(calls) == expected
+    # the README 2D perturb job at N = 512 makes 7 spectrum solves (the base
+    # and two per step), all by Arnoldi; epsdot is the dense pencil's value
+    job = {"mode": "2d", "curve": ELLIPSE,
+           "a": {"cos": [0.0, 0.0, 1.0], "sin": []}, "N": 512,
+           "eps_index": 0, "h_list": [1e-2, 5e-3, 2.5e-3]}
+    cfg = write_config(tmp_path, "perturb.json", job)
+    calls.clear()
+    assert main(["perturb", "--config", cfg, "--out",
+                 str(tmp_path / "perturb")]) == 0
+    assert len(calls) == 7
+    record, _ = read_record(tmp_path / "perturb", "perturb")
+    assert record["flags"] == {"fd_slope_ok": True}
+    dense = -0.7179890884119251
+    assert abs(record["outputs"]["epsdot"] - dense) <= 1e-10 * abs(dense)
 
 
 def test_spectrum_routes_agree(tmp_path):

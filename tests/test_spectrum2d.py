@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 
+from plasmeig import spectrum2d
 from plasmeig.bem2d import build_dtn
 from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
-from plasmeig.errors import ConfigError, EInfinitySignal
+from plasmeig.errors import ConfigError, EInfinitySignal, NumericalError
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
+                                 _select_far_from_one, _selection_complete,
                                  criticality_residual, np_route, rayleigh,
                                  solve_plasmonic)
 
@@ -24,6 +27,19 @@ def bordered_residuals(dtn, eps, g):
     column of g, with N- and N+ from the bordered LU."""
     r = (dtn.nminus @ g) * eps + dtn.nplus @ g
     return np.sqrt(dtn.sample.weights @ (r * r))
+
+
+def count_eigs(monkeypatch):
+    """Count the Arnoldi solves: calls to scipy.sparse.linalg.eigs."""
+    calls = []
+    eigs = scipy.sparse.linalg.eigs
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigs(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    return calls
 
 
 def test_ellipse_matches_separation_of_variables():
@@ -214,3 +230,88 @@ def test_json_and_csv_artifacts():
     assert math.isclose(float(eps), spec.eigenvalues[0], rel_tol=0.0,
                         abs_tol=0.0)
     assert float(res) == spec.residuals[0]
+
+
+@pytest.mark.parametrize("aspect, n", [(10.0, 64), (20.0, 128)])
+def test_np_route_drops_a_flux_eigenvalue_off_one_half(aspect, n):
+    # the unresolved tips move the flux eigenvalue off 1/2 (by 2.6e-6 and
+    # 2.7e-6); the flux cosine still singles it out
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(aspect, 1.0), n))
+    dense = solve_plasmonic(dtn, num=20).eigenvalues
+    assert dense.shape == (20,)
+    assert np.all(np.abs(np_route(dtn, num=20).eigenvalues - dense)
+                  <= 1e-10 * np.abs(dense))
+
+
+def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
+    calls = count_eigs(monkeypatch)
+    dtn = build_dtn(sample_curve(KITE, 512))
+    spec = solve_plasmonic(dtn, num=40)
+    assert calls == [1]
+    ref = np_route(dtn, num=40).eigenvalues
+    assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-12 * np.abs(ref))
+    assert np.max(spec.residuals) < 1e-12
+    again = solve_plasmonic(dtn, num=40)
+    assert np.array_equal(again.eigenvalues, spec.eigenvalues)
+    assert np.array_equal(again.densities, spec.densities)
+
+
+@pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (1.2, 0.8, 10)])
+def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
+    calls = count_eigs(monkeypatch)
+    spec = solve_plasmonic(
+        build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
+    assert calls == [1]
+    exact = ellipse_plasmonic_eigenvalues(a, b, num=num)
+    assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
+
+
+def test_arnoldi_on_the_circle(monkeypatch):
+    # every eigenvalue of K* but 1/2 sits at roundoff, so the selection ties
+    calls = count_eigs(monkeypatch)
+    spec = solve_plasmonic(
+        build_dtn(sample_curve(CurveParam.circle(1.0), 1024)), num=20)
+    assert calls == [1]
+    assert np.max(np.abs(spec.eigenvalues - 1.0)) <= 1e-8
+
+
+def test_selection_guard_sees_a_cut_through_the_wanted_values():
+    # ellipse(20, 1): K* has 1/2 and the pairs +-q^k / 2, q = 19/21; with
+    # only num + 1 of them the selection misses values farther from 1 than
+    # its own, and the guard must say so; with the margin it holds
+    q, num = 19.0 / 21.0, 40
+    half = 0.5 * q ** np.arange(1, 200)
+    spectrum = np.concatenate([half, -half])
+    top = spectrum[np.argsort(-np.abs(spectrum), kind="stable")]
+    full = spectrum[_select_far_from_one(
+        (1 + 2 * spectrum) / (1 - 2 * spectrum), num)]
+    for k, complete in ((num, False), (num + 11, True)):
+        lam = top[:k]
+        eps = (1 + 2 * lam) / (1 - 2 * lam)
+        chosen = eps[_select_far_from_one(eps, num)]
+        assert _selection_complete(np.append(lam, 0.5), chosen) == complete
+        exact = (1 + 2 * full) / (1 - 2 * full)
+        assert np.array_equal(chosen, exact) is complete
+
+
+def test_failed_guard_falls_back_to_the_dense_pencil(monkeypatch):
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
+    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
+    dense = solve_plasmonic(dtn, num=20)
+    calls = count_eigs(monkeypatch)
+    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
+    monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", 1)
+    spec = solve_plasmonic(dtn, num=20)
+    assert calls == [1]
+    assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+
+
+def test_arnoldi_failure_is_a_numerical_error(monkeypatch):
+    def stalled(mat, k, **kwargs):
+        raise scipy.sparse.linalg.ArpackNoConvergence(
+            "no convergence", np.zeros(0), np.zeros((len(mat), 0)))
+
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+    dtn = build_dtn(sample_curve(KITE, 512))
+    with pytest.raises(NumericalError, match="Arnoldi"):
+        solve_plasmonic(dtn, num=20)
