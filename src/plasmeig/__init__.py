@@ -37,7 +37,7 @@ _EXPORTS = {
     "epsddot_flux_route": ".perturb",
     "epsdot_2d": ".perturb",
     "uniform_shape": ".perturb",
-    "shape_derivative_matrix": ".dtn_shape",
+    "shape_derivative": ".dtn_shape",
     "fd_operator_check": ".dtn_shape",
     "run_all": ".validate",
 }

@@ -20,10 +20,11 @@ negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
 On a weighted-mean-zero density phi they give N-+ g = (K* -+ 1/2) phi for
 g = P S phi, P = I - 1 w^T / sum(w), without B. A DtNPair assembles only S
-and K* and builds N- and N+ on first use, so work on densities (both
-spectrum routes, the plane eigenvalue derivative) factors nothing.
+and K*; its maps are applied, never stored, and the bordered system is
+factored on the first apply. Work on densities (both spectrum routes, the
+plane eigenvalue derivative) factors nothing.
 
-Operators are plain (N, N) arrays acting on node values; the quadrature
+S and K* are plain (N, N) arrays acting on node values; the quadrature
 weights of the discrete inner product <f, g> = sum f g w come only from the
 sample.
 """
@@ -43,12 +44,9 @@ _RCOND_FLOOR = 1e-12
 
 
 class DtNPair:
-    """S and K* on one curve sample, with N- and N+ built on first use.
-
-    All four are read-only (N, N) arrays. The first read of nminus or nplus
-    factors the bordered system once; both maps come from one product K* B,
-    which interior_data does without.
-    """
+    """S and K* on one curve sample, both read-only (N, N) arrays, with the
+    Dirichlet-to-Neumann maps N- and N+ applied through one bordered LU
+    factored on first use."""
 
     def __init__(self, sample, single_layer, np_adjoint):
         self.sample = sample
@@ -58,19 +56,21 @@ class DtNPair:
             arr.setflags(write=False)
 
     @functools.cached_property
-    def _maps(self):
+    def _lu(self):
         n = self.sample.n
         big = np.block([[self.single_layer, np.ones((n, 1))],
                         [self.sample.weights[None, :], np.zeros((1, 1))]])
-        lu = _checked_lu(big, "build_dtn",
-                         "bordered single-layer system must be invertible")
-        b = scipy.linalg.lu_solve(lu, np.eye(n + 1, n))[:n]
-        kb = self.np_adjoint @ b
-        b *= 0.5
-        maps = (kb - b, kb + b)
-        for arr in maps:
-            arr.setflags(write=False)
-        return maps
+        return _checked_lu(big, "build_dtn",
+                           "bordered single-layer system must be invertible")
+
+    def apply(self, g):
+        """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi) with phi = B g,
+        for one vector g or a block of columns, from one solve."""
+        rhs = np.concatenate([g, np.zeros((1,) + np.shape(g)[1:])])
+        phi = scipy.linalg.lu_solve(self._lu, rhs)[:-1]
+        kphi = self.np_adjoint @ phi
+        phi *= 0.5
+        return kphi - phi, kphi + phi
 
     def interior_data(self, phi):
         """g = P S phi and N- g = (K* - 1/2) phi for weighted-mean-zero
@@ -79,9 +79,6 @@ class DtNPair:
         g = self.single_layer @ phi
         g -= (w @ g) / w.sum()
         return g, self.np_adjoint @ phi - 0.5 * phi
-
-    nminus = property(lambda self: self._maps[0], doc="Interior DtN map N-.")
-    nplus = property(lambda self: self._maps[1], doc="Exterior DtN map N+.")
 
 
 def _log_quadrature_weights(n):
@@ -169,7 +166,7 @@ def _checked_lu(mat, operation, contract):
 
 
 def build_dtn(sample):
-    """Assemble S and K* for a curve sample; N- and N+ follow on first use."""
+    """Assemble S and K* for a curve sample; the first apply factors."""
     return DtNPair(sample, assemble_single_layer(sample),
                    assemble_np_adjoint(sample))
 
@@ -210,7 +207,7 @@ def compute_g0(dtn, y0=None):
     r2 = np.einsum("ij,ij->i", diff, diff)
     boundary_vals = 0.25 * np.log(r2) / math.pi
     dn_newton = np.einsum("ij,ij->i", sample.normals, diff) / (2.0 * math.pi * r2)
-    g0 = dn_newton - dtn.nplus @ boundary_vals
+    g0 = dn_newton - dtn.apply(boundary_vals)[1]
     flux = float(np.dot(g0, sample.weights))
     if abs(flux) < 1e-8:
         raise NumericalError("bem2d", "compute_g0",

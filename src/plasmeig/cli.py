@@ -178,6 +178,11 @@ def _perturb_sphere(config, seed):
     return record, []
 
 
+def _zero_deformation_flags(errors, floors):
+    """Flags of an FD job with no slope: every error at most its floor."""
+    return {"zero_deformation_ok": all(e <= f for e, f in zip(errors, floors))}
+
+
 def _perturb_2d(config, seed):
     from .curve2d import CurveParam
     from .validate import epsdot_fd_report
@@ -193,9 +198,8 @@ def _perturb_2d(config, seed):
     outputs = epsdot_fd_report(curve, a, _step_list(config, "cmd_perturb"),
                                n=n, num=num, index=index)
     if outputs["slope"] is None:
-        flags = {"zero_deformation_ok": all(
-            e <= f for e, f in zip(outputs["fd_errors"],
-                                   outputs["fd_floors"]))}
+        flags = _zero_deformation_flags(outputs["fd_errors"],
+                                        outputs["fd_floors"])
     else:
         flags = {"fd_slope_ok": abs(outputs["slope"] - 2.0) <= 0.2}
     record = ResultRecord("perturb", config, outputs, flags)
@@ -233,7 +237,8 @@ def cmd_dn_derivative(config, seed):
     h_list = _step_list(config, "cmd_dn_derivative")
     report = fd_operator_check(curve, a, n, h_list)[side]
     if None in report["slopes"].values():
-        flags = {"zero_deformation_ok": max(report["max_errors"]) <= 1e-12}
+        flags = _zero_deformation_flags(report["max_errors"],
+                                        report["fd_floors"])
     else:
         flags = {"one_sided_slope_ok": report["slopes"]["one_sided"] >= 0.8,
                  "central_slope_ok": report["slopes"]["central"] >= 1.8}

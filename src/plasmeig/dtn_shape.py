@@ -14,9 +14,10 @@ distinguishes it from a generic second-order operator, is checked in the
 test suite.
 
 Transplantation uses exact image nodes: the perturbed curve is sampled at
-the images x(t) + h a(t) n(t) of the base nodes, so the resulting matrix
-acts directly on base node values and operator differences make sense
-entrywise.
+the images x(t) + h a(t) n(t) of the base nodes, so its DtN maps act
+directly on base node values and operator differences make sense
+entrywise. Every operator is applied to the band basis only, never formed
+as an (N, N) matrix.
 """
 
 import math
@@ -28,11 +29,14 @@ from .bem2d import build_dtn
 from .curve2d import perturbed_sample, sample_curve, spectral_diff_matrix
 from .errors import ConfigError
 
+# FD roundoff floor in units of u max(1, ||N||_band) / h (u machine epsilon)
+_FD_FLOOR = 1e4
+
 
 def band_domain(weights, t, max_degree):
     """sqrt(weights) and a basis, orthonormal in <f, g> = sum f g weights,
     of the trigonometric polynomials of degree at most max_degree on the
-    nodes t: the (root, domain) pair that banded_opnorm takes.
+    nodes t: banded_opnorm takes root and a map applied to domain.
 
     Unresolved frequencies near the grid Nyquist carry discretization
     aliasing of size O(n^2) that has nothing to do with the operators being
@@ -51,30 +55,27 @@ def band_domain(weights, t, max_degree):
     return root, scipy.linalg.solve_triangular(r, basis.T, trans="T").T
 
 
-def banded_opnorm(mat, band):
-    """Weighted operator norm of mat restricted to the inputs spanned by
-    band = band_domain(weights, t, max_degree)."""
-    root, domain = band
-    return float(scipy.linalg.svdvals(root[:, None] * (mat @ domain))[0])
+def banded_opnorm(applied, root):
+    """Weighted operator norm of a map restricted to the inputs spanned by
+    the domain of band_domain(weights, t, max_degree) = (root, domain),
+    from the block applied = map @ domain."""
+    return float(scipy.linalg.svdvals(root[:, None] * applied)[0])
 
 
-# the DtN pair attribute that holds each side's operator
-_SIDES = {"interior": "nminus", "exterior": "nplus"}
-
-
-def shape_derivative_matrix(dtn, a, side="interior"):
-    """Matrix of the shape derivative on node values."""
-    if side not in _SIDES:
-        raise ConfigError("dtn_shape", "shape_derivative_matrix",
-                          "side must be 'interior' or 'exterior'",
-                          "side=%r" % (side,))
+def shape_derivative(dtn, a, x):
+    """(dN- x, dN+ x): the shape derivative of each DtN map applied to the
+    columns of the (N, k) block x, with one apply for N x and one for
+    N (a N x) on both sides."""
     sample = dtn.sample
-    nmat = getattr(dtn, _SIDES[side])
-    a_vals = a.value(sample.t)
+    a_vals = a.value(sample.t)[:, None]
     tmat = spectral_diff_matrix(sample.n) / sample.speed[:, None]
-    an = a_vals[:, None] * nmat
-    return (-tmat @ (a_vals[:, None] * tmat)
-            + sample.curvature[:, None] * an - nmat @ an)
+    local = -tmat @ (a_vals * (tmat @ x))
+    an = [a_vals * side for side in dtn.apply(x)]
+    minus, plus = dtn.apply(np.hstack(an))
+    k = an[0].shape[1]
+    kappa = sample.curvature[:, None]
+    return (local + kappa * an[0] - minus[:, :k],
+            local + kappa * an[1] - plus[:, k:])
 
 
 def loglog_slope(h_list, errors, floors):
@@ -88,28 +89,17 @@ def loglog_slope(h_list, errors, floors):
     return float(np.polyfit(np.log(h_list)[keep], np.log(errors)[keep], 1)[0])
 
 
-def _step_errors(dtn, plus, minus, h, dmats, band):
-    """One-sided and central errors of the step h, per side, from the base
-    pair and the pairs shifted by +h and -h."""
-    errors = {}
-    for side, attr in _SIDES.items():
-        n0, up, down = (getattr(pair, attr) for pair in (dtn, plus, minus))
-        errors[side] = (
-            banded_opnorm((up - n0) / h - dmats[side], band),
-            banded_opnorm((up - down) / (2.0 * h) - dmats[side], band))
-    return errors
-
-
 def fd_operator_check(curve, a, n, h_list):
     """Finite-difference consistency of the shape derivative in operator
     norm over trigonometric inputs of degree at most n // 4, for the
     interior and the exterior operator.
 
-    Each shifted curve perturbed_sample(curve, a, +-h, n) is assembled once,
-    its DtN pair serves both sides, and the pairs of one step are released
-    before the next step is built. Returns {"interior": report,
-    "exterior": report}, each with one-sided and central errors per step and
-    the fitted log-log slopes (expected near 1 and 2).
+    Each shifted curve perturbed_sample(curve, a, +-h, n) is assembled and
+    applied to the band basis once for both sides, one step at a time.
+    Returns {"interior": report, "exterior": report}, each with one-sided
+    and central errors and the roundoff floor _FD_FLOOR u max(1,
+    ||N||_band) / h per step, and the log-log slopes (expected near 1 and
+    2) of the errors above their floors.
     """
     if len(h_list) < 2:
         raise ConfigError("dtn_shape", "fd_operator_check",
@@ -117,24 +107,30 @@ def fd_operator_check(curve, a, n, h_list):
                           "h_list=%r" % (h_list,))
     max_degree = n // 4
     dtn = build_dtn(sample_curve(curve, n))
-    band = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
-    dmats = {side: shape_derivative_matrix(dtn, a, side) for side in _SIDES}
-    steps = [_step_errors(dtn, build_dtn(perturbed_sample(curve, a, h, n)),
-                          build_dtn(perturbed_sample(curve, a, -h, n)),
-                          h, dmats, band)
-             for h in h_list]
+    root, domain = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
+    base = dtn.apply(domain)
+    derivs = shape_derivative(dtn, a, domain)
+    errors = []
+    for h in h_list:
+        up = build_dtn(perturbed_sample(curve, a, h, n)).apply(domain)
+        down = build_dtn(perturbed_sample(curve, a, -h, n)).apply(domain)
+        errors.append([
+            (banded_opnorm((nu - n0) / h - d, root),
+             banded_opnorm((nu - nd) / (2.0 * h) - d, root))
+            for n0, nu, nd, d in zip(base, up, down, derivs)])
     reports = {}
-    for side in _SIDES:
-        one_sided = [step[side][0] for step in steps]
-        central = [step[side][1] for step in steps]
+    for i, side in enumerate(("interior", "exterior")):
+        one_sided, central = np.array(errors)[:, i].T
+        unit = np.finfo(float).eps * max(1.0, banded_opnorm(base[i], root))
+        floors = [_FD_FLOOR * unit / h for h in h_list]
         reports[side] = {
             "curve": curve.to_config(), "a": a.to_config(),
             "n": n, "side": side, "band": max_degree,
             "h_list": [float(h) for h in h_list],
-            "one_sided_errors": [float(e) for e in one_sided],
-            "central_errors": [float(e) for e in central],
-            "max_errors": [float(max(o, c))
-                           for o, c in zip(one_sided, central)],
-            "slopes": {"one_sided": loglog_slope(h_list, one_sided, 1e-13),
-                       "central": loglog_slope(h_list, central, 1e-13)}}
+            "one_sided_errors": one_sided.tolist(),
+            "central_errors": central.tolist(),
+            "max_errors": np.maximum(one_sided, central).tolist(),
+            "fd_floors": floors,
+            "slopes": {"one_sided": loglog_slope(h_list, one_sided, floors),
+                       "central": loglog_slope(h_list, central, floors)}}
     return reports

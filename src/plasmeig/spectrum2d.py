@@ -244,41 +244,44 @@ def _spectrum(dtn, eps, phi, route):
 
 
 def rayleigh(dtn, g):
-    """Rayleigh quotient -<g, N+ g> / <g, N- g> on mean-zero data.
+    """Rayleigh quotient -<g, N+ g> / <g, N- g> on mean-zero data g, or
+    one per column of g, from one apply.
 
     Stationary points are the plasmonic eigenvalues. A vanishing interior
-    energy <g, N- g> means g is constant, where the quotient degenerates.
+    energy <g, N- g> means g is constant, where the quotient degenerates;
+    it is refused when small against <g, g> / |curve length|, a scale no
+    rescaling of g or the curve moves.
     """
     w = dtn.sample.weights
     g = np.asarray(g, dtype=float)
-    denom = float(g @ (w * (dtn.nminus @ g)))
-    numer = -float(g @ (w * (dtn.nplus @ g)))
-    scale = float(g @ (w * g))
-    if abs(denom) <= _DENOM_TOL * max(scale, 1.0):
+    nminus, nplus = dtn.apply(g)
+    wg = (w * g.T).T
+    denom = np.sum(wg * nminus, axis=0)
+    if np.any(np.abs(denom) * w.sum()
+              <= _DENOM_TOL * np.sum(wg * g, axis=0)):
         raise EInfinitySignal("spectrum2d", "rayleigh",
                               "quotient undefined on (near-)constant data "
                               "with zero interior energy",
-                              "<g,N-g>=%.3g" % denom)
-    return numer / denom
+                              "<g,N-g>=%.3g" % np.min(np.abs(denom)))
+    quotients = -np.sum(wg * nplus, axis=0) / denom
+    return float(quotients) if g.ndim == 1 else quotients
 
 
 def criticality_residual(dtn, g, seed=0):
     """Max first-order variation of the Rayleigh quotient at g.
 
     Probes _CRIT_DIRECTIONS random weighted-mean-zero directions with
-    central differences of step _CRIT_STEP; near zero at eigenfunctions
-    since they are critical points.
+    central differences of step _CRIT_STEP, all 2 _CRIT_DIRECTIONS
+    quotients from one apply; near zero at eigenfunctions since they are
+    critical points.
     """
-    rng = np.random.default_rng(seed)
     w = dtn.sample.weights
     base = np.asarray(g, dtype=float)
     scale = np.sqrt(float(base @ (w * base)))
-    worst = 0.0
-    for _ in range(_CRIT_DIRECTIONS):
-        v = rng.standard_normal(len(base))
-        v -= (w @ v) / w.sum()
-        v *= scale / np.sqrt(float(v @ (w * v)))
-        plus = rayleigh(dtn, base + _CRIT_STEP * v)
-        minus = rayleigh(dtn, base - _CRIT_STEP * v)
-        worst = max(worst, abs(plus - minus) / (2.0 * _CRIT_STEP))
-    return worst
+    v = np.random.default_rng(seed).standard_normal(
+        (_CRIT_DIRECTIONS, len(base))).T
+    v -= (w @ v) / w.sum()
+    v *= scale / np.sqrt(w @ (v * v))
+    probes = base[:, None] + _CRIT_STEP * np.hstack([v, -v])
+    plus, minus = np.split(rayleigh(dtn, probes), 2)
+    return float(np.max(np.abs(plus - minus))) / (2.0 * _CRIT_STEP)

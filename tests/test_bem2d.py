@@ -48,8 +48,8 @@ def test_unit_capacity_singular_single_layer_still_builds_dtn():
     sop = assemble_single_layer(sample)
     assert scipy.linalg.svdvals(sop)[-1] < 1e-6
     dtn = build_dtn(sample)
-    assert np.all(np.isfinite(dtn.nminus))
-    assert np.all(np.isfinite(dtn.nplus))
+    for applied in dtn.apply(np.eye(64)):
+        assert np.all(np.isfinite(applied))
 
 
 def test_np_adjoint_circle_action():
@@ -77,7 +77,7 @@ def test_dtn_reproduces_interior_harmonic():
     x, y = dtn.sample.nodes[:, 0], dtn.sample.nodes[:, 1]
     nx, ny = dtn.sample.normals[:, 0], dtn.sample.normals[:, 1]
     g = x * x - y * y
-    assert np.max(np.abs(dtn.nminus @ g - 2.0 * (x * nx - y * ny))) < 1e-10
+    assert np.max(np.abs(dtn.apply(g)[0] - 2.0 * (x * nx - y * ny))) < 1e-10
 
 
 def test_dtn_reproduces_decaying_exterior_harmonic():
@@ -89,7 +89,7 @@ def test_dtn_reproduces_decaying_exterior_harmonic():
     g = x / r2
     dn = ((y * y - x * x) * s.normals[:, 0]
           - 2.0 * x * y * s.normals[:, 1]) / r2 ** 2
-    assert np.max(np.abs(dtn.nplus @ g - dn)) < 1e-11
+    assert np.max(np.abs(dtn.apply(g)[1] - dn)) < 1e-11
 
 
 def test_dtn_circle_multipliers_through_rescale():
@@ -101,30 +101,36 @@ def test_dtn_circle_multipliers_through_rescale():
         t = dtn.sample.t
         for l in (1, 3, 6):
             g = np.cos(l * t)
-            assert np.max(np.abs(dtn.nminus @ g - (l / radius) * g)) < 1e-10
-            assert np.max(np.abs(dtn.nplus @ g + (l / radius) * g)) < 1e-10
+            nminus_g, nplus_g = dtn.apply(g)
+            assert np.max(np.abs(nminus_g - (l / radius) * g)) < 1e-10
+            assert np.max(np.abs(nplus_g + (l / radius) * g)) < 1e-10
 
 
 def test_dtn_annihilates_constants():
     dtn = build_dtn(sample_curve(KITE, 96))
-    ones = np.ones(96)
-    assert np.max(np.abs(dtn.nminus @ ones)) < 1e-10
-    assert np.max(np.abs(dtn.nplus @ ones)) < 1e-10
+    for applied in dtn.apply(np.ones(96)):
+        assert np.max(np.abs(applied)) < 1e-10
 
 
 def test_boundary_operator_validation():
-    # the four operators of a DtN pair are read-only (N, N) arrays on the
-    # nodes of one sample, whose weights are read-only too; N- and N+ are
-    # built on first use and are read-only as well
+    # S and K* of a DtN pair are read-only (N, N) arrays on the nodes of
+    # one sample, whose weights are read-only too; N- and N+ are only
+    # applied, to one vector or to the columns of a block, and are weighted
+    # self-adjoint
     dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 32))
-    for op in (dtn.nminus, dtn.nplus, dtn.single_layer, dtn.np_adjoint):
+    for op in (dtn.single_layer, dtn.np_adjoint):
         assert op.shape == (32, 32)
         assert not op.flags.writeable
         with pytest.raises(ValueError):
             op[0, 0] = 1.0
     assert not dtn.sample.weights.flags.writeable
-    assert weighted_symmetry_residual(dtn.nminus, dtn.sample.weights) < 1e-12
-    assert weighted_symmetry_residual(dtn.nplus, dtn.sample.weights) < 1e-12
+    g = np.cos(dtn.sample.t)
+    nminus, nplus = dtn.apply(np.eye(32))
+    for one, col in zip(dtn.apply(g), (nminus @ g, nplus @ g)):
+        assert one.shape == (32,)
+        assert np.max(np.abs(one - col)) < 1e-12
+    assert weighted_symmetry_residual(nminus, dtn.sample.weights) < 1e-12
+    assert weighted_symmetry_residual(nplus, dtn.sample.weights) < 1e-12
 
 
 def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
@@ -138,8 +144,8 @@ def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
     dtn = build_dtn(sample_curve(KITE, 64))
     assert calls == []
-    first = (dtn.nminus, dtn.nplus)
-    assert dtn.nminus is first[0] and dtn.nplus is first[1]
+    dtn.apply(np.cos(dtn.sample.t))
+    dtn.apply(np.eye(64))
     assert len(calls) == 1
 
 

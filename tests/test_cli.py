@@ -286,6 +286,41 @@ def test_dn_derivative_zero_deformation(tmp_path):
     assert record["flags"] == {"zero_deformation_ok": True}
 
 
+def test_dn_derivative_roundoff_has_no_slope(tmp_path):
+    # a tiny shape leaves every error at roundoff growing like 1/h, below
+    # the floors 1e4 u max(1, ||N||_band) / h written with the report
+    cfg = write_config(tmp_path, "job.json",
+                       {"curve": ELLIPSE, "a": {"cos": [0.0, 1e-9]},
+                        "N": 128, "h_list": [1e-2, 5e-3, 2.5e-3]})
+    out = tmp_path / "out"
+    assert main(["dn-derivative", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "dn_derivative")
+    report = record["outputs"]["report"]
+    assert report["slopes"] == {"one_sided": None, "central": None}
+    assert len(report["fd_floors"]) == 3
+    assert record["flags"] == {"zero_deformation_ok": True}
+
+
+@pytest.mark.parametrize("side, slopes", [
+    ("interior", (1.0051556843485525, 2.000244011339093)),
+    ("exterior", (1.0051557362073358, 2.0002438585964697))])
+def test_dn_derivative_readme_job_keeps_its_slopes(tmp_path, side, slopes):
+    # the README job: both slopes as fitted before the floors scaled with
+    # the operator norm, since every error stays far above its floor
+    cfg = write_config(tmp_path, "job.json",
+                       {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                        "N": 128, "side": side,
+                        "h_list": [1e-2, 5e-3, 2.5e-3]})
+    out = tmp_path / "out"
+    assert main(["dn-derivative", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "dn_derivative")
+    assert record["flags"] == {"one_sided_slope_ok": True,
+                               "central_slope_ok": True}
+    got = record["outputs"]["report"]["slopes"]
+    assert abs(got["one_sided"] - slopes[0]) < 1e-8
+    assert abs(got["central"] - slopes[1]) < 1e-8
+
+
 def test_validate_subset_passes_and_writes_csv(tmp_path):
     cfg = write_config(tmp_path, "job.json",
                        {"checks": ["ball_spectrum", "first_order_sphere"]})

@@ -9,10 +9,11 @@ import scipy.linalg
 from plasmeig import dtn_shape, validate
 from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
-                              sample_curve, tangential_derivative)
+                              sample_curve, spectral_diff_matrix,
+                              tangential_derivative)
 from plasmeig.dtn_shape import (band_domain, banded_opnorm,
                                 fd_operator_check, loglog_slope,
-                                shape_derivative_matrix)
+                                shape_derivative)
 from plasmeig.errors import ConfigError
 
 ELLIPSE = CurveParam.ellipse(2.0, 1.0)
@@ -26,42 +27,48 @@ def weighted_symmetry_residual(mat, weights):
 
 
 def test_circle_multiplier_oracle():
-    # uniform unit shift of a circle of radius R: N(h) has multipliers
-    # l / (R + h), so dN/dh acts as -l / R^2 on each mode
+    # uniform unit shift of a circle of radius R: N-(h) has multipliers
+    # l / (R + h) and N+(h) their negatives, so dN-/dh acts as -l / R^2 on
+    # each mode and dN+/dh as +l / R^2
     dtn = build_dtn(sample_curve(CurveParam.circle(2.0), 128))
     t = dtn.sample.t
-    a = ShapeFn2D.constant(1.0)
-    dmat = shape_derivative_matrix(dtn, a)
-    for l in (1, 2, 3, 5, 8):
-        g = np.cos(l * t)
-        out = dmat @ g
-        assert np.max(np.abs(out + (l / 4.0) * g)) < 1e-10
-        g = np.sin(l * t)
-        out = dmat @ g
-        assert np.max(np.abs(out + (l / 4.0) * g)) < 1e-10
+    ls = np.array([1, 2, 3, 5, 8])
+    block = np.hstack([np.cos(np.outer(t, ls)), np.sin(np.outer(t, ls))])
+    mult = np.concatenate([ls, ls]) / 4.0
+    dminus, dplus = shape_derivative(dtn, ShapeFn2D.constant(1.0), block)
+    assert np.max(np.abs(dminus + mult * block)) < 1e-10
+    assert np.max(np.abs(dplus - mult * block)) < 1e-10
 
 
 def test_matrix_agrees_with_apply():
-    # the formula applied right to left on one vector, each derivative
-    # taken of node values, against the composed matrix
+    # the formula composed as a matrix from the maps applied to the
+    # identity, against shape_derivative applied to a block, per side
     dtn = build_dtn(sample_curve(ELLIPSE, 96))
-    mat = shape_derivative_matrix(dtn, A_COS)
     rng = np.random.default_rng(0)
-    g = rng.standard_normal(96)
+    block = rng.standard_normal((96, 3))
     sample = dtn.sample
     a_vals = A_COS.value(sample.t)
-    ng = dtn.nminus @ g
-    want = (-tangential_derivative(sample, a_vals
-                                   * tangential_derivative(sample, g))
-            + sample.curvature * a_vals * ng - dtn.nminus @ (a_vals * ng))
-    assert np.max(np.abs(mat @ g - want)) < 1e-10
+    tmat = spectral_diff_matrix(96) / sample.speed[:, None]
+    got = shape_derivative(dtn, A_COS, block)
+    for nmat, out in zip(dtn.apply(np.eye(96)), got):
+        an = a_vals[:, None] * nmat
+        mat = (-tmat @ (a_vals[:, None] * tmat)
+               + sample.curvature[:, None] * an - nmat @ an)
+        assert np.max(np.abs(mat @ block - out)) < 1e-10
+    for i, g in enumerate(block.T):
+        ng = dtn.apply(g)[0]
+        want = (-tangential_derivative(sample, a_vals
+                                       * tangential_derivative(sample, g))
+                + sample.curvature * a_vals * ng
+                - dtn.apply(a_vals * ng)[0])
+        assert np.max(np.abs(got[0][:, i] - want)) < 1e-10
 
 
 def test_zero_shape_gives_zero_derivative():
     dtn = build_dtn(sample_curve(ELLIPSE, 64))
     g = np.cos(dtn.sample.t)
-    out = shape_derivative_matrix(dtn, ShapeFn2D()) @ g
-    assert np.max(np.abs(out)) < 1e-12
+    for out in shape_derivative(dtn, ShapeFn2D(), g[:, None]):
+        assert np.max(np.abs(out)) < 1e-12
     reports = fd_operator_check(ELLIPSE, ShapeFn2D(), 64, [1e-2, 5e-3])
     for report in reports.values():
         assert report["slopes"]["one_sided"] is None
@@ -70,15 +77,16 @@ def test_zero_shape_gives_zero_derivative():
 
 
 def transplanted(curve, a, h, n):
-    # interior DtN matrix of the curve shifted by h*a along its normal,
-    # assembled on the exact images of the n base nodes
-    return build_dtn(perturbed_sample(curve, a, h, n)).nminus
+    # interior DtN map of the curve shifted by h*a along its normal,
+    # assembled on the exact images of the n base nodes, applied to the
+    # identity
+    return build_dtn(perturbed_sample(curve, a, h, n)).apply(np.eye(n))[0]
 
 
 def test_transplanted_operator_at_zero_is_the_base_operator():
     base = build_dtn(sample_curve(ELLIPSE, 96))
     tp = transplanted(ELLIPSE, A_COS, 0.0, 96)
-    assert np.max(np.abs(tp - base.nminus)) < 1e-10
+    assert np.max(np.abs(tp - base.apply(np.eye(96))[0])) < 1e-10
 
 
 def test_transplanted_circle_multipliers():
@@ -115,11 +123,12 @@ def test_fd_report_schema():
     report = fd_operator_check(ELLIPSE, A_COS, 64, [1e-2, 5e-3])["interior"]
     assert set(report) == {"curve", "a", "n", "side", "band", "h_list",
                            "one_sided_errors", "central_errors",
-                           "max_errors", "slopes"}
+                           "max_errors", "fd_floors", "slopes"}
     assert report["curve"] == ELLIPSE.to_config()
     assert report["a"] == A_COS.to_config()
     assert report["band"] == 16
     assert len(report["one_sided_errors"]) == 2
+    assert len(report["fd_floors"]) == 2
     assert set(report["slopes"]) == {"one_sided", "central"}
 
 
@@ -144,22 +153,47 @@ def test_each_shifted_curve_is_assembled_once(monkeypatch):
     assert len(calls) == 8
 
 
+def test_fd_check_solves_only_the_band_basis(monkeypatch):
+    # every pair is factored once and applied to the band basis (N/2 + 1
+    # columns) only: the base pair to it twice and to the derivative's
+    # inner block of twice as many columns, each shifted pair to it once;
+    # forming the full maps would solve N columns on each of the
+    # 1 + 2 len(h_list) pairs
+    factored, columns = [], []
+    lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+
+    def counting_factor(*args, **kwargs):
+        factored.append(1)
+        return lu_factor(*args, **kwargs)
+
+    def counting_solve(lu, b, *args, **kwargs):
+        columns.append(1 if b.ndim == 1 else b.shape[1])
+        return lu_solve(lu, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_factor)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", counting_solve)
+    fd_operator_check(ELLIPSE, A_COS, 128, [1e-2, 5e-3, 2.5e-3])
+    assert len(factored) == 7
+    assert sum(columns) < 7 * 128
+
+
 def test_circle_derivative_matches_multiplier_rule_in_norm():
-    # on a circle of radius R with unit shift, dN/dh = -N / R
+    # on a circle of radius R with unit shift, dN/dh = -N / R on both sides
     dtn = build_dtn(sample_curve(CurveParam.circle(2.0), 128))
-    dmat = shape_derivative_matrix(dtn, ShapeFn2D.constant(1.0))
-    resid = dmat + dtn.nminus / 2.0
-    band = band_domain(dtn.sample.weights, dtn.sample.t, 32)
-    assert banded_opnorm(resid, band) < 1e-8
+    root, domain = band_domain(dtn.sample.weights, dtn.sample.t, 32)
+    derivs = shape_derivative(dtn, ShapeFn2D.constant(1.0), domain)
+    for deriv, applied in zip(derivs, dtn.apply(domain)):
+        assert banded_opnorm(deriv + applied / 2.0, root) < 1e-8
 
 
 def _growth_slope(dtn, a, l_list=(4, 8, 16, 32)):
     # log-log slope against l of the weighted norm of the derivative applied
     # to cos(l t) and sin(l t)
-    dmat = shape_derivative_matrix(dtn, a)
     t, w = dtn.sample.t, dtn.sample.weights
-    norms = [max(math.sqrt(float(np.dot((dmat @ g) ** 2, w)))
-                 for g in (np.cos(l * t), np.sin(l * t))) for l in l_list]
+    norms = [max(math.sqrt(float(np.dot(dg ** 2, w))) for dg in
+                 shape_derivative(dtn, a, np.column_stack(
+                     [np.cos(l * t), np.sin(l * t)]))[0].T)
+             for l in l_list]
     return float(np.polyfit(np.log(l_list), np.log(norms), 1)[0])
 
 
@@ -182,13 +216,8 @@ def test_opnorm_helpers():
     full = scipy.linalg.svdvals(mat * (root[:, None] / root[None, :]))[0]
     assert abs(full - 3.0) < 1e-12
     t = 2.0 * np.pi * np.arange(8) / 8
-    assert banded_opnorm(mat, band_domain(w, t, 2)) <= full + 1e-12
-
-
-def test_side_validation():
-    dtn = build_dtn(sample_curve(ELLIPSE, 64))
-    with pytest.raises(ConfigError):
-        shape_derivative_matrix(dtn, A_COS, side="both")
+    root, domain = band_domain(w, t, 2)
+    assert banded_opnorm(mat @ domain, root) <= full + 1e-12
 
 
 def test_loglog_slope_drops_steps_at_their_floor():

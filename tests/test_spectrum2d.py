@@ -24,8 +24,9 @@ KITE = CurveParam.fourier(cos=[1.0, 0.25, 0.15], sin=[0.0, 0.0, 0.05])
 
 def bordered_residuals(dtn, eps, g):
     """Reference residuals: weighted norms of (eps N- + N+) g, one per
-    column of g, with N- and N+ from the bordered LU."""
-    r = (dtn.nminus @ g) * eps + dtn.nplus @ g
+    column of g, with N- and N+ applied through the bordered LU."""
+    nminus_g, nplus_g = dtn.apply(g)
+    r = nminus_g * eps + nplus_g
     return np.sqrt(dtn.sample.weights @ (r * r))
 
 
@@ -105,7 +106,7 @@ def test_eigenpairs_are_normalized_with_small_residuals():
         assert np.max(spec.residuals) < 1e-10
         for i, eps in enumerate(spec.eigenvalues):
             g = spec.eigenfunctions[:, i]
-            energy = float(g @ (w * (dtn.nminus @ g)))
+            energy = float(g @ (w * dtn.apply(g)[0]))
             assert abs(energy - 1.0) < 1e-10
             assert abs(float(np.dot(g, w))) < 1e-9
             # np-route residuals (about 1e-15) lie below the bordered LU's
@@ -119,8 +120,8 @@ def test_eigenpairs_are_normalized_with_small_residuals():
 
 def test_densities_carry_the_eigenfunctions():
     # on both routes the densities phi are weighted-mean-zero with
-    # g = P S phi and <g, (K* - 1/2) phi> = 1, and the bordered-LU map
-    # gives N- g = (K* - 1/2) phi on them
+    # g = P S phi and <g, (K* - 1/2) phi> = 1, and N- applied through the
+    # bordered LU gives N- g = (K* - 1/2) phi on them
     dtn = build_dtn(sample_curve(KITE, 128))
     w = dtn.sample.weights
     for solver in (solve_plasmonic, np_route):
@@ -132,20 +133,20 @@ def test_densities_carry_the_eigenfunctions():
         assert np.max(np.abs(g - (sphi - (w @ sphi) / w.sum()))) < 1e-14
         dng = dtn.np_adjoint @ phi - 0.5 * phi
         assert np.max(np.abs(w @ (g * dng) - 1.0)) < 1e-12
-        gap = np.sqrt(w @ (dtn.nminus @ g - dng) ** 2)
+        gap = np.sqrt(w @ (dtn.apply(g)[0] - dng) ** 2)
         assert np.all(gap <= 1e-10 * np.maximum(1.0, np.sqrt(w @ dng ** 2)))
 
 
 def test_density_residuals_equal_the_dtn_residuals():
     # ((eps + 1) K* + (1 - eps)/2) phi, computed on the densities, is
-    # (eps N- + N+) g for g = P S phi, with N- and N+ built from the
+    # (eps N- + N+) g for g = P S phi, with N- and N+ applied through the
     # bordered LU, on both routes
     dtn = build_dtn(sample_curve(KITE, 128))
     for solver in (solve_plasmonic, np_route):
         spec = solver(dtn, num=40)
         g = spec.eigenfunctions
         ref = bordered_residuals(dtn, spec.eigenvalues, g)
-        ng = np.sqrt(dtn.sample.weights @ (dtn.nminus @ g) ** 2)
+        ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
         assert np.all(np.abs(spec.residuals - ref)
                       <= 1e-10 * np.maximum(1.0, ng))
 
@@ -177,6 +178,52 @@ def test_rayleigh_recovers_eigenvalues_and_rejects_constants():
         assert abs(rayleigh(dtn, spec.eigenfunctions[:, i]) - eps) < 1e-10
     with pytest.raises(EInfinitySignal):
         rayleigh(dtn, np.ones(dtn.sample.n))
+
+
+def test_rayleigh_is_scale_free():
+    # the constant test compares <g, N- g> |curve length| with <g, g>, so
+    # neither a small eigenfunction nor a small curve trips it, and
+    # constants are refused at every scale
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 128))
+    spec = solve_plasmonic(dtn, num=4)
+    g = spec.eigenfunctions[:, 0]
+    for s in (1e3, 1.0, 1e-7):
+        assert abs(rayleigh(dtn, s * g) - spec.eigenvalues[0]) < 1e-12
+    assert criticality_residual(dtn, 1e-6 * g) < 1e-6
+    for s in (1.0, 1e-6):
+        with pytest.raises(EInfinitySignal):
+            rayleigh(dtn, s * np.ones(128))
+    small = build_dtn(sample_curve(CurveParam.ellipse(2e-6, 1e-6), 128))
+    assert abs(rayleigh(small, 1e-7 * g) - spec.eigenvalues[0]) < 1e-12
+    with pytest.raises(EInfinitySignal):
+        rayleigh(small, np.ones(128))
+
+
+def test_criticality_matches_a_rayleigh_loop():
+    # the batched probes are the same directions and quotients as one
+    # rayleigh call per probe, on smooth data that is not critical; the
+    # two agree to the roundoff of a central difference, a few
+    # u max(1, |q|) / step (measured up to 3.2 of these units)
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(5.0, 1.0), 96))
+    w, t = dtn.sample.weights, dtn.sample.t
+    c = np.random.default_rng(3).standard_normal((2, 3))
+    g = sum(c[0, l] * np.cos((l + 1) * t) + c[1, l] * np.sin((l + 1) * t)
+            for l in range(3))
+    g -= (w @ g) / w.sum()
+    scale = np.sqrt(g @ (w * g))
+    probe = np.random.default_rng(3)
+    worst = 0.0
+    for _ in range(20):
+        v = probe.standard_normal(96)
+        v -= (w @ v) / w.sum()
+        v *= scale / np.sqrt(v @ (w * v))
+        step = 1e-5 * v
+        worst = max(worst, abs(rayleigh(dtn, g + step)
+                               - rayleigh(dtn, g - step)) / 2e-5)
+    got = criticality_residual(dtn, g, seed=3)
+    assert worst > 0.1
+    roundoff = np.finfo(float).eps * max(1.0, abs(rayleigh(dtn, g))) / 1e-5
+    assert abs(got - worst) <= 1e2 * roundoff
 
 
 def test_eigenpairs_are_critical_points():
