@@ -178,9 +178,9 @@ def _perturb_sphere(config, seed):
     return record, []
 
 
-def _zero_deformation_flags(errors, floors):
-    """Flags of an FD job with no slope: every error at most its floor."""
-    return {"zero_deformation_ok": all(e <= f for e, f in zip(errors, floors))}
+def _below_floors(errors, floors):
+    """Verdict on FD errors with no slope: every error at most its floor."""
+    return all(e <= f for e, f in zip(errors, floors))
 
 
 def _perturb_2d(config, seed):
@@ -198,8 +198,8 @@ def _perturb_2d(config, seed):
     outputs = epsdot_fd_report(curve, a, _step_list(config, "cmd_perturb"),
                                n=n, num=num, index=index)
     if outputs["slope"] is None:
-        flags = _zero_deformation_flags(outputs["fd_errors"],
-                                        outputs["fd_floors"])
+        flags = {"zero_deformation_ok": _below_floors(outputs["fd_errors"],
+                                                      outputs["fd_floors"])}
     else:
         flags = {"fd_slope_ok": abs(outputs["slope"] - 2.0) <= 0.2}
     record = ResultRecord("perturb", config, outputs, flags)
@@ -236,12 +236,16 @@ def cmd_dn_derivative(config, seed):
                           "side=%r" % (side,))
     h_list = _step_list(config, "cmd_dn_derivative")
     report = fd_operator_check(curve, a, n, h_list)[side]
-    if None in report["slopes"].values():
-        flags = _zero_deformation_flags(report["max_errors"],
-                                        report["fd_floors"])
+    slopes, floors = report["slopes"], report["fd_floors"]
+    if slopes["one_sided"] is None and slopes["central"] is None:
+        flags = {"zero_deformation_ok": _below_floors(report["max_errors"],
+                                                      floors)}
     else:
-        flags = {"one_sided_slope_ok": report["slopes"]["one_sided"] >= 0.8,
-                 "central_slope_ok": report["slopes"]["central"] >= 1.8}
+        # each series passes on its slope, or with no slope on its floors
+        flags = {series + "_slope_ok":
+                 _below_floors(report[series + "_errors"], floors)
+                 if slopes[series] is None else slopes[series] >= bound
+                 for series, bound in (("one_sided", 0.8), ("central", 1.8))}
     record = ResultRecord("dn-derivative", config, {"report": report}, flags)
     return record, []
 

@@ -11,8 +11,9 @@ solution feeds the second-derivative formula (six quadrature terms plus a
 trailing factor 2). An independent evaluation of the second derivative
 through the flux compatibility identity is provided for cross-checking.
 
-Plane side: the same first-order formula with the arclength derivative as
-the surface gradient, evaluated on BEM eigenpairs.
+Plane side: the same form with the arclength derivative as the surface
+gradient, evaluated on the BEM eigenpairs of an eigenvalue's cluster; its
+generalized eigenvalues are the branch derivatives, as on the sphere.
 
 Both sides build q1 from one weighted Gram product, and the second-order
 chain passes objects: q1_matrix(k, a) -> solve_udot(report, branch) ->
@@ -39,8 +40,6 @@ _H = -1.0
 _EIG_TIE_RTOL = 1e-9
 # resonant-degree flux compatibility residual accepted by solve_udot
 _COMPAT_TOL = 1e-8
-# drift tolerance for a plane branch vector on a degenerate eigenvalue
-_SPLIT_TOL = 1e-6
 
 
 def uniform_shape(value):
@@ -340,55 +339,45 @@ def epsddot_flux_route(udot):
         - eps * grid.integrate(f2_vals * dnu_vals)
 
 
-def epsdot_2d(dtn, eps, phi, a, spectrum):
-    """First derivative of a plane eigenvalue for normal shift a.
+def epsdot_2d(dtn, spectrum, index, a):
+    """First derivative of the plane eigenvalue spectrum.eigenvalues[index]
+    along the normal shift a.
 
-    Evaluates (eps+1) * integral of a [ -(ds g)^2 + eps (N- g)^2 ] over the
-    curve, the 1x1 case of the first-order form, on the eigenfunction
-    g = P S phi of a weighted-mean-zero eigendensity phi, with N- g =
-    (K* - 1/2) phi: nothing is factored. Requires eps != 1 and unit interior
-    energy; for a degenerate eps, phi must diagonalize the first-order form
-    on the span of the nearby densities of spectrum.
+    The eigenvalues within 1e-8 max(1, |eps|) of it form its cluster (a
+    simple eigenvalue is a cluster of one). By the splitting theorem the
+    cluster moves at first order along the eigenvalues of q1 on its
+    eigenspace: (eps+1) * integral of a [ -ds g_i ds g_j + eps N- g_i N- g_j ]
+    over the curve, solved against the interior-energy Gram matrix
+    <g_i, N- g_j> because the eigensolver's basis of a cluster need not be
+    energy-orthonormal. Returns the branch at index's position in the
+    cluster, branches in ascending order. The eigenfunctions are g = P S phi
+    of the weighted-mean-zero eigendensities phi, with N- g = (K* - 1/2) phi:
+    nothing is factored. Requires eps != 1 and unit interior energy.
     """
     sample = dtn.sample
-    phi = np.asarray(phi, dtype=float)
+    eps = float(spectrum.eigenvalues[index])
     if abs(eps - 1.0) < 1e-10:
         raise PerturbationError("perturb", "epsdot_2d",
                                 "first-order formula requires eps != 1",
                                 "eps=%.17g" % eps)
-    w = sample.weights
-    if abs(w @ phi) > 1e-8 * math.sqrt((w @ (phi * phi)) * w.sum()):
-        raise PerturbationError("perturb", "epsdot_2d",
-                                "eigendensity must be weighted-mean-zero",
-                                "<phi, 1> = %.3g" % (w @ phi))
-    g, dng = dtn.interior_data(phi)
-    energy = float(g @ (w * dng))
-    if abs(energy - 1.0) > 1e-6:
-        raise PerturbationError("perturb", "epsdot_2d",
-                                "eigenpair must satisfy <g, N- g> = 1",
-                                "got %.3g" % energy)
-    wa = w * a.value(sample.t)
-    _check_2d_splitting(dtn, eps, g, wa, spectrum)
-    dsg = tangential_derivative(sample, g)
-    return float(_first_order_form(eps, wa, dsg[None], dng[None])[0, 0])
-
-
-def _check_2d_splitting(dtn, eps, g, wa, spectrum):
-    """For a degenerate eps, verify that g diagonalizes the first-order
-    form restricted to the eigenspace spanned by the nearby eigenpairs."""
     close = np.nonzero(np.abs(spectrum.eigenvalues - eps)
                        <= 1e-8 * max(1.0, abs(eps)))[0]
-    if len(close) <= 1:
-        return
-    block, dns = dtn.interior_data(spectrum.densities[:, close])
-    qmat = _first_order_form(
-        eps, wa, tangential_derivative(dtn.sample, block).T, dns.T)
-    coef = (dtn.sample.weights * g) @ dns
-    drift = qmat @ coef - (coef @ qmat @ coef) * coef
-    scale = max(1.0, float(np.linalg.norm(qmat)))
-    if np.linalg.norm(drift) > _SPLIT_TOL * scale:
-        raise SplittingError(
-            "perturb", "epsdot_2d",
-            "degenerate eigenvalue requires a branch vector that "
-            "diagonalizes the first-order form",
-            "drift %.3g" % float(np.linalg.norm(drift)))
+    phi = spectrum.densities[:, close]
+    w = sample.weights
+    mean = w @ phi
+    if np.any(np.abs(mean) > 1e-8 * np.sqrt((w @ (phi * phi)) * w.sum())):
+        raise PerturbationError("perturb", "epsdot_2d",
+                                "eigendensity must be weighted-mean-zero",
+                                "<phi, 1> = %.3g" % np.max(np.abs(mean)))
+    g, dng = dtn.interior_data(phi)
+    gram = g.T @ (w[:, None] * dng)
+    gap = float(np.max(np.abs(np.diag(gram) - 1.0)))
+    if gap > 1e-6:
+        raise PerturbationError("perturb", "epsdot_2d",
+                                "eigenpair must satisfy <g, N- g> = 1",
+                                "off by %.3g" % gap)
+    qmat = _first_order_form(eps, w * a.value(sample.t),
+                             tangential_derivative(sample, g).T, dng.T)
+    branches = scipy.linalg.eigh(qmat, 0.5 * (gram + gram.T),
+                                 eigvals_only=True)
+    return float(branches[np.searchsorted(close, index)])

@@ -253,41 +253,43 @@ def check_second_order(seed=0):
     return _timed("second_order_sphere", body)
 
 
-def _tracked_eigenvalue(spec, target):
-    return float(spec.eigenvalues[int(np.argmin(np.abs(spec.eigenvalues
-                                                       - target)))])
+def _shifted_eigenvalue(curve, a, step, n, num, target):
+    """The eigenvalue nearest target of the curve shifted by step along a."""
+    eps = solve_plasmonic(build_dtn(perturbed_sample(curve, a, step, n)),
+                          num=num).eigenvalues
+    return float(eps[int(np.argmin(np.abs(eps - target)))])
 
 
-def finite_difference_epsdot(curve, a, eps0, h_list, n=128, num=10):
+def finite_difference_epsdot(curve, a, eps0, epsdot, h_list, n=128, num=10):
     """Central-difference derivatives of the eigenvalue eps0 of the base
     curve along normal shift a, one per step in h_list.
 
     Re-solves on the shifted samples perturbed_sample(curve, a, +-h, n) for
-    each step and tracks the eigenvalue nearest eps0 (valid for the
-    well-separated low modes this is used on). The eigenvalues belong to the
-    shifted domain, not to its parametrization, so the exact node images need
-    no re-parametrization; dtn_shape transplants operators on the same sample.
+    each step and tracks the eigenvalue nearest the first-order prediction
+    eps0 +- h epsdot, which follows the branch of epsdot when a cluster
+    splits. The shifted spectra keep min(num + 2, n - 1) eigenvalues, so a
+    plane cluster (at most 2-fold on dihedral curves) cut by the base
+    selection stays whole. The eigenvalues belong to the shifted domain, not
+    to its parametrization, so the exact node images need no
+    re-parametrization; dtn_shape transplants operators on the same sample.
     """
-    diffs = []
-    for h in h_list:
-        plus = solve_plasmonic(
-            build_dtn(perturbed_sample(curve, a, h, n)), num=num)
-        minus = solve_plasmonic(
-            build_dtn(perturbed_sample(curve, a, -h, n)), num=num)
-        diffs.append((_tracked_eigenvalue(plus, eps0)
-                      - _tracked_eigenvalue(minus, eps0)) / (2.0 * h))
-    return diffs
+    num = min(num + 2, n - 1)
+    return [(_shifted_eigenvalue(curve, a, h, n, num, eps0 + h * epsdot)
+             - _shifted_eigenvalue(curve, a, -h, n, num, eps0 - h * epsdot))
+            / (2.0 * h) for h in h_list]
 
 
 def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
-    """epsdot_2d of the eigenvalue at index against its central
-    differences: the outputs of a 2D perturb job. The slope is fitted to
-    the errors above their roundoff floors."""
+    """epsdot_2d of the eigenvalue at index (its branch when the eigenvalue
+    is clustered) against its central differences: the outputs of a 2D
+    perturb job. The slope is fitted to the errors above their roundoff
+    floors."""
     dtn = build_dtn(sample_curve(curve, n))
     spec = solve_plasmonic(dtn, num=num)
     eps = float(spec.eigenvalues[index])
-    value = epsdot_2d(dtn, eps, spec.densities[:, index], a, spec)
-    diffs = finite_difference_epsdot(curve, a, eps, h_list, n=n, num=num)
+    value = epsdot_2d(dtn, spec, index, a)
+    diffs = finite_difference_epsdot(curve, a, eps, value, h_list, n=n,
+                                     num=num)
     errors = [abs(d - value) for d in diffs]
     floors = [_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps)) / h
               for h in h_list]

@@ -263,6 +263,30 @@ def test_perturb_2d_roundoff_derivative_has_no_slope(tmp_path, curve, shape,
     assert record["flags"] == {"zero_deformation_ok": True}
 
 
+@pytest.mark.parametrize("shape, index, n, num", [
+    ({"cos": [0.0, 0.0, 1.0]}, 0, 128, 10),
+    ({"cos": [0.0, 1.0]}, 4, 128, 10),
+    ({"sin": [0.0, 1.0]}, 8, 128, 10),
+    ({"cos": [0.0, 0.0, 1.0]}, 1, 512, 10),
+    ({"cos": [0.0, 0.0, 1.0]}, 3, 128, 8),
+    ({"cos": [0.0, 0.0, 1.0]}, 4, 128, 8)],
+    ids=["cos2-0-N128", "cos1-4-N128", "sin1-8-N128", "cos2-1-N512",
+         "cos2-3-num8", "cos2-4-num8"])
+def test_perturb_2d_clustered_eigenvalue_takes_its_branch(tmp_path, shape,
+                                                          index, n, num):
+    # each index is one member of a 2-fold cluster of the threefold curve:
+    # epsdot is its branch of the first-order form on the cluster, and the
+    # finite differences follow that branch, also when it leaves the base
+    # selection of num eigenvalues at +-h
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d", "curve": C3, "a": shape, "N": n,
+                        "num_eigs": num, "eps_index": index})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert record["flags"] == {"fd_slope_ok": True}
+
+
 def test_dn_derivative_job(tmp_path):
     cfg = write_config(tmp_path, "job.json",
                        {"curve": {"kind": "ellipse", "a": 2.0, "b": 1.0},
@@ -299,6 +323,23 @@ def test_dn_derivative_roundoff_has_no_slope(tmp_path):
     assert report["slopes"] == {"one_sided": None, "central": None}
     assert len(report["fd_floors"]) == 3
     assert record["flags"] == {"zero_deformation_ok": True}
+
+
+def test_dn_derivative_judges_each_series(tmp_path):
+    # a small shape: the one-sided errors converge with slope 1 while the
+    # central ones (5.5e-9) sit below their floors (5.9e-9 and up), so the
+    # central series passes with no slope
+    cfg = write_config(tmp_path, "job.json",
+                       {"curve": ELLIPSE, "a": {"cos": [0.0, 1e-3]},
+                        "N": 128})
+    out = tmp_path / "out"
+    assert main(["dn-derivative", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "dn_derivative")
+    slopes = record["outputs"]["report"]["slopes"]
+    assert slopes["central"] is None
+    assert abs(slopes["one_sided"] - 1.0) < 0.05
+    assert record["flags"] == {"one_sided_slope_ok": True,
+                               "central_slope_ok": True}
 
 
 @pytest.mark.parametrize("side, slopes", [

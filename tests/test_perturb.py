@@ -14,6 +14,7 @@ from plasmeig.errors import ConfigError, PerturbationError, SplittingError
 from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
                               epsdot_2d, p1_apply, q1_matrix, solve_udot,
                               uniform_shape)
+from plasmeig.spectrum2d import PlasmonicSpectrum, solve_plasmonic
 from plasmeig.sphere3d import (SHField, sh_synthesis, sphere_grid,
                                surface_gradient)
 from plasmeig.validate import GOLDEN_EPSDDOT_Y20
@@ -171,34 +172,49 @@ def test_degree_validation():
 C3_CURVE = CurveParam.fourier(cos=[1.0, 0.0, 0.0, 0.2])
 
 
+def corrupted(spec, eigenvalues=None, densities=None):
+    """spec with its eigenvalues or densities replaced."""
+    return PlasmonicSpectrum(
+        spec.eigenvalues if eigenvalues is None else eigenvalues,
+        spec.eigenfunctions, spec.densities if densities is None else densities,
+        spec.residuals, spec.route, spec.n)
+
+
 def test_plane_derivative_preconditions():
-    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 64))
-    from plasmeig.spectrum2d import solve_plasmonic
-    spec = solve_plasmonic(dtn, num=4)
+    # on the threefold curve index 0 is one member of a pair, and every
+    # density of the pair must meet the contracts
+    dtn = build_dtn(sample_curve(C3_CURVE, 132))
+    spec = solve_plasmonic(dtn, num=6)
     a = ShapeFn2D(cos=[0.0, 0.0, 1.0])
-    phi = spec.densities[:, 0]
+    phi = spec.densities
     w = dtn.sample.weights
     # a constant part leaves no trace g with N- g = (K* - 1/2) phi
-    shift = 1e-6 * math.sqrt(float(w @ (phi * phi)) / w.sum())
-    for eps, density, contract in ((1.0, phi, "eps != 1"),
-                                   (spec.eigenvalues[0], 2.0 * phi, "N- g"),
-                                   (spec.eigenvalues[0], phi + shift,
-                                    "mean-zero")):
+    shift = 1e-6 * math.sqrt(float(w @ (phi[:, 0] * phi[:, 0])) / w.sum())
+    one = spec.eigenvalues.copy()
+    one[0] = 1.0
+    doubled, partner, shifted = phi.copy(), phi.copy(), phi.copy()
+    doubled[:, 0] *= 2.0
+    partner[:, 1] *= 2.0
+    shifted[:, 0] += shift
+    for bad, contract in ((corrupted(spec, eigenvalues=one), "eps != 1"),
+                          (corrupted(spec, densities=doubled), "N- g"),
+                          (corrupted(spec, densities=partner), "N- g"),
+                          (corrupted(spec, densities=shifted), "mean-zero")):
         with pytest.raises(PerturbationError, match=contract):
-            epsdot_2d(dtn, eps, density, a, spec)
+            epsdot_2d(dtn, bad, 0, a)
 
 
-def test_symmetric_curve_splitting_requires_branch_vectors():
-    # threefold-symmetric curve: double eigenvalues; a twofold shape splits
-    # them, so raw eigenvectors fail and form-diagonalizing ones succeed
-    from plasmeig.spectrum2d import solve_plasmonic
-    dtn = build_dtn(sample_curve(C3_CURVE, 132))
+@pytest.mark.parametrize("n", [132, 512])
+def test_symmetric_curve_epsdot_is_the_form_branch(n):
+    # threefold-symmetric curve: double eigenvalues, which a twofold shape
+    # splits; epsdot_2d at each index of the pair is the ascending branch
+    # of the first-order form on the pair. At N = 512 the pair comes from
+    # Arnoldi, whose basis of it is not energy-orthonormal
+    dtn = build_dtn(sample_curve(C3_CURVE, n))
     spec = solve_plasmonic(dtn, num=6)
     eps = spec.eigenvalues
     assert abs(eps[1] - eps[0]) < 1e-10
     a = ShapeFn2D(cos=[0.0, 0.0, 1.0])
-    with pytest.raises(SplittingError):
-        epsdot_2d(dtn, eps[0], spec.densities[:, 0], a, spec)
 
     weights = dtn.sample.weights
     pair = spec.densities[:, :2]
@@ -207,9 +223,14 @@ def test_symmetric_curve_splitting_requires_branch_vectors():
     form = _first_order_form(eps[0], weights * a.value(dtn.sample.t),
                              tangential_derivative(dtn.sample, traces).T,
                              fluxes.T)
-    w, v = scipy.linalg.eigh(form)
+    # energy-orthonormal basis of the pair, then the ordinary eigenproblem
+    gram = traces.T @ (weights[:, None] * fluxes)
+    d, v = scipy.linalg.eigh(0.5 * (gram + gram.T))
+    basis = v / np.sqrt(d)
+    branches = scipy.linalg.eigvalsh(basis.T @ form @ basis)
+    assert branches[1] - branches[0] > 1e-3
     for j in range(2):
-        energy = (traces @ v[:, j]) @ (weights * (fluxes @ v[:, j]))
-        phi = pair @ v[:, j] / math.sqrt(float(energy))
-        slope = epsdot_2d(dtn, eps[0], phi, a, spec)
-        assert abs(slope - w[j]) < 1e-10 * max(1.0, abs(w[j]))
+        slope = epsdot_2d(dtn, spec, j, a)
+        assert abs(slope - branches[j]) < 1e-10 * max(1.0, abs(branches[j]))
+    if n == 512:
+        assert abs(gram[0, 1]) > 0.1

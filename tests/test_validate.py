@@ -5,9 +5,11 @@ import math
 import numpy as np
 import pytest
 
+from plasmeig.curve2d import CurveParam, ShapeFn2D
 from plasmeig.errors import ConfigError
 from plasmeig.validate import (CHECK_NAMES, disk_integral_epsdot_y20,
-                               elliptic_eigenvalues, run_all)
+                               elliptic_eigenvalues, epsdot_fd_report,
+                               run_all)
 
 import oracle2d
 
@@ -65,3 +67,27 @@ def test_disk_integral_quadrature_converges():
     assert abs(disk_integral_epsdot_y20(nq=80) - exact) < 1e-12
     coarse = disk_integral_epsdot_y20(nq=12)
     assert abs(coarse - exact) < 1e-3
+
+
+SYMMETRIC_CURVES = {"threefold": {"kind": "fourier", "cos": [1, 0, 0, 0.1]},
+                    "fourfold": {"kind": "fourier",
+                                 "cos": [1, 0, 0, 0, 0.1]}}
+SHAPES = {"cos2": {"cos": [0, 0, 1]}, "cos1": {"cos": [0, 1]},
+          "mixed": {"cos": [0.3, 0.2, 0.1, 0.4], "sin": [0.1, -0.2, 0.3]}}
+
+
+@pytest.mark.parametrize("shape", sorted(SHAPES))
+@pytest.mark.parametrize("curve", sorted(SYMMETRIC_CURVES))
+def test_symmetric_curves_pass_at_every_index(curve, shape):
+    # dihedral curves carry 2-fold clusters; every index, clustered or
+    # simple, passes the 2D perturb verdict: slope 2 within 0.2, or no
+    # slope and every error at most its floor
+    param = CurveParam.from_config(SYMMETRIC_CURVES[curve])
+    a = ShapeFn2D.from_config(SHAPES[shape])
+    for index in range(10):
+        report = epsdot_fd_report(param, a, [1e-2, 5e-3, 2.5e-3], index=index)
+        if report["slope"] is None:
+            assert all(e <= f for e, f in zip(report["fd_errors"],
+                                               report["fd_floors"])), index
+        else:
+            assert abs(report["slope"] - 2.0) <= 0.2, index
