@@ -85,69 +85,12 @@ def _log_quadrature_weights(n):
     """Weights w_d for int_0^{2pi} log(2 |sin((t - s)/2)|) f(s) ds.
 
     Exact for trigonometric polynomials of degree < n/2 on the uniform grid;
-    the classical Kussmaul-Martensen construction.
+    the classical Kussmaul-Martensen construction. The weights are the real
+    DFT -(2pi/n) sum_{m=1}^{n/2} c_m cos(m t_d) / m, with c_m = 1 below n/2
+    and c_{n/2} = 1/2, so one inverse FFT of length n (even) gives them.
     """
-    d = np.arange(n)
-    tau = 2.0 * math.pi * d / n
-    m = np.arange(1, n // 2)
-    w = -(2.0 * math.pi / n) * (
-        np.cos(np.outer(tau, m)) @ (1.0 / m)
-        + np.cos((n // 2) * tau) / n)
-    return w
-
-
-def assemble_single_layer(sample):
-    """Single-layer operator with spectrally accurate log-split quadrature.
-
-    The smooth remainder log(|x_i - x_j| / (2 |sin((t_i - t_j)/2)|)) is
-    (1/2) log r^2 minus a circulant term, which joins the log weights; its
-    diagonal limit is log(speed). On a circle of radius R constants map to
-    R log R, so the operator is singular when the logarithmic capacity of
-    the curve is 1.
-    """
-    n = sample.n
-    x = sample.nodes
-    mat = np.subtract.outer(x[:, 0], x[:, 0])
-    dy = np.subtract.outer(x[:, 1], x[:, 1])
-    mat *= mat
-    dy *= dy
-    mat += dy
-    del dy
-    np.fill_diagonal(mat, sample.speed ** 2)
-    np.log(mat, out=mat)
-    mat *= 0.5 / n
-    w = _log_quadrature_weights(n)
-    w[1:] -= (2.0 * math.pi / n) * np.log(
-        2.0 * np.sin(math.pi * np.arange(1, n) / n))
-    mat += scipy.linalg.circulant(w / (2.0 * math.pi))
-    mat *= sample.speed[None, :]
-    return mat
-
-
-def assemble_np_adjoint(sample):
-    """Adjoint double-layer (Neumann-Poincare) operator K*.
-
-    Smooth kernel <x_i - x_j, n_i> / |x_i - x_j|^2 with the curvature
-    diagonal; on the unit circle K* maps constants to 1/2 and kills
-    mean-zero densities.
-    """
-    n = sample.n
-    x = sample.nodes
-    kern = np.subtract.outer(x[:, 0], x[:, 0])
-    dy = np.subtract.outer(x[:, 1], x[:, 1])
-    r2 = kern * kern
-    r2 += dy * dy
-    np.fill_diagonal(r2, 1.0)
-    kern *= sample.normals[:, 0, None]
-    dy *= sample.normals[:, 1, None]
-    kern += dy
-    kern /= r2
-    # kernel diagonal: limit is half the standard (counterclockwise) curvature,
-    # i.e. minus half the signed curvature in the outward-normal convention
-    np.fill_diagonal(kern, -0.5 * sample.curvature)
-    kern *= sample.speed
-    kern /= n
-    return kern
+    return -math.pi * np.fft.irfft(
+        np.concatenate([[0.0], 1.0 / np.arange(1, n // 2 + 1)]), n)
 
 
 def _checked_lu(mat, operation, contract):
@@ -166,9 +109,47 @@ def _checked_lu(mat, operation, contract):
 
 
 def build_dtn(sample):
-    """Assemble S and K* for a curve sample; the first apply factors."""
-    return DtNPair(sample, assemble_single_layer(sample),
-                   assemble_np_adjoint(sample))
+    """Assemble S and K* for a curve sample from one set of node offsets
+    x_i - x_j and r^2 = |x_i - x_j|^2; the first apply factors.
+
+    S uses the log-split quadrature: the smooth remainder
+    log(|x_i - x_j| / (2 |sin((t_i - t_j)/2)|)) is (1/2) log r^2 minus a
+    circulant term, which joins the log weights; its diagonal limit is
+    log(speed). On a circle of radius R constants map to R log R, so S is
+    singular when the logarithmic capacity of the curve is 1.
+
+    K* has the smooth kernel <x_i - x_j, n_i> / r^2 with the curvature
+    diagonal; on the unit circle it maps constants to 1/2 and kills
+    mean-zero densities. The offset buffers are reused in place, so at most
+    four (N, N) arrays are alive at once.
+    """
+    n = sample.n
+    x, normals = sample.nodes, sample.normals
+    dx = np.subtract.outer(x[:, 0], x[:, 0])
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    kern = dy * normals[:, 1, None]
+    dy *= dy
+    r2 = dx * dx
+    r2 += dy
+    dx *= normals[:, 0, None]
+    kern += dx
+    del dx
+    np.fill_diagonal(r2, sample.speed ** 2)
+    single = np.log(r2, out=dy)
+    kern /= r2
+    del r2
+    single *= 0.5 / n
+    w = _log_quadrature_weights(n)
+    w[1:] -= (2.0 * math.pi / n) * np.log(
+        2.0 * np.sin(math.pi * np.arange(1, n) / n))
+    single += scipy.linalg.circulant(w / (2.0 * math.pi))
+    single *= sample.speed
+    # kernel diagonal: limit is half the standard (counterclockwise) curvature,
+    # i.e. minus half the signed curvature in the outward-normal convention
+    np.fill_diagonal(kern, -0.5 * sample.curvature)
+    kern *= sample.speed
+    kern /= n
+    return DtNPair(sample, single, kern)
 
 
 def _point_in_polygon(point, nodes):

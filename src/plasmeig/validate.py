@@ -19,7 +19,8 @@ from .dtn_shape import (band_domain, banded_opnorm, fd_operator_check,
 from .errors import ConfigError, NumericalError
 from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
                       uniform_shape)
-from .spectrum2d import (criticality_residual, np_route, rayleigh,
+from .spectrum2d import (_check_num, _select_far_from_one,
+                         criticality_residual, np_route, rayleigh,
                          solve_plasmonic)
 from .sphere3d import SHField, ball_spectrum
 
@@ -267,29 +268,32 @@ def finite_difference_epsdot(curve, a, eps0, epsdot, h_list, n=128, num=10):
     Re-solves on the shifted samples perturbed_sample(curve, a, +-h, n) for
     each step and tracks the eigenvalue nearest the first-order prediction
     eps0 +- h epsdot, which follows the branch of epsdot when a cluster
-    splits. The shifted spectra keep min(num + 2, n - 1) eigenvalues, so a
-    plane cluster (at most 2-fold on dihedral curves) cut by the base
-    selection stays whole. The eigenvalues belong to the shifted domain, not
-    to its parametrization, so the exact node images need no
-    re-parametrization; dtn_shape transplants operators on the same sample.
+    splits. The shifted spectra keep num eigenvalues. The eigenvalues belong
+    to the shifted domain, not to its parametrization, so the exact node
+    images need no re-parametrization; dtn_shape transplants operators on
+    the same sample.
     """
-    num = min(num + 2, n - 1)
     return [(_shifted_eigenvalue(curve, a, h, n, num, eps0 + h * epsdot)
              - _shifted_eigenvalue(curve, a, -h, n, num, eps0 - h * epsdot))
             / (2.0 * h) for h in h_list]
 
 
 def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
-    """epsdot_2d of the eigenvalue at index (its branch when the eigenvalue
-    is clustered) against its central differences: the outputs of a 2D
-    perturb job. The slope is fitted to the errors above their roundoff
-    floors."""
+    """epsdot_2d of the eigenvalue at index of the num selected ones,
+    ascending (its branch when the eigenvalue is clustered), against its
+    central differences: the outputs of a 2D perturb job. The base and
+    shifted spectra keep min(num + 2, n - 1) eigenvalues, so a plane cluster
+    (at most 2-fold on dihedral curves) cut by the selection of num stays
+    whole. The slope is fitted to the errors above their roundoff floors."""
+    _check_num(num, n, "epsdot_fd_report")
+    wide = min(num + 2, n - 1)
     dtn = build_dtn(sample_curve(curve, n))
-    spec = solve_plasmonic(dtn, num=num)
+    spec = solve_plasmonic(dtn, num=wide)
+    index = int(_select_far_from_one(spec.eigenvalues, num)[index])
     eps = float(spec.eigenvalues[index])
     value = epsdot_2d(dtn, spec, index, a)
     diffs = finite_difference_epsdot(curve, a, eps, value, h_list, n=n,
-                                     num=num)
+                                     num=wide)
     errors = [abs(d - value) for d in diffs]
     floors = [_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps)) / h
               for h in h_list]

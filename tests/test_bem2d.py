@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from plasmeig.bem2d import (assemble_np_adjoint, assemble_single_layer,
-                            build_dtn, compute_g0, farfield_log_coefficient)
+from plasmeig.bem2d import (_log_quadrature_weights, build_dtn, compute_g0,
+                            farfield_log_coefficient)
 from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import GeometryError, NumericalError
 
@@ -22,11 +22,23 @@ def weighted_symmetry_residual(mat, weights):
     return float(np.linalg.norm(wm - wm.T) / np.linalg.norm(wm))
 
 
+@pytest.mark.parametrize("n", [4, 6, 64, 128, 1024])
+def test_log_weights_match_the_cosine_sum(n):
+    # the FFT weights against the direct sum they evaluate,
+    # -(2pi/n) (sum_{m < n/2} cos(m tau) / m + cos(n tau / 2) / n)
+    tau = 2.0 * math.pi * np.arange(n) / n
+    m = np.arange(1, n // 2)
+    direct = -(2.0 * math.pi / n) * (
+        np.cos(np.outer(tau, m)) @ (1.0 / m) + np.cos((n // 2) * tau) / n)
+    got = _log_quadrature_weights(n)
+    assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
 def test_single_layer_circle_multipliers():
     # S cos(lt) = -(R / 2l) cos(lt) on a circle of radius R; constants map
     # to R log R
     sample = sample_curve(CurveParam.circle(2.0), 64)
-    sop = assemble_single_layer(sample)
+    sop = build_dtn(sample).single_layer
     t = sample.t
     assert np.max(np.abs(sop @ np.ones(64) - 2.0 * math.log(2.0))) < 1e-12
     for l in (1, 2, 5, 13):
@@ -38,23 +50,21 @@ def test_single_layer_circle_multipliers():
 
 def test_single_layer_is_weighted_symmetric():
     sample = sample_curve(KITE, 128)
-    sop = assemble_single_layer(sample)
+    sop = build_dtn(sample).single_layer
     assert weighted_symmetry_residual(sop, sample.weights) < 1e-13
 
 
 def test_unit_capacity_singular_single_layer_still_builds_dtn():
     # capacity 1: the plain single layer is singular, the bordered one is not
-    sample = sample_curve(CurveParam.circle(1.0), 64)
-    sop = assemble_single_layer(sample)
-    assert scipy.linalg.svdvals(sop)[-1] < 1e-6
-    dtn = build_dtn(sample)
+    dtn = build_dtn(sample_curve(CurveParam.circle(1.0), 64))
+    assert scipy.linalg.svdvals(dtn.single_layer)[-1] < 1e-6
     for applied in dtn.apply(np.eye(64)):
         assert np.all(np.isfinite(applied))
 
 
 def test_np_adjoint_circle_action():
     sample = sample_curve(CurveParam.circle(1.0), 64)
-    kstar = assemble_np_adjoint(sample)
+    kstar = build_dtn(sample).np_adjoint
     ones = np.ones(64)
     assert np.max(np.abs(kstar @ ones - 0.5 * ones)) < 1e-13
     for l in (1, 2, 4):
@@ -65,8 +75,7 @@ def test_np_adjoint_ellipse_eigenvalues_exact():
     exact = ellipse_np_eigenvalues(2.0, 1.0, kmax=5)
     for n in (64, 128):
         sample = sample_curve(CurveParam.ellipse(2.0, 1.0), n)
-        lam = np.sort(scipy.linalg.eigvals(
-            assemble_np_adjoint(sample)).real)
+        lam = np.sort(scipy.linalg.eigvals(build_dtn(sample).np_adjoint).real)
         got = np.sort(np.concatenate([lam[:5], lam[-6:]]))
         assert np.max(np.abs(got - np.array(exact))) < 1e-12
 

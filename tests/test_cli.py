@@ -269,15 +269,17 @@ def test_perturb_2d_roundoff_derivative_has_no_slope(tmp_path, curve, shape,
     ({"sin": [0.0, 1.0]}, 8, 128, 10),
     ({"cos": [0.0, 0.0, 1.0]}, 1, 512, 10),
     ({"cos": [0.0, 0.0, 1.0]}, 3, 128, 8),
-    ({"cos": [0.0, 0.0, 1.0]}, 4, 128, 8)],
+    ({"cos": [0.0, 0.0, 1.0]}, 4, 128, 8),
+    ({"cos": [0.0, 0.0, 1.0]}, 3, 128, 9)],
     ids=["cos2-0-N128", "cos1-4-N128", "sin1-8-N128", "cos2-1-N512",
-         "cos2-3-num8", "cos2-4-num8"])
+         "cos2-3-num8", "cos2-4-num8", "cos2-3-num9"])
 def test_perturb_2d_clustered_eigenvalue_takes_its_branch(tmp_path, shape,
                                                           index, n, num):
     # each index is one member of a 2-fold cluster of the threefold curve:
     # epsdot is its branch of the first-order form on the cluster, and the
     # finite differences follow that branch, also when it leaves the base
-    # selection of num eigenvalues at +-h
+    # selection of num eigenvalues at +-h; with num 9 the selection keeps
+    # only one member of the pair at index 3
     cfg = write_config(tmp_path, "job.json",
                        {"mode": "2d", "curve": C3, "a": shape, "N": n,
                         "num_eigs": num, "eps_index": index})
@@ -447,6 +449,12 @@ def test_config_errors_exit_2(tmp_path, capsys):
      "coeffs"),
     ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
                        "side": "both"}, "side"),
+    # N = 64 has 63 mean-zero modes: 100 eigenvalues cannot be computed,
+    # whichever of them eps_index picks
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                 "N": 64, "num_eigs": 100}, "num"),
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                 "N": 64, "num_eigs": 100, "eps_index": 70}, "num"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

@@ -209,7 +209,8 @@ def test_symmetric_curve_epsdot_is_the_form_branch(n):
     # threefold-symmetric curve: double eigenvalues, which a twofold shape
     # splits; epsdot_2d at each index of the pair is the ascending branch
     # of the first-order form on the pair. At N = 512 the pair comes from
-    # Arnoldi, whose basis of it is not energy-orthonormal
+    # Arnoldi. The eigensolver's basis of the pair need not be
+    # energy-orthonormal, and neither is phi0, phi0 + phi1 at unit energy
     dtn = build_dtn(sample_curve(C3_CURVE, n))
     spec = solve_plasmonic(dtn, num=6)
     eps = spec.eigenvalues
@@ -229,8 +230,11 @@ def test_symmetric_curve_epsdot_is_the_form_branch(n):
     basis = v / np.sqrt(d)
     branches = scipy.linalg.eigvalsh(basis.T @ form @ basis)
     assert branches[1] - branches[0] > 1e-3
-    for j in range(2):
-        slope = epsdot_2d(dtn, spec, j, a)
-        assert abs(slope - branches[j]) < 1e-10 * max(1.0, abs(branches[j]))
-    if n == 512:
-        assert abs(gram[0, 1]) > 0.1
+    mixed = spec.densities.copy()
+    mixed[:, 1] = (pair[:, 0] + pair[:, 1]) / np.sqrt(2.0 + 2.0 * gram[0, 1])
+    assert np.sqrt((1.0 + gram[0, 1]) / 2.0) > 0.1   # its Gram entry
+    for basis_spec in (spec, corrupted(spec, densities=mixed)):
+        for j in range(2):
+            slope = epsdot_2d(dtn, basis_spec, j, a)
+            assert abs(slope - branches[j]) < 1e-10 * max(1.0,
+                                                          abs(branches[j]))

@@ -303,8 +303,11 @@ def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
     assert np.array_equal(again.densities, spec.densities)
 
 
-@pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (1.2, 0.8, 10)])
+@pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (1.2, 0.8, 10),
+                                       (1.068, 0.932, 40)])
 def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
+    # the near-circle capacity-1 ellipse restarts most: its K* eigenvalues
+    # reach roundoff after about 24, fewer than the 40 + 12 asked for
     calls = count_eigs(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
