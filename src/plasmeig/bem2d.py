@@ -142,7 +142,11 @@ def build_dtn(sample):
     w = _log_quadrature_weights(n)
     w[1:] -= (2.0 * math.pi / n) * np.log(
         2.0 * np.sin(math.pi * np.arange(1, n) / n))
-    single += scipy.linalg.circulant(w / (2.0 * math.pi))
+    # circulant [c[(i - j) % n]] as a strided view, row i at n - 1 - i of c
+    # reversed twice over, not an (N, N) copy
+    c = w / (2.0 * math.pi)
+    single += np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([c[::-1], c[:0:-1]]), n)[::-1]
     single *= sample.speed
     # kernel diagonal: limit is half the standard (counterclockwise) curvature,
     # i.e. minus half the signed curvature in the outward-normal convention

@@ -222,7 +222,7 @@ def cmd_perturb(config, seed):
 
 def cmd_dn_derivative(config, seed):
     from .curve2d import CurveParam
-    from .dtn_shape import fd_operator_check
+    from .dtn_shape import SIDES, fd_operator_check
     from .errors import ConfigError
     _check_keys(config, {"curve", "a"}, {"N", "h_list", "side"},
                 "cmd_dn_derivative")
@@ -230,12 +230,12 @@ def cmd_dn_derivative(config, seed):
     a = _shape_2d(config, "a", "cmd_dn_derivative")
     n = _positive_int(config, "N", 128, "cmd_dn_derivative")
     side = config.get("side", "interior")
-    if side not in ("interior", "exterior"):
+    if side not in SIDES:
         raise ConfigError("cli", "cmd_dn_derivative",
                           "side must be 'interior' or 'exterior'",
                           "side=%r" % (side,))
     h_list = _step_list(config, "cmd_dn_derivative")
-    report = fd_operator_check(curve, a, n, h_list)[side]
+    report = fd_operator_check(curve, a, n, h_list, (side,))[side]
     slopes, floors = report["slopes"], report["fd_floors"]
     if slopes["one_sided"] is None and slopes["central"] is None:
         flags = {"zero_deformation_ok": _below_floors(report["max_errors"],

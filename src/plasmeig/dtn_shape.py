@@ -31,6 +31,8 @@ from .errors import ConfigError
 
 # FD roundoff floor in units of u max(1, ||N||_band) / h (u machine epsilon)
 _FD_FLOOR = 1e4
+# The DtN maps in the order DtNPair.apply returns them
+SIDES = ("interior", "exterior")
 
 
 def band_domain(weights, t, max_degree):
@@ -89,39 +91,41 @@ def loglog_slope(h_list, errors, floors):
     return float(np.polyfit(np.log(h_list)[keep], np.log(errors)[keep], 1)[0])
 
 
-def fd_operator_check(curve, a, n, h_list):
+def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     """Finite-difference consistency of the shape derivative in operator
     norm over trigonometric inputs of degree at most n // 4, for the
-    interior and the exterior operator.
+    interior and the exterior operator, or only the sides named.
 
     Each shifted curve perturbed_sample(curve, a, +-h, n) is assembled and
     applied to the band basis once for both sides, one step at a time.
-    Returns {"interior": report, "exterior": report}, each with one-sided
-    and central errors and the roundoff floor _FD_FLOOR u max(1,
-    ||N||_band) / h per step, and the log-log slopes (expected near 1 and
-    2) of the errors above their floors.
+    Returns {side: report}, each with one-sided and central errors and the
+    roundoff floor _FD_FLOOR u max(1, ||N||_band) / h per step, and the
+    log-log slopes (expected near 1 and 2) of the errors above their floors.
     """
     if len(h_list) < 2:
         raise ConfigError("dtn_shape", "fd_operator_check",
                           "at least two step sizes are required",
                           "h_list=%r" % (h_list,))
+    index = [SIDES.index(side) for side in sides]
     max_degree = n // 4
     dtn = build_dtn(sample_curve(curve, n))
     root, domain = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
-    base = dtn.apply(domain)
-    derivs = shape_derivative(dtn, a, domain)
+    # both sides come from one stacked solve, whose bits depend on the block
+    # layout, so a one-side job forms both and keeps its own
+    applied, derivs = dtn.apply(domain), shape_derivative(dtn, a, domain)
+    base, derivs = [applied[i] for i in index], [derivs[i] for i in index]
     errors = []
     for h in h_list:
         up = build_dtn(perturbed_sample(curve, a, h, n)).apply(domain)
         down = build_dtn(perturbed_sample(curve, a, -h, n)).apply(domain)
         errors.append([
-            (banded_opnorm((nu - n0) / h - d, root),
-             banded_opnorm((nu - nd) / (2.0 * h) - d, root))
-            for n0, nu, nd, d in zip(base, up, down, derivs)])
+            (banded_opnorm((up[i] - n0) / h - d, root),
+             banded_opnorm((up[i] - down[i]) / (2.0 * h) - d, root))
+            for i, n0, d in zip(index, base, derivs)])
     reports = {}
-    for i, side in enumerate(("interior", "exterior")):
-        one_sided, central = np.array(errors)[:, i].T
-        unit = np.finfo(float).eps * max(1.0, banded_opnorm(base[i], root))
+    for j, side in enumerate(sides):
+        one_sided, central = np.array(errors)[:, j].T
+        unit = np.finfo(float).eps * max(1.0, banded_opnorm(base[j], root))
         floors = [_FD_FLOOR * unit / h for h in h_list]
         reports[side] = {
             "curve": curve.to_config(), "a": a.to_config(),

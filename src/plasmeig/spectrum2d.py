@@ -6,12 +6,13 @@ Computes permittivities eps for which the transmission problem
     eps dn(u-) + dn(u+) = 0,       u bounded at infinity
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
-data. Two routes are provided: the DtN route (Arnoldi on K* at large N,
-else a symmetric eigensolve of the DtN pencil on mean-zero densities) and
-the classical Neumann-Poincare route through every eigenvalue of K*. All
-find eigendensities phi from S and K* alone and share one normalization of
-phi and g = P S phi. Eigenvalues accumulate at 1 from both sides; the
-selected ones are the num farthest from 1, reported in ascending order.
+data. Two routes are provided: the DtN route (at large N a block Arnoldi
+step on K*, with ARPACK past its dimension cap; else a symmetric eigensolve
+of the DtN pencil on mean-zero densities) and the classical
+Neumann-Poincare route through every eigenvalue of K*. All find
+eigendensities phi from S and K* alone and share one normalization of phi
+and g = P S phi. Eigenvalues accumulate at 1 from both sides; the selected
+ones are the num farthest from 1, reported in ascending order.
 """
 
 import numpy as np
@@ -25,12 +26,18 @@ _CRIT_DIRECTIONS = 20
 _CLUSTER_TAIL = 20
 _FLUX_COS = 1e-6
 _TIE = 1e3 * np.finfo(float).eps
-# Arnoldi for k = num + margin eigenvalues in a Krylov space of k + 2 margin
-# vectors (a measured choice, so retuning the margin changes it too) beats the
-# dense pencil from N = 8k at num 40 and from N = 6k at num 10 (measured with
-# that Krylov size, 1 BLAS thread, kite and ellipse(1.068, 0.932))
+# From N = 8k a Krylov method beats the dense pencil for the k = num + margin
+# K* eigenvalues of largest modulus (measured at num 40 and 10, 1 BLAS
+# thread). The block step reads K* once per block of _BLOCK vectors (one GEMM:
+# 1.05 ms for 8 columns, 0.45 ms for one at N = 1024) and accepts residuals up
+# to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20-40 ms where ARPACK took
+# 40-70 ms on the spectrum_large curves and 100-220 ms on the kite and near
+# circles, with eps within 7e-14 of ARPACK's. Past its cap ARPACK takes over
+# with k + 2 margin Krylov vectors (its default 2k + 1 costs more products).
 _ARNOLDI_MARGIN = 12
 _ARNOLDI_N_PER_PAIR = 8
+_BLOCK = 8
+_BLOCK_TOL = 50.0
 
 
 class PlasmonicSpectrum:
@@ -162,17 +169,81 @@ def _selection_complete(lam, eps):
     return 4.0 * m / (1.0 - 2.0 * m) <= gap + _TIE * (1.0 + gap)
 
 
+def _project_out(basis, x):
+    """One classical Gram-Schmidt pass: x minus its projection onto the
+    orthonormal columns of basis, in place; the coefficients removed."""
+    c = basis.T @ x
+    x -= basis @ c
+    return c
+
+
+def _block_krylov(k_star, k):
+    """The k eigenpairs (lam, phi) of K* of largest modulus by block Arnoldi
+    from a fixed start block, shaped as eigs returns them, or None if some
+    pair has not converged by the dimension 2k + 16.
+
+    Each column of K* V_j is orthogonalized twice (against the earlier
+    blocks at once and within its block, then against all). A column that
+    K* maps into the basis (K* has rank 1 on the circle) is deflated: a
+    random direction replaces it, with a zero subdiagonal. Ritz pairs come
+    from the block Hessenberg H from the dimension k + 20 on, from QZ on
+    (H, I) when LAPACK's eig, which balances H, spoils the vectors of
+    roundoff eigenvalues. A failed check at residual ratio r skips
+    log10(r) / 2 blocks (residuals fell about two decades a block).
+    """
+    n, b = len(k_star), _BLOCK
+    norm = scipy.linalg.norm(k_star, 1, check_finite=False)
+    tol = _BLOCK_TOL * np.finfo(float).eps * norm
+    check = b * -(-(k + 20) // b)
+    cap = b * -(-(2 * k + 16) // b)
+    rng = np.random.default_rng(0)
+    basis = np.empty((n, cap + b))
+    hess = np.zeros((cap + b, cap))
+    basis[:, :b] = np.linalg.qr(rng.standard_normal((n, b)))[0]
+    for m in range(b, cap + 1, b):
+        block = k_star @ basis[:, m - b:m]
+        hess[:m, m - b:m] = _project_out(basis[:, :m], block)
+        for i in range(b):
+            x, col = block[:, i], hess[:, m - b + i]
+            col[m:m + i] = _project_out(basis[:, m:m + i], x)
+            col[:m + i] += _project_out(basis[:, :m + i], x)
+            col[m + i] = np.linalg.norm(x)
+            if col[m + i] <= tol:
+                col[m + i] = 0.0
+                x = rng.standard_normal(n)
+                for _ in range(2):
+                    _project_out(basis[:, :m + i], x)
+            basis[:, m + i] = x / np.linalg.norm(x)
+        if m == check:
+            for pencil in (None, np.eye(m)):
+                lam, y = scipy.linalg.eig(hess[:m, :m], pencil)
+                top = np.argsort(-np.abs(lam), kind="stable")[:k]
+                lam, y = lam[top], y[:, top]
+                y /= np.linalg.norm(y, axis=0)
+                worst = np.max(np.linalg.norm(
+                    hess[m:m + b, m - b:m] @ y[m - b:], axis=0)) / tol
+                if worst > 1.0:
+                    break
+                if np.all(np.linalg.norm(hess[:m, :m] @ y - y * lam, axis=0)
+                          <= tol):
+                    return lam, basis[:, :m] @ y
+            check += b * max(1, int(np.log10(max(worst, 1.0))) // 2)
+    return None
+
+
 def solve_plasmonic(dtn, num=20):
     """DtN route: the num eigenvalues eps farthest from 1, from S and K*.
 
-    When N >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN), ARPACK's
-    implicitly restarted Arnoldi (one O(N^2) product with K* a step, a fixed
-    start vector for repeatable bits) finds the k = num + margin K*
-    eigenvalues lam of largest modulus in a Krylov space of k + 2 margin
-    vectors, fewer than N by the size condition (the K* spectrum decays
-    fast, and ARPACK's default 2k + 1 costs more products), mapped as in
-    np_route (|lam| < 1/2 for each kept one); if _selection_complete fails,
-    the dense pencil below solves.
+    When N >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN), the k = num +
+    margin K* eigenvalues lam of largest modulus come from the block Arnoldi
+    step _block_krylov (K* read once per block of 8 vectors; its spectrum
+    decays geometrically, so at k = 52 a space of 72-80 vectors holds them on
+    star curves, up to 120 on ellipses of aspect 10). Past its cap 2k + 16,
+    ARPACK's implicitly restarted Arnoldi (scipy's eigs: one O(N^2) product
+    with K* a step, a fixed start vector for repeatable bits, a Krylov space
+    of k + 2 margin vectors) finds them instead; of the tested inputs only
+    ellipse(20, 1) needs it. lam maps as in np_route (|lam| < 1/2 for each
+    kept one); if _selection_complete fails, the dense pencil below solves.
 
     The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
     with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
@@ -186,14 +257,18 @@ def solve_plasmonic(dtn, num=20):
     _check_num(num, dtn.sample.n, "solve_plasmonic")
     k = num + _ARNOLDI_MARGIN
     if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * k:
-        from scipy.sparse.linalg import ArpackError, eigs
-        start = np.random.default_rng(0).standard_normal(dtn.sample.n)
-        try:
-            lam, phi = eigs(dtn.np_adjoint, k=k, ncv=k + 2 * _ARNOLDI_MARGIN,
-                            which="LM", tol=0, v0=start)
-        except ArpackError as exc:
-            raise NumericalError("spectrum2d", "solve_plasmonic", "Arnoldi "
-                                 "iteration on K* must converge", str(exc))
+        pairs = _block_krylov(dtn.np_adjoint, k)
+        if pairs is None:
+            from scipy.sparse.linalg import ArpackError, eigs
+            start = np.random.default_rng(0).standard_normal(dtn.sample.n)
+            try:
+                pairs = eigs(dtn.np_adjoint, k=k, ncv=k + 2 * _ARNOLDI_MARGIN,
+                             which="LM", tol=0, v0=start)
+            except ArpackError as exc:
+                raise NumericalError("spectrum2d", "solve_plasmonic",
+                                     "Arnoldi iteration on K* must converge",
+                                     str(exc))
+        lam, phi = pairs
         eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "solve_plasmonic")
         if _selection_complete(lam, eps):
             return _spectrum(dtn, eps, phi, "dtn")

@@ -165,8 +165,9 @@ def check_two_routes(n=128):
     Both find eigendensities from S and K* alone and share one normalization
     and residual; only the eigensolvers differ. At n = 128 both are dense
     (pencil eigh, eig), so this checks an algebraic identity; only from
-    n = 8 (10 + 12) on, where the DtN route runs Arnoldi, does it cross-check
-    two eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
+    n = 8 (10 + 12) on, where the DtN route runs the block Arnoldi step on
+    K* (and ARPACK when the step hands off), does it cross-check two
+    eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)

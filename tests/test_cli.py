@@ -117,26 +117,28 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
 
 
 def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
-    # N >= 8 (num + 12) solves by Arnoldi on K* (one scipy eigs call per
-    # spectrum); below that the dense pencil, which calls eigs 0 times
+    # N >= 8 (num + 12) solves by the block Arnoldi step on K* (one block
+    # solve per spectrum, no hand-off to ARPACK); below that the dense
+    # pencil, which makes neither
     calls = count_eigs(monkeypatch)
     for n, expected in ((1024, 1), (128, 0)):
-        calls.clear()
+        calls.update(block=0, eigs=0)
         cfg = write_config(tmp_path, "job_%d.json" % n,
                            {"curve": KITE, "N": n, "num_eigs": 40})
         assert main(["spectrum", "--config", cfg, "--out",
                      str(tmp_path / str(n))]) == 0
-        assert len(calls) == expected
+        assert calls == {"block": expected, "eigs": 0}
     # the README 2D perturb job at N = 512 makes 7 spectrum solves (the base
-    # and two per step), all by Arnoldi; epsdot is the dense pencil's value
+    # and two per step), all by the block step; epsdot is the dense pencil's
+    # value
     job = {"mode": "2d", "curve": ELLIPSE,
            "a": {"cos": [0.0, 0.0, 1.0], "sin": []}, "N": 512,
            "eps_index": 0, "h_list": [1e-2, 5e-3, 2.5e-3]}
     cfg = write_config(tmp_path, "perturb.json", job)
-    calls.clear()
+    calls.update(block=0, eigs=0)
     assert main(["perturb", "--config", cfg, "--out",
                  str(tmp_path / "perturb")]) == 0
-    assert len(calls) == 7
+    assert calls == {"block": 7, "eigs": 0}
     record, _ = read_record(tmp_path / "perturb", "perturb")
     assert record["flags"] == {"fd_slope_ok": True}
     dense = -0.7179890884119251

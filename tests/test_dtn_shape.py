@@ -153,6 +153,25 @@ def test_each_shifted_curve_is_assembled_once(monkeypatch):
     assert len(calls) == 8
 
 
+@pytest.mark.parametrize("side", ["interior", "exterior"])
+def test_one_side_check_takes_only_its_own_norms(monkeypatch, side):
+    # a one-side check (the dn-derivative job) takes the 1 + 2 len(h_list)
+    # operator norms of its side only, and reports exactly what the
+    # two-sided check reports for that side
+    h_list = [1e-2, 5e-3]
+    both = fd_operator_check(ELLIPSE, A_COS, 64, h_list)
+    calls = []
+
+    def counting(applied, root):
+        calls.append(1)
+        return banded_opnorm(applied, root)
+
+    monkeypatch.setattr(dtn_shape, "banded_opnorm", counting)
+    assert fd_operator_check(ELLIPSE, A_COS, 64, h_list, (side,)) == {
+        side: both[side]}
+    assert len(calls) == 1 + 2 * len(h_list)
+
+
 def test_fd_check_solves_only_the_band_basis(monkeypatch):
     # every pair is factored once and applied to the band basis (N/2 + 1
     # columns) only: the base pair to it twice and to the derivative's

@@ -31,16 +31,29 @@ def bordered_residuals(dtn, eps, g):
 
 
 def count_eigs(monkeypatch):
-    """Count the Arnoldi solves: calls to scipy.sparse.linalg.eigs."""
-    calls = []
-    eigs = scipy.sparse.linalg.eigs
+    """Count the K* Krylov solves: block Arnoldi solves (_block_krylov) and
+    their hand-offs to ARPACK (scipy.sparse.linalg.eigs), separately."""
+    calls = {"block": 0, "eigs": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigs(*args, **kwargs)
+    def counting(name, solver):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return solver(*args, **kwargs)
+        return counted
 
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", counting)
+    monkeypatch.setattr(spectrum2d, "_block_krylov",
+                        counting("block", spectrum2d._block_krylov))
+    monkeypatch.setattr(scipy.sparse.linalg, "eigs",
+                        counting("eigs", scipy.sparse.linalg.eigs))
     return calls
+
+
+class PassCounter(np.ndarray):
+    """An array view that counts its products with @: passes over K*."""
+
+    def __matmul__(self, other):
+        self.passes += 1
+        return np.asarray(self) @ other
 
 
 def test_ellipse_matches_separation_of_variables():
@@ -294,7 +307,7 @@ def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
     calls = count_eigs(monkeypatch)
     dtn = build_dtn(sample_curve(KITE, 512))
     spec = solve_plasmonic(dtn, num=40)
-    assert calls == [1]
+    assert calls == {"block": 1, "eigs": 0}
     ref = np_route(dtn, num=40).eigenvalues
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-12 * np.abs(ref))
     assert np.max(spec.residuals) < 1e-12
@@ -306,12 +319,14 @@ def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
 @pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (1.2, 0.8, 10),
                                        (1.068, 0.932, 40)])
 def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
-    # the near-circle capacity-1 ellipse restarts most: its K* eigenvalues
-    # reach roundoff after about 24, fewer than the 40 + 12 asked for
+    # the block step converges on the near-circle capacity-1 ellipses, whose
+    # K* eigenvalues reach roundoff after about 24; on ellipse(20, 1)
+    # (K* eigenvalues +-q^j / 2, q = 19/21) it needs a dimension of about
+    # 152 for k = 52, past its cap, and ARPACK takes over
     calls = count_eigs(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
-    assert calls == [1]
+    assert calls == {"block": 1, "eigs": int(a == 20.0)}
     exact = ellipse_plasmonic_eigenvalues(a, b, num=num)
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
 
@@ -321,8 +336,45 @@ def test_arnoldi_on_the_circle(monkeypatch):
     calls = count_eigs(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.circle(1.0), 1024)), num=20)
-    assert calls == [1]
+    assert calls == {"block": 1, "eigs": 0}
     assert np.max(np.abs(spec.eigenvalues - 1.0)) <= 1e-8
+
+
+@pytest.mark.parametrize("curve", [CurveParam.circle(1.0),
+                                   CurveParam.ellipse(1.068, 0.932)])
+def test_block_step_deflates_rank_deficient_blocks(monkeypatch, curve):
+    # K* has rank 1 on the unit circle, and on the near circle its
+    # eigenvalues reach roundoff after about 24: most columns of K* V_j lie
+    # in the basis already and are deflated
+    dtn = build_dtn(sample_curve(curve, 1024))
+    calls = count_eigs(monkeypatch)
+    spec = solve_plasmonic(dtn, num=40)
+    assert calls == {"block": 1, "eigs": 0}
+    ref = np_route(dtn, num=40).eigenvalues
+    assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-13 * ref)
+    assert np.max(spec.residuals) < 1e-12
+    first = spectrum2d._block_krylov(dtn.np_adjoint, 52)
+    second = spectrum2d._block_krylov(dtn.np_adjoint, 52)
+    assert all(np.array_equal(x, y) for x, y in zip(first, second))
+
+
+STAR = CurveParam.fourier(
+    cos=[1.5157170963045348, 0.0, 0.053453975572009885, 0.001836569022699422,
+         -0.004992779854505226, -0.024590917516686416, 0.017717811820101948],
+    sin=[0.0, 0.08458942942586233, 0.0518062001416686, 0.012574862298986925,
+         0.020203977914540414, -0.003823225869544866])
+
+
+@pytest.mark.parametrize("curve, passes", [(KITE, 9), (STAR, 10)])
+def test_block_step_pass_count(curve, passes):
+    # a regression guard on the cost of the block step (a count, not a
+    # timing): K* is read once per block of 8 vectors, 9 and 10 times for
+    # k = 52 at N = 1024, where ARPACK makes 77 or more products with it.
+    # STAR is a random star curve of the spectrum_large workload
+    k_star = build_dtn(sample_curve(curve, 1024)).np_adjoint.view(PassCounter)
+    k_star.passes = 0
+    assert spectrum2d._block_krylov(k_star, 52) is not None
+    assert k_star.passes == passes
 
 
 def test_selection_guard_sees_a_cut_through_the_wanted_values():
@@ -345,6 +397,8 @@ def test_selection_guard_sees_a_cut_through_the_wanted_values():
 
 
 def test_failed_guard_falls_back_to_the_dense_pencil(monkeypatch):
+    # with a margin of 1 on ellipse(20, 1) the block step hands off to
+    # ARPACK, whose num + 1 pairs fail the guard
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
     dense = solve_plasmonic(dtn, num=20)
@@ -352,15 +406,17 @@ def test_failed_guard_falls_back_to_the_dense_pencil(monkeypatch):
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", 1)
     spec = solve_plasmonic(dtn, num=20)
-    assert calls == [1]
+    assert calls == {"block": 1, "eigs": 1}
     assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
 
 
 def test_arnoldi_failure_is_a_numerical_error(monkeypatch):
+    # the block step has not converged, and neither has ARPACK after it
     def stalled(mat, k, **kwargs):
         raise scipy.sparse.linalg.ArpackNoConvergence(
             "no convergence", np.zeros(0), np.zeros((len(mat), 0)))
 
+    monkeypatch.setattr(spectrum2d, "_block_krylov", lambda k_star, k: None)
     monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
     dtn = build_dtn(sample_curve(KITE, 512))
     with pytest.raises(NumericalError, match="Arnoldi"):
