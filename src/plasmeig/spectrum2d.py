@@ -110,7 +110,7 @@ def _mean_zero_block(mat, root, v):
     return 0.5 * (c + c.T)
 
 
-def _check_num(num, n, operation):
+def check_num(num, n, operation):
     """Refuse a count num outside 1..n-1, the mean-zero subspace dimension."""
     if num < 1:
         raise ConfigError("spectrum2d", operation,
@@ -121,7 +121,8 @@ def _check_num(num, n, operation):
                           "num=%d, N=%d" % (num, n))
 
 
-def _select_far_from_one(eps, num):
+def select_far_from_one(eps, num):
+    """Indices of the num eps farthest from 1, ordered by ascending eps."""
     keep = np.argsort(-np.abs(eps - 1.0), kind="stable")[:num]
     return keep[np.argsort(eps[keep], kind="stable")]
 
@@ -154,7 +155,7 @@ def _k_star_pairs(sample, lam, phi, num, operation):
         raise NumericalError("spectrum2d", operation, "|lam| < 1/2 (eps > 0)",
                              "max |lam| %.17g" % np.max(np.abs(lam)))
     eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
-    keep = _select_far_from_one(eps, num)
+    keep = select_far_from_one(eps, num)
     return eps[keep], phi[:, keep]
 
 
@@ -254,7 +255,7 @@ def solve_plasmonic(dtn, num=20):
     both forms symmetric. Either way every eigenfunction must have positive
     interior energy, and nothing is factored."""
     w = dtn.sample.weights
-    _check_num(num, dtn.sample.n, "solve_plasmonic")
+    check_num(num, dtn.sample.n, "solve_plasmonic")
     k = num + _ARNOLDI_MARGIN
     if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * k:
         pairs = _block_krylov(dtn.np_adjoint, k)
@@ -292,7 +293,7 @@ def solve_plasmonic(dtn, num=20):
                              "pencil eigenvalues must be positive "
                              "(eps = 1/mu > 0)", "%d nonpositive" % bad)
     eps = 1.0 / mu
-    keep = _select_far_from_one(eps, num)
+    keep = select_far_from_one(eps, num)
     z = np.vstack([np.zeros(len(keep)), y[:, keep]])
     return _spectrum(dtn, eps[keep], _reflect(v, z) / root[:, None], "dtn")
 
@@ -302,7 +303,7 @@ def np_route(dtn, num=20):
     eigenvalue lam of K* (dense eig). The K* eigendensities are mean-zero up
     to the quadrature error of the Gauss integral w^T K* = w^T / 2 and are
     normalized like the DtN route's, so nothing is factored here either."""
-    _check_num(num, dtn.sample.n, "np_route")
+    check_num(num, dtn.sample.n, "np_route")
     lam, phi = scipy.linalg.eig(dtn.np_adjoint)
     eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
     return _spectrum(dtn, eps, phi, "np")

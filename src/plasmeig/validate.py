@@ -19,9 +19,8 @@ from .dtn_shape import (band_domain, banded_opnorm, fd_operator_check,
 from .errors import ConfigError, NumericalError
 from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
                       uniform_shape)
-from .spectrum2d import (_check_num, _select_far_from_one,
-                         criticality_residual, np_route, rayleigh,
-                         solve_plasmonic)
+from .spectrum2d import (check_num, criticality_residual, np_route, rayleigh,
+                         select_far_from_one, solve_plasmonic)
 from .sphere3d import SHField, ball_spectrum
 
 # Fixed geometries of the acceptance suite.
@@ -286,11 +285,11 @@ def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
     shifted spectra keep min(num + 2, n - 1) eigenvalues, so a plane cluster
     (at most 2-fold on dihedral curves) cut by the selection of num stays
     whole. The slope is fitted to the errors above their roundoff floors."""
-    _check_num(num, n, "epsdot_fd_report")
+    check_num(num, n, "epsdot_fd_report")
     wide = min(num + 2, n - 1)
     dtn = build_dtn(sample_curve(curve, n))
     spec = solve_plasmonic(dtn, num=wide)
-    index = int(_select_far_from_one(spec.eigenvalues, num)[index])
+    index = int(select_far_from_one(spec.eigenvalues, num)[index])
     eps = float(spec.eigenvalues[index])
     value = epsdot_2d(dtn, spec, index, a)
     diffs = finite_difference_epsdot(curve, a, eps, value, h_list, n=n,

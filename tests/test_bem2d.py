@@ -1,11 +1,13 @@
 """Layer-potential assembly and the Dirichlet-to-Neumann pair."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+from plasmeig import bem2d
 from plasmeig.bem2d import (_log_quadrature_weights, build_dtn, compute_g0,
                             farfield_log_coefficient)
 from plasmeig.curve2d import CurveParam, sample_curve
@@ -32,6 +34,63 @@ def test_log_weights_match_the_cosine_sum(n):
         np.cos(np.outer(tau, m)) @ (1.0 / m) + np.cos((n // 2) * tau) / n)
     got = _log_quadrature_weights(n)
     assert np.max(np.abs(got - direct)) <= 1e-14 * np.max(np.abs(direct))
+
+
+def whole_matrix_operators(sample):
+    """S and K* from whole-matrix node offsets, with build_dtn's operations
+    in build_dtn's order."""
+    n = sample.n
+    x, normals = sample.nodes, sample.normals
+    dx = np.subtract.outer(x[:, 0], x[:, 0])
+    dy = np.subtract.outer(x[:, 1], x[:, 1])
+    kern = dy * normals[:, 1, None]
+    r2 = dx * dx + dy * dy
+    kern += dx * normals[:, 0, None]
+    np.fill_diagonal(r2, sample.speed ** 2)
+    single = np.log(r2)
+    kern /= r2
+    single *= 0.5 / n
+    w = _log_quadrature_weights(n)
+    w[1:] -= (2.0 * math.pi / n) * np.log(
+        2.0 * np.sin(math.pi * np.arange(1, n) / n))
+    c = w / (2.0 * math.pi)
+    single += c[np.subtract.outer(np.arange(n), np.arange(n)) % n]
+    single *= sample.speed
+    np.fill_diagonal(kern, -0.5 * sample.curvature)
+    kern *= sample.speed
+    kern /= n
+    return single, kern
+
+
+@pytest.mark.parametrize("n, blocks", [
+    (64, "one"), (180, "one"), (1024, "whole"), (2048, "whole"),
+    (182, "partial"), (1000, "partial")])
+@pytest.mark.parametrize("curve", [KITE, CurveParam.ellipse(2.0, 1.0)],
+                         ids=["kite", "ellipse"])
+def test_row_blocks_match_the_whole_matrix_bit_for_bit(n, blocks, curve):
+    rows = max(1, bem2d._BLOCK_ENTRIES // n)
+    assert blocks == ("one" if rows >= n else
+                      "whole" if n % rows == 0 else "partial")
+    sample = sample_curve(curve, n)
+    dtn = build_dtn(sample)
+    single, kern = whole_matrix_operators(sample)
+    assert np.array_equal(dtn.single_layer, single)
+    assert np.array_equal(dtn.np_adjoint, kern)
+
+
+def test_assembly_keeps_no_full_size_temporaries():
+    # S and K* themselves are 2 x 8 N^2 bytes; the row blocks' offsets and
+    # the weights add a few percent
+    n = 1024
+    sample = sample_curve(KITE, n)
+    tracemalloc.start()
+    try:
+        dtn = build_dtn(sample)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dtn.single_layer.shape == (n, n)
+    assert peak <= 2.25 * 8 * n * n
 
 
 def test_single_layer_circle_multipliers():

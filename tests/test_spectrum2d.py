@@ -13,8 +13,8 @@ from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import ConfigError, EInfinitySignal, NumericalError
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
-                                 _select_far_from_one, _selection_complete,
-                                 criticality_residual, np_route, rayleigh,
+                                 _selection_complete, criticality_residual,
+                                 np_route, rayleigh, select_far_from_one,
                                  solve_plasmonic)
 
 from oracle2d import ellipse_plasmonic_eigenvalues
@@ -385,12 +385,12 @@ def test_selection_guard_sees_a_cut_through_the_wanted_values():
     half = 0.5 * q ** np.arange(1, 200)
     spectrum = np.concatenate([half, -half])
     top = spectrum[np.argsort(-np.abs(spectrum), kind="stable")]
-    full = spectrum[_select_far_from_one(
+    full = spectrum[select_far_from_one(
         (1 + 2 * spectrum) / (1 - 2 * spectrum), num)]
     for k, complete in ((num, False), (num + 11, True)):
         lam = top[:k]
         eps = (1 + 2 * lam) / (1 - 2 * lam)
-        chosen = eps[_select_far_from_one(eps, num)]
+        chosen = eps[select_far_from_one(eps, num)]
         assert _selection_complete(np.append(lam, 0.5), chosen) == complete
         exact = (1 + 2 * full) / (1 - 2 * full)
         assert np.array_equal(chosen, exact) is complete
