@@ -7,9 +7,9 @@ Computes permittivities eps for which the transmission problem
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: the DtN route (at large N a block Arnoldi
-step on K*, with ARPACK past its dimension cap; else a symmetric eigensolve
-of the DtN pencil on mean-zero densities) and the classical
-Neumann-Poincare route through every eigenvalue of K*. All find
+step on K*; else, or if that step does not settle the selection, a
+symmetric eigensolve of the DtN pencil on mean-zero densities) and the
+classical Neumann-Poincare route through every eigenvalue of K*. All find
 eigendensities phi from S and K* alone and share one normalization of phi
 and g = P S phi. Eigenvalues accumulate at 1 from both sides; the selected
 ones are the num farthest from 1, reported in ascending order.
@@ -30,10 +30,13 @@ _TIE = 1e3 * np.finfo(float).eps
 # K* eigenvalues of largest modulus (measured at num 40 and 10, 1 BLAS
 # thread). The block step reads K* once per block of _BLOCK vectors (one GEMM:
 # 1.05 ms for 8 columns, 0.45 ms for one at N = 1024) and accepts residuals up
-# to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20-40 ms where ARPACK took
-# 40-70 ms on the spectrum_large curves and 100-220 ms on the kite and near
-# circles, with eps within 7e-14 of ARPACK's. Past its cap ARPACK takes over
-# with k + 2 margin Krylov vectors (its default 2k + 1 costs more products).
+# to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20-40 ms on the spectrum_large
+# curves, the kite and near circles. Its cap, the dimension k + 160, comes
+# from the spectrum: K*'s eigenvalues decay at a rate set by the curve, so a
+# curve needs the dimension k plus an excess that does not grow with k. On
+# ellipses at k = 13 to 52 the excess was 20-35 at aspect 2, 68-75 at 10,
+# 104-108 at 20, 124-131 at 30 and 146-152 at 40; 160 covers them all, and
+# a curve that needs more is left to the dense pencil.
 _ARNOLDI_MARGIN = 12
 _ARNOLDI_N_PER_PAIR = 8
 _BLOCK = 8
@@ -144,9 +147,12 @@ def _k_star_pairs(sample, lam, phi, num, operation):
     flux = np.abs(w @ phi) / (np.linalg.norm(w) * np.linalg.norm(phi, axis=0))
     carrier = flux > _FLUX_COS
     if np.count_nonzero(carrier) != 1:
-        raise NumericalError("spectrum2d", operation, "K* must have exactly "
-                             "one flux-carrying eigenvalue 1/2",
-                             "found %d" % np.count_nonzero(carrier))
+        raise NumericalError("spectrum2d", operation, "exactly one K* "
+                             "eigendensity, that of 1/2, carries flux; extra "
+                             "carriers mean N does not resolve the curve",
+                             "found %d at N=%d, largest extra flux cosine %.3g"
+                             % (np.count_nonzero(carrier), len(w),
+                                np.sort(flux)[-2]))
     lam, phi = lam[~carrier], phi[:, ~carrier]
     if np.any(np.abs(1.0 - 2.0 * lam) < _DENOM_TOL):
         raise DegeneracyError("spectrum2d", operation, "K* eigenvalue 1/2 "
@@ -180,8 +186,9 @@ def _project_out(basis, x):
 
 def _block_krylov(k_star, k):
     """The k eigenpairs (lam, phi) of K* of largest modulus by block Arnoldi
-    from a fixed start block, shaped as eigs returns them, or None if some
-    pair has not converged by the dimension 2k + 16.
+    from a fixed start block (complex arrays, one vector phi per column), or
+    None if some pair has not converged by the dimension k + 160 (at most
+    N - 8, so that the basis and the block after it stay orthonormal).
 
     Each column of K* V_j is orthogonalized twice (against the earlier
     blocks at once and within its block, then against all). A column that
@@ -196,7 +203,7 @@ def _block_krylov(k_star, k):
     norm = scipy.linalg.norm(k_star, 1, check_finite=False)
     tol = _BLOCK_TOL * np.finfo(float).eps * norm
     check = b * -(-(k + 20) // b)
-    cap = b * -(-(2 * k + 16) // b)
+    cap = b * min(-(-(k + 160) // b), n // b - 1)
     rng = np.random.default_rng(0)
     basis = np.empty((n, cap + b))
     hess = np.zeros((cap + b, cap))
@@ -239,12 +246,10 @@ def solve_plasmonic(dtn, num=20):
     margin K* eigenvalues lam of largest modulus come from the block Arnoldi
     step _block_krylov (K* read once per block of 8 vectors; its spectrum
     decays geometrically, so at k = 52 a space of 72-80 vectors holds them on
-    star curves, up to 120 on ellipses of aspect 10). Past its cap 2k + 16,
-    ARPACK's implicitly restarted Arnoldi (scipy's eigs: one O(N^2) product
-    with K* a step, a fixed start vector for repeatable bits, a Krylov space
-    of k + 2 margin vectors) finds them instead; of the tested inputs only
-    ellipse(20, 1) needs it. lam maps as in np_route (|lam| < 1/2 for each
-    kept one); if _selection_complete fails, the dense pencil below solves.
+    star curves, 120 on ellipses of aspect 10 and 160 at aspect 20). lam maps
+    as in np_route (|lam| < 1/2 for each kept one). If the step has not
+    converged by its cap k + 160, or _selection_complete fails, the dense
+    pencil below solves.
 
     The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
     with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
@@ -259,20 +264,12 @@ def solve_plasmonic(dtn, num=20):
     k = num + _ARNOLDI_MARGIN
     if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * k:
         pairs = _block_krylov(dtn.np_adjoint, k)
-        if pairs is None:
-            from scipy.sparse.linalg import ArpackError, eigs
-            start = np.random.default_rng(0).standard_normal(dtn.sample.n)
-            try:
-                pairs = eigs(dtn.np_adjoint, k=k, ncv=k + 2 * _ARNOLDI_MARGIN,
-                             which="LM", tol=0, v0=start)
-            except ArpackError as exc:
-                raise NumericalError("spectrum2d", "solve_plasmonic",
-                                     "Arnoldi iteration on K* must converge",
-                                     str(exc))
-        lam, phi = pairs
-        eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "solve_plasmonic")
-        if _selection_complete(lam, eps):
-            return _spectrum(dtn, eps, phi, "dtn")
+        if pairs is not None:
+            lam, phi = pairs
+            eps, phi = _k_star_pairs(dtn.sample, lam, phi, num,
+                                     "solve_plasmonic")
+            if _selection_complete(lam, eps):
+                return _spectrum(dtn, eps, phi, "dtn")
     root, v = _mean_zero_reflector(w)
     form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
     pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)

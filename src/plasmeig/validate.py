@@ -165,8 +165,8 @@ def check_two_routes(n=128):
     and residual; only the eigensolvers differ. At n = 128 both are dense
     (pencil eigh, eig), so this checks an algebraic identity; only from
     n = 8 (10 + 12) on, where the DtN route runs the block Arnoldi step on
-    K* (and ARPACK when the step hands off), does it cross-check two
-    eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
+    K*, does it cross-check two eigensolvers. Independent: ellipse_oracle
+    and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)

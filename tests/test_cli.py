@@ -2,16 +2,19 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import plasmeig
 from plasmeig.cli import canonical_json, main
 from plasmeig.curve2d import CurveParam
 
 from test_perturb import random_shape
-from test_spectrum2d import count_eigs
+from test_spectrum2d import count_block_steps
 from test_sphere3d import field_json
 
 KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
@@ -117,17 +120,16 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
 
 
 def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
-    # N >= 8 (num + 12) solves by the block Arnoldi step on K* (one block
-    # solve per spectrum, no hand-off to ARPACK); below that the dense
-    # pencil, which makes neither
-    calls = count_eigs(monkeypatch)
-    for n, expected in ((1024, 1), (128, 0)):
-        calls.update(block=0, eigs=0)
+    # N >= 8 (num + 12) solves by the block Arnoldi step on K* (one
+    # converged block solve per spectrum); below that the dense pencil
+    calls = count_block_steps(monkeypatch)
+    for n, expected in ((1024, [True]), (128, [])):
+        calls.clear()
         cfg = write_config(tmp_path, "job_%d.json" % n,
                            {"curve": KITE, "N": n, "num_eigs": 40})
         assert main(["spectrum", "--config", cfg, "--out",
                      str(tmp_path / str(n))]) == 0
-        assert calls == {"block": expected, "eigs": 0}
+        assert calls == expected
     # the README 2D perturb job at N = 512 makes 7 spectrum solves (the base
     # and two per step), all by the block step; epsdot is the dense pencil's
     # value
@@ -135,14 +137,33 @@ def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
            "a": {"cos": [0.0, 0.0, 1.0], "sin": []}, "N": 512,
            "eps_index": 0, "h_list": [1e-2, 5e-3, 2.5e-3]}
     cfg = write_config(tmp_path, "perturb.json", job)
-    calls.update(block=0, eigs=0)
+    calls.clear()
     assert main(["perturb", "--config", cfg, "--out",
                  str(tmp_path / "perturb")]) == 0
-    assert calls == {"block": 7, "eigs": 0}
+    assert calls == [True] * 7
     record, _ = read_record(tmp_path / "perturb", "perturb")
     assert record["flags"] == {"fd_slope_ok": True}
     dense = -0.7179890884119251
     assert abs(record["outputs"]["epsdot"] - dense) <= 1e-10 * abs(dense)
+
+
+def test_spectrum_imports_no_sparse_solver(tmp_path):
+    # ellipse(20, 1) needs the largest Krylov space of the tested curves; the
+    # job runs in a fresh interpreter, so no other test's imports count
+    cfg = write_config(tmp_path, "job.json",
+                       {"curve": {"kind": "ellipse", "a": 20.0, "b": 1.0},
+                        "N": 1024, "num_eigs": 40})
+    script = ("import sys\n"
+              "from plasmeig.cli import main\n"
+              "assert main(sys.argv[1:]) == 0\n"
+              "print('scipy.sparse' in sys.modules)\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plasmeig.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run(
+        [sys.executable, "-c", script, "spectrum", "--config", cfg, "--out",
+         str(tmp_path / "out")], env=env, capture_output=True, text=True,
+        check=True)
+    assert run.stdout.splitlines()[-1] == "False"
 
 
 def test_spectrum_routes_agree(tmp_path):
@@ -481,6 +502,18 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
                         "h_list": [1.5, 1.2]})
     assert main(["dn-derivative", "--config", cfg]) == 3
     assert "must not fold the boundary" in capsys.readouterr().err
+    # the sevenfold curve at N = 64: the discrete Gauss integral
+    # w^T K* = w^T / 2 is off by the quadrature error, so eight K*
+    # eigendensities besides that of 1/2 carry a flux cosine above 1e-6
+    # (4e-9 at N = 96); the np route names under-resolution
+    cfg = write_config(tmp_path, "seven.json",
+                       {"curve": {"kind": "fourier",
+                                  "cos": [1, 0, 0, 0, 0, 0, 0, 0.15]},
+                        "N": 64, "num_eigs": 8, "route": "np"})
+    assert main(["spectrum", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "found 9 at N=64, largest extra flux cosine 1.77e-06" in err
+    assert "extra carriers mean N does not resolve the curve" in err
 
 
 def test_stdout_mode_prints_record_and_wall_time(tmp_path, capsys):

@@ -5,13 +5,12 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse.linalg
 
 from plasmeig import spectrum2d
 from plasmeig.bem2d import build_dtn
 from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
-from plasmeig.errors import ConfigError, EInfinitySignal, NumericalError
+from plasmeig.errors import ConfigError, EInfinitySignal
 from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
                                  _selection_complete, criticality_residual,
                                  np_route, rayleigh, select_far_from_one,
@@ -30,21 +29,18 @@ def bordered_residuals(dtn, eps, g):
     return np.sqrt(dtn.sample.weights @ (r * r))
 
 
-def count_eigs(monkeypatch):
-    """Count the K* Krylov solves: block Arnoldi solves (_block_krylov) and
-    their hand-offs to ARPACK (scipy.sparse.linalg.eigs), separately."""
-    calls = {"block": 0, "eigs": 0}
+def count_block_steps(monkeypatch):
+    """Record the block Arnoldi steps (_block_krylov) on K*: one entry per
+    call, True when the step converged."""
+    calls = []
+    step = spectrum2d._block_krylov
 
-    def counting(name, solver):
-        def counted(*args, **kwargs):
-            calls[name] += 1
-            return solver(*args, **kwargs)
-        return counted
+    def counted(k_star, k):
+        pairs = step(k_star, k)
+        calls.append(pairs is not None)
+        return pairs
 
-    monkeypatch.setattr(spectrum2d, "_block_krylov",
-                        counting("block", spectrum2d._block_krylov))
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs",
-                        counting("eigs", scipy.sparse.linalg.eigs))
+    monkeypatch.setattr(spectrum2d, "_block_krylov", counted)
     return calls
 
 
@@ -304,10 +300,10 @@ def test_np_route_drops_a_flux_eigenvalue_off_one_half(aspect, n):
 
 
 def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
-    calls = count_eigs(monkeypatch)
+    calls = count_block_steps(monkeypatch)
     dtn = build_dtn(sample_curve(KITE, 512))
     spec = solve_plasmonic(dtn, num=40)
-    assert calls == {"block": 1, "eigs": 0}
+    assert calls == [True]
     ref = np_route(dtn, num=40).eigenvalues
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-12 * np.abs(ref))
     assert np.max(spec.residuals) < 1e-12
@@ -316,27 +312,27 @@ def test_arnoldi_matches_the_np_route_on_the_kite(monkeypatch):
     assert np.array_equal(again.densities, spec.densities)
 
 
-@pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (1.2, 0.8, 10),
-                                       (1.068, 0.932, 40)])
+@pytest.mark.parametrize("a, b, num", [(20.0, 1.0, 40), (30.0, 1.0, 40),
+                                       (1.2, 0.8, 10), (1.068, 0.932, 40)])
 def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
     # the block step converges on the near-circle capacity-1 ellipses, whose
-    # K* eigenvalues reach roundoff after about 24; on ellipse(20, 1)
-    # (K* eigenvalues +-q^j / 2, q = 19/21) it needs a dimension of about
-    # 152 for k = 52, past its cap, and ARPACK takes over
-    calls = count_eigs(monkeypatch)
+    # K* eigenvalues reach roundoff after about 24, and within its cap k + 160
+    # on ellipses (a, 1) (K* eigenvalues +-q^j / 2, q = (a - 1) / (a + 1)),
+    # which need the dimensions 160 and 176 for k = 52
+    calls = count_block_steps(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
-    assert calls == {"block": 1, "eigs": int(a == 20.0)}
+    assert calls == [True]
     exact = ellipse_plasmonic_eigenvalues(a, b, num=num)
     assert np.max(np.abs(spec.eigenvalues - exact)) < 1e-10
 
 
 def test_arnoldi_on_the_circle(monkeypatch):
     # every eigenvalue of K* but 1/2 sits at roundoff, so the selection ties
-    calls = count_eigs(monkeypatch)
+    calls = count_block_steps(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.circle(1.0), 1024)), num=20)
-    assert calls == {"block": 1, "eigs": 0}
+    assert calls == [True]
     assert np.max(np.abs(spec.eigenvalues - 1.0)) <= 1e-8
 
 
@@ -347,9 +343,9 @@ def test_block_step_deflates_rank_deficient_blocks(monkeypatch, curve):
     # eigenvalues reach roundoff after about 24: most columns of K* V_j lie
     # in the basis already and are deflated
     dtn = build_dtn(sample_curve(curve, 1024))
-    calls = count_eigs(monkeypatch)
+    calls = count_block_steps(monkeypatch)
     spec = solve_plasmonic(dtn, num=40)
-    assert calls == {"block": 1, "eigs": 0}
+    assert calls == [True]
     ref = np_route(dtn, num=40).eigenvalues
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-13 * ref)
     assert np.max(spec.residuals) < 1e-12
@@ -365,16 +361,28 @@ STAR = CurveParam.fourier(
          0.020203977914540414, -0.003823225869544866])
 
 
-@pytest.mark.parametrize("curve, passes", [(KITE, 9), (STAR, 10)])
+@pytest.mark.parametrize("curve, passes", [
+    (KITE, 9), (STAR, 10), (CurveParam.ellipse(20.0, 1.0), 20)])
 def test_block_step_pass_count(curve, passes):
     # a regression guard on the cost of the block step (a count, not a
-    # timing): K* is read once per block of 8 vectors, 9 and 10 times for
-    # k = 52 at N = 1024, where ARPACK makes 77 or more products with it.
-    # STAR is a random star curve of the spectrum_large workload
+    # timing): K* is read once per block of 8 vectors, 9, 10 and 20 times
+    # for k = 52 at N = 1024 (the dimensions 72, 80 and 160). STAR is a
+    # random star curve of the spectrum_large workload
     k_star = build_dtn(sample_curve(curve, 1024)).np_adjoint.view(PassCounter)
     k_star.passes = 0
     assert spectrum2d._block_krylov(k_star, 52) is not None
     assert k_star.passes == passes
+
+
+def test_block_step_stops_within_the_space():
+    # at N = 104 and k = 13 the cap k + 160 passes N: the step stops at the
+    # dimension 96, whose next block fills the space, after 12 passes over
+    # K*, and ellipse(30, 1) needs more
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(30.0, 1.0), 104))
+    k_star = dtn.np_adjoint.view(PassCounter)
+    k_star.passes = 0
+    assert spectrum2d._block_krylov(k_star, 13) is None
+    assert k_star.passes == 12
 
 
 def test_selection_guard_sees_a_cut_through_the_wanted_values():
@@ -397,27 +405,25 @@ def test_selection_guard_sees_a_cut_through_the_wanted_values():
 
 
 def test_failed_guard_falls_back_to_the_dense_pencil(monkeypatch):
-    # with a margin of 1 on ellipse(20, 1) the block step hands off to
-    # ARPACK, whose num + 1 pairs fail the guard
+    # with a margin of 1 on ellipse(20, 1) the block step converges, but its
+    # num + 1 pairs fail the guard
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
     dense = solve_plasmonic(dtn, num=20)
-    calls = count_eigs(monkeypatch)
+    calls = count_block_steps(monkeypatch)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", 1)
     spec = solve_plasmonic(dtn, num=20)
-    assert calls == {"block": 1, "eigs": 1}
+    assert calls == [True]
     assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
 
 
-def test_arnoldi_failure_is_a_numerical_error(monkeypatch):
-    # the block step has not converged, and neither has ARPACK after it
-    def stalled(mat, k, **kwargs):
-        raise scipy.sparse.linalg.ArpackNoConvergence(
-            "no convergence", np.zeros(0), np.zeros((len(mat), 0)))
-
-    monkeypatch.setattr(spectrum2d, "_block_krylov", lambda k_star, k: None)
-    monkeypatch.setattr(scipy.sparse.linalg, "eigs", stalled)
+def test_unconverged_block_step_falls_back_to_the_dense_pencil(monkeypatch):
+    # a block step that stops at its cap leaves the solve to the dense pencil
     dtn = build_dtn(sample_curve(KITE, 512))
-    with pytest.raises(NumericalError, match="Arnoldi"):
-        solve_plasmonic(dtn, num=20)
+    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
+    dense = solve_plasmonic(dtn, num=20)
+    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
+    monkeypatch.setattr(spectrum2d, "_block_krylov", lambda k_star, k: None)
+    spec = solve_plasmonic(dtn, num=20)
+    assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
