@@ -186,7 +186,7 @@ def _project_out(basis, x):
 
 def _block_krylov(k_star, k):
     """The k eigenpairs (lam, phi) of K* of largest modulus by block Arnoldi
-    from a fixed start block (complex arrays, one vector phi per column), or
+    from a fixed start block (one vector phi per column), or
     None if some pair has not converged by the dimension k + 160 (at most
     N - 8, so that the basis and the block after it stay orthonormal).
 
@@ -197,7 +197,10 @@ def _block_krylov(k_star, k):
     from the block Hessenberg H from the dimension k + 20 on, from QZ on
     (H, I) when LAPACK's eig, which balances H, spoils the vectors of
     roundoff eigenvalues. A failed check at residual ratio r skips
-    log10(r) / 2 blocks (residuals fell about two decades a block).
+    log10(r) / 2 blocks (residuals fell about two decades a block). The
+    basis is column-major: each block K* multiplies is one slab, each column
+    write is contiguous, and complex Ritz vectors y reach it as one real
+    product on y.view(float), not through a complex copy of the basis.
     """
     n, b = len(k_star), _BLOCK
     norm = scipy.linalg.norm(k_star, 1, check_finite=False)
@@ -205,7 +208,7 @@ def _block_krylov(k_star, k):
     check = b * -(-(k + 20) // b)
     cap = b * min(-(-(k + 160) // b), n // b - 1)
     rng = np.random.default_rng(0)
-    basis = np.empty((n, cap + b))
+    basis = np.empty((n, cap + b), order="F")
     hess = np.zeros((cap + b, cap))
     basis[:, :b] = np.linalg.qr(rng.standard_normal((n, b)))[0]
     for m in range(b, cap + 1, b):
@@ -234,7 +237,8 @@ def _block_krylov(k_star, k):
                     break
                 if np.all(np.linalg.norm(hess[:m, :m] @ y - y * lam, axis=0)
                           <= tol):
-                    return lam, basis[:, :m] @ y
+                    y = np.ascontiguousarray(y)
+                    return lam, (basis[:, :m] @ y.view(float)).view(y.dtype)
             check += b * max(1, int(np.log10(max(worst, 1.0))) // 2)
     return None
 

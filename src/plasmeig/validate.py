@@ -162,18 +162,20 @@ def check_two_routes(n=128):
     """Criterion 4: DtN route vs adjoint-double-layer route.
 
     Both find eigendensities from S and K* alone and share one normalization
-    and residual; only the eigensolvers differ. At n = 128 both are dense
-    (pencil eigh, eig), so this checks an algebraic identity; only from
-    n = 8 (10 + 12) on, where the DtN route runs the block Arnoldi step on
-    K*, does it cross-check two eigensolvers. Independent: ellipse_oracle
-    and tests/oracle2d.py.
+    and residual; only the eigensolvers differ. At num = 10 and n = 128 both
+    are dense (pencil eigh, eig): an algebraic identity. At num = 4 (k = 16)
+    and n >= 8k = 128 the DtN route runs the block Arnoldi step on K*, and
+    matching the 4 dense eig values farthest from 1 cross-checks two
+    eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
     """
     def body():
         _, dtn = _ellipse_dtn(n)
-        s1 = solve_plasmonic(dtn, num=10)
-        s2 = np_route(dtn, num=10)
-        worst = float(np.max(np.abs(s1.eigenvalues - s2.eigenvalues)))
-        return worst <= 1e-8, {"max_abs_gap": worst, "tol": 1e-8}
+        dense = np_route(dtn, num=10).eigenvalues
+        worst, block = (float(np.max(np.abs(
+            solve_plasmonic(dtn, num=num).eigenvalues
+            - dense[select_far_from_one(dense, num)]))) for num in (10, 4))
+        return max(worst, block) <= 1e-8, {
+            "max_abs_gap": worst, "block_max_abs_gap": block, "tol": 1e-8}
     return _timed("two_routes", body)
 
 

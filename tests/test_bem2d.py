@@ -78,6 +78,21 @@ def test_row_blocks_match_the_whole_matrix_bit_for_bit(n, blocks, curve):
     assert np.array_equal(dtn.np_adjoint, kern)
 
 
+@pytest.mark.parametrize("n", [64, 180, 1024])
+def test_single_layer_and_np_adjoint_share_one_allocation(n):
+    # S and K* are the halves of one C-contiguous (2, N, N) block, so that a
+    # loop of jobs at N = 1024 gets one 16 MB block back from the allocator
+    # instead of faulting in two fresh 8 MB ones
+    dtn = build_dtn(sample_curve(KITE, n))
+    single, kern = dtn.single_layer, dtn.np_adjoint
+    assert single.base is kern.base
+    assert single.base.shape == (2, n, n)
+    assert single.base.flags.c_contiguous
+    start = single.__array_interface__["data"][0]
+    assert single.base.__array_interface__["data"][0] == start
+    assert kern.__array_interface__["data"][0] - start == 8 * n * n
+
+
 def test_assembly_keeps_no_full_size_temporaries():
     # S and K* themselves are 2 x 8 N^2 bytes; the row blocks' offsets and
     # the weights add a few percent

@@ -374,6 +374,32 @@ def test_block_step_pass_count(curve, passes):
     assert k_star.passes == passes
 
 
+@pytest.mark.parametrize("n, k, vectors", [(128, 16, "real"),
+                                             (256, 22, "complex")])
+def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
+                                                     vectors):
+    # on the kite, LAPACK's eig returns real Ritz vectors y at the accepting
+    # check at N = 128 (every Ritz value of H real) and complex ones at
+    # N = 256; the complex ones reach the basis as one real product on
+    # y.view(float)
+    kinds = []
+    eig = spectrum2d.scipy.linalg.eig
+
+    def spy(*args, **kwargs):
+        lam, y = eig(*args, **kwargs)
+        kinds.append("complex" if np.iscomplexobj(y) else "real")
+        return lam, y
+
+    monkeypatch.setattr(spectrum2d.scipy.linalg, "eig", spy)
+    k_star = build_dtn(sample_curve(KITE, n)).np_adjoint
+    lam, phi = spectrum2d._block_krylov(k_star, k)
+    assert kinds[-1] == vectors
+    assert phi.shape == (n, k)
+    bound = 100 * np.finfo(float).eps * np.linalg.norm(k_star, 1)
+    assert np.all(np.linalg.norm(k_star @ phi - phi * lam, axis=0)
+                  <= bound * np.linalg.norm(phi, axis=0))
+
+
 def test_block_step_stops_within_the_space():
     # at N = 104 and k = 13 the cap k + 160 passes N: the step stops at the
     # dimension 96, whose next block fills the space, after 12 passes over

@@ -7,11 +7,13 @@ import pytest
 
 from plasmeig.curve2d import CurveParam, ShapeFn2D
 from plasmeig.errors import ConfigError
-from plasmeig.validate import (CHECK_NAMES, disk_integral_epsdot_y20,
+from plasmeig.validate import (CHECK_NAMES, check_two_routes,
+                               disk_integral_epsdot_y20,
                                elliptic_eigenvalues, epsdot_fd_report,
                                run_all)
 
 import oracle2d
+from test_spectrum2d import count_block_steps
 
 EXPECTED_CHECKS = [
     "disk_degeneracy",
@@ -53,6 +55,16 @@ def test_empty_check_list_is_a_config_error():
     # having run nothing
     with pytest.raises(ConfigError, match="checks"):
         run_all(names=[])
+
+
+def test_two_routes_crosses_the_block_step(monkeypatch):
+    # at N = 128 the num = 4 solve (k = 16, N = 8k) runs the block Arnoldi
+    # step, so the check compares two eigensolvers, not only the dense pair
+    calls = count_block_steps(monkeypatch)
+    result = check_two_routes()
+    assert result.passed, result.details
+    assert calls == [True]
+    assert result.details["block_max_abs_gap"] <= result.details["tol"]
 
 
 def test_elliptic_eigenvalues_cross_check():
