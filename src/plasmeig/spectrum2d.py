@@ -18,6 +18,7 @@ ones are the num farthest from 1, reported in ascending order.
 import numpy as np
 import scipy.linalg
 
+from .bem2d import _BLOCK_ENTRIES
 from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalError
 
 _DENOM_TOL = 1e-12
@@ -28,14 +29,15 @@ _FLUX_COS = 1e-6
 _TIE = 1e3 * np.finfo(float).eps
 # From N = 8k a Krylov method beats the dense pencil for the k = num + margin
 # K* eigenvalues of largest modulus (measured at num 40 and 10, 1 BLAS
-# thread). The block step reads K* once per block of _BLOCK vectors (one GEMM:
-# 1.05 ms for 8 columns, 0.45 ms for one at N = 1024) and accepts residuals up
-# to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20-40 ms on the spectrum_large
-# curves, the kite and near circles. Its cap, the dimension k + 160, comes
+# thread). The block step reads K* once per block of _BLOCK vectors, in row
+# panels of bem2d's _BLOCK_ENTRIES (at N = 1024, 32 rows: 0.83-0.89 ms for 8
+# columns, against 1.14 ms as one GEMM and 0.37 ms for one column), and
+# accepts residuals up to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20 ms
+# (median) on the spectrum_large curves. Its cap, the dimension k + 160, comes
 # from the spectrum: K*'s eigenvalues decay at a rate set by the curve, so a
 # curve needs the dimension k plus an excess that does not grow with k. On
 # ellipses at k = 13 to 52 the excess was 20-35 at aspect 2, 68-75 at 10,
-# 104-108 at 20, 124-131 at 30 and 146-152 at 40; 160 covers them all, and
+# 104-108 at 20, 124-132 at 30 and 146-152 at 40; 160 covers them all, and
 # a curve that needs more is left to the dense pencil.
 _ARNOLDI_MARGIN = 12
 _ARNOLDI_N_PER_PAIR = 8
@@ -136,7 +138,8 @@ def _k_star_pairs(sample, lam, phi, num, operation):
     A complex-conjugate pair (a double eigenvalue split by roundoff) gives
     the real and imaginary parts of its vector. The one density with a flux
     cosine above _FLUX_COS (eigenvalue 1/2, eps infinite) is dropped; every
-    other lam must satisfy |lam| < 1/2, i.e. eps > 0."""
+    other lam must satisfy |lam| < 1/2, i.e. eps > 0. Rows of phi past N
+    (K* phi, stacked below phi by the block step) are selected alike."""
     if np.max(np.abs(lam.imag)) > 1e-8:
         raise NumericalError("spectrum2d", operation,
                              "K* spectrum must be real on smooth curves",
@@ -144,7 +147,8 @@ def _k_star_pairs(sample, lam, phi, num, operation):
     phi = np.where(lam.imag < 0.0, phi.imag, phi.real)
     lam = lam.real
     w = sample.weights
-    flux = np.abs(w @ phi) / (np.linalg.norm(w) * np.linalg.norm(phi, axis=0))
+    top = phi[:len(w)]
+    flux = np.abs(w @ top) / (np.linalg.norm(w) * np.linalg.norm(top, axis=0))
     carrier = flux > _FLUX_COS
     if np.count_nonzero(carrier) != 1:
         raise NumericalError("spectrum2d", operation, "exactly one K* "
@@ -186,33 +190,41 @@ def _project_out(basis, x):
 
 def _block_krylov(k_star, k):
     """The k eigenpairs (lam, phi) of K* of largest modulus by block Arnoldi
-    from a fixed start block (one vector phi per column), or
-    None if some pair has not converged by the dimension k + 160 (at most
-    N - 8, so that the basis and the block after it stay orthonormal).
+    from a fixed start block, or None if some pair has not converged by the
+    dimension k + 160 (at most N - 8, so that the basis and the block after
+    it stay orthonormal). phi is (2N, k): one Ritz vector per column, with
+    K* phi stacked below it.
 
-    Each column of K* V_j is orthogonalized twice (against the earlier
-    blocks at once and within its block, then against all). A column that
-    K* maps into the basis (K* has rank 1 on the circle) is deflated: a
-    random direction replaces it, with a zero subdiagonal. Ritz pairs come
-    from the block Hessenberg H from the dimension k + 20 on, from QZ on
-    (H, I) when LAPACK's eig, which balances H, spoils the vectors of
-    roundoff eigenvalues. A failed check at residual ratio r skips
-    log10(r) / 2 blocks (residuals fell about two decades a block). The
-    basis is column-major: each block K* multiplies is one slab, each column
-    write is contiguous, and complex Ritz vectors y reach it as one real
-    product on y.view(float), not through a complex copy of the basis.
+    K* V_j is formed in row panels of _BLOCK_ENTRIES entries and kept, raw,
+    beside the basis V in one column-major allocation, so K* phi = (K* V) y
+    costs no further pass over K*: one real product on y.view(float) gives
+    V y over (K* V) y. Each column of K* V_j is orthogonalized twice (against
+    the earlier blocks at once and within its block, then against all). A
+    column that K* maps into the basis (K* has rank 1 on the circle) is
+    deflated: a random direction replaces it, with a zero subdiagonal. Ritz
+    pairs come from the block Hessenberg H from the dimension k + 20 on,
+    from its Schur form H = Z T Z^T (permuted, not scaled, which would spoil
+    the vectors of roundoff eigenvalues) and y = Z x for T x = x lam. A
+    failed check at residual ratio r skips log10(r) / 2 blocks (residuals
+    fell about two decades a block).
     """
     n, b = len(k_star), _BLOCK
     norm = scipy.linalg.norm(k_star, 1, check_finite=False)
     tol = _BLOCK_TOL * np.finfo(float).eps * norm
     check = b * -(-(k + 20) // b)
     cap = b * min(-(-(k + 160) // b), n // b - 1)
+    rows = max(1, _BLOCK_ENTRIES // n)
     rng = np.random.default_rng(0)
-    basis = np.empty((n, cap + b), order="F")
+    krylov = np.empty((2 * n, cap + b), order="F")
+    basis, products = krylov[:n], krylov[n:]
     hess = np.zeros((cap + b, cap))
     basis[:, :b] = np.linalg.qr(rng.standard_normal((n, b)))[0]
     for m in range(b, cap + 1, b):
-        block = k_star @ basis[:, m - b:m]
+        for r in range(0, n, rows):
+            np.matmul(k_star[r:r + rows], basis[:, m - b:m],
+                      out=products[r:r + rows, m - b:m])
+        block = basis[:, m:m + b]
+        block[...] = products[:, m - b:m]
         hess[:m, m - b:m] = _project_out(basis[:, :m], block)
         for i in range(b):
             x, col = block[:, i], hess[:, m - b + i]
@@ -221,24 +233,23 @@ def _block_krylov(k_star, k):
             col[m + i] = np.linalg.norm(x)
             if col[m + i] <= tol:
                 col[m + i] = 0.0
-                x = rng.standard_normal(n)
+                x[...] = rng.standard_normal(n)
                 for _ in range(2):
                     _project_out(basis[:, :m + i], x)
-            basis[:, m + i] = x / np.linalg.norm(x)
+            x /= np.linalg.norm(x)
         if m == check:
-            for pencil in (None, np.eye(m)):
-                lam, y = scipy.linalg.eig(hess[:m, :m], pencil)
-                top = np.argsort(-np.abs(lam), kind="stable")[:k]
-                lam, y = lam[top], y[:, top]
-                y /= np.linalg.norm(y, axis=0)
-                worst = np.max(np.linalg.norm(
-                    hess[m:m + b, m - b:m] @ y[m - b:], axis=0)) / tol
-                if worst > 1.0:
-                    break
-                if np.all(np.linalg.norm(hess[:m, :m] @ y - y * lam, axis=0)
-                          <= tol):
-                    y = np.ascontiguousarray(y)
-                    return lam, (basis[:, :m] @ y.view(float)).view(y.dtype)
+            h = hess[:m, :m]
+            t, z = scipy.linalg.schur(h)
+            lam, x = scipy.linalg.eig(t)
+            top = np.argsort(-np.abs(lam), kind="stable")[:k]
+            lam, y = lam[top], z @ x[:, top]
+            y /= np.linalg.norm(y, axis=0)
+            worst = np.max(np.linalg.norm(
+                hess[m:m + b, m - b:m] @ y[m - b:], axis=0)) / tol
+            if worst <= 1.0 and np.all(
+                    np.linalg.norm(h @ y - y * lam, axis=0) <= tol):
+                y = np.ascontiguousarray(y)
+                return lam, (krylov[:, :m] @ y.view(float)).view(y.dtype)
             check += b * max(1, int(np.log10(max(worst, 1.0))) // 2)
     return None
 
@@ -273,7 +284,7 @@ def solve_plasmonic(dtn, num=20):
             eps, phi = _k_star_pairs(dtn.sample, lam, phi, num,
                                      "solve_plasmonic")
             if _selection_complete(lam, eps):
-                return _spectrum(dtn, eps, phi, "dtn")
+                return _spectrum(dtn, eps, *np.split(phi, 2), "dtn")
     root, v = _mean_zero_reflector(w)
     form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
     pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
@@ -296,7 +307,8 @@ def solve_plasmonic(dtn, num=20):
     eps = 1.0 / mu
     keep = select_far_from_one(eps, num)
     z = np.vstack([np.zeros(len(keep)), y[:, keep]])
-    return _spectrum(dtn, eps[keep], _reflect(v, z) / root[:, None], "dtn")
+    phi = _reflect(v, z) / root[:, None]
+    return _spectrum(dtn, eps[keep], phi, dtn.np_adjoint @ phi, "dtn")
 
 
 def np_route(dtn, num=20):
@@ -307,14 +319,17 @@ def np_route(dtn, num=20):
     check_num(num, dtn.sample.n, "np_route")
     lam, phi = scipy.linalg.eig(dtn.np_adjoint)
     eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
-    return _spectrum(dtn, eps, phi, "np")
+    return _spectrum(dtn, eps, phi, dtn.np_adjoint @ phi, "np")
 
 
-def _spectrum(dtn, eps, phi, route):
+def _spectrum(dtn, eps, phi, k_star_phi, route):
     """The spectrum of eigendensities phi scaled to unit interior energy
-    <g, N- g> = 1 of g = P S phi; (eps N- + N+) g = (eps + 1) N- g + phi."""
+    <g, N- g> = 1 of g = P S phi, with N- g = (K* - 1/2) phi from the given
+    K* phi; (eps N- + N+) g = (eps + 1) N- g + phi."""
     w = dtn.sample.weights
-    g, dng = dtn.interior_data(phi)
+    g = dtn.single_layer @ phi
+    g -= (w @ g) / w.sum()
+    dng = k_star_phi - 0.5 * phi
     energy = w @ (g * dng)
     if not np.all(energy > 0.0):
         raise NumericalError(

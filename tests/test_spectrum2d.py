@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -45,11 +46,29 @@ def count_block_steps(monkeypatch):
 
 
 class PassCounter(np.ndarray):
-    """An array view that counts its products with @: passes over K*."""
+    """A view of K* that adds to rows[0] the rows that it, or a row panel
+    sliced from it, gives to a product (np.matmul or @)."""
 
-    def __matmul__(self, other):
-        self.passes += 1
-        return np.asarray(self) @ other
+    def __array_finalize__(self, obj):
+        self.rows = getattr(obj, "rows", None)
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if ufunc is np.matmul and inputs[0] is self:
+            self.rows[0] += len(self)
+        if "out" in kwargs:
+            kwargs["out"] = tuple(np.asarray(a) for a in kwargs["out"])
+        return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
+
+
+def block_step_passes(k_star, k):
+    """_block_krylov(k_star, k) and its passes over K*: one per N rows read,
+    however many row panels a pass is split into."""
+    counted = k_star.view(PassCounter)
+    counted.rows = [0]
+    pairs = spectrum2d._block_krylov(counted, k)
+    passes, rest = divmod(counted.rows[0], len(k_star))
+    assert rest == 0
+    return pairs, passes
 
 
 def test_ellipse_matches_separation_of_variables():
@@ -158,6 +177,25 @@ def test_density_residuals_equal_the_dtn_residuals():
         ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
         assert np.all(np.abs(spec.residuals - ref)
                       <= 1e-10 * np.maximum(1.0, ng))
+
+
+def test_block_route_residuals_equal_the_dtn_residuals(monkeypatch):
+    # as above on the block route (KITE at N = 512, k = 52), whose K* phi
+    # comes from the products K* V the step stored: they match K* applied
+    # to phi, to roundoff
+    dtn = build_dtn(sample_curve(KITE, 512))
+    calls = count_block_steps(monkeypatch)
+    spec = solve_plasmonic(dtn, num=40)
+    assert calls == [True]
+    g = spec.eigenfunctions
+    ref = bordered_residuals(dtn, spec.eigenvalues, g)
+    ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
+    assert np.all(np.abs(spec.residuals - ref) <= 1e-10 * np.maximum(1.0, ng))
+    phi, k_star_phi = np.split(spectrum2d._block_krylov(dtn.np_adjoint, 52)[1],
+                               2)
+    bound = 100 * np.finfo(float).eps * np.linalg.norm(dtn.np_adjoint, 1)
+    assert np.all(np.linalg.norm(k_star_phi - dtn.np_adjoint @ phi, axis=0)
+                  <= bound * np.linalg.norm(phi, axis=0))
 
 
 def test_householder_basis_is_mean_zero_and_m_orthonormal():
@@ -318,7 +356,7 @@ def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
     # the block step converges on the near-circle capacity-1 ellipses, whose
     # K* eigenvalues reach roundoff after about 24, and within its cap k + 160
     # on ellipses (a, 1) (K* eigenvalues +-q^j / 2, q = (a - 1) / (a + 1)),
-    # which need the dimensions 160 and 176 for k = 52
+    # which need the dimensions 160 and 184 for k = 52
     calls = count_block_steps(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
@@ -368,36 +406,58 @@ def test_block_step_pass_count(curve, passes):
     # timing): K* is read once per block of 8 vectors, 9, 10 and 20 times
     # for k = 52 at N = 1024 (the dimensions 72, 80 and 160). STAR is a
     # random star curve of the spectrum_large workload
-    k_star = build_dtn(sample_curve(curve, 1024)).np_adjoint.view(PassCounter)
-    k_star.passes = 0
+    pairs, counted = block_step_passes(
+        build_dtn(sample_curve(curve, 1024)).np_adjoint, 52)
+    assert pairs is not None
+    assert counted == passes
+
+
+@pytest.mark.parametrize("curve, dims", [(STAR, [72, 80]), (KITE, [72])])
+def test_one_decomposition_per_check(monkeypatch, curve, dims):
+    # each convergence check factors the m x m Hessenberg H once, into its
+    # real Schur form T, whose eigenvectors then give the Ritz vectors; at
+    # k = 52 and N = 1024 STAR is checked at the dimensions 72 and 80 and
+    # KITE at 72
+    k_star = build_dtn(sample_curve(curve, 1024)).np_adjoint
+    seen = {"schur": [], "eig": []}
+    for name, calls in seen.items():
+        def spy(a, *args, _real=getattr(spectrum2d.scipy.linalg, name),
+                _calls=calls, **kwargs):
+            _calls.append(len(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(spectrum2d.scipy.linalg, name, spy)
     assert spectrum2d._block_krylov(k_star, 52) is not None
-    assert k_star.passes == passes
+    assert seen == {"schur": dims, "eig": dims}
 
 
 @pytest.mark.parametrize("n, k, vectors", [(128, 16, "real"),
                                              (256, 22, "complex")])
 def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
                                                      vectors):
-    # on the kite, LAPACK's eig returns real Ritz vectors y at the accepting
-    # check at N = 128 (every Ritz value of H real) and complex ones at
-    # N = 256; the complex ones reach the basis as one real product on
-    # y.view(float)
+    # on the kite, the eigenvectors x of the Schur form T, and so the Ritz
+    # vectors y = Z x, are real at the accepting check at N = 128 (every
+    # Ritz value real) and complex at N = 256; either kind reaches the basis
+    # and the stored products K* V as one real product on y.view(float)
     kinds = []
     eig = spectrum2d.scipy.linalg.eig
 
     def spy(*args, **kwargs):
-        lam, y = eig(*args, **kwargs)
-        kinds.append("complex" if np.iscomplexobj(y) else "real")
-        return lam, y
+        lam, x = eig(*args, **kwargs)
+        kinds.append("complex" if np.iscomplexobj(x) else "real")
+        return lam, x
 
     monkeypatch.setattr(spectrum2d.scipy.linalg, "eig", spy)
     k_star = build_dtn(sample_curve(KITE, n)).np_adjoint
-    lam, phi = spectrum2d._block_krylov(k_star, k)
+    lam, pairs = spectrum2d._block_krylov(k_star, k)
     assert kinds[-1] == vectors
-    assert phi.shape == (n, k)
+    assert pairs.shape == (2 * n, k)
+    phi, k_star_phi = np.split(pairs, 2)
     bound = 100 * np.finfo(float).eps * np.linalg.norm(k_star, 1)
+    size = np.linalg.norm(phi, axis=0)
     assert np.all(np.linalg.norm(k_star @ phi - phi * lam, axis=0)
-                  <= bound * np.linalg.norm(phi, axis=0))
+                  <= bound * size)
+    assert np.all(np.linalg.norm(k_star_phi - phi * lam, axis=0)
+                  <= bound * size)
 
 
 def test_block_step_stops_within_the_space():
@@ -405,10 +465,21 @@ def test_block_step_stops_within_the_space():
     # dimension 96, whose next block fills the space, after 12 passes over
     # K*, and ellipse(30, 1) needs more
     dtn = build_dtn(sample_curve(CurveParam.ellipse(30.0, 1.0), 104))
-    k_star = dtn.np_adjoint.view(PassCounter)
-    k_star.passes = 0
-    assert spectrum2d._block_krylov(k_star, 13) is None
-    assert k_star.passes == 12
+    assert block_step_passes(dtn.np_adjoint, 13) == (None, 12)
+
+
+def test_block_step_memory_stays_below_one_matrix():
+    # the step keeps K* V beside the basis V, one basis-sized array more,
+    # and makes no N x N temporary: at N = 1024 and k = 52 its tracemalloc
+    # peak was 6.1 MB, below the 8.4 MB of one N x N float64 matrix
+    k_star = build_dtn(sample_curve(STAR, 1024)).np_adjoint
+    tracemalloc.start()
+    try:
+        assert spectrum2d._block_krylov(k_star, 52) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 1024 ** 2
 
 
 def test_selection_guard_sees_a_cut_through_the_wanted_values():
