@@ -19,10 +19,11 @@ Both operators annihilate constants. N- is positive semidefinite and N+
 negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
 On a weighted-mean-zero density phi they give N-+ g = (K* -+ 1/2) phi for
-g = P S phi, P = I - 1 w^T / sum(w), without B. A DtNPair assembles only S
-and K*; its maps are applied, never stored, and the bordered system is
-factored on the first apply. Work on densities (both spectrum routes, the
-plane eigenvalue derivative) factors nothing.
+g = P S phi, P = I - 1 w^T / sum(w), without B; interior_data forms g and
+N- g from the K* phi its caller holds. A DtNPair assembles only S and K*;
+its maps are applied, never stored, and the bordered system is factored on
+the first apply. Work on densities (both spectrum routes, the plane
+eigenvalue derivative) factors nothing.
 
 S and K* are plain (N, N) arrays acting on node values, the two halves of
 one (2, N, N) allocation (see build_dtn); the quadrature weights of the
@@ -80,13 +81,14 @@ class DtNPair:
         phi *= 0.5
         return kphi - phi, kphi + phi
 
-    def interior_data(self, phi):
+    def interior_data(self, phi, k_star_phi):
         """g = P S phi and N- g = (K* - 1/2) phi for weighted-mean-zero
-        densities phi (one per column), from S and K* alone."""
+        densities phi (one per column), given k_star_phi = K* phi, which a
+        caller may already hold (the block Arnoldi step stores it)."""
         w = self.sample.weights
         g = self.single_layer @ phi
         g -= (w @ g) / w.sum()
-        return g, self.np_adjoint @ phi - 0.5 * phi
+        return g, k_star_phi - 0.5 * phi
 
 
 def _log_quadrature_weights(n):

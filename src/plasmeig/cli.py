@@ -8,7 +8,8 @@ printed to stdout and never written into artifacts. Exit codes: 0 pass,
 1 validation failure, 2 config error, 3 numerical error.
 
 Numerical modules are imported inside the handlers so that --threads can
-pin the BLAS thread count through the environment before anything loads.
+pin the BLAS thread count through the environment before anything loads;
+only errors, which imports no numerical module, loads with this one.
 """
 
 import argparse
@@ -16,6 +17,8 @@ import json
 import os
 import sys
 import time
+
+from .errors import ConfigError, PlasmeigError, finite_number, finite_numbers
 
 ARTIFACT_VERSION = 1
 
@@ -47,7 +50,6 @@ def canonical_json(obj):
 
 
 def _check_keys(config, required, optional, operation):
-    from .errors import ConfigError
     if not isinstance(config, dict):
         raise ConfigError("cli", operation, "job config must be a JSON object",
                           "got %r" % type(config).__name__)
@@ -62,7 +64,6 @@ def _check_keys(config, required, optional, operation):
 
 
 def _positive_int(config, key, default, operation):
-    from .errors import ConfigError
     value = config.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value <= 0:
         raise ConfigError("cli", operation,
@@ -73,7 +74,6 @@ def _positive_int(config, key, default, operation):
 
 def _int_choice(config, key, default, choices, contract, operation):
     """An integer config value (not a boolean) that lies in choices."""
-    from .errors import ConfigError
     value = config.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) \
             or value not in choices:
@@ -82,7 +82,6 @@ def _int_choice(config, key, default, choices, contract, operation):
 
 
 def _step_list(config, operation):
-    from .errors import ConfigError, finite_numbers
     h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
     steps = finite_numbers(h_list, "h_list", "cli", operation)
     if len(steps) < 2 or min(steps) <= 0:
@@ -92,18 +91,7 @@ def _step_list(config, operation):
     return steps
 
 
-def _shape_2d(config, key, operation):
-    from .curve2d import ShapeFn2D
-    from .errors import ConfigError
-    obj = config.get(key)
-    if obj is None:
-        raise ConfigError("cli", operation, "missing shape function",
-                          "key %r" % key)
-    return ShapeFn2D.from_config(obj)
-
-
 def _shape_sphere(obj, operation):
-    from .errors import ConfigError, finite_number
     from .perturb import uniform_shape
     from .sphere3d import SHField
     if isinstance(obj, dict) and set(obj) == {"uniform"}:
@@ -119,7 +107,6 @@ def _shape_sphere(obj, operation):
 def cmd_spectrum(config, seed):
     from .bem2d import build_dtn
     from .curve2d import CurveParam, sample_curve
-    from .errors import ConfigError, finite_number
     from .spectrum2d import np_route, solve_plasmonic
     _check_keys(config, {"curve"}, {"N", "num_eigs", "route", "scale"},
                 "cmd_spectrum")
@@ -184,12 +171,12 @@ def _below_floors(errors, floors):
 
 
 def _perturb_2d(config, seed):
-    from .curve2d import CurveParam
+    from .curve2d import CurveParam, ShapeFn2D
     from .validate import epsdot_fd_report
     _check_keys(config, {"mode", "curve", "a"},
                 {"N", "num_eigs", "eps_index", "h_list"}, "cmd_perturb")
     curve = CurveParam.from_config(config["curve"])
-    a = _shape_2d(config, "a", "cmd_perturb")
+    a = ShapeFn2D.from_config(config["a"])
     n = _positive_int(config, "N", 128, "cmd_perturb")
     num = _positive_int(config, "num_eigs", 10, "cmd_perturb")
     index = _int_choice(config, "eps_index", 0, range(num),
@@ -207,7 +194,6 @@ def _perturb_2d(config, seed):
 
 
 def cmd_perturb(config, seed):
-    from .errors import ConfigError
     if not isinstance(config, dict) or "mode" not in config:
         raise ConfigError("cli", "cmd_perturb",
                           "perturb config needs mode 'sphere' or '2d'",
@@ -221,13 +207,12 @@ def cmd_perturb(config, seed):
 
 
 def cmd_dn_derivative(config, seed):
-    from .curve2d import CurveParam
+    from .curve2d import CurveParam, ShapeFn2D
     from .dtn_shape import SIDES, fd_operator_check
-    from .errors import ConfigError
     _check_keys(config, {"curve", "a"}, {"N", "h_list", "side"},
                 "cmd_dn_derivative")
     curve = CurveParam.from_config(config["curve"])
-    a = _shape_2d(config, "a", "cmd_dn_derivative")
+    a = ShapeFn2D.from_config(config["a"])
     n = _positive_int(config, "N", 128, "cmd_dn_derivative")
     side = config.get("side", "interior")
     if side not in SIDES:
@@ -251,7 +236,6 @@ def cmd_dn_derivative(config, seed):
 
 
 def cmd_validate(config, seed):
-    from .errors import ConfigError
     from .validate import CHECK_NAMES, run_all
     _check_keys(config, set(), {"N", "checks"}, "cmd_validate")
     n = _positive_int(config, "N", 128, "cmd_validate")
@@ -305,7 +289,6 @@ def build_parser():
 
 
 def _load_config(path, command):
-    from .errors import ConfigError
     if path is None:
         if command == "validate":
             return {}
@@ -334,7 +317,6 @@ def main(argv=None):
         print("cli.main: --seed must be nonnegative", file=sys.stderr)
         return 2
 
-    from .errors import ConfigError, PlasmeigError
     start = time.perf_counter()
     try:
         config = _load_config(args.config, args.command)

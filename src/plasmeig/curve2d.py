@@ -1,9 +1,12 @@
 """Smooth closed plane curves and the normal-shift perturbation map.
 
 Curves are star-shaped and encoded either by exact parameters (circle,
-ellipse) or as a radial Fourier descriptor r(theta). Sampling uses a
-uniform parameter grid with exact differentiation of the parametrization,
-so all geometry fields are spectrally accurate.
+ellipse) or as a radial Fourier descriptor r(theta); a circle samples as the
+ellipse with equal semi-axes. Sampling uses a uniform parameter grid with
+exact differentiation of the parametrization, so all geometry fields are
+spectrally accurate. Node values are differentiated in arclength through
+their trigonometric interpolant, by FFT (tangential_derivative); no (N, N)
+differentiation matrix is formed.
 
 Sign convention for curvature: the boundary is parametrized
 counterclockwise with the outward unit normal; the signed curvature is
@@ -20,7 +23,8 @@ from .errors import (ConfigError, GeometryError, PerturbationError,
                      finite_number, finite_numbers)
 
 _TWOPI = 2.0 * math.pi
-# dense parameter grid on which a normal shift is checked for star shape
+# dense parameter grid on which a radial function is checked for positivity
+# and a normal shift for star shape
 _STAR_CHECK_NODES = 720
 
 
@@ -104,7 +108,8 @@ class CurveParam:
                 raise GeometryError("curve2d", "CurveParam",
                                     "circle radius must be positive",
                                     "radius=%r" % radius)
-            self.radius = float(radius)
+            # a circle samples as the ellipse with equal semi-axes
+            self.radius = self.a = self.b = float(radius)
         elif kind == "ellipse":
             if a is None or b is None or a <= 0 or b <= 0:
                 raise GeometryError("curve2d", "CurveParam",
@@ -114,7 +119,8 @@ class CurveParam:
             self.b = float(b)
         elif kind == "fourier":
             self.radial = ShapeFn2D(cos=cos or (), sin=sin or ())
-            rmin = self.radial.value(np.linspace(0, _TWOPI, 720, endpoint=False)).min()
+            rmin = self.radial.value(
+                _nodes(_STAR_CHECK_NODES, "CurveParam")).min()
             if rmin <= 0:
                 raise GeometryError("curve2d", "CurveParam",
                                     "radial function must be positive",
@@ -191,12 +197,7 @@ class CurveParam:
     def derivatives(self, t):
         """Positions and the first three exact t-derivatives, shape (4, n, 2)."""
         t = np.asarray(t, dtype=float)
-        if self.kind == "circle":
-            R = self.radius
-            u = np.stack([np.cos(t), np.sin(t)], axis=-1)
-            up = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-            return np.stack([R * u, R * up, -R * u, -R * up])
-        if self.kind == "ellipse":
+        if self.kind != "fourier":
             a, b = self.a, self.b
             x = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
             xp = np.stack([-a * np.sin(t), b * np.cos(t)], axis=-1)
@@ -256,38 +257,32 @@ def _geometry_from_derivatives(t, der):
                        curvature=curvature, speed=speed, weights=weights)
 
 
-def sample_curve(curve, n):
-    """Sample a curve at n uniform parameter values with exact geometry."""
+def _nodes(n, operation):
+    """The uniform parameter grid t_j = 2 pi j / n of an even n >= 4."""
     if n % 2 != 0 or n < 4:
-        raise ConfigError("curve2d", "sample_curve",
+        raise ConfigError("curve2d", operation,
                           "node count must be even and at least 4",
                           "N=%r" % n)
-    t = _TWOPI * np.arange(n) / n
-    der = curve.derivatives(t)
-    return _geometry_from_derivatives(t, der)
+    return _TWOPI * np.arange(n) / n
 
 
-def spectral_diff_matrix(n):
-    """Differentiation matrix of the trigonometric interpolant on n nodes."""
-    if n % 2 != 0:
-        raise ConfigError("curve2d", "spectral_diff_matrix",
-                          "node count must be even", "N=%r" % n)
-    idx = np.arange(n)
-    diff = idx[:, None] - idx[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mat = 0.5 * (-1.0) ** diff / np.tan(math.pi * diff / n)
-    np.fill_diagonal(mat, 0.0)
-    return mat
+def sample_curve(curve, n):
+    """Sample a curve at n uniform parameter values with exact geometry."""
+    t = _nodes(n, "sample_curve")
+    return _geometry_from_derivatives(t, curve.derivatives(t))
 
 
 def tangential_derivative(sample, values):
-    """Arclength derivative of node values: spectral in the parameter,
-    then divided by the parametrization speed."""
-    dmat = spectral_diff_matrix(sample.n)
-    dv = dmat @ np.asarray(values, dtype=float)
-    if dv.ndim == 1:
-        return dv / sample.speed
-    return dv / sample.speed[:, None]
+    """Arclength derivative of node values, one vector or a block of columns:
+    the t-derivative of the trigonometric interpolant (by FFT, Nyquist mode
+    set to zero), divided by the parametrization speed."""
+    values = np.asarray(values, dtype=float)
+    n = sample.n
+    freq = np.arange(n // 2 + 1)
+    freq[-1] = 0
+    coef = np.fft.rfft(values, axis=0)
+    coef *= (1j * freq).reshape((-1,) + (1,) * (values.ndim - 1))
+    return (np.fft.irfft(coef, n, axis=0).T / sample.speed).T
 
 
 def perturbed_sample(curve, a, h, n):
@@ -303,17 +298,14 @@ def perturbed_sample(curve, a, h, n):
     folds the boundary or it stops being star-shaped (local self-intersection
     proxies).
     """
-    if n % 2 != 0 or n < 4:
-        raise ConfigError("curve2d", "perturbed_sample",
-                          "node count must be even and at least 4",
-                          "N=%r" % n)
+    t = _nodes(n, "perturbed_sample")
     _check_star_shaped(curve, a, h)
-    t = _TWOPI * np.arange(n) / n
     der = _perturbed_derivatives(curve, a, h, t)
     return _geometry_from_derivatives(t, der)
 
 
 def _perturbed_derivatives(curve, a, h, t):
+    """p = x + h a n and its first two t-derivatives, then the base x'."""
     x, xp, xpp, xppp = curve.derivatives(t)
     speed = np.linalg.norm(xp, axis=-1)
 
@@ -339,14 +331,12 @@ def _perturbed_derivatives(curve, a, h, t):
     p = x + h * av * nrm
     pp = xp + h * (a1 * nrm + av * nrm_p)
     ppp = xpp + h * (a2 * nrm + 2.0 * a1 * nrm_p + av * nrm_pp)
-    # third derivative of p is not needed downstream
-    return np.stack([p, pp, ppp, np.zeros_like(p)])
+    return p, pp, ppp, xp
 
 
 def _check_star_shaped(curve, a, h):
-    t = _TWOPI * np.arange(_STAR_CHECK_NODES) / _STAR_CHECK_NODES
-    der = _perturbed_derivatives(curve, a, h, t)
-    p, pp = der[0], der[1]
+    p, pp, _, xp = _perturbed_derivatives(
+        curve, a, h, _nodes(_STAR_CHECK_NODES, "perturbed_sample"))
     r2 = np.einsum("ij,ij->i", p, p)
     if r2.min() <= 0:
         raise PerturbationError("curve2d", "perturbed_sample",
@@ -359,7 +349,7 @@ def _check_star_shaped(curve, a, h):
             "shifted boundary must stay star-shaped (no local self-intersection)",
             "h=%g, min dtheta/dt=%.3g" % (h, dtheta.min()))
     # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
-    fold = np.einsum("ij,ij->i", curve.derivatives(t)[1], pp)
+    fold = np.einsum("ij,ij->i", xp, pp)
     if fold.min() <= 0:
         raise PerturbationError(
             "curve2d", "perturbed_sample",

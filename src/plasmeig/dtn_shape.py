@@ -5,10 +5,11 @@ operator acts on boundary data g as
 
     dN g = -d/ds (a dg/ds) + kappa a (N g) - N (a (N g)),
 
-with kappa the signed curvature and d/ds the arclength derivative; the
-exterior operator obeys the same formula with its own N. The derivative is
-validated against transplanted operators on perturbed curves by finite
-differences in the weighted operator norm over a resolved frequency band.
+with kappa the signed curvature and d/ds the arclength derivative
+(curve2d.tangential_derivative, by FFT); the exterior operator obeys the
+same formula with its own N. The derivative is validated against
+transplanted operators on perturbed curves by finite differences in the
+weighted operator norm over a resolved frequency band.
 Its expected first-order (not second-order) growth in frequency, which
 distinguishes it from a generic second-order operator, is checked in the
 test suite.
@@ -26,7 +27,7 @@ import numpy as np
 import scipy.linalg
 
 from .bem2d import build_dtn
-from .curve2d import perturbed_sample, sample_curve, spectral_diff_matrix
+from .curve2d import perturbed_sample, sample_curve, tangential_derivative
 from .errors import ConfigError
 
 # FD roundoff floor in units of u max(1, ||N||_band) / h (u machine epsilon)
@@ -70,8 +71,8 @@ def shape_derivative(dtn, a, x):
     N (a N x) on both sides."""
     sample = dtn.sample
     a_vals = a.value(sample.t)[:, None]
-    tmat = spectral_diff_matrix(sample.n) / sample.speed[:, None]
-    local = -tmat @ (a_vals * (tmat @ x))
+    local = -tangential_derivative(
+        sample, a_vals * tangential_derivative(sample, x))
     an = [a_vals * side for side in dtn.apply(x)]
     minus, plus = dtn.apply(np.hstack(an))
     k = an[0].shape[1]

@@ -168,22 +168,20 @@ def q1_matrix(k, a):
 
 
 class UdotSolution:
-    """Boundary traces of the eigenfunction derivative, zero-E gauge.
+    """Interior boundary trace phi of the eigenfunction derivative, zero-E
+    gauge.
 
-    phi and psi are the interior and exterior traces; the degree-k component
-    of phi is zero by the gauge choice, which fixes the non-uniqueness noted
-    for the first-derivative system. The solution keeps the first-order
-    report, the branch index and the branch trace it was solved for; its
-    epsdot is always report.branches[branch].
+    The degree-k component of phi is zero by the gauge choice, which fixes
+    the non-uniqueness noted for the first-derivative system. The solution
+    keeps the first-order report, the branch index and the branch trace it
+    was solved for; its epsdot is always report.branches[branch].
     """
 
-    def __init__(self, report, branch, trace, phi, psi,
-                 compatibility_residual):
+    def __init__(self, report, branch, trace, phi, compatibility_residual):
         self.report = report
         self.branch = branch
         self.trace = trace
         self.phi = phi
-        self.psi = psi
         self.compatibility_residual = compatibility_residual
         self.epsilon = report.epsilon
         self.epsdot = float(report.branches[branch])
@@ -207,9 +205,8 @@ def solve_udot(report, branch):
     a_vals = sh_synthesis(a, grid)
     dnu_vals = sh_synthesis(dnu, grid)
     f1 = sh_analysis(-(eps + 1.0) * a_vals * dnu_vals, l_sys, grid)
-    flow = surface_gradient(ub, grid) * a_vals
-    gtil = surface_divergence(flow, grid, l_sys).scaled(eps + 1.0) \
-        .plus(dnu.truncated(l_sys), -epsdot)
+    gtil = p1_apply(a, ub).scaled(-(eps + 1.0)).plus(dnu.truncated(l_sys),
+                                                     -epsdot)
 
     compat = float(np.linalg.norm(gtil.coeffs[k] - eps * k * f1.coeffs[k]))
     if compat > _COMPAT_TOL:
@@ -222,8 +219,7 @@ def solve_udot(report, branch):
     # the resonant degree k is singular; the zero-E gauge sets phi_k = 0
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
-    psi = SHField(l_sys, phi.coeffs - f1.coeffs)
-    return UdotSolution(report, branch, ub, phi, psi, compat)
+    return UdotSolution(report, branch, ub, phi, compat)
 
 
 class SecondOrderReport:
@@ -369,7 +365,7 @@ def epsdot_2d(dtn, spectrum, index, a):
         raise PerturbationError("perturb", "epsdot_2d",
                                 "eigendensity must be weighted-mean-zero",
                                 "<phi, 1> = %.3g" % np.max(np.abs(mean)))
-    g, dng = dtn.interior_data(phi)
+    g, dng = dtn.interior_data(phi, dtn.np_adjoint @ phi)
     gram = g.T @ (w[:, None] * dng)
     gap = float(np.max(np.abs(np.diag(gram) - 1.0)))
     if gap > 1e-6:

@@ -324,12 +324,10 @@ def np_route(dtn, num=20):
 
 def _spectrum(dtn, eps, phi, k_star_phi, route):
     """The spectrum of eigendensities phi scaled to unit interior energy
-    <g, N- g> = 1 of g = P S phi, with N- g = (K* - 1/2) phi from the given
-    K* phi; (eps N- + N+) g = (eps + 1) N- g + phi."""
+    <g, N- g> = 1 of (g, N- g) = dtn.interior_data(phi, k_star_phi);
+    (eps N- + N+) g = (eps + 1) N- g + phi."""
     w = dtn.sample.weights
-    g = dtn.single_layer @ phi
-    g -= (w @ g) / w.sum()
-    dng = k_star_phi - 0.5 * phi
+    g, dng = dtn.interior_data(phi, k_star_phi)
     energy = w @ (g * dng)
     if not np.all(energy > 0.0):
         raise NumericalError(

@@ -112,8 +112,7 @@ def disk_integral_epsdot_y20(nq=80):
 
 
 def _ellipse_dtn(n=128):
-    curve = CurveParam.from_config(ELLIPSE)
-    return curve, build_dtn(sample_curve(curve, n))
+    return build_dtn(sample_curve(CurveParam.from_config(ELLIPSE), n))
 
 
 def check_disk_degeneracy(n=128):
@@ -129,7 +128,7 @@ def check_disk_degeneracy(n=128):
 def check_ellipse_oracle(n=128):
     """Criterion 2: BEM spectrum vs the elliptic-coordinates closed form."""
     def body():
-        _, dtn = _ellipse_dtn(n)
+        dtn = _ellipse_dtn(n)
         spec = solve_plasmonic(dtn, num=10)
         oracle = elliptic_eigenvalues(2.0, 1.0, 10)
         worst = float(np.max(np.abs(spec.eigenvalues - oracle)))
@@ -169,7 +168,7 @@ def check_two_routes(n=128):
     eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
     """
     def body():
-        _, dtn = _ellipse_dtn(n)
+        dtn = _ellipse_dtn(n)
         dense = np_route(dtn, num=10).eigenvalues
         worst, block = (float(np.max(np.abs(
             solve_plasmonic(dtn, num=num).eigenvalues
@@ -182,7 +181,7 @@ def check_two_routes(n=128):
 def check_rayleigh(seed=0, n=128):
     """Criterion 5: quotient identity and criticality of eigenpairs."""
     def body():
-        _, dtn = _ellipse_dtn(n)
+        dtn = _ellipse_dtn(n)
         spec = solve_plasmonic(dtn, num=10)
         gaps = [abs(rayleigh(dtn, spec.eigenfunctions[:, i])
                     - spec.eigenvalues[i]) for i in range(10)]
@@ -351,7 +350,7 @@ def check_g0():
         cdtn = build_dtn(sample_curve(circle, 128))
         g0c = compute_g0(cdtn)
         const_err = float(np.max(np.abs(g0c - 1.0 / (2.0 * math.pi))))
-        _, dtn = _ellipse_dtn()
+        dtn = _ellipse_dtn()
         g0 = compute_g0(dtn)
         spread = float(np.max(g0) - np.min(g0))
         g0_alt = compute_g0(dtn, y0=(0.3, 0.1))

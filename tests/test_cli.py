@@ -166,6 +166,18 @@ def test_spectrum_imports_no_sparse_solver(tmp_path):
     assert run.stdout.splitlines()[-1] == "False"
 
 
+def test_cli_import_loads_no_numerical_module():
+    # --threads pins BLAS through the environment, which only works when
+    # importing the CLI has not loaded numpy yet
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plasmeig.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, plasmeig.cli\n"
+         "print('numpy' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True,
+        check=True)
+    assert run.stdout.strip() == "False"
+
+
 def test_spectrum_routes_agree(tmp_path):
     values = {}
     for route in ("dtn", "np"):
@@ -478,6 +490,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "N": 64, "num_eigs": 100}, "num"),
     ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
                  "N": 64, "num_eigs": 100, "eps_index": 70}, "num"),
+    # a null shape function is refused by ShapeFn2D.from_config itself
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": None},
+     "shape function"),
+    ("dn-derivative", {"curve": ELLIPSE, "a": None}, "shape function"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

@@ -7,8 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
-                              sample_curve, spectral_diff_matrix,
-                              tangential_derivative)
+                              sample_curve, tangential_derivative)
 from plasmeig.errors import ConfigError, GeometryError, PerturbationError
 
 _TWOPI = 2.0 * math.pi
@@ -54,13 +53,48 @@ def test_grid_nesting_on_refinement():
     assert np.array_equal(coarse.nodes, fine.nodes[::2])
 
 
-def test_spectral_diff_exact_on_trig_polynomials():
+def test_tangential_derivative_exact_on_trig_polynomials():
+    # on the unit circle d/ds is d/dt; the Nyquist mode cos(n t / 2) has no
+    # derivative on the grid and maps to zero
     n = 32
-    t = _TWOPI * np.arange(n) / n
-    dmat = spectral_diff_matrix(n)
+    sample = sample_curve(CurveParam.circle(1.0), n)
+    t = sample.t
     for m in (1, 3, 7, 11):
-        assert np.max(np.abs(dmat @ np.sin(m * t) - m * np.cos(m * t))) < 1e-11
-        assert np.max(np.abs(dmat @ np.cos(m * t) + m * np.sin(m * t))) < 1e-11
+        assert np.max(np.abs(tangential_derivative(sample, np.sin(m * t))
+                             - m * np.cos(m * t))) < 1e-11
+        assert np.max(np.abs(tangential_derivative(sample, np.cos(m * t))
+                             + m * np.sin(m * t))) < 1e-11
+    nyquist = tangential_derivative(sample, np.cos(n // 2 * t))
+    assert np.max(np.abs(nyquist)) < 1e-12
+    # a block of columns is differentiated column by column
+    kite = sample_curve(CurveParam.fourier(cos=[1.0, 0.25, 0.15],
+                                           sin=[0.0, 0.0, 0.05]), n)
+    block = np.random.default_rng(1).standard_normal((n, 5))
+    got = tangential_derivative(kite, block)
+    assert got.shape == block.shape
+    for j in range(block.shape[1]):
+        assert np.array_equal(got[:, j],
+                              tangential_derivative(kite, block[:, j]))
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.37, 2.5, 1e-3])
+@pytest.mark.parametrize("n", [64, 128, 1024])
+def test_circle_samples_as_ellipse_bit_for_bit(radius, n):
+    circle = sample_curve(CurveParam.circle(radius), n)
+    ellipse = sample_curve(CurveParam.ellipse(radius, radius), n)
+    for field in ("t", "nodes", "tangents", "normals", "curvature", "speed",
+                  "weights"):
+        got, want = getattr(circle, field), getattr(ellipse, field)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # the circle's own closed form, R (cos t, sin t), bit for bit
+    t = circle.t
+    assert np.array_equal(circle.nodes,
+                          np.stack([radius * np.cos(t), radius * np.sin(t)],
+                                   axis=-1))
+    assert CurveParam.circle(radius).to_config() == {"kind": "circle",
+                                                      "radius": radius}
+    assert CurveParam.circle(radius).scaled(2.0).kind == "circle"
 
 
 def test_tangential_derivative_of_coordinates_is_tangent():
