@@ -156,10 +156,12 @@ def _perturb_sphere(config, seed):
         outputs["second_order_flux_route"] = flux
         outputs["route_gap"] = gap
         # roundoff in the route gap and the gauge residual grows with the
-        # magnitude of the quadrature terms, so their tolerances scale
+        # magnitude of the quadrature terms, and the compatibility residual
+        # with that of the compared coefficients, so their tolerances scale
         scale = max(1.0, sum(abs(x) for x in second.lines))
         flags["gauge_independent"] = second.gauge_residual <= 1e-10 * scale
-        flags["compatible"] = second.compatibility_residual <= 1e-8
+        flags["compatible"] = (second.compatibility_residual
+                               <= 1e-8 * udot.compatibility_scale)
         flags["routes_agree"] = gap <= 1e-8 * scale
     record = ResultRecord("perturb", config, outputs, flags)
     return record, []

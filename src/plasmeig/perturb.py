@@ -30,15 +30,15 @@ import scipy.linalg
 
 from .curve2d import tangential_derivative
 from .errors import ConfigError, PerturbationError, SplittingError
-from .sphere3d import (SHField, dtn_sphere_apply, sh_analysis, sh_multiply,
-                       sh_synthesis, sphere_grid, surface_divergence,
-                       surface_gradient)
+from .sphere3d import (SHField, analyze, degree_harmonics, dtn_sphere_apply,
+                       sh_multiply, sh_synthesis, sphere_grid, synthesize)
 
 # Mean curvature of the unit sphere, outward normal: the Weingarten map is
 # -I, so H = -1 and the trace-free part W0 = W - H I vanishes.
 _H = -1.0
 _EIG_TIE_RTOL = 1e-9
-# resonant-degree flux compatibility residual accepted by solve_udot
+# resonant-degree flux compatibility residual accepted by solve_udot, in
+# units of the compared coefficients' size (at least 1)
 _COMPAT_TOL = 1e-8
 
 
@@ -148,16 +148,16 @@ def q1_matrix(k, a):
     """First-order splitting of the ball eigenvalue (k+1)/k for shape a.
 
     The eigenspace is stacked as the fields u_m = Y_{k,m} / sqrt(k), whose
-    normal derivatives are sqrt(k) Y_{k,m}.
+    normal derivatives are sqrt(k) Y_{k,m}, read off the grid's tables.
     """
     eps = _ball_eps(k)
     grid = sphere_grid(k + a.L + 2)
     w = grid.area_weights.ravel()
-    fields = [SHField.basis(k, k, m) for m in range(-k, k + 1)]
-    vals = np.array([sh_synthesis(f, grid).ravel() for f in fields])
-    grads = np.array([surface_gradient(f, grid) for f in fields])
+    vals, grads = degree_harmonics(k, grid)
+    d = 2 * k + 1
+    vals = vals.reshape(d, -1)
     mat = _first_order_form(eps, w * sh_synthesis(a, grid).ravel(),
-                            grads.reshape(len(fields), 2, -1) / math.sqrt(k),
+                            grads.reshape(d, 2, -1) / math.sqrt(k),
                             math.sqrt(k) * vals)
     branches, vecs = scipy.linalg.eigh(mat)
     basis = _canonical_eigenbasis(branches, vecs)
@@ -174,15 +174,19 @@ class UdotSolution:
     The degree-k component of phi is zero by the gauge choice, which fixes
     the non-uniqueness noted for the first-derivative system. The solution
     keeps the first-order report, the branch index and the branch trace it
-    was solved for; its epsdot is always report.branches[branch].
+    was solved for; its epsdot is always report.branches[branch]. The
+    compatibility residual is roundoff on coefficients of size
+    compatibility_scale (at least 1), which grows with the shape's size.
     """
 
-    def __init__(self, report, branch, trace, phi, compatibility_residual):
+    def __init__(self, report, branch, trace, phi, compatibility_residual,
+                 compatibility_scale):
         self.report = report
         self.branch = branch
         self.trace = trace
         self.phi = phi
         self.compatibility_residual = compatibility_residual
+        self.compatibility_scale = compatibility_scale
         self.epsilon = report.epsilon
         self.epsdot = float(report.branches[branch])
 
@@ -202,24 +206,27 @@ def solve_udot(report, branch):
     dnu = dtn_sphere_apply(ub)
     l_sys = a.L + k + 2
     grid = sphere_grid(l_sys)
-    a_vals = sh_synthesis(a, grid)
-    dnu_vals = sh_synthesis(dnu, grid)
-    f1 = sh_analysis(-(eps + 1.0) * a_vals * dnu_vals, l_sys, grid)
-    gtil = p1_apply(a, ub).scaled(-(eps + 1.0)).plus(dnu.truncated(l_sys),
-                                                     -epsdot)
+    (a_vals, dnu_vals), (gu,) = synthesize(grid, [a, dnu], [ub])
+    # P1 u = -div(a grad u), on p1_apply's grid and band
+    f1, p1u = analyze(grid, l_sys, [-(eps + 1.0) * a_vals * dnu_vals],
+                      [-a_vals * gu])
+    gtil = p1u.scaled(-(eps + 1.0)).plus(dnu, -epsdot)
 
-    compat = float(np.linalg.norm(gtil.coeffs[k] - eps * k * f1.coeffs[k]))
-    if compat > _COMPAT_TOL:
+    flux, source = gtil.coeffs[k], eps * k * f1.coeffs[k]
+    compat = float(np.linalg.norm(flux - source))
+    scale = max(1.0, float(np.linalg.norm(flux)),
+                float(np.linalg.norm(source)))
+    if compat > _COMPAT_TOL * scale:
         raise SplittingError(
             "perturb", "solve_udot",
             "resonant-degree flux compatibility requires a branch that "
-            "diagonalizes q1", "residual %.3g" % compat)
+            "diagonalizes q1", "residual %.3g of %.3g" % (compat, scale))
     lvec = np.arange(l_sys + 1, dtype=float)[:, None]
     denom = eps * lvec - (lvec + 1.0)
     # the resonant degree k is singular; the zero-E gauge sets phi_k = 0
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
-    return UdotSolution(report, branch, ub, phi, compat)
+    return UdotSolution(report, branch, ub, phi, compat, scale)
 
 
 class SecondOrderReport:
@@ -245,24 +252,29 @@ class SecondOrderReport:
         }
 
 
-def _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals, gu, gw, phi):
-    """The six quadrature terms; their sum is half the second derivative.
+def _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals, gu, gw, gphi,
+                   dnudot_vals):
+    """The six quadrature terms for each interior trace phi of a stack, given
+    its gradient gphi[j] and normal derivative dnudot_vals[j]; each list of
+    six sums to half the second derivative. The first, second and fifth
+    terms do not involve phi and are integrated once.
 
     The trace-free Weingarten term in the first line vanishes identically on
     the sphere (W0 = 0) and is omitted.
     """
-    gphi = surface_gradient(phi, grid)
-    dnudot_vals = sh_synthesis(dtn_sphere_apply(phi), grid)
     l1 = grid.integrate(-epsdot * a_vals * (gu[0] * gu[0] + gu[1] * gu[1]))
     l2 = (eps * eps - 1.0) * grid.integrate(
         a_vals * (gu[0] * gw[0] + gu[1] * gw[1]))
-    l3 = -(eps + 1.0) * grid.integrate(
-        a_vals * (gu[0] * gphi[0] + gu[1] * gphi[1]))
-    l4 = -epsdot * grid.integrate(u_vals * dnudot_vals)
     l5 = eps * grid.integrate(
         a_vals * (epsdot + (eps + 1.0) * a_vals * _H) * dnu_vals * dnu_vals)
-    l6 = eps * (eps + 1.0) * grid.integrate(a_vals * dnu_vals * dnudot_vals)
-    return [l1, l2, l3, l4, l5, l6]
+    w = grid.area_weights
+    l3 = -(eps + 1.0) * np.sum(
+        w * (a_vals * (gu[0] * gphi[:, 0] + gu[1] * gphi[:, 1])), axis=(1, 2))
+    l4 = -epsdot * np.sum(w * (u_vals * dnudot_vals), axis=(1, 2))
+    l6 = eps * (eps + 1.0) * np.sum(
+        w * (a_vals * dnu_vals * dnudot_vals), axis=(1, 2))
+    return [[l1, l2, float(x3), float(x4), l5, float(x6)]
+            for x3, x4, x6 in zip(l3, l4, l6)]
 
 
 def epsddot(udot):
@@ -276,20 +288,20 @@ def epsddot(udot):
     """
     report, ub = udot.report, udot.trace
     k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
+    phi, shifted = udot.phi, udot.phi.plus(ub)
     dnu = dtn_sphere_apply(ub)
-    grid = sphere_grid(max(a.L + k + 2, udot.phi.L))
-    a_vals = sh_synthesis(a, grid)
-    u_vals = sh_synthesis(ub, grid)
-    dnu_vals = sh_synthesis(dnu, grid)
-    gu = surface_gradient(ub, grid)
-    w_field = sh_analysis(a_vals * dnu_vals, a.L + k, grid)
-    gw = surface_gradient(w_field, grid)
-    lines = _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals,
-                           gu, gw, udot.phi)
+    grid = sphere_grid(max(a.L + k + 2, phi.L))
+    (a_vals, dnu_vals), _ = synthesize(grid, [a, dnu])
+    (w_field,) = analyze(grid, a.L + k, [a_vals * dnu_vals])
+    # the shifted trace gets transforms of its own, so that the gauge
+    # residual compares two evaluations and not a sum with itself
+    vals, grads = synthesize(grid, [ub, dtn_sphere_apply(phi),
+                                    dtn_sphere_apply(shifted)],
+                             [ub, w_field, phi, shifted])
+    lines, lines_shifted = _epsddot_lines(grid, eps, epsdot, a_vals, vals[0],
+                                          dnu_vals, grads[0], grads[1],
+                                          grads[2:], vals[1:])
     total = 2.0 * sum(lines)
-    shifted = udot.phi.plus(ub)
-    lines_shifted = _epsddot_lines(grid, eps, epsdot, a_vals, u_vals,
-                                   dnu_vals, gu, gw, shifted)
     gauge_residual = abs(2.0 * sum(lines_shifted) - total)
     return SecondOrderReport(udot, total, lines, gauge_residual)
 
@@ -298,9 +310,8 @@ def p1_apply(a, v):
     """P1 v = -div(a grad v), analyzed to band a.L + v.L + 2."""
     L_out = a.L + v.L + 2
     grid = sphere_grid(L_out)
-    a_vals = sh_synthesis(a, grid)
-    flow = surface_gradient(v, grid) * a_vals
-    return surface_divergence(flow, grid, L_out).scaled(-1.0)
+    (a_vals,), (gv,) = synthesize(grid, [a], [v])
+    return analyze(grid, L_out, tangents=[-a_vals * gv])[0]
 
 
 def epsddot_flux_route(udot):
@@ -316,18 +327,17 @@ def epsddot_flux_route(udot):
     dnu = dtn_sphere_apply(ub)
     dnudot = dtn_sphere_apply(udot.phi)
     p1u = p1_apply(a, ub)
+    # B = -2 div(a^2 W0 grad u) + 2 P1(a dn u + u-dot); W0 = 0 on the sphere
+    inner = sh_multiply(a, dnu, L=a.L + k).plus(udot.phi)
+    # the grid covers p1_apply(a, inner)'s, so B = 2 P1 inner is taken on it
     grid = sphere_grid(max(2 * a.L + k + 4, a.L + udot.phi.L + 2))
-    a_vals = sh_synthesis(a, grid)
-    u_vals = sh_synthesis(ub, grid)
-    dnu_vals = sh_synthesis(dnu, grid)
-    p1u_vals = sh_synthesis(p1u, grid)
-    dnudot_vals = sh_synthesis(dnudot, grid)
+    (a_vals, u_vals, dnu_vals, p1u_vals, dnudot_vals), (ginner,) = \
+        synthesize(grid, [a, ub, dnu, p1u, dnudot], [inner])
     d_vals = a_vals * (2.0 * p1u_vals + 2.0 * _H * a_vals * dnu_vals
                        + 2.0 * dnudot_vals)
     f2_vals = -(eps + 1.0) * d_vals - 2.0 * epsdot * a_vals * dnu_vals
-    # B = -2 div(a^2 W0 grad u) + 2 P1(a dn u + u-dot); W0 = 0 on the sphere
-    inner = sh_multiply(a, dnu, L=a.L + k).plus(udot.phi)
-    b_field = p1_apply(a, inner).scaled(2.0)
+    b_field = analyze(grid, a.L + inner.L + 2,
+                      tangents=[-2.0 * a_vals * ginner])[0]
     a_term = p1u.plus(dnudot)
     g2 = a_term.scaled(-2.0 * epsdot).plus(b_field, -(eps + 1.0))
     g2_vals = sh_synthesis(g2, grid)

@@ -19,14 +19,24 @@ quadrature exactness is the caller's job and every routine here states its
 requirement.
 
 One synthesis kernel (_to_grid) and its exact quadrature adjoint
-(_from_grid) carry all four transforms; _unpack and _pack alone know the
-coefficient layout. Synthesis and the gradient are the kernel, analysis and
-the divergence its adjoint, so <grad f, V> = -<f, div V> holds to roundoff
-on any grid, and the divergence agrees with the analytic one whenever the
-quadrature is exact for the integrand band. A tangent field is one
-(2, ntheta, nphi) array of (theta, phi) frame components on a grid; every
-transform takes its grid explicitly, and analysis and the divergence
-their output band.
+(_from_grid) carry all four transforms, each for a whole stack of fields on
+one grid: the sum over l is one matrix product per order m, and the sum
+over m and cos/sin one product for the stack, against the grid's trig
+table, which also holds the sqrt(2) of the real harmonics. _weights and
+_pack alone know the coefficient layout. synthesize(grid, fields,
+gradients) returns the values of a list of fields and the gradients of
+another as arrays with a leading stack axis, with one kernel call per
+Legendre table; analyze(grid, L, values, tangents) is its adjoint, the
+projections of scalar values and the divergences of tangent fields.
+sh_synthesis, surface_gradient, sh_analysis and surface_divergence are
+their stacks of one. Synthesis and the gradient are the kernel, analysis
+and the divergence its adjoint, so <grad f, V> = -<f, div V> holds to
+roundoff on any grid, and the divergence agrees with the analytic one
+whenever the quadrature is exact for the integrand band. A tangent field is
+one (2, ntheta, nphi) array of (theta, phi) frame components on a grid;
+every transform takes its grid explicitly, and analysis and the divergence
+their output band. degree_harmonics reads the 2k+1 harmonics of degree k
+and their gradients off row l = k of the tables, with no transform.
 """
 
 import functools
@@ -74,7 +84,12 @@ def _legendre_tables(L, x):
 
 
 class SphereGrid:
-    """Quadrature grid with precomputed Legendre and trigonometric tables."""
+    """Quadrature grid with precomputed Legendre and trigonometric tables.
+
+    trig[m, 0] and trig[m, 1] hold cos(m phi) and sin(m phi) on the phi
+    nodes, times the sqrt(2) of the real harmonics for m > 0, followed by
+    their phi-derivatives: shape (L+1, 2, 2 nphi).
+    """
 
     def __init__(self, L):
         self.L = L
@@ -85,9 +100,13 @@ class SphereGrid:
         self.wx = wx
         self.sin_theta = np.sqrt(1.0 - x * x)
         self.phi = 2.0 * math.pi * np.arange(self.nphi) / self.nphi
-        m = np.arange(L + 1)
-        self.cosm = np.cos(np.outer(m, self.phi))
-        self.sinm = np.sin(np.outer(m, self.phi))
+        m = np.arange(L + 1)[:, None]
+        mphi = m * self.phi
+        norm = np.where(m > 0, _SQRT2, 1.0)
+        cos, sin = norm * np.cos(mphi), norm * np.sin(mphi)
+        self.trig = np.concatenate((np.stack((cos, sin), axis=1),
+                                    np.stack((-m * sin, m * cos), axis=1)),
+                                   axis=-1)
         self.plm, self.dplm = _legendre_tables(L, x)
         self.phi_weight = 2.0 * math.pi / self.nphi
         self.area_weights = wx[:, None] * np.full(self.nphi, self.phi_weight)
@@ -183,56 +202,130 @@ def _check_band(grid, L, operation):
                                  "grid L=%d, requested L=%d" % (grid.L, L))
 
 
-def _unpack(field):
-    """Cos/sin expansion weights (c, s), each indexed [l, m >= 0]."""
-    L = field.L
-    c = _SQRT2 * field.coeffs[:, L:]
-    c[:, 0] = field.coeffs[:, L]
-    s = np.zeros_like(c)
-    s[:, 1:] = _SQRT2 * field.coeffs[:, :L][:, ::-1]
-    return c, s
+def _weights(fields, L):
+    """Cos/sin weights cs[m, l, i, 0|1] (m >= 0) of fields[i], padded to
+    band L. The sin weight at m = 0 repeats the cos one; the zero row
+    sin(0 phi) of the tables cancels it."""
+    coeffs = np.zeros((2 * L + 1, L + 1, len(fields)))
+    for i, f in enumerate(fields):
+        coeffs[L - f.L:L + f.L + 1, :f.L + 1, i] = f.coeffs.T
+    return np.stack((coeffs[L:], coeffs[L::-1]), axis=-1)
 
 
-def _pack(c, s):
-    """Inverse of _unpack: the field with cos/sin weights (c, s)."""
-    L = c.shape[0] - 1
-    out = SHField(L)
-    out.coeffs[:, L:] = _SQRT2 * c
-    out.coeffs[:, L] = c[:, 0]
-    out.coeffs[:, :L] = _SQRT2 * s[:, :0:-1]
+def _pack(cs):
+    """Coefficient arrays [i, l, m+L] of the cos/sin weights cs[m, l, i, j]."""
+    return np.concatenate((cs[:0:-1, ..., 1], cs[..., 0])).transpose(2, 1, 0)
+
+
+def _to_grid(cs, table, trig):
+    """Values sum_{l,m,j} table[l, m] cs[m, l, i, j] trig[m, j] of a stack of
+    cos/sin weights: one (i, ntheta, trig columns) array. The sum over l is
+    one matrix product per m, the sum over (m, j) one product for all."""
+    n, _, count, _ = cs.shape
+    nt = table.shape[-1]
+    g = table[:n, :n].transpose(1, 2, 0) @ cs.reshape(n, n, 2 * count)
+    g = g.reshape(n, nt, count, 2).transpose(2, 1, 0, 3)
+    return g.reshape(count, nt, 2 * n) @ trig[:n].reshape(2 * n, -1)
+
+
+def _from_grid(values, table, weights, trig, grid, L):
+    """Quadrature adjoint of _to_grid up to band L, theta weights given:
+    the cos/sin weights cs[m, l, i, j] of the stack values[i]."""
+    n, count, nt = L + 1, len(values), grid.ntheta
+    f = values @ trig[:n].reshape(2 * n, -1).T * grid.phi_weight
+    f = f.reshape(count, nt, n, 2).transpose(2, 1, 0, 3)
+    cs = (table[:n, :n] * weights).transpose(1, 0, 2) \
+        @ f.reshape(n, nt, 2 * count)
+    return cs.reshape(n, n, count, 2)
+
+
+def _stacked(arrays, lead, grid, operation):
+    """A stack of grid arrays as one (n,) + lead + (ntheta, nphi) array;
+    any other shape is refused."""
+    want = lead + (grid.ntheta, grid.nphi)
+    out = np.asarray(arrays, dtype=float)
+    if out.shape == (0,):
+        return out.reshape((0,) + want)
+    if out.shape[1:] != want:
+        raise ShapeMismatchError("sphere3d", operation,
+                                 "values must match the grid shape",
+                                 "got %s, grid %s"
+                                 % (out.shape[1:], (grid.ntheta, grid.nphi)))
     return out
 
 
-def _to_grid(c, s, table, grid):
-    """Values of sum_{l,m} table[l, m] (c[l, m] cos m phi + s[l, m] sin m phi)."""
-    sub = slice(0, c.shape[0])
-    gc, gs = np.einsum("klm,lmi->kim", np.stack((c, s)), table[sub, sub])
-    return gc @ grid.cosm[sub] + gs @ grid.sinm[sub]
+def synthesize(grid, fields=(), gradients=()):
+    """Values of each field of fields and tangential gradients of each field
+    of gradients on the grid (exact for any band).
+
+    Returns one (len(fields), ntheta, nphi) array and one
+    (len(gradients), 2, ntheta, nphi) array of (theta, phi) frame
+    components, from one kernel call per Legendre table: the values and the
+    phi-derivatives share the sum over plm, the theta-derivatives sum over
+    dplm.
+    """
+    stack = list(fields) + list(gradients)
+    L = max((f.L for f in stack), default=0)
+    _check_band(grid, L, "synthesize")
+    cs = _weights(stack, L)
+    nf, nphi = len(fields), grid.nphi
+    if not gradients:
+        return _to_grid(cs, grid.plm, grid.trig[..., :nphi]), \
+            np.empty((0, 2, grid.ntheta, nphi))
+    both = _to_grid(cs, grid.plm, grid.trig)
+    grads = np.stack((_to_grid(cs[:, :, nf:], grid.dplm,
+                               grid.trig[..., :nphi]),
+                      both[nf:, :, nphi:] / grid.sin_theta[:, None]), axis=1)
+    return both[:nf, :, :nphi], grads
 
 
-def _from_grid(values, table, weights, grid, L):
-    """Quadrature adjoint of _to_grid up to band L, theta weights given."""
-    sub = slice(0, L + 1)
-    fc = values @ grid.cosm[sub].T * grid.phi_weight
-    fs = values @ grid.sinm[sub].T * grid.phi_weight
-    wtable = table[sub, sub] * weights
-    return (np.einsum("lmi,im->lm", wtable, fc),
-            np.einsum("lmi,im->lm", wtable, fs))
+def analyze(grid, L, values=(), tangents=()):
+    """Fields up to band L: the projection of each scalar of values onto the
+    harmonics, then the divergence of each (2, ntheta, nphi) tangent field of
+    tangents by quadrature adjointness, <div V, Y> := -<V, grad Y>.
+
+    The adjoint of synthesize, with one kernel call per Legendre table. The
+    projection is exact when band(values) + L <= 2 grid.L + 1; the divergence
+    agrees with the analytic one whenever the grid integrates V . grad(Y_lm)
+    exactly for all l <= L.
+    """
+    _check_band(grid, L, "analyze")
+    values = _stacked(values, (), grid, "analyze")
+    tangents = _stacked(tangents, (2,), grid, "analyze")
+    ns, nphi = len(values), grid.nphi
+    if not len(tangents):
+        cs = _from_grid(values, grid.plm, grid.wx, grid.trig[..., :nphi],
+                        grid, L)
+    else:
+        rows = np.zeros((ns + len(tangents), grid.ntheta, 2 * nphi))
+        rows[:ns, :, :nphi] = values
+        rows[ns:, :, nphi:] = tangents[:, 1] / grid.sin_theta[:, None]
+        cs = _from_grid(rows, grid.plm, grid.wx, grid.trig, grid, L)
+        cs[:, :, ns:] = -(cs[:, :, ns:]
+                          + _from_grid(tangents[:, 0], grid.dplm, grid.wx,
+                                       grid.trig[..., :nphi], grid, L))
+    return [SHField(L, c) for c in _pack(cs)]
+
+
+def degree_harmonics(k, grid):
+    """Values (2k+1, ntheta, nphi) and tangential gradients
+    (2k+1, 2, ntheta, nphi) of Y_{k,m}, m = -k..k, read off row l = k of the
+    grid's tables in one broadcast: sh_synthesis and surface_gradient of
+    SHField.basis(k, k, m) without a transform."""
+    _check_band(grid, k, "degree_harmonics")
+    m = np.arange(-k, k + 1)
+    rows = grid.trig[np.abs(m), (m < 0).astype(int)][:, None, :]
+    p = grid.plm[k, np.abs(m)][:, :, None]
+    dp = grid.dplm[k, np.abs(m)][:, :, None]
+    nphi = grid.nphi
+    grads = np.stack((dp * rows[..., :nphi],
+                      p / grid.sin_theta[:, None] * rows[..., nphi:]), axis=1)
+    return p * rows[..., :nphi], grads
 
 
 def sh_synthesis(field, grid):
     """Evaluate a coefficient field on the grid (exact for any band)."""
-    _check_band(grid, field.L, "sh_synthesis")
-    return _to_grid(*_unpack(field), grid.plm, grid)
-
-
-def _check_shape(values, lead, grid, operation):
-    """Refuse values whose trailing axes are not the grid's."""
-    if values.shape != lead + (grid.ntheta, grid.nphi):
-        raise ShapeMismatchError("sphere3d", operation,
-                                 "values must match the grid shape",
-                                 "got %s, grid %s"
-                                 % (values.shape, (grid.ntheta, grid.nphi)))
+    return synthesize(grid, [field])[0][0]
 
 
 def sh_analysis(values, L, grid):
@@ -241,21 +334,13 @@ def sh_analysis(values, L, grid):
     Exact when the values come from a band-limited function with
     band(values) + L <= 2 grid.L + 1.
     """
-    _check_band(grid, L, "sh_analysis")
-    values = np.asarray(values, dtype=float)
-    _check_shape(values, (), grid, "sh_analysis")
-    return _pack(*_from_grid(values, grid.plm, grid.wx, grid, L))
+    return analyze(grid, L, [values])[0]
 
 
 def surface_gradient(field, grid):
     """Tangential gradient as one (2, ntheta, nphi) array of (theta, phi)
     frame components on the grid."""
-    _check_band(grid, field.L, "surface_gradient")
-    c, s = _unpack(field)
-    m = np.arange(field.L + 1)
-    vtheta = _to_grid(c, s, grid.dplm, grid)
-    vphi = _to_grid(m * s, -m * c, grid.plm, grid) / grid.sin_theta[:, None]
-    return np.stack((vtheta, vphi))
+    return synthesize(grid, gradients=[field])[1][0]
 
 
 def surface_divergence(v, grid, L):
@@ -265,12 +350,7 @@ def surface_divergence(v, grid, L):
     Agrees with the analytic divergence whenever the grid integrates
     V . grad(Y_{lm}) exactly for all l <= L.
     """
-    _check_band(grid, L, "surface_divergence")
-    _check_shape(v, (2,), grid, "surface_divergence")
-    tc, ts = _from_grid(v[0], grid.dplm, grid.wx, grid, L)
-    pc, ps = _from_grid(v[1], grid.plm, grid.wx / grid.sin_theta, grid, L)
-    m = np.arange(L + 1)
-    return _pack(m * ps - tc, -m * pc - ts)
+    return analyze(grid, L, tangents=[v])[0]
 
 
 def sh_multiply(f, g, L):
@@ -281,8 +361,8 @@ def sh_multiply(f, g, L):
     """
     lq = (f.L + g.L + L) // 2 + 1
     grid = sphere_grid(lq)
-    prod = sh_synthesis(f, grid) * sh_synthesis(g, grid)
-    return sh_analysis(prod, L, grid)
+    vals = synthesize(grid, [f, g])[0]
+    return analyze(grid, L, [vals[0] * vals[1]])[0]
 
 
 def dtn_sphere_apply(field):

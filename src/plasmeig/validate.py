@@ -7,6 +7,7 @@ the frozen second-order baseline) are computed by routes independent of the
 operators they validate.
 """
 
+import functools
 import math
 import time
 
@@ -85,6 +86,15 @@ def elliptic_eigenvalues(a, b, num):
     return np.sort(values[order])
 
 
+@functools.lru_cache(maxsize=4)
+def _gauss_legendre(nq):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(nq)
+    for arr in rule:
+        arr.flags.writeable = False
+    return rule
+
+
 def disk_integral_epsdot_y20(nq=80):
     """The hemisphere-projection disk integral for the z-branch derivative
     at k=1 with shape Y_{2,0}, evaluated in polar coordinates.
@@ -95,19 +105,16 @@ def disk_integral_epsdot_y20(nq=80):
     removes the edge singularity; the shape is evaluated from its explicit
     polynomial form, independent of any transform machinery.
     """
-    x, wx = np.polynomial.legendre.leggauss(nq)
+    x, wx = _gauss_legendre(nq)
     psi = 0.25 * math.pi * (x + 1.0)
-    wpsi = 0.25 * math.pi * wx
-    total = 0.0
-    for p, wp in zip(psi, wpsi):
-        rho = math.sin(p)
-        cos_theta_up = math.cos(p)
-        # Y_{2,0}(theta) = sqrt(5/16pi) (3 cos^2 theta - 1); both hemispheres
-        # contribute equally since cos^2 is even in cos(theta)
-        y20 = math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * cos_theta_up ** 2 - 1.0)
-        a_sum = 2.0 * y20
-        integrand = a_sum * (2.0 - 3.0 * rho * rho) * math.sin(p)
-        total += wp * integrand * (2.0 * math.pi)  # uniform in phi
+    # Y_{2,0}(theta) = sqrt(5/16pi) (3 cos^2 theta - 1) at cos(theta) =
+    # cos(psi); both hemispheres contribute equally since cos^2 is even in
+    # cos(theta), and the integrand is uniform in phi
+    a_sum = 2.0 * math.sqrt(5.0 / (16.0 * math.pi)) \
+        * (3.0 * np.cos(psi) ** 2 - 1.0)
+    rho = np.sin(psi)
+    total = 2.0 * math.pi * float(
+        np.sum(0.25 * math.pi * wx * a_sum * (2.0 - 3.0 * rho * rho) * rho))
     return 9.0 / (4.0 * math.pi) * total
 
 

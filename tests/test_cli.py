@@ -8,10 +8,13 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import given, strategies as st
 
 import plasmeig
-from plasmeig.cli import canonical_json, main
+from plasmeig.cli import canonical_json, cmd_perturb, main
 from plasmeig.curve2d import CurveParam
+from plasmeig.errors import PlasmeigError
+from plasmeig.validate import GOLDEN_EPSDDOT_Y20
 
 from test_perturb import random_shape
 from test_spectrum2d import count_block_steps
@@ -219,6 +222,64 @@ def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
     scale = sum(abs(x) for x in record["outputs"]["second_order"]["lines"])
     assert scale > 1e6
     assert record["outputs"]["route_gap"] <= 1e-8 * scale
+
+
+def coeff_list(c, *indices):
+    return [{"l": l, "m": m, "c": c} for l, m in indices]
+
+
+@pytest.mark.parametrize("k, branch, shape", [
+    # compatibility residuals 1.49e-8 and 2.1e-8: roundoff on coefficients
+    # of the shape's size, which an absolute bound of 1e-8 refused (exit 3)
+    (1, 2, {"L": 2, "coeffs": coeff_list(1e7, (2, 0))}),
+    (3, 1, {"L": 4, "coeffs": coeff_list(3e6, (2, 1), (4, -3), (3, 0))})])
+def test_perturb_sphere_compatibility_scales_with_the_shape(tmp_path, k,
+                                                            branch, shape):
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "sphere", "k": k, "branch": branch,
+                        "order": 2, "a": shape})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert record["passed"] is True
+    assert len(record["flags"]) == 3 and all(record["flags"].values())
+    if k == 1:
+        # epsddot is quadratic in the shape: 1e14 times the golden value
+        want = 1e14 * GOLDEN_EPSDDOT_Y20
+        got = record["outputs"]["second_order"]["epsddot"]
+        assert abs(got - want) <= 1e-8 * want
+
+
+@given(k=st.integers(1, 4), L=st.integers(0, 4),
+       seed=st.integers(0, 10_000), exponent=st.floats(0.0, 8.0))
+def test_perturb_sphere_is_homogeneous_in_the_shape(k, L, seed, exponent):
+    # a job either passes with every flag true or names its error, whatever
+    # the shape's amplitude; q1 is linear and epsddot quadratic in it
+    amp = 10.0 ** exponent
+    unit = random_shape(L, seed)
+
+    def job(a):
+        config = {"mode": "sphere", "k": k, "branch": seed % (2 * k + 1),
+                  "order": 2, "a": field_json(a)}
+        return cmd_perturb(config, 0)[0]
+
+    try:
+        base = job(unit)
+    except PlasmeigError as err:
+        with pytest.raises(type(err)):
+            job(unit.scaled(amp))
+        return
+    big = job(unit.scaled(amp))
+    assert len(base.flags) == len(big.flags) == 3
+    assert all(base.flags.values()) and all(big.flags.values())
+    q1 = np.array(base.outputs["first_order"]["q1_matrix"])
+    q1_big = np.array(big.outputs["first_order"]["q1_matrix"])
+    assert np.max(np.abs(q1_big - amp * q1)) \
+        <= 1e-8 * amp * max(1.0, float(np.max(np.abs(q1))))
+    second = base.outputs["second_order"]
+    scale = max(1.0, sum(abs(x) for x in second["lines"]))
+    assert abs(big.outputs["second_order"]["epsddot"]
+               - amp * amp * second["epsddot"]) <= 1e-8 * amp * amp * scale
 
 
 def test_perturb_sphere_first_order_only(tmp_path):

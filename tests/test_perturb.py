@@ -1,5 +1,6 @@
 """Eigenvalue perturbation under normal shifts: sphere and plane branches."""
 
+import collections
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 import scipy.linalg
 from hypothesis import given, strategies as st
 
+from plasmeig import sphere3d
 from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
                               tangential_derivative)
@@ -158,6 +160,33 @@ def test_operator_identities_on_the_unit_shape():
     v = SHField.basis(3, 3, 2)
     out = p1_apply(one, v)
     assert abs(out.coeffs[3, 2 + out.L] - 12.0) < 1e-12
+
+
+def test_kernel_calls_do_not_grow_with_the_degree(monkeypatch):
+    # the 2k + 1 basis harmonics are read off the grid tables, and every
+    # stage stacks the fields it evaluates on one grid
+    counts = collections.Counter()
+    for name in ("_to_grid", "_from_grid"):
+        def counted(*args, _kernel=getattr(sphere3d, name), _name=name):
+            counts[_name] += 1
+            return _kernel(*args)
+        monkeypatch.setattr(sphere3d, name, counted)
+
+    def calls(run, k):
+        counts.clear()
+        run(k)
+        return dict(counts)
+
+    a = random_shape(3, seed=4)
+
+    def chain(k):
+        udot = solve_udot(q1_matrix(k, a), 0)
+        epsddot(udot)
+        epsddot_flux_route(udot)
+
+    assert calls(lambda k: q1_matrix(k, a), 1) == {"_to_grid": 1}
+    assert calls(lambda k: q1_matrix(k, a), 30) == {"_to_grid": 1}
+    assert calls(chain, 30) == calls(chain, 1)
 
 
 def test_degree_validation():

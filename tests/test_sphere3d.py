@@ -8,10 +8,11 @@ from hypothesis import given, strategies as st
 from scipy.special import lpmv
 
 from plasmeig.errors import ConfigError, EInfinitySignal, ShapeMismatchError
-from plasmeig.sphere3d import (SHField, ball_spectrum, dtn_sphere_apply,
+from plasmeig.sphere3d import (SHField, analyze, ball_spectrum,
+                               degree_harmonics, dtn_sphere_apply,
                                sh_analysis, sh_multiply, sh_synthesis,
                                sphere_grid, surface_divergence,
-                               surface_gradient)
+                               surface_gradient, synthesize)
 
 
 def random_field(L, seed):
@@ -85,6 +86,43 @@ def test_divergence_is_adjoint_to_gradient():
     gy = surface_gradient(y, grid)
     rhs = -grid.integrate(vec[0] * gy[0] + vec[1] * gy[1])
     assert abs(lhs - rhs) < 1e-11
+
+
+@pytest.mark.parametrize("bands, grid_band", [
+    ((0, 3, 5), 5), ((2, 30, 17, 30), 30), ((30, 12, 1), 62)])
+def test_batched_transforms_match_single_fields(bands, grid_band):
+    # one kernel call per table for the whole stack, against the
+    # batch-of-one public transforms, field by field
+    grid = sphere_grid(grid_band)
+    fields = [random_field(L, seed=i) for i, L in enumerate(bands)]
+    vals, grads = synthesize(grid, fields, fields[::-1])
+    L = max(bands)
+    coeffs = analyze(grid, L, vals, grads)
+    singles = ([sh_synthesis(f, grid) for f in fields]
+               + [surface_gradient(f, grid) for f in fields[::-1]]
+               + [sh_analysis(v, L, grid).coeffs for v in vals]
+               + [surface_divergence(g, grid, L).coeffs for g in grads])
+    batched = list(vals) + list(grads) + [f.coeffs for f in coeffs]
+    assert len(batched) == len(singles) == 4 * len(bands)
+    for got, want in zip(batched, singles):
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert np.max(np.abs(got - want)) <= 1e-14 * scale
+
+
+def test_degree_harmonics_match_the_transforms():
+    for k in range(31):
+        grid = sphere_grid(k + 2)
+        vals, grads = degree_harmonics(k, grid)
+        assert vals.shape == (2 * k + 1, grid.ntheta, grid.nphi)
+        assert grads.shape == (2 * k + 1, 2, grid.ntheta, grid.nphi)
+        for i, m in enumerate(range(-k, k + 1)):
+            basis = SHField.basis(k, k, m)
+            want_vals = sh_synthesis(basis, grid)
+            want_grads = surface_gradient(basis, grid)
+            assert np.max(np.abs(vals[i] - want_vals)) \
+                <= 1e-14 * np.max(np.abs(want_vals))
+            assert np.max(np.abs(grads[i] - want_grads)) \
+                <= 1e-14 * np.max(np.abs(want_grads))
 
 
 def test_divergence_of_gradient_is_laplacian():

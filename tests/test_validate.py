@@ -81,6 +81,21 @@ def test_disk_integral_quadrature_converges():
     assert abs(coarse - exact) < 1e-3
 
 
+@pytest.mark.parametrize("nq", [12, 80])
+def test_disk_integral_matches_the_pointwise_loop(nq):
+    # the one-expression oracle against the node-by-node sum it replaced;
+    # only the summation order differs
+    x, wx = np.polynomial.legendre.leggauss(nq)
+    total = 0.0
+    for p, wp in zip(0.25 * math.pi * (x + 1.0), 0.25 * math.pi * wx):
+        y20 = math.sqrt(5.0 / (16.0 * math.pi)) * (3.0 * math.cos(p) ** 2
+                                                   - 1.0)
+        total += wp * 2.0 * y20 * (2.0 - 3.0 * math.sin(p) ** 2) \
+            * math.sin(p) * 2.0 * math.pi
+    want = 9.0 / (4.0 * math.pi) * total
+    assert abs(disk_integral_epsdot_y20(nq) - want) <= 1e-14 * abs(want)
+
+
 SYMMETRIC_CURVES = {"threefold": {"kind": "fourier", "cos": [1, 0, 0, 0.1]},
                     "fourfold": {"kind": "fourier",
                                  "cos": [1, 0, 0, 0, 0.1]}}
