@@ -84,9 +84,10 @@ def _int_choice(config, key, default, choices, contract, operation):
 def _step_list(config, operation):
     h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
     steps = finite_numbers(h_list, "h_list", "cli", operation)
-    if len(steps) < 2 or min(steps) <= 0:
+    if len(set(steps)) < 2 or min(steps) <= 0:
         raise ConfigError("cli", operation,
-                          "h_list must hold at least two positive steps",
+                          "h_list must hold at least two distinct positive "
+                          "steps",
                           "h_list=%r" % (h_list,))
     return steps
 

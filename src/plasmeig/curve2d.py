@@ -26,6 +26,10 @@ _TWOPI = 2.0 * math.pi
 # dense parameter grid on which a radial function is checked for positivity
 # and a normal shift for star shape
 _STAR_CHECK_NODES = 720
+# node offsets |x_i - x_j| whose squares, which bem2d's kernels take, are
+# normal floats
+_OFFSET_RANGE = (math.sqrt(np.finfo(float).tiny),
+                 math.sqrt(np.finfo(float).max))
 
 
 class ShapeFn2D:
@@ -242,6 +246,16 @@ class CurveSample:
 
 def _geometry_from_derivatives(t, der):
     x, xp, xpp = der[0], der[1], der[2]
+    # the extent of the nodes bounds every offset from above, and
+    # neighbouring nodes give the smallest offsets of a resolved sample
+    step = np.hypot(*(np.roll(x, -1, axis=0) - x).T).min()
+    extent = np.hypot(*np.ptp(x, axis=0))
+    if not (_OFFSET_RANGE[0] <= step and extent <= _OFFSET_RANGE[1]):
+        raise GeometryError("curve2d", "sample_curve",
+                            "squared node offsets must be normal floats "
+                            "(%.3g <= |x_i - x_j| <= %.3g)" % _OFFSET_RANGE,
+                            "smallest neighbour offset %.3g, extent %.3g"
+                            % (step, extent))
     speed = np.linalg.norm(xp, axis=-1)
     if speed.min() <= 0:
         raise GeometryError("curve2d", "sample_curve",
@@ -250,7 +264,8 @@ def _geometry_from_derivatives(t, der):
     tangents = xp / speed[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
     cross = xp[:, 0] * xpp[:, 1] - xp[:, 1] * xpp[:, 0]
-    curvature = -cross / speed ** 3
+    # speed ** 3 would leave the normal range past 5.6e102 and 2.8e-103
+    curvature = -(cross / speed) / (speed * speed)
     n = len(t)
     weights = (_TWOPI / n) * speed
     return CurveSample(t=t, nodes=x, tangents=tangents, normals=normals,

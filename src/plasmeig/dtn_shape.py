@@ -66,28 +66,30 @@ def banded_opnorm(applied, root):
 
 
 def shape_derivative(dtn, a, x):
-    """(dN- x, dN+ x): the shape derivative of each DtN map applied to the
-    columns of the (N, k) block x, with one apply for N x and one for
-    N (a N x) on both sides."""
+    """(dN- x, dN+ x), (N- x, N+ x): the shape derivative of each DtN map
+    applied to the columns of the (N, k) block x, and the maps themselves
+    applied to it, with one apply for N x and one for N (a N x) on both
+    sides."""
     sample = dtn.sample
     a_vals = a.value(sample.t)[:, None]
     local = -tangential_derivative(
         sample, a_vals * tangential_derivative(sample, x))
-    an = [a_vals * side for side in dtn.apply(x)]
+    applied = dtn.apply(x)
+    an = [a_vals * side for side in applied]
     minus, plus = dtn.apply(np.hstack(an))
     k = an[0].shape[1]
     kappa = sample.curvature[:, None]
     return (local + kappa * an[0] - minus[:, :k],
-            local + kappa * an[1] - plus[:, k:])
+            local + kappa * an[1] - plus[:, k:]), applied
 
 
 def loglog_slope(h_list, errors, floors):
     """Least-squares slope of log(errors) against log(h_list) over the steps
     whose error exceeds its floor (one per step, or one for all), or None
-    when fewer than two do: errors at the roundoff floor of an identically
-    zero deformation leave no slope to fit."""
+    when fewer than two distinct steps do: errors at the roundoff floor of
+    an identically zero deformation leave no slope to fit."""
     keep = np.asarray(errors) > floors
-    if np.count_nonzero(keep) < 2:
+    if len(set(np.asarray(h_list, dtype=float)[keep])) < 2:
         return None
     return float(np.polyfit(np.log(h_list)[keep], np.log(errors)[keep], 1)[0])
 
@@ -103,9 +105,9 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     roundoff floor _FD_FLOOR u max(1, ||N||_band) / h per step, and the
     log-log slopes (expected near 1 and 2) of the errors above their floors.
     """
-    if len(h_list) < 2:
+    if len(set(h_list)) < 2:
         raise ConfigError("dtn_shape", "fd_operator_check",
-                          "at least two step sizes are required",
+                          "at least two distinct step sizes are required",
                           "h_list=%r" % (h_list,))
     index = [SIDES.index(side) for side in sides]
     max_degree = n // 4
@@ -113,7 +115,7 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     root, domain = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
     # both sides come from one stacked solve, whose bits depend on the block
     # layout, so a one-side job forms both and keeps its own
-    applied, derivs = dtn.apply(domain), shape_derivative(dtn, a, domain)
+    derivs, applied = shape_derivative(dtn, a, domain)
     base, derivs = [applied[i] for i in index], [derivs[i] for i in index]
     errors = []
     for h in h_list:

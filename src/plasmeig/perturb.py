@@ -17,7 +17,9 @@ generalized eigenvalues are the branch derivatives, as on the sphere.
 
 Both sides build q1 from one weighted Gram product, and the second-order
 chain passes objects: q1_matrix(k, a) -> solve_udot(report, branch) ->
-epsddot(udot) or epsddot_flux_route(udot).
+epsddot(udot) or epsddot_flux_route(udot). The solution carries the
+P1 u = -div(a grad u) and the grid values of a and dn u that its solve
+formed, so neither route forms them again.
 
 All sphere quadratures run on grids sized from the exact band arithmetic of
 the integrands, so the only error is roundoff.
@@ -31,7 +33,7 @@ import scipy.linalg
 from .curve2d import tangential_derivative
 from .errors import ConfigError, PerturbationError, SplittingError
 from .sphere3d import (SHField, analyze, degree_harmonics, dtn_sphere_apply,
-                       sh_multiply, sh_synthesis, sphere_grid, synthesize)
+                       sphere_grid, synthesize)
 
 # Mean curvature of the unit sphere, outward normal: the Weingarten map is
 # -I, so H = -1 and the trace-free part W0 = W - H I vanishes.
@@ -156,7 +158,7 @@ def q1_matrix(k, a):
     vals, grads = degree_harmonics(k, grid)
     d = 2 * k + 1
     vals = vals.reshape(d, -1)
-    mat = _first_order_form(eps, w * sh_synthesis(a, grid).ravel(),
+    mat = _first_order_form(eps, w * synthesize(grid, [a])[0][0].ravel(),
                             grads.reshape(d, 2, -1) / math.sqrt(k),
                             math.sqrt(k) * vals)
     branches, vecs = scipy.linalg.eigh(mat)
@@ -173,18 +175,23 @@ class UdotSolution:
 
     The degree-k component of phi is zero by the gauge choice, which fixes
     the non-uniqueness noted for the first-derivative system. The solution
-    keeps the first-order report, the branch index and the branch trace it
+    keeps the first-order report, the branch index and the branch trace u it
     was solved for; its epsdot is always report.branches[branch]. The
+    second-order routes reuse p1u = -div(a grad u) (band phi.L) and a_vals
+    and dnu_vals, a and dn u on sphere_grid(phi.L), from the solve. The
     compatibility residual is roundoff on coefficients of size
     compatibility_scale (at least 1), which grows with the shape's size.
     """
 
-    def __init__(self, report, branch, trace, phi, compatibility_residual,
-                 compatibility_scale):
+    def __init__(self, report, branch, trace, phi, p1u, a_vals, dnu_vals,
+                 compatibility_residual, compatibility_scale):
         self.report = report
         self.branch = branch
         self.trace = trace
         self.phi = phi
+        self.p1u = p1u
+        self.a_vals = a_vals
+        self.dnu_vals = dnu_vals
         self.compatibility_residual = compatibility_residual
         self.compatibility_scale = compatibility_scale
         self.epsilon = report.epsilon
@@ -207,7 +214,7 @@ def solve_udot(report, branch):
     l_sys = a.L + k + 2
     grid = sphere_grid(l_sys)
     (a_vals, dnu_vals), (gu,) = synthesize(grid, [a, dnu], [ub])
-    # P1 u = -div(a grad u), on p1_apply's grid and band
+    # P1 u = -div(a grad u), on the solve's grid and band
     f1, p1u = analyze(grid, l_sys, [-(eps + 1.0) * a_vals * dnu_vals],
                       [-a_vals * gu])
     gtil = p1u.scaled(-(eps + 1.0)).plus(dnu, -epsdot)
@@ -226,7 +233,8 @@ def solve_udot(report, branch):
     # the resonant degree k is singular; the zero-E gauge sets phi_k = 0
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
-    return UdotSolution(report, branch, ub, phi, compat, scale)
+    return UdotSolution(report, branch, ub, phi, p1u, a_vals, dnu_vals,
+                        compat, scale)
 
 
 class SecondOrderReport:
@@ -289,9 +297,9 @@ def epsddot(udot):
     report, ub = udot.report, udot.trace
     k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
     phi, shifted = udot.phi, udot.phi.plus(ub)
-    dnu = dtn_sphere_apply(ub)
-    grid = sphere_grid(max(a.L + k + 2, phi.L))
-    (a_vals, dnu_vals), _ = synthesize(grid, [a, dnu])
+    # the solve's grid, where udot keeps the values of a and dn u
+    grid = sphere_grid(phi.L)
+    a_vals, dnu_vals = udot.a_vals, udot.dnu_vals
     (w_field,) = analyze(grid, a.L + k, [a_vals * dnu_vals])
     # the shifted trace gets transforms of its own, so that the gauge
     # residual compares two evaluations and not a sum with itself
@@ -306,41 +314,31 @@ def epsddot(udot):
     return SecondOrderReport(udot, total, lines, gauge_residual)
 
 
-def p1_apply(a, v):
-    """P1 v = -div(a grad v), analyzed to band a.L + v.L + 2."""
-    L_out = a.L + v.L + 2
-    grid = sphere_grid(L_out)
-    (a_vals,), (gv,) = synthesize(grid, [a], [v])
-    return analyze(grid, L_out, tangents=[-a_vals * gv])[0]
-
-
 def epsddot_flux_route(udot):
     """Second derivative via the compatibility identity of the
     second-derivative transmission system: <G2, u> - eps <F2, dn u>.
 
     Shares u-dot with the quadrature formula but passes through entirely
     different intermediate expressions, so agreement is a strong
-    cross-check.
+    cross-check. P1 u is the field udot.p1u that the solve formed.
     """
     report, ub = udot.report, udot.trace
     k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
-    dnu = dtn_sphere_apply(ub)
-    dnudot = dtn_sphere_apply(udot.phi)
-    p1u = p1_apply(a, ub)
-    # B = -2 div(a^2 W0 grad u) + 2 P1(a dn u + u-dot); W0 = 0 on the sphere
-    inner = sh_multiply(a, dnu, L=a.L + k).plus(udot.phi)
-    # the grid covers p1_apply(a, inner)'s, so B = 2 P1 inner is taken on it
-    grid = sphere_grid(max(2 * a.L + k + 4, a.L + udot.phi.L + 2))
-    (a_vals, u_vals, dnu_vals, p1u_vals, dnudot_vals), (ginner,) = \
-        synthesize(grid, [a, ub, dnu, p1u, dnudot], [inner])
+    dnu, dnudot = dtn_sphere_apply(ub), dtn_sphere_apply(udot.phi)
+    # B = -2 div(a^2 W0 grad u) + 2 P1(a dn u + u-dot), W0 = 0 on the sphere,
+    # on the grid and band of P1 of the band-(a.L + k + 2) inner field
+    L_b = 2 * a.L + k + 4
+    grid = sphere_grid(L_b)
+    (a_vals, u_vals, dnu_vals, p1u_vals, dnudot_vals), (ga, gdnu, gphi) = \
+        synthesize(grid, [a, ub, dnu, udot.p1u, dnudot], [a, dnu, udot.phi])
+    # grad(a dn u + u-dot), with grad(a dn u) = dn u grad a + a grad dn u
+    ginner = dnu_vals * ga + a_vals * gdnu + gphi
     d_vals = a_vals * (2.0 * p1u_vals + 2.0 * _H * a_vals * dnu_vals
                        + 2.0 * dnudot_vals)
     f2_vals = -(eps + 1.0) * d_vals - 2.0 * epsdot * a_vals * dnu_vals
-    b_field = analyze(grid, a.L + inner.L + 2,
-                      tangents=[-2.0 * a_vals * ginner])[0]
-    a_term = p1u.plus(dnudot)
-    g2 = a_term.scaled(-2.0 * epsdot).plus(b_field, -(eps + 1.0))
-    g2_vals = sh_synthesis(g2, grid)
+    b_field = analyze(grid, L_b, tangents=[-2.0 * a_vals * ginner])[0]
+    g2 = udot.p1u.plus(dnudot).scaled(-2.0 * epsdot)
+    g2_vals = synthesize(grid, [g2.plus(b_field, -(eps + 1.0))])[0][0]
     return grid.integrate(g2_vals * u_vals) \
         - eps * grid.integrate(f2_vals * dnu_vals)
 

@@ -1,9 +1,8 @@
 """Real spherical harmonics on the unit sphere.
 
 Transforms between coefficients and values on a Gauss-Legendre(theta) x
-uniform(phi) grid, surface gradient and divergence, pointwise products with
-band headroom, the exact plasmonic spectrum of the ball, and the diagonal
-interior DtN multipliers.
+uniform(phi) grid, surface gradient and divergence, the exact plasmonic
+spectrum of the ball, and the diagonal interior DtN multipliers.
 
 Conventions: fully normalized real harmonics
 
@@ -18,25 +17,21 @@ spherical-polynomial degree up to 2L+1 exactly; band bookkeeping for
 quadrature exactness is the caller's job and every routine here states its
 requirement.
 
-One synthesis kernel (_to_grid) and its exact quadrature adjoint
-(_from_grid) carry all four transforms, each for a whole stack of fields on
-one grid: the sum over l is one matrix product per order m, and the sum
-over m and cos/sin one product for the stack, against the grid's trig
-table, which also holds the sqrt(2) of the real harmonics. _weights and
-_pack alone know the coefficient layout. synthesize(grid, fields,
-gradients) returns the values of a list of fields and the gradients of
-another as arrays with a leading stack axis, with one kernel call per
-Legendre table; analyze(grid, L, values, tangents) is its adjoint, the
-projections of scalar values and the divergences of tangent fields.
-sh_synthesis, surface_gradient, sh_analysis and surface_divergence are
-their stacks of one. Synthesis and the gradient are the kernel, analysis
-and the divergence its adjoint, so <grad f, V> = -<f, div V> holds to
-roundoff on any grid, and the divergence agrees with the analytic one
-whenever the quadrature is exact for the integrand band. A tangent field is
-one (2, ntheta, nphi) array of (theta, phi) frame components on a grid;
-every transform takes its grid explicitly, and analysis and the divergence
-their output band. degree_harmonics reads the 2k+1 harmonics of degree k
-and their gradients off row l = k of the tables, with no transform.
+The only transforms are synthesize(grid, fields, gradients), the values of
+a list of fields and the gradients of another as arrays with a leading
+stack axis, and its adjoint analyze(grid, L, values, tangents), the
+projections of scalar values and the divergences of tangent fields up to
+band L. A pointwise product is a product of synthesized values. Both rest
+on one synthesis kernel (_to_grid) and its exact quadrature adjoint
+(_from_grid), called once per Legendre table: the sum over l is one matrix
+product per order m, and the sum over m and cos/sin one product for the
+stack, against the grid's trig table, which also holds the sqrt(2) of the
+real harmonics. _weights and _pack alone know the coefficient layout. The
+divergence is the adjoint of the gradient, so <grad f, V> = -<f, div V>
+holds to roundoff on any grid, and it agrees with the analytic divergence
+whenever the quadrature is exact for the integrand band. A tangent field is one (2, ntheta, nphi) array of (theta,
+phi) frame components. degree_harmonics reads the 2k+1 harmonics of degree
+k and their gradients off row l = k of the tables, with no transform.
 """
 
 import functools
@@ -144,11 +139,9 @@ class SHField:
         self.coeffs[l, m + self.L] = c
 
     def truncated(self, L_new):
-        out = SHField(L_new)
-        keep = min(self.L, L_new) + 1
-        for l in range(keep):
-            out.coeffs[l, L_new - l:L_new + l + 1] = \
-                self.coeffs[l, self.L - l:self.L + l + 1]
+        out, keep = SHField(L_new), min(self.L, L_new)
+        out.coeffs[:keep + 1, L_new - keep:L_new + keep + 1] = \
+            self.coeffs[:keep + 1, self.L - keep:self.L + keep + 1]
         return out
 
     def scaled(self, factor):
@@ -310,8 +303,8 @@ def analyze(grid, L, values=(), tangents=()):
 def degree_harmonics(k, grid):
     """Values (2k+1, ntheta, nphi) and tangential gradients
     (2k+1, 2, ntheta, nphi) of Y_{k,m}, m = -k..k, read off row l = k of the
-    grid's tables in one broadcast: sh_synthesis and surface_gradient of
-    SHField.basis(k, k, m) without a transform."""
+    grid's tables in one broadcast: synthesize of SHField.basis(k, k, m)
+    without a transform."""
     _check_band(grid, k, "degree_harmonics")
     m = np.arange(-k, k + 1)
     rows = grid.trig[np.abs(m), (m < 0).astype(int)][:, None, :]
@@ -321,48 +314,6 @@ def degree_harmonics(k, grid):
     grads = np.stack((dp * rows[..., :nphi],
                       p / grid.sin_theta[:, None] * rows[..., nphi:]), axis=1)
     return p * rows[..., :nphi], grads
-
-
-def sh_synthesis(field, grid):
-    """Evaluate a coefficient field on the grid (exact for any band)."""
-    return synthesize(grid, [field])[0][0]
-
-
-def sh_analysis(values, L, grid):
-    """Project grid values onto harmonics up to band L.
-
-    Exact when the values come from a band-limited function with
-    band(values) + L <= 2 grid.L + 1.
-    """
-    return analyze(grid, L, [values])[0]
-
-
-def surface_gradient(field, grid):
-    """Tangential gradient as one (2, ntheta, nphi) array of (theta, phi)
-    frame components on the grid."""
-    return synthesize(grid, gradients=[field])[1][0]
-
-
-def surface_divergence(v, grid, L):
-    """Divergence of the (2, ntheta, nphi) tangent field v by quadrature
-    adjointness: <div V, Y> := -<V, grad Y>.
-
-    Agrees with the analytic divergence whenever the grid integrates
-    V . grad(Y_{lm}) exactly for all l <= L.
-    """
-    return analyze(grid, L, tangents=[v])[0]
-
-
-def sh_multiply(f, g, L):
-    """Pointwise product re-analyzed to band L.
-
-    The quadrature grid carries enough headroom that the analysis of the
-    product (exact band f.L + g.L) is exact up to the requested L.
-    """
-    lq = (f.L + g.L + L) // 2 + 1
-    grid = sphere_grid(lq)
-    vals = synthesize(grid, [f, g])[0]
-    return analyze(grid, L, [vals[0] * vals[1]])[0]
 
 
 def dtn_sphere_apply(field):

@@ -98,6 +98,31 @@ def test_spectrum_scale_leaves_eigenvalues_unchanged(tmp_path):
     assert np.max(np.abs(values["base"] - values["scaled"])) < 1e-8
 
 
+def test_spectrum_at_extreme_scales(tmp_path, capsys):
+    # the eigenvalues do not depend on the size of the curve until the
+    # squared node offsets leave the normal float range, which exits 3
+    def job(scale):
+        cfg = write_config(tmp_path, "job.json",
+                           {"curve": ELLIPSE, "N": 128, "num_eigs": 4,
+                            "scale": scale})
+        out = tmp_path / str(scale)
+        code = main(["spectrum", "--config", cfg, "--out", str(out)])
+        if code:
+            return code, None
+        record, _ = read_record(out, "spectrum")
+        return code, np.array(record["outputs"]["spectrum"]["eigenvalues"])
+
+    _, base = job(1.0)
+    for scale in (1e110, 1e-150):
+        code, values = job(scale)
+        assert code == 0
+        assert np.max(np.abs(values - base)) <= 1e-12
+    capsys.readouterr()
+    for scale in (1e200, 1e-200):
+        assert job(scale) == (3, None)
+        assert "squared node offsets" in capsys.readouterr().err
+
+
 def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
     # both spectrum routes and 2D perturb work on eigendensities, which
     # need only S and K*: no LU anywhere
@@ -555,6 +580,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": None},
      "shape function"),
     ("dn-derivative", {"curve": ELLIPSE, "a": None}, "shape function"),
+    # one repeated step leaves the slope fit a single abscissa
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                 "h_list": [1e-2, 1e-2]}, "h_list"),
+    ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                       "h_list": [1e-2, 1e-2]}, "h_list"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

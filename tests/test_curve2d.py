@@ -164,6 +164,26 @@ def test_scaled_curve_geometry():
     assert np.allclose(doubled.curvature, 0.5 * base.curvature, atol=1e-13)
 
 
+@pytest.mark.parametrize("scale", [1e-150, 1e110, 1e153])
+def test_curvature_scales_exactly_at_extreme_sizes(scale):
+    # kappa = -(cross / speed) / speed^2 stays in range where speed^3 would
+    # overflow (speeds above 5.6e102) or leave the normal range (below
+    # 2.8e-103)
+    curve = CurveParam.ellipse(2.0, 1.0)
+    base = sample_curve(curve, 128)
+    big = sample_curve(curve.scaled(scale), 128)
+    assert np.max(np.abs(big.curvature * scale - base.curvature)) \
+        <= 1e-14 * np.max(np.abs(base.curvature))
+
+
+@pytest.mark.parametrize("scale", [1e155, 1e200, 1e-160, 1e-200])
+def test_offsets_outside_the_normal_range_are_refused(scale):
+    # bem2d's kernels take |x_i - x_j|^2, which overflows, or underflows
+    # to a subnormal, at these sizes
+    with pytest.raises(GeometryError, match="squared node offsets"):
+        sample_curve(CurveParam.ellipse(2.0, 1.0).scaled(scale), 128)
+
+
 _small = st.floats(min_value=-0.08, max_value=0.08, allow_nan=False)
 
 

@@ -34,7 +34,8 @@ def test_circle_multiplier_oracle():
     ls = np.array([1, 2, 3, 5, 8])
     block = np.hstack([np.cos(np.outer(t, ls)), np.sin(np.outer(t, ls))])
     mult = np.concatenate([ls, ls]) / 4.0
-    dminus, dplus = shape_derivative(dtn, ShapeFn2D.constant(1.0), block)
+    (dminus, dplus), _ = shape_derivative(dtn, ShapeFn2D.constant(1.0),
+                                          block)
     assert np.max(np.abs(dminus + mult * block)) < 1e-10
     assert np.max(np.abs(dplus - mult * block)) < 1e-10
 
@@ -48,7 +49,10 @@ def test_matrix_agrees_with_apply():
     sample = dtn.sample
     a_vals = A_COS.value(sample.t)
     tmat = tangential_derivative(sample, np.eye(96))
-    got = shape_derivative(dtn, A_COS, block)
+    got, applied = shape_derivative(dtn, A_COS, block)
+    # the maps applied to the block come from the same solve as apply's
+    for mine, want in zip(applied, dtn.apply(block)):
+        assert np.array_equal(mine, want)
     for nmat, out in zip(dtn.apply(np.eye(96)), got):
         an = a_vals[:, None] * nmat
         mat = (-tmat @ (a_vals[:, None] * tmat)
@@ -66,7 +70,7 @@ def test_matrix_agrees_with_apply():
 def test_zero_shape_gives_zero_derivative():
     dtn = build_dtn(sample_curve(ELLIPSE, 64))
     g = np.cos(dtn.sample.t)
-    for out in shape_derivative(dtn, ShapeFn2D(), g[:, None]):
+    for out in shape_derivative(dtn, ShapeFn2D(), g[:, None])[0]:
         assert np.max(np.abs(out)) < 1e-12
     reports = fd_operator_check(ELLIPSE, ShapeFn2D(), 64, [1e-2, 5e-3])
     for report in reports.values():
@@ -119,6 +123,9 @@ def test_finite_differences_converge_to_the_formula():
 def test_fd_report_schema():
     with pytest.raises(ConfigError):
         fd_operator_check(ELLIPSE, A_COS, 64, [1e-2])
+    # a repeated step leaves one abscissa, through which no line is fitted
+    with pytest.raises(ConfigError, match="distinct"):
+        fd_operator_check(ELLIPSE, A_COS, 64, [1e-2, 1e-2])
     report = fd_operator_check(ELLIPSE, A_COS, 64, [1e-2, 5e-3])["interior"]
     assert set(report) == {"curve", "a", "n", "side", "band", "h_list",
                            "one_sided_errors", "central_errors",
@@ -173,10 +180,10 @@ def test_one_side_check_takes_only_its_own_norms(monkeypatch, side):
 
 def test_fd_check_solves_only_the_band_basis(monkeypatch):
     # every pair is factored once and applied to the band basis (N/2 + 1
-    # columns) only: the base pair to it twice and to the derivative's
-    # inner block of twice as many columns, each shifted pair to it once;
-    # forming the full maps would solve N columns on each of the
-    # 1 + 2 len(h_list) pairs
+    # columns) only: the base pair to it once, inside shape_derivative, and
+    # to the derivative's inner block of twice as many columns, each
+    # shifted pair to it once; forming the full maps would solve N columns
+    # on each of the 1 + 2 len(h_list) pairs
     factored, columns = [], []
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
 
@@ -192,15 +199,15 @@ def test_fd_check_solves_only_the_band_basis(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_solve", counting_solve)
     fd_operator_check(ELLIPSE, A_COS, 128, [1e-2, 5e-3, 2.5e-3])
     assert len(factored) == 7
-    assert sum(columns) < 7 * 128
+    assert sum(columns) == (1 + 2 + 6) * 65
 
 
 def test_circle_derivative_matches_multiplier_rule_in_norm():
     # on a circle of radius R with unit shift, dN/dh = -N / R on both sides
     dtn = build_dtn(sample_curve(CurveParam.circle(2.0), 128))
     root, domain = band_domain(dtn.sample.weights, dtn.sample.t, 32)
-    derivs = shape_derivative(dtn, ShapeFn2D.constant(1.0), domain)
-    for deriv, applied in zip(derivs, dtn.apply(domain)):
+    derivs, applied = shape_derivative(dtn, ShapeFn2D.constant(1.0), domain)
+    for deriv, applied in zip(derivs, applied):
         assert banded_opnorm(deriv + applied / 2.0, root) < 1e-8
 
 
@@ -210,7 +217,7 @@ def _growth_slope(dtn, a, l_list=(4, 8, 16, 32)):
     t, w = dtn.sample.t, dtn.sample.weights
     norms = [max(math.sqrt(float(np.dot(dg ** 2, w))) for dg in
                  shape_derivative(dtn, a, np.column_stack(
-                     [np.cos(l * t), np.sin(l * t)]))[0].T)
+                     [np.cos(l * t), np.sin(l * t)]))[0][0].T)
              for l in l_list]
     return float(np.polyfit(np.log(l_list), np.log(norms), 1)[0])
 
@@ -248,3 +255,6 @@ def test_loglog_slope_drops_steps_at_their_floor():
     roundoff = [3e-14 / x for x in h]
     assert loglog_slope(h, roundoff, [1e-13 / x for x in h]) is None
     assert loglog_slope(h, [1e-3, 1e-16, 1e-16, 1e-16], 1e-13) is None
+    # errors above their floors at one repeated step leave no slope either
+    assert loglog_slope([1e-2, 1e-2, 5e-3], [1e-4, 1e-4, 1e-16], 1e-13) \
+        is None

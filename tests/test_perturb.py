@@ -14,11 +14,10 @@ from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
                               tangential_derivative)
 from plasmeig.errors import ConfigError, PerturbationError, SplittingError
 from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
-                              epsdot_2d, p1_apply, q1_matrix, solve_udot,
+                              epsdot_2d, q1_matrix, solve_udot,
                               uniform_shape)
 from plasmeig.spectrum2d import PlasmonicSpectrum, solve_plasmonic
-from plasmeig.sphere3d import (SHField, sh_synthesis, sphere_grid,
-                               surface_gradient)
+from plasmeig.sphere3d import SHField, sphere_grid, synthesize
 from plasmeig.validate import GOLDEN_EPSDDOT_Y20
 
 Y20 = SHField.basis(2, 2, 0)
@@ -41,7 +40,7 @@ def random_shape(L, seed):
 
 
 def test_uniform_shape_is_constant():
-    vals = sh_synthesis(uniform_shape(0.3), sphere_grid(0))
+    vals = synthesize(sphere_grid(0), [uniform_shape(0.3)])[0][0]
     assert np.max(np.abs(vals - 0.3)) < 1e-14
 
 
@@ -86,10 +85,10 @@ def test_q1_matrix_matches_per_entry_quadrature():
     report = q1_matrix(k, a)
     eps = (k + 1.0) / k
     grid = sphere_grid(k + a.L + 2)
-    a_vals = sh_synthesis(a, grid)
+    (a_vals,), _ = synthesize(grid, [a])
     fields = [SHField.basis(k, k, m) for m in range(-k, k + 1)]
-    vals = [sh_synthesis(f, grid) for f in fields]
-    grads = [surface_gradient(f, grid) for f in fields]
+    vals = [synthesize(grid, [f])[0][0] for f in fields]
+    grads = [synthesize(grid, gradients=[f])[1][0] for f in fields]
     want = np.array([[(eps + 1.0) * (
         -grid.integrate(a_vals * (gi[0] * gj[0] + gi[1] * gj[1])) / k
         + eps * k * grid.integrate(a_vals * vi * vj))
@@ -153,18 +152,22 @@ def test_flux_route_agrees_with_quadrature_formula():
         assert abs(direct - flux) < 1e-8 * max(1.0, abs(direct))
 
 
-def test_operator_identities_on_the_unit_shape():
+def test_p1u_on_the_uniform_shape():
     # with a constant shape P1 = -div(a grad) reduces to the degree
-    # multiplier l(l+1)
-    one = uniform_shape(1.0)
-    v = SHField.basis(3, 3, 2)
-    out = p1_apply(one, v)
-    assert abs(out.coeffs[3, 2 + out.L] - 12.0) < 1e-12
+    # multiplier l(l+1), so the solve's P1 u is k(k+1) times the trace
+    for k in (1, 2, 3):
+        report = q1_matrix(k, uniform_shape(1.0))
+        for branch in range(2 * k + 1):
+            sol = solve_udot(report, branch)
+            assert sol.p1u.L == sol.phi.L == k + 2
+            want = sol.trace.truncated(sol.p1u.L).scaled(k * (k + 1.0))
+            assert np.max(np.abs(sol.p1u.coeffs - want.coeffs)) < 1e-12
 
 
 def test_kernel_calls_do_not_grow_with_the_degree(monkeypatch):
-    # the 2k + 1 basis harmonics are read off the grid tables, and every
-    # stage stacks the fields it evaluates on one grid
+    # the 2k + 1 basis harmonics are read off the grid tables, every stage
+    # stacks the fields it evaluates on one grid, and the second-order
+    # routes take P1 u and the values of a and dn u from the solve
     counts = collections.Counter()
     for name in ("_to_grid", "_from_grid"):
         def counted(*args, _kernel=getattr(sphere3d, name), _name=name):
@@ -172,21 +175,24 @@ def test_kernel_calls_do_not_grow_with_the_degree(monkeypatch):
             return _kernel(*args)
         monkeypatch.setattr(sphere3d, name, counted)
 
-    def calls(run, k):
+    def calls(run):
         counts.clear()
-        run(k)
+        run()
         return dict(counts)
 
     a = random_shape(3, seed=4)
 
-    def chain(k):
-        udot = solve_udot(q1_matrix(k, a), 0)
-        epsddot(udot)
-        epsddot_flux_route(udot)
-
-    assert calls(lambda k: q1_matrix(k, a), 1) == {"_to_grid": 1}
-    assert calls(lambda k: q1_matrix(k, a), 30) == {"_to_grid": 1}
-    assert calls(chain, 30) == calls(chain, 1)
+    for k in (1, 30):
+        report = q1_matrix(k, a)
+        udot = solve_udot(report, 0)
+        # q1 1, solve_udot 4, epsddot 3, the flux route 5: 13 per chain
+        assert calls(lambda: q1_matrix(k, a)) == {"_to_grid": 1}
+        assert calls(lambda: solve_udot(report, 0)) == {
+            "_to_grid": 2, "_from_grid": 2}
+        assert calls(lambda: epsddot(udot)) == {
+            "_to_grid": 2, "_from_grid": 1}
+        assert calls(lambda: epsddot_flux_route(udot)) == {
+            "_to_grid": 3, "_from_grid": 2}
 
 
 def test_degree_validation():

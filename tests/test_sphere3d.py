@@ -10,9 +10,7 @@ from scipy.special import lpmv
 from plasmeig.errors import ConfigError, EInfinitySignal, ShapeMismatchError
 from plasmeig.sphere3d import (SHField, analyze, ball_spectrum,
                                degree_harmonics, dtn_sphere_apply,
-                               sh_analysis, sh_multiply, sh_synthesis,
-                               sphere_grid, surface_divergence,
-                               surface_gradient, synthesize)
+                               sphere_grid, synthesize)
 
 
 def random_field(L, seed):
@@ -21,6 +19,30 @@ def random_field(L, seed):
     for l in range(L + 1):
         f.coeffs[l, L - l:L + l + 1] = rng.standard_normal(2 * l + 1)
     return f
+
+
+def values(f, grid):
+    return synthesize(grid, [f])[0][0]
+
+
+def gradient(f, grid):
+    return synthesize(grid, gradients=[f])[1][0]
+
+
+def projection(vals, L, grid):
+    return analyze(grid, L, [vals])[0]
+
+
+def divergence(v, grid, L):
+    return analyze(grid, L, tangents=[v])[0]
+
+
+def product(f, g, L):
+    # pointwise product on a grid whose headroom makes the analysis of the
+    # band f.L + g.L product exact up to L
+    grid = sphere_grid((f.L + g.L + L) // 2 + 1)
+    vals = synthesize(grid, [f, g])[0]
+    return projection(vals[0] * vals[1], L, grid)
 
 
 def field_json(f):
@@ -39,7 +61,7 @@ def test_grid_integrates_constants_exactly():
 def test_basis_functions_are_orthonormal():
     L = 4
     grid = sphere_grid(2 * L)
-    fields = [sh_synthesis(SHField.basis(L, l, m), grid)
+    fields = [values(SHField.basis(L, l, m), grid)
               for l in range(L + 1) for m in range(-l, l + 1)]
     for i, fi in enumerate(fields):
         for j, fj in enumerate(fields):
@@ -52,7 +74,7 @@ def test_analysis_inverts_synthesis(seed):
     # the band-9 grid takes the sliced path: tables wider than the band
     f = random_field(5, seed)
     for grid in (sphere_grid(5), sphere_grid(9)):
-        back = sh_analysis(sh_synthesis(f, grid), 5, grid)
+        back = projection(values(f, grid), 5, grid)
         assert np.max(np.abs(back.coeffs - f.coeffs)) < 1e-12
 
 
@@ -60,7 +82,7 @@ def test_analysis_inverts_synthesis(seed):
 def test_parseval_identity(seed):
     f = random_field(4, seed)
     grid = sphere_grid(4)
-    vals = sh_synthesis(f, grid)
+    vals = values(f, grid)
     assert abs(grid.integrate(vals * vals)
                - float(np.sum(f.coeffs ** 2))) < 1e-11
 
@@ -68,7 +90,7 @@ def test_parseval_identity(seed):
 def test_gradient_closed_form():
     # Y_{1,0} = sqrt(3/4pi) cos(theta); its gradient has only a theta part
     grid = sphere_grid(3)
-    grad = surface_gradient(SHField.basis(1, 1, 0), grid)
+    grad = gradient(SHField.basis(1, 1, 0), grid)
     scale = math.sqrt(3.0 / (4.0 * math.pi))
     want = -scale * grid.sin_theta[:, None] * np.ones(grid.nphi)[None, :]
     assert grad.shape == (2, grid.ntheta, grid.nphi)
@@ -80,10 +102,10 @@ def test_divergence_is_adjoint_to_gradient():
     f = random_field(4, seed=1)
     y = random_field(4, seed=2)
     grid = sphere_grid(6)
-    vec = surface_gradient(f, grid)
-    div = surface_divergence(vec, grid, 4)
-    lhs = grid.integrate(sh_synthesis(div, grid) * sh_synthesis(y, grid))
-    gy = surface_gradient(y, grid)
+    vec = gradient(f, grid)
+    div = divergence(vec, grid, 4)
+    lhs = grid.integrate(values(div, grid) * values(y, grid))
+    gy = gradient(y, grid)
     rhs = -grid.integrate(vec[0] * gy[0] + vec[1] * gy[1])
     assert abs(lhs - rhs) < 1e-11
 
@@ -91,17 +113,17 @@ def test_divergence_is_adjoint_to_gradient():
 @pytest.mark.parametrize("bands, grid_band", [
     ((0, 3, 5), 5), ((2, 30, 17, 30), 30), ((30, 12, 1), 62)])
 def test_batched_transforms_match_single_fields(bands, grid_band):
-    # one kernel call per table for the whole stack, against the
-    # batch-of-one public transforms, field by field
+    # one kernel call per table for the whole stack, against stacks of
+    # one, field by field
     grid = sphere_grid(grid_band)
     fields = [random_field(L, seed=i) for i, L in enumerate(bands)]
     vals, grads = synthesize(grid, fields, fields[::-1])
     L = max(bands)
     coeffs = analyze(grid, L, vals, grads)
-    singles = ([sh_synthesis(f, grid) for f in fields]
-               + [surface_gradient(f, grid) for f in fields[::-1]]
-               + [sh_analysis(v, L, grid).coeffs for v in vals]
-               + [surface_divergence(g, grid, L).coeffs for g in grads])
+    singles = ([values(f, grid) for f in fields]
+               + [gradient(f, grid) for f in fields[::-1]]
+               + [projection(v, L, grid).coeffs for v in vals]
+               + [divergence(g, grid, L).coeffs for g in grads])
     batched = list(vals) + list(grads) + [f.coeffs for f in coeffs]
     assert len(batched) == len(singles) == 4 * len(bands)
     for got, want in zip(batched, singles):
@@ -117,8 +139,8 @@ def test_degree_harmonics_match_the_transforms():
         assert grads.shape == (2 * k + 1, 2, grid.ntheta, grid.nphi)
         for i, m in enumerate(range(-k, k + 1)):
             basis = SHField.basis(k, k, m)
-            want_vals = sh_synthesis(basis, grid)
-            want_grads = surface_gradient(basis, grid)
+            want_vals = values(basis, grid)
+            want_grads = gradient(basis, grid)
             assert np.max(np.abs(vals[i] - want_vals)) \
                 <= 1e-14 * np.max(np.abs(want_vals))
             assert np.max(np.abs(grads[i] - want_grads)) \
@@ -131,7 +153,7 @@ def test_divergence_of_gradient_is_laplacian():
               random_field(30, seed=8)):
         grid = sphere_grid(f.L + 2)
         l = np.arange(f.L + 1, dtype=float)[:, None]
-        div = surface_divergence(surface_gradient(f, grid), grid, f.L)
+        div = divergence(gradient(f, grid), grid, f.L)
         assert np.max(np.abs(div.coeffs + l * (l + 1.0) * f.coeffs)) < 1e-10
 
 
@@ -150,7 +172,7 @@ def test_legendre_table_matches_scipy_at_band_30():
 
 def test_product_of_axial_harmonics_closed_form():
     # Y10^2 = 1/sqrt(4pi) Y00 + 1/sqrt(5pi) Y20
-    prod = sh_multiply(SHField.basis(1, 1, 0), SHField.basis(1, 1, 0), 2)
+    prod = product(SHField.basis(1, 1, 0), SHField.basis(1, 1, 0), 2)
     assert prod.L == 2
     L = prod.L
     assert abs(prod.coeffs[0, 0 + L] - 1.0 / math.sqrt(4.0 * math.pi)) < 1e-14
@@ -165,7 +187,7 @@ def test_multiplication_by_one_is_identity():
     one = SHField(0)
     one.coeffs[0, 0] = math.sqrt(4.0 * math.pi)
     f = random_field(3, seed=4)
-    prod = sh_multiply(one, f, L=3)
+    prod = product(one, f, L=3)
     assert np.max(np.abs(prod.coeffs - f.coeffs)) < 1e-13
 
 
@@ -225,13 +247,13 @@ def test_field_algebra():
 def test_band_and_shape_guards():
     f = random_field(5, seed=3)
     with pytest.raises(ShapeMismatchError):
-        sh_synthesis(f, sphere_grid(2))
+        values(f, sphere_grid(2))
     with pytest.raises(ShapeMismatchError):
-        sh_analysis(np.ones((3, 3)), 2, sphere_grid(2))
+        projection(np.ones((3, 3)), 2, sphere_grid(2))
     grid = sphere_grid(5)
     with pytest.raises(ShapeMismatchError):
-        surface_divergence(np.ones((3, grid.ntheta, grid.nphi)), grid, 5)
+        divergence(np.ones((3, grid.ntheta, grid.nphi)), grid, 5)
     with pytest.raises(ShapeMismatchError):
-        surface_divergence(np.ones((2, 3, 3)), grid, 5)
+        divergence(np.ones((2, 3, 3)), grid, 5)
     with pytest.raises(ShapeMismatchError):
         SHField(2, np.zeros((2, 5)))
