@@ -2,10 +2,12 @@
 
 Subcommands: spectrum | perturb | dn-derivative | validate. Every job is
 described by a JSON config (strict schemas, unknown keys rejected) and
-produces a ResultRecord serialized as canonical JSON, so identical
-(config, seed) pairs yield byte-identical artifacts. Wall-clock times are
-printed to stdout and never written into artifacts. Exit codes: 0 pass,
-1 validation failure, 2 config error, 3 numerical error.
+produces a ResultRecord serialized as canonical, strict JSON, so identical
+(config, seed) pairs yield byte-identical artifacts and a NaN or infinity
+among the outputs is a numerical error. The finite-difference jobs take
+their verdicts from dtn_shape.fd_flags. Wall-clock times are printed to
+stdout and never written into artifacts. Exit codes: 0 pass, 1 validation
+failure, 2 config error, 3 numerical error.
 
 Numerical modules are imported inside the handlers so that --threads can
 pin the BLAS thread count through the environment before anything loads;
@@ -18,7 +20,8 @@ import os
 import sys
 import time
 
-from .errors import ConfigError, PlasmeigError, finite_number, finite_numbers
+from .errors import (ConfigError, NumericalError, PlasmeigError,
+                     finite_number, finite_numbers)
 
 ARTIFACT_VERSION = 1
 
@@ -46,7 +49,14 @@ class ResultRecord:
 
 
 def canonical_json(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")) + "\n"
+    """obj as strict JSON; a NaN or infinity is a NumericalError, since the
+    JSON tokens for them do not exist."""
+    try:
+        return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise NumericalError("cli", "canonical_json",
+                             "artifact numbers must be finite", str(exc))
 
 
 def _check_keys(config, required, optional, operation):
@@ -82,14 +92,8 @@ def _int_choice(config, key, default, choices, contract, operation):
 
 
 def _step_list(config, operation):
-    h_list = config.get("h_list", [1e-2, 5e-3, 2.5e-3])
-    steps = finite_numbers(h_list, "h_list", "cli", operation)
-    if len(set(steps)) < 2 or min(steps) <= 0:
-        raise ConfigError("cli", operation,
-                          "h_list must hold at least two distinct positive "
-                          "steps",
-                          "h_list=%r" % (h_list,))
-    return steps
+    return finite_numbers(config.get("h_list", [1e-2, 5e-3, 2.5e-3]),
+                          "h_list", "cli", operation)
 
 
 def _shape_sphere(obj, operation):
@@ -157,24 +161,18 @@ def _perturb_sphere(config, seed):
         outputs["second_order_flux_route"] = flux
         outputs["route_gap"] = gap
         # roundoff in the route gap and the gauge residual grows with the
-        # magnitude of the quadrature terms, and the compatibility residual
-        # with that of the compared coefficients, so their tolerances scale
+        # magnitude of the quadrature terms, so their tolerances scale;
+        # solve_udot itself refuses an incompatible branch
         scale = max(1.0, sum(abs(x) for x in second.lines))
         flags["gauge_independent"] = second.gauge_residual <= 1e-10 * scale
-        flags["compatible"] = (second.compatibility_residual
-                               <= 1e-8 * udot.compatibility_scale)
         flags["routes_agree"] = gap <= 1e-8 * scale
     record = ResultRecord("perturb", config, outputs, flags)
     return record, []
 
 
-def _below_floors(errors, floors):
-    """Verdict on FD errors with no slope: every error at most its floor."""
-    return all(e <= f for e, f in zip(errors, floors))
-
-
 def _perturb_2d(config, seed):
     from .curve2d import CurveParam, ShapeFn2D
+    from .dtn_shape import fd_flags
     from .validate import epsdot_fd_report
     _check_keys(config, {"mode", "curve", "a"},
                 {"N", "num_eigs", "eps_index", "h_list"}, "cmd_perturb")
@@ -187,11 +185,8 @@ def _perturb_2d(config, seed):
                         "cmd_perturb")
     outputs = epsdot_fd_report(curve, a, _step_list(config, "cmd_perturb"),
                                n=n, num=num, index=index)
-    if outputs["slope"] is None:
-        flags = {"zero_deformation_ok": _below_floors(outputs["fd_errors"],
-                                                      outputs["fd_floors"])}
-    else:
-        flags = {"fd_slope_ok": abs(outputs["slope"] - 2.0) <= 0.2}
+    flags = fd_flags({"fd": (outputs["slope"], outputs["fd_errors"], 2)},
+                     outputs["fd_floors"])
     record = ResultRecord("perturb", config, outputs, flags)
     return record, []
 
@@ -211,7 +206,7 @@ def cmd_perturb(config, seed):
 
 def cmd_dn_derivative(config, seed):
     from .curve2d import CurveParam, ShapeFn2D
-    from .dtn_shape import SIDES, fd_operator_check
+    from .dtn_shape import SIDES, fd_flags, fd_operator_check
     _check_keys(config, {"curve", "a"}, {"N", "h_list", "side"},
                 "cmd_dn_derivative")
     curve = CurveParam.from_config(config["curve"])
@@ -224,16 +219,10 @@ def cmd_dn_derivative(config, seed):
                           "side=%r" % (side,))
     h_list = _step_list(config, "cmd_dn_derivative")
     report = fd_operator_check(curve, a, n, h_list, (side,))[side]
-    slopes, floors = report["slopes"], report["fd_floors"]
-    if slopes["one_sided"] is None and slopes["central"] is None:
-        flags = {"zero_deformation_ok": _below_floors(report["max_errors"],
-                                                      floors)}
-    else:
-        # each series passes on its slope, or with no slope on its floors
-        flags = {series + "_slope_ok":
-                 _below_floors(report[series + "_errors"], floors)
-                 if slopes[series] is None else slopes[series] >= bound
-                 for series, bound in (("one_sided", 0.8), ("central", 1.8))}
+    flags = fd_flags({series: (report["slopes"][series],
+                               report[series + "_errors"], order)
+                      for series, order in (("one_sided", 1), ("central", 2))},
+                     report["fd_floors"])
     record = ResultRecord("dn-derivative", config, {"report": report}, flags)
     return record, []
 
@@ -246,14 +235,7 @@ def cmd_validate(config, seed):
         raise ConfigError("cli", "cmd_validate",
                           "N must be an even node count of at least 4",
                           "N=%r" % (n,))
-    names = config.get("checks")
-    if names is not None:
-        if not isinstance(names, list) \
-                or not all(isinstance(s, str) for s in names):
-            raise ConfigError("cli", "cmd_validate",
-                              "checks must be a list of check names",
-                              "checks=%r" % (names,))
-    results = run_all(seed=seed, n=n, names=names)
+    results = run_all(seed=seed, n=n, names=config.get("checks"))
     width = max(len(name) for name in CHECK_NAMES)
     for res in results:
         print("%-*s  %s  (%.2f s)" % (width, res.name,
@@ -324,6 +306,7 @@ def main(argv=None):
     try:
         config = _load_config(args.config, args.command)
         record, extras = _COMMANDS[args.command](config, args.seed)
+        text = canonical_json(record.to_json_dict())
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return 2
@@ -332,7 +315,6 @@ def main(argv=None):
         return 3
     elapsed = time.perf_counter() - start
 
-    text = canonical_json(record.to_json_dict())
     if args.out:
         os.makedirs(args.out, exist_ok=True)
         base = args.command.replace("-", "_")

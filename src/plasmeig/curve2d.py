@@ -228,15 +228,14 @@ class CurveSample:
     perimeter and dot products against weights are boundary integrals.
     """
 
-    def __init__(self, t, nodes, tangents, normals, curvature, speed, weights):
+    def __init__(self, t, nodes, normals, curvature, speed, weights):
         self.t = t
         self.nodes = nodes
-        self.tangents = tangents
         self.normals = normals
         self.curvature = curvature
         self.speed = speed
         self.weights = weights
-        for arr in (t, nodes, tangents, normals, curvature, speed, weights):
+        for arr in (t, nodes, normals, curvature, speed, weights):
             arr.setflags(write=False)
 
     @property
@@ -268,8 +267,8 @@ def _geometry_from_derivatives(t, der):
     curvature = -(cross / speed) / (speed * speed)
     n = len(t)
     weights = (_TWOPI / n) * speed
-    return CurveSample(t=t, nodes=x, tangents=tangents, normals=normals,
-                       curvature=curvature, speed=speed, weights=weights)
+    return CurveSample(t=t, nodes=x, normals=normals, curvature=curvature,
+                       speed=speed, weights=weights)
 
 
 def _nodes(n, operation):

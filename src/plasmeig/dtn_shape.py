@@ -9,7 +9,9 @@ with kappa the signed curvature and d/ds the arclength derivative
 (curve2d.tangential_derivative, by FFT); the exterior operator obeys the
 same formula with its own N. The derivative is validated against
 transplanted operators on perturbed curves by finite differences in the
-weighted operator norm over a resolved frequency band.
+weighted operator norm over a resolved frequency band; fd_flags is the
+pass/fail rule for such finite-difference series, here and in the plane
+eigenvalue check, and check_steps the contract on their steps.
 Its expected first-order (not second-order) growth in frequency, which
 distinguishes it from a generic second-order operator, is checked in the
 test suite.
@@ -94,6 +96,33 @@ def loglog_slope(h_list, errors, floors):
     return float(np.polyfit(np.log(h_list)[keep], np.log(errors)[keep], 1)[0])
 
 
+def fd_flags(series, floors):
+    """Verdict flags on finite-difference error series {name: (slope,
+    errors, order)}, errors expected O(h^order) above the per-step floors.
+
+    A series passes (name_slope_ok) when its slope is at least order - 0.2,
+    so errors falling faster than expected pass, or when it has no slope and
+    every error is at most its floor. When no series has a slope, the job
+    gets the single flag zero_deformation_ok: every error at most its floor.
+    """
+    below = {name: all(e <= f for e, f in zip(errors, floors))
+             for name, (_, errors, _) in series.items()}
+    if all(slope is None for slope, _, _ in series.values()):
+        return {"zero_deformation_ok": all(below.values())}
+    return {name + "_slope_ok": below[name] if slope is None
+            else slope >= order - 0.2
+            for name, (slope, _, order) in series.items()}
+
+
+def check_steps(h_list, operation):
+    """Refuse a step list without two distinct positive steps: a log-log
+    slope needs two abscissae."""
+    if len(set(h_list)) < 2 or min(h_list) <= 0:
+        raise ConfigError("dtn_shape", operation,
+                          "h_list must hold at least two distinct positive "
+                          "steps", "h_list=%r" % (h_list,))
+
+
 def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     """Finite-difference consistency of the shape derivative in operator
     norm over trigonometric inputs of degree at most n // 4, for the
@@ -105,10 +134,7 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     roundoff floor _FD_FLOOR u max(1, ||N||_band) / h per step, and the
     log-log slopes (expected near 1 and 2) of the errors above their floors.
     """
-    if len(set(h_list)) < 2:
-        raise ConfigError("dtn_shape", "fd_operator_check",
-                          "at least two distinct step sizes are required",
-                          "h_list=%r" % (h_list,))
+    check_steps(h_list, "fd_operator_check")
     index = [SIDES.index(side) for side in sides]
     max_degree = n // 4
     dtn = build_dtn(sample_curve(curve, n))

@@ -179,12 +179,12 @@ class UdotSolution:
     was solved for; its epsdot is always report.branches[branch]. The
     second-order routes reuse p1u = -div(a grad u) (band phi.L) and a_vals
     and dnu_vals, a and dn u on sphere_grid(phi.L), from the solve. The
-    compatibility residual is roundoff on coefficients of size
-    compatibility_scale (at least 1), which grows with the shape's size.
+    compatibility residual is the one solve_udot accepted: roundoff on
+    coefficients of the shape's size.
     """
 
     def __init__(self, report, branch, trace, phi, p1u, a_vals, dnu_vals,
-                 compatibility_residual, compatibility_scale):
+                 compatibility_residual):
         self.report = report
         self.branch = branch
         self.trace = trace
@@ -193,7 +193,6 @@ class UdotSolution:
         self.a_vals = a_vals
         self.dnu_vals = dnu_vals
         self.compatibility_residual = compatibility_residual
-        self.compatibility_scale = compatibility_scale
         self.epsilon = report.epsilon
         self.epsdot = float(report.branches[branch])
 
@@ -234,7 +233,7 @@ def solve_udot(report, branch):
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
     return UdotSolution(report, branch, ub, phi, p1u, a_vals, dnu_vals,
-                        compat, scale)
+                        compat)
 
 
 class SecondOrderReport:

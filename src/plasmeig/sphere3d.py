@@ -91,7 +91,6 @@ class SphereGrid:
         self.ntheta = L + 1
         self.nphi = 2 * L + 2
         x, wx = np.polynomial.legendre.leggauss(self.ntheta)
-        self.x = x
         self.wx = wx
         self.sin_theta = np.sqrt(1.0 - x * x)
         self.phi = 2.0 * math.pi * np.arange(self.nphi) / self.nphi

@@ -1,7 +1,8 @@
 """Self-contained acceptance checks shared by the CLI and the test suite.
 
 Each check builds its own inputs, measures the quantities named in its
-verdict, and returns a CheckResult; nothing here depends on test-runner
+verdict, and returns (passed, details); run_all alone times the checks and
+wraps each outcome in a CheckResult. Nothing here depends on test-runner
 state. Oracle values (elliptic coordinates, the hemisphere disk integral,
 the frozen second-order baseline) are computed by routes independent of the
 operators they validate.
@@ -15,8 +16,8 @@ import numpy as np
 
 from .bem2d import build_dtn, compute_g0, farfield_log_coefficient
 from .curve2d import CurveParam, ShapeFn2D, perturbed_sample, sample_curve
-from .dtn_shape import (band_domain, banded_opnorm, fd_operator_check,
-                        loglog_slope, shape_derivative)
+from .dtn_shape import (band_domain, banded_opnorm, check_steps,
+                        fd_operator_check, loglog_slope, shape_derivative)
 from .errors import ConfigError, NumericalError
 from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
                       uniform_shape)
@@ -124,44 +125,36 @@ def _ellipse_dtn(n=128):
 
 def check_disk_degeneracy(n=128):
     """Criterion 1: the circle spectrum collapses to eps = 1."""
-    def body():
-        curve = CurveParam.circle(1.0)
-        spec = solve_plasmonic(build_dtn(sample_curve(curve, n)), num=20)
-        worst = float(np.max(np.abs(spec.eigenvalues - 1.0)))
-        return worst <= 1e-8, {"max_abs_eps_minus_1": worst, "tol": 1e-8}
-    return _timed("disk_degeneracy", body)
+    curve = CurveParam.circle(1.0)
+    spec = solve_plasmonic(build_dtn(sample_curve(curve, n)), num=20)
+    worst = float(np.max(np.abs(spec.eigenvalues - 1.0)))
+    return worst <= 1e-8, {"max_abs_eps_minus_1": worst, "tol": 1e-8}
 
 
 def check_ellipse_oracle(n=128):
     """Criterion 2: BEM spectrum vs the elliptic-coordinates closed form."""
-    def body():
-        dtn = _ellipse_dtn(n)
-        spec = solve_plasmonic(dtn, num=10)
-        oracle = elliptic_eigenvalues(2.0, 1.0, 10)
-        worst = float(np.max(np.abs(spec.eigenvalues - oracle)))
-        return worst <= 1e-8, {
-            "max_abs_error": worst, "tol": 1e-8,
-            "oracle": [float(v) for v in oracle],
-            "computed": [float(v) for v in spec.eigenvalues]}
-    return _timed("ellipse_oracle", body)
+    dtn = _ellipse_dtn(n)
+    spec = solve_plasmonic(dtn, num=10)
+    oracle = elliptic_eigenvalues(2.0, 1.0, 10)
+    worst = float(np.max(np.abs(spec.eigenvalues - oracle)))
+    return worst <= 1e-8, {
+        "max_abs_error": worst, "tol": 1e-8,
+        "oracle": [float(v) for v in oracle],
+        "computed": [float(v) for v in spec.eigenvalues]}
 
 
 def check_clustering():
     """Criterion 3: eigenvalues of a kite-like curve accumulate at 1."""
-    def body():
-        curve = CurveParam.from_config(KITE)
-        spec = solve_plasmonic(build_dtn(sample_curve(curve, 256)), num=40)
-        dist = np.sort(np.abs(spec.eigenvalues - 1.0))[::-1]
-        tail = dist[20:]
-        windows = [float(np.max(dist[20 + 5 * j: 30 + 5 * j]))
-                   for j in range(3)]
-        decreasing = windows[0] > windows[1] > windows[2]
-        ok = bool(np.all(tail < 0.05)) and decreasing
-        return ok, {"tail_max": float(tail.max()),
-                    "tail_bound": 0.05,
-                    "advancing_window_max": windows,
-                    "strictly_decreasing": decreasing}
-    return _timed("clustering", body)
+    curve = CurveParam.from_config(KITE)
+    spec = solve_plasmonic(build_dtn(sample_curve(curve, 256)), num=40)
+    dist = np.sort(np.abs(spec.eigenvalues - 1.0))[::-1]
+    tail = dist[20:]
+    windows = [float(np.max(dist[20 + 5 * j: 30 + 5 * j])) for j in range(3)]
+    decreasing = windows[0] > windows[1] > windows[2]
+    ok = bool(np.all(tail < 0.05)) and decreasing
+    return ok, {"tail_max": float(tail.max()), "tail_bound": 0.05,
+                "advancing_window_max": windows,
+                "strictly_decreasing": decreasing}
 
 
 def check_two_routes(n=128):
@@ -174,92 +167,78 @@ def check_two_routes(n=128):
     matching the 4 dense eig values farthest from 1 cross-checks two
     eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
     """
-    def body():
-        dtn = _ellipse_dtn(n)
-        dense = np_route(dtn, num=10).eigenvalues
-        worst, block = (float(np.max(np.abs(
-            solve_plasmonic(dtn, num=num).eigenvalues
-            - dense[select_far_from_one(dense, num)]))) for num in (10, 4))
-        return max(worst, block) <= 1e-8, {
-            "max_abs_gap": worst, "block_max_abs_gap": block, "tol": 1e-8}
-    return _timed("two_routes", body)
+    dtn = _ellipse_dtn(n)
+    dense = np_route(dtn, num=10).eigenvalues
+    worst, block = (float(np.max(np.abs(
+        solve_plasmonic(dtn, num=num).eigenvalues
+        - dense[select_far_from_one(dense, num)]))) for num in (10, 4))
+    return max(worst, block) <= 1e-8, {
+        "max_abs_gap": worst, "block_max_abs_gap": block, "tol": 1e-8}
 
 
 def check_rayleigh(seed=0, n=128):
     """Criterion 5: quotient identity and criticality of eigenpairs."""
-    def body():
-        dtn = _ellipse_dtn(n)
-        spec = solve_plasmonic(dtn, num=10)
-        gaps = [abs(rayleigh(dtn, spec.eigenfunctions[:, i])
-                    - spec.eigenvalues[i]) for i in range(10)]
-        crit = max(criticality_residual(dtn, spec.eigenfunctions[:, i],
-                                        seed=seed + i)
-                   for i in range(10))
-        ok = max(gaps) <= 1e-8 and crit <= 1e-6
-        return ok, {"max_rayleigh_gap": float(max(gaps)),
-                    "rayleigh_tol": 1e-8,
-                    "max_criticality": float(crit),
-                    "criticality_tol": 1e-6}
-    return _timed("rayleigh_identity", body)
+    dtn = _ellipse_dtn(n)
+    spec = solve_plasmonic(dtn, num=10)
+    gaps = [abs(rayleigh(dtn, spec.eigenfunctions[:, i])
+                - spec.eigenvalues[i]) for i in range(10)]
+    crit = max(criticality_residual(dtn, spec.eigenfunctions[:, i],
+                                    seed=seed + i) for i in range(10))
+    ok = max(gaps) <= 1e-8 and crit <= 1e-6
+    return ok, {"max_rayleigh_gap": float(max(gaps)), "rayleigh_tol": 1e-8,
+                "max_criticality": float(crit), "criticality_tol": 1e-6}
 
 
 def check_ball_spectrum():
     """Criterion 6: exact ball eigenvalues and multiplicities."""
-    def body():
-        ok = True
-        for k in range(1, 11):
-            eps, mult = ball_spectrum(k)
-            ok = ok and eps == (k + 1.0) / k and mult == 2 * k + 1
-            ok = ok and abs(eps * k - (k + 1.0)) <= 4e-16 * (k + 1.0)
-        return ok, {"k_range": [1, 10]}
-    return _timed("ball_spectrum", body)
+    ok = True
+    for k in range(1, 11):
+        eps, mult = ball_spectrum(k)
+        ok = ok and eps == (k + 1.0) / k and mult == 2 * k + 1
+        ok = ok and abs(eps * k - (k + 1.0)) <= 4e-16 * (k + 1.0)
+    return ok, {"k_range": [1, 10]}
 
 
 def check_first_order():
     """Criterion 7: vanishing of q1 for uniform shape and the disk-integral
     oracle for the z-branch under Y_{2,0}."""
-    def body():
-        one = uniform_shape(1.0)
-        norms = [float(np.max(np.abs(q1_matrix(k, one).matrix)))
-                 for k in (1, 2, 3)]
-        report = q1_matrix(1, SHField.basis(2, 2, 0))
-        oracle = disk_integral_epsdot_y20()
-        gap = abs(float(report.branches[2]) - oracle)
-        ok = max(norms) <= 1e-10 and gap <= 1e-8
-        return ok, {"uniform_q1_norms": norms, "uniform_tol": 1e-10,
-                    "disk_integral": oracle,
-                    "z_branch": float(report.branches[2]),
-                    "oracle_gap": gap, "oracle_tol": 1e-8}
-    return _timed("first_order_sphere", body)
+    one = uniform_shape(1.0)
+    norms = [float(np.max(np.abs(q1_matrix(k, one).matrix)))
+             for k in (1, 2, 3)]
+    report = q1_matrix(1, SHField.basis(2, 2, 0))
+    oracle = disk_integral_epsdot_y20()
+    gap = abs(float(report.branches[2]) - oracle)
+    ok = max(norms) <= 1e-10 and gap <= 1e-8
+    return ok, {"uniform_q1_norms": norms, "uniform_tol": 1e-10,
+                "disk_integral": oracle, "z_branch": float(report.branches[2]),
+                "oracle_gap": gap, "oracle_tol": 1e-8}
 
 
 def check_second_order(seed=0):
     """Criterion 8: scale invariance, gauge independence, compatibility,
     and the frozen second-order baseline."""
-    def body():
-        flat = epsddot(solve_udot(q1_matrix(1, uniform_shape(1.0)), 0))
-        rng = np.random.default_rng(seed)
-        gauge_worst = 0.0
-        compat_worst = 0.0
-        for _ in range(5):
-            a = SHField(2)
-            for l in range(3):
-                for m in range(-l, l + 1):
-                    a.set_coeff(l, m, rng.standard_normal())
-            rep = epsddot(solve_udot(q1_matrix(1, a), 0))
-            gauge_worst = max(gauge_worst, rep.gauge_residual)
-            compat_worst = max(compat_worst, rep.compatibility_residual)
-        golden = epsddot(solve_udot(q1_matrix(1, SHField.basis(2, 2, 0)), 2))
-        golden_gap = abs(golden.epsddot - GOLDEN_EPSDDOT_Y20)
-        ok = (abs(flat.epsddot) <= 1e-8 and gauge_worst <= 1e-10
-              and compat_worst <= 1e-8 and golden_gap <= 1e-8)
-        return ok, {"uniform_epsddot": flat.epsddot, "uniform_tol": 1e-8,
-                    "max_gauge_residual": gauge_worst, "gauge_tol": 1e-10,
-                    "max_compat_residual": compat_worst, "compat_tol": 1e-8,
-                    "golden": GOLDEN_EPSDDOT_Y20,
-                    "golden_computed": golden.epsddot,
-                    "golden_gap": golden_gap, "golden_tol": 1e-8}
-    return _timed("second_order_sphere", body)
+    flat = epsddot(solve_udot(q1_matrix(1, uniform_shape(1.0)), 0))
+    rng = np.random.default_rng(seed)
+    gauge_worst = 0.0
+    compat_worst = 0.0
+    for _ in range(5):
+        a = SHField(2)
+        for l in range(3):
+            for m in range(-l, l + 1):
+                a.set_coeff(l, m, rng.standard_normal())
+        rep = epsddot(solve_udot(q1_matrix(1, a), 0))
+        gauge_worst = max(gauge_worst, rep.gauge_residual)
+        compat_worst = max(compat_worst, rep.compatibility_residual)
+    golden = epsddot(solve_udot(q1_matrix(1, SHField.basis(2, 2, 0)), 2))
+    golden_gap = abs(golden.epsddot - GOLDEN_EPSDDOT_Y20)
+    ok = (abs(flat.epsddot) <= 1e-8 and gauge_worst <= 1e-10
+          and compat_worst <= 1e-8 and golden_gap <= 1e-8)
+    return ok, {"uniform_epsddot": flat.epsddot, "uniform_tol": 1e-8,
+                "max_gauge_residual": gauge_worst, "gauge_tol": 1e-10,
+                "max_compat_residual": compat_worst, "compat_tol": 1e-8,
+                "golden": GOLDEN_EPSDDOT_Y20,
+                "golden_computed": golden.epsddot,
+                "golden_gap": golden_gap, "golden_tol": 1e-8}
 
 
 def _shifted_eigenvalue(curve, a, step, n, num, target):
@@ -293,6 +272,7 @@ def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
     shifted spectra keep min(num + 2, n - 1) eigenvalues, so a plane cluster
     (at most 2-fold on dihedral curves) cut by the selection of num stays
     whole. The slope is fitted to the errors above their roundoff floors."""
+    check_steps(h_list, "epsdot_fd_report")
     check_num(num, n, "epsdot_fd_report")
     wide = min(num + 2, n - 1)
     dtn = build_dtn(sample_curve(curve, n))
@@ -315,66 +295,58 @@ def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
 def check_2d_first_order():
     """Criterion 9: analytic first-order value vs tracked finite
     differences on the ellipse with shape cos(2t)."""
-    def body():
-        report = epsdot_fd_report(CurveParam.from_config(ELLIPSE),
-                                  ShapeFn2D(cos=(0.0, 0.0, 1.0)),
-                                  [1e-2, 5e-3, 2.5e-3])
-        diffs, slope = report["fd_values"], report["slope"]
-        extr_gap = abs((4.0 * diffs[2] - diffs[1]) / 3.0 - report["epsdot"])
-        ok = (slope is not None and abs(slope - 2.0) <= 0.2
-              and extr_gap <= 1e-6)
-        return ok, {"epsdot": report["epsdot"], "fd_values": diffs,
-                    "errors": report["fd_errors"], "slope": slope,
-                    "slope_window": [1.8, 2.2],
-                    "extrapolated_gap": extr_gap, "extrapolated_tol": 1e-6}
-    return _timed("first_order_2d_fd", body)
+    report = epsdot_fd_report(CurveParam.from_config(ELLIPSE),
+                              ShapeFn2D(cos=(0.0, 0.0, 1.0)),
+                              [1e-2, 5e-3, 2.5e-3])
+    diffs, slope = report["fd_values"], report["slope"]
+    extr_gap = abs((4.0 * diffs[2] - diffs[1]) / 3.0 - report["epsdot"])
+    ok = (slope is not None and abs(slope - 2.0) <= 0.2
+          and extr_gap <= 1e-6)
+    return ok, {"epsdot": report["epsdot"], "fd_values": diffs,
+                "errors": report["fd_errors"], "slope": slope,
+                "slope_window": [1.8, 2.2],
+                "extrapolated_gap": extr_gap, "extrapolated_tol": 1e-6}
 
 
 def check_shape_derivative():
     """Criterion 10: circle oracle, ellipse FD slopes, exterior variant."""
-    def body():
-        circle = CurveParam.circle(1.0)
-        cdtn = build_dtn(sample_curve(circle, 128))
-        root, domain = band_domain(cdtn.sample.weights, cdtn.sample.t, 32)
-        (dminus, _), (nminus, _) = shape_derivative(
-            cdtn, ShapeFn2D.constant(1.0), domain)
-        circle_err = banded_opnorm(dminus + nminus, root)
-        a = ShapeFn2D(cos=(0.0, 0.0, 1.0))
-        ell = CurveParam.from_config(ELLIPSE)
-        reports = fd_operator_check(ell, a, 128, [1e-2, 5e-3, 2.5e-3])
-        ok = (circle_err <= 1e-8
-              and reports["interior"]["slopes"]["central"] >= 1.8
-              and reports["exterior"]["slopes"]["central"] >= 1.8)
-        return ok, {"circle_opnorm_error": circle_err, "circle_tol": 1e-8,
-                    "interior_slopes": reports["interior"]["slopes"],
-                    "exterior_slopes": reports["exterior"]["slopes"]}
-    return _timed("dtn_shape_derivative", body)
+    circle = CurveParam.circle(1.0)
+    cdtn = build_dtn(sample_curve(circle, 128))
+    root, domain = band_domain(cdtn.sample.weights, cdtn.sample.t, 32)
+    (dminus, _), (nminus, _) = shape_derivative(
+        cdtn, ShapeFn2D.constant(1.0), domain)
+    circle_err = banded_opnorm(dminus + nminus, root)
+    a = ShapeFn2D(cos=(0.0, 0.0, 1.0))
+    ell = CurveParam.from_config(ELLIPSE)
+    reports = fd_operator_check(ell, a, 128, [1e-2, 5e-3, 2.5e-3])
+    ok = (circle_err <= 1e-8
+          and reports["interior"]["slopes"]["central"] >= 1.8
+          and reports["exterior"]["slopes"]["central"] >= 1.8)
+    return ok, {"circle_opnorm_error": circle_err, "circle_tol": 1e-8,
+                "interior_slopes": reports["interior"]["slopes"],
+                "exterior_slopes": reports["exterior"]["slopes"]}
 
 
 def check_g0():
     """Criterion 11: the decaying-data functional on circle and ellipse."""
-    def body():
-        circle = CurveParam.circle(1.0)
-        cdtn = build_dtn(sample_curve(circle, 128))
-        g0c = compute_g0(cdtn)
-        const_err = float(np.max(np.abs(g0c - 1.0 / (2.0 * math.pi))))
-        dtn = _ellipse_dtn()
-        g0 = compute_g0(dtn)
-        spread = float(np.max(g0) - np.min(g0))
-        g0_alt = compute_g0(dtn, y0=(0.3, 0.1))
-        indep = float(np.max(np.abs(g0 - g0_alt)))
-        sample = dtn.sample
-        f = np.cos(sample.t) + 0.3 * np.sin(2.0 * sample.t)
-        proj = f - float(np.dot(f * g0, sample.weights))
-        coeff = abs(farfield_log_coefficient(dtn, proj))
-        ok = (const_err <= 1e-8 and spread > 1e-2 and indep <= 1e-8
-              and coeff <= 1e-8)
-        return ok, {"circle_constant_error": const_err,
-                    "ellipse_spread": spread,
-                    "base_point_independence": indep,
-                    "farfield_coefficient": coeff,
-                    "tol": 1e-8}
-    return _timed("g0_characterization", body)
+    circle = CurveParam.circle(1.0)
+    cdtn = build_dtn(sample_curve(circle, 128))
+    g0c = compute_g0(cdtn)
+    const_err = float(np.max(np.abs(g0c - 1.0 / (2.0 * math.pi))))
+    dtn = _ellipse_dtn()
+    g0 = compute_g0(dtn)
+    spread = float(np.max(g0) - np.min(g0))
+    g0_alt = compute_g0(dtn, y0=(0.3, 0.1))
+    indep = float(np.max(np.abs(g0 - g0_alt)))
+    sample = dtn.sample
+    f = np.cos(sample.t) + 0.3 * np.sin(2.0 * sample.t)
+    proj = f - float(np.dot(f * g0, sample.weights))
+    coeff = abs(farfield_log_coefficient(dtn, proj))
+    ok = (const_err <= 1e-8 and spread > 1e-2 and indep <= 1e-8
+          and coeff <= 1e-8)
+    return ok, {"circle_constant_error": const_err, "ellipse_spread": spread,
+                "base_point_independence": indep,
+                "farfield_coefficient": coeff, "tol": 1e-8}
 
 
 _CHECKS = [
@@ -395,13 +367,18 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 
 
 def run_all(seed=0, n=128, names=None):
-    """Run the acceptance suite; seed feeds only random probe vectors and n
-    overrides the 2D resolution of disk_degeneracy, ellipse_oracle,
-    two_routes and rayleigh_identity (the other checks fix their own sizes).
-    names, when given, restricts the run to the listed checks in suite
-    order; it must name at least one, since a suite that runs nothing
-    passes nothing."""
+    """Run the acceptance suite, one timed CheckResult per check; seed feeds
+    only random probe vectors and n overrides the 2D resolution of
+    disk_degeneracy, ellipse_oracle, two_routes and rayleigh_identity (the
+    other checks fix their own sizes). names, when given, restricts the run
+    to the listed checks in suite order; it must be a list naming at least
+    one, since a suite that runs nothing passes nothing."""
     if names is not None:
+        if not isinstance(names, list) \
+                or not all(isinstance(s, str) for s in names):
+            raise ConfigError("validate", "run_all",
+                              "checks must be a list of check names",
+                              "checks=%r" % (names,))
         if not names:
             raise ConfigError("validate", "run_all",
                               "checks must name at least one check",
@@ -411,9 +388,5 @@ def run_all(seed=0, n=128, names=None):
             raise ConfigError("validate", "run_all",
                               "check names must come from the suite",
                               "unknown %s" % sorted(unknown))
-    results = []
-    for name, runner in _CHECKS:
-        if names is not None and name not in names:
-            continue
-        results.append(runner(seed, n))
-    return results
+    return [_timed(name, functools.partial(runner, seed, n))
+            for name, runner in _CHECKS if names is None or name in names]

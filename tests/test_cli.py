@@ -32,11 +32,17 @@ def write_config(tmp_path, name, payload):
     return str(path)
 
 
+def refuse_constant(token):
+    raise ValueError("artifact holds %s, which is not JSON" % token)
+
+
 def read_record(out_dir, command):
+    # strict JSON: NaN and Infinity tokens fail every CLI test that reads
+    # the artifact
     path = os.path.join(str(out_dir), command.replace("-", "_") + ".json")
     with open(path, "rb") as handle:
         raw = handle.read()
-    return json.loads(raw.decode()), raw
+    return json.loads(raw.decode(), parse_constant=refuse_constant), raw
 
 
 def test_spectrum_job_writes_versioned_artifacts(tmp_path):
@@ -230,8 +236,7 @@ def test_perturb_sphere_uniform_shift(tmp_path):
     assert record["passed"] is True
     assert abs(record["outputs"]["second_order"]["epsddot"]) < 1e-8
     assert record["outputs"]["route_gap"] <= 1e-8
-    assert set(record["flags"]) == {"gauge_independent", "compatible",
-                                    "routes_agree"}
+    assert set(record["flags"]) == {"gauge_independent", "routes_agree"}
 
 
 def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
@@ -267,7 +272,7 @@ def test_perturb_sphere_compatibility_scales_with_the_shape(tmp_path, k,
     assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
     record, _ = read_record(out, "perturb")
     assert record["passed"] is True
-    assert len(record["flags"]) == 3 and all(record["flags"].values())
+    assert len(record["flags"]) == 2 and all(record["flags"].values())
     if k == 1:
         # epsddot is quadratic in the shape: 1e14 times the golden value
         want = 1e14 * GOLDEN_EPSDDOT_Y20
@@ -295,7 +300,7 @@ def test_perturb_sphere_is_homogeneous_in_the_shape(k, L, seed, exponent):
             job(unit.scaled(amp))
         return
     big = job(unit.scaled(amp))
-    assert len(base.flags) == len(big.flags) == 3
+    assert len(base.flags) == len(big.flags) == 2
     assert all(base.flags.values()) and all(big.flags.values())
     q1 = np.array(base.outputs["first_order"]["q1_matrix"])
     q1_big = np.array(big.outputs["first_order"]["q1_matrix"])
@@ -305,6 +310,29 @@ def test_perturb_sphere_is_homogeneous_in_the_shape(k, L, seed, exponent):
     scale = max(1.0, sum(abs(x) for x in second["lines"]))
     assert abs(big.outputs["second_order"]["epsddot"]
                - amp * amp * second["epsddot"]) <= 1e-8 * amp * amp * scale
+
+
+@pytest.mark.parametrize("c", [1e160, 1e300])
+def test_perturb_sphere_overflow_writes_no_artifact(tmp_path, c):
+    # epsddot is quadratic in the shape, so a huge quadrupole overflows to
+    # inf and nan, which strict JSON cannot hold: the job exits 3 naming the
+    # contract. A fresh interpreter, since the test suite turns numpy's
+    # overflow warnings into exceptions
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "sphere", "k": 1, "branch": 0, "order": 2,
+                        "a": {"L": 2, "coeffs": coeff_list(c, (2, 0))}})
+    out = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plasmeig.__file__)))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys\n"
+         "from plasmeig.cli import main\n"
+         "sys.exit(main(sys.argv[1:]))\n",
+         "perturb", "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
+    assert run.returncode == 3
+    assert "cli.canonical_json" in run.stderr
+    assert "artifact numbers must be finite" in run.stderr
+    assert not out.exists()
 
 
 def test_perturb_sphere_first_order_only(tmp_path):
@@ -408,6 +436,44 @@ def test_perturb_2d_clustered_eigenvalue_takes_its_branch(tmp_path, shape,
     assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
     record, _ = read_record(out, "perturb")
     assert record["flags"] == {"fd_slope_ok": True}
+
+
+FIVEFOLD = {"kind": "fourier", "cos": [1.0, 0.0, 0.0, 0.0, 0.0, 0.1]}
+
+
+@pytest.mark.parametrize("index", [4, 5])
+def test_perturb_2d_fast_convergence_passes(tmp_path, index):
+    # on the fivefold curve under cos 2t, epsdot at these indices is 0 by
+    # symmetry (1.6e-12) and the central differences fall as h^4: a slope
+    # above 2 is faster convergence, not a fault
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d", "curve": FIVEFOLD,
+                        "a": {"cos": [0.0, 0.0, 1.0]}, "N": 128,
+                        "eps_index": index})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert record["flags"] == {"fd_slope_ok": True}
+    assert abs(record["outputs"]["slope"] - 3.98) < 0.01
+
+
+@pytest.mark.parametrize("command, job, flags", [
+    # the tracked branch of a 2-fold cluster of the threefold curve under
+    # cos 6t: the finite differences do not converge (slope -0.32)
+    ("perturb", {"mode": "2d", "curve": C3,
+                 "a": {"cos": [0, 0, 0, 0, 0, 0, 1]}, "N": 128,
+                 "eps_index": 2}, {"fd_slope_ok": False}),
+    # one one-sided error clears its floor, so that series has no slope
+    # and an error above roundoff
+    ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0, 1e-4]},
+                       "N": 128}, {"zero_deformation_ok": False})],
+    ids=["threefold-cos6-2", "dn-cos1e-4"])
+def test_known_fd_failures_exit_1(tmp_path, command, job, flags):
+    cfg = write_config(tmp_path, "job.json", job)
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    record, _ = read_record(out, command)
+    assert record["flags"] == flags
 
 
 def test_dn_derivative_job(tmp_path):
@@ -585,6 +651,11 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "h_list": [1e-2, 1e-2]}, "h_list"),
     ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
                        "h_list": [1e-2, 1e-2]}, "h_list"),
+    # a step must be positive, in both jobs
+    ("perturb", {"mode": "2d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                 "h_list": [1e-2, -5e-3]}, "h_list"),
+    ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
+                       "h_list": [1e-2, 0.0]}, "h_list"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):
