@@ -299,27 +299,37 @@ def tangential_derivative(sample, values):
     return (np.fft.irfft(coef, n, axis=0).T / sample.speed).T
 
 
-def perturbed_sample(curve, a, h, n):
-    """Sample of the normal-shift image {x + h a(x) n(x)} at base-grid images.
+def perturbed_sample(curve, a, steps, n):
+    """Samples of the normal-shift images {x + h a(x) n(x)}, one per step h
+    in steps, at base-grid images.
 
-    The i-th node is exactly the image of the i-th node of sample_curve(curve,
-    n); derivatives of the shifted parametrization are formed from exact
-    derivatives of the base curve and of the shape function, so the node
-    correspondence used for operator transplantation carries no interpolation
-    error. The same sample serves the eigenvalue finite differences: plasmonic
-    eigenvalues depend on the shifted domain and not on how its boundary is
-    parametrized, so no re-parametrization is needed. Raises if the shift
-    folds the boundary or it stops being star-shaped (local self-intersection
-    proxies).
+    The i-th node of each is exactly the image of the i-th node of
+    sample_curve(curve, n); derivatives of the shifted parametrization are
+    formed from exact derivatives of the base curve and of the shape
+    function, so the node correspondence used for operator transplantation
+    carries no interpolation error, and step 0 gives sample_curve(curve, n)
+    itself. The same samples serve the eigenvalue finite differences:
+    plasmonic eigenvalues depend on the shifted domain and not on how its
+    boundary is parametrized, so no re-parametrization is needed. The base
+    curve and the shape are evaluated once, on the n nodes and on the dense
+    star-check grid, whatever the number of steps. Raises, at the first step
+    in order that does so, if the shift folds the boundary or it stops being
+    star-shaped (local self-intersection proxies).
     """
     t = _nodes(n, "perturbed_sample")
-    _check_star_shaped(curve, a, h)
-    der = _perturbed_derivatives(curve, a, h, t)
-    return _geometry_from_derivatives(t, der)
+    fine = _shift_terms(curve, a, _nodes(_STAR_CHECK_NODES,
+                                         "perturbed_sample"))
+    coarse = _shift_terms(curve, a, t)
+    samples = []
+    for h in steps:
+        _check_star_shaped(h, fine)
+        samples.append(_geometry_from_derivatives(t, _shifted(coarse, h)))
+    return samples
 
 
-def _perturbed_derivatives(curve, a, h, t):
-    """p = x + h a n and its first two t-derivatives, then the base x'."""
+def _shift_terms(curve, a, t):
+    """x, x', x'' of the base curve at t, a n and the t-derivatives of
+    a n: h times these are the shift and its first two derivatives."""
     x, xp, xpp, xppp = curve.derivatives(t)
     speed = np.linalg.norm(xp, axis=-1)
 
@@ -341,16 +351,19 @@ def _perturbed_derivatives(curve, a, h, t):
     av = a.value(t)[:, None]
     a1 = a.d1(t)[:, None]
     a2 = a.d2(t)[:, None]
-
-    p = x + h * av * nrm
-    pp = xp + h * (a1 * nrm + av * nrm_p)
-    ppp = xpp + h * (a2 * nrm + 2.0 * a1 * nrm_p + av * nrm_pp)
-    return p, pp, ppp, xp
+    return ((x, xp, xpp), (av, nrm, a1 * nrm + av * nrm_p,
+                           a2 * nrm + 2.0 * a1 * nrm_p + av * nrm_pp))
 
 
-def _check_star_shaped(curve, a, h):
-    p, pp, _, xp = _perturbed_derivatives(
-        curve, a, h, _nodes(_STAR_CHECK_NODES, "perturbed_sample"))
+def _shifted(terms, h):
+    """p = x + h a n and its first two t-derivatives."""
+    (x, xp, xpp), (av, nrm, dp, dpp) = terms
+    return x + h * av * nrm, xp + h * dp, xpp + h * dpp
+
+
+def _check_star_shaped(h, terms):
+    p, pp, _ = _shifted(terms, h)
+    xp = terms[0][1]
     r2 = np.einsum("ij,ij->i", p, p)
     if r2.min() <= 0:
         raise PerturbationError("curve2d", "perturbed_sample",

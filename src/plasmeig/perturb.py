@@ -31,7 +31,8 @@ import numpy as np
 import scipy.linalg
 
 from .curve2d import tangential_derivative
-from .errors import ConfigError, PerturbationError, SplittingError
+from .errors import (ConfigError, NumericalError, PerturbationError,
+                     SplittingError)
 from .sphere3d import (SHField, analyze, degree_harmonics, dtn_sphere_apply,
                        sphere_grid, synthesize)
 
@@ -56,6 +57,17 @@ def _ball_eps(k):
         raise ConfigError("perturb", "q1_matrix",
                           "degree k must be an integer >= 1", "k=%r" % (k,))
     return (k + 1.0) / k
+
+
+def _check_finite(operation, what, *values):
+    """Refuse a NaN or an infinity where a stage of the second-order chain
+    forms it: the chain is quadratic in the shape, so a shape whose squared
+    size overflows makes them, and no later test could catch all of them
+    (an infinite compatibility scale passes any residual)."""
+    if not all(np.all(np.isfinite(x)) for x in values):
+        raise NumericalError("perturb", operation,
+                             "%s must be finite; the shape's squared size "
+                             "must not overflow" % what)
 
 
 def _first_order_form(eps, wa, grads, dns):
@@ -222,6 +234,8 @@ def solve_udot(report, branch):
     compat = float(np.linalg.norm(flux - source))
     scale = max(1.0, float(np.linalg.norm(flux)),
                 float(np.linalg.norm(source)))
+    _check_finite("solve_udot", "the flux compatibility residual and its "
+                  "scale", compat, scale)
     if compat > _COMPAT_TOL * scale:
         raise SplittingError(
             "perturb", "solve_udot",
@@ -232,6 +246,7 @@ def solve_udot(report, branch):
     # the resonant degree k is singular; the zero-E gauge sets phi_k = 0
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
+    _check_finite("solve_udot", "u-dot", phi.coeffs)
     return UdotSolution(report, branch, ub, phi, p1u, a_vals, dnu_vals,
                         compat)
 
@@ -310,6 +325,8 @@ def epsddot(udot):
                                           grads[2:], vals[1:])
     total = 2.0 * sum(lines)
     gauge_residual = abs(2.0 * sum(lines_shifted) - total)
+    _check_finite("epsddot", "the second derivative and its gauge residual",
+                  total, gauge_residual)
     return SecondOrderReport(udot, total, lines, gauge_residual)
 
 
@@ -338,8 +355,10 @@ def epsddot_flux_route(udot):
     b_field = analyze(grid, L_b, tangents=[-2.0 * a_vals * ginner])[0]
     g2 = udot.p1u.plus(dnudot).scaled(-2.0 * epsdot)
     g2_vals = synthesize(grid, [g2.plus(b_field, -(eps + 1.0))])[0][0]
-    return grid.integrate(g2_vals * u_vals) \
+    value = grid.integrate(g2_vals * u_vals) \
         - eps * grid.integrate(f2_vals * dnu_vals)
+    _check_finite("epsddot_flux_route", "the second derivative", value)
+    return value
 
 
 def epsdot_2d(dtn, spectrum, index, a):
@@ -353,7 +372,10 @@ def epsdot_2d(dtn, spectrum, index, a):
     over the curve, solved against the interior-energy Gram matrix
     <g_i, N- g_j> because the eigensolver's basis of a cluster need not be
     energy-orthonormal. Returns the branch at index's position in the
-    cluster, branches in ascending order. The eigenfunctions are g = P S phi
+    cluster, branches in ascending order, and its eigendensity: the
+    cluster's densities combined by the form's eigenvector, the start of
+    that branch (the finite differences follow it by overlap, see
+    spectrum2d.follow_branch). The eigenfunctions are g = P S phi
     of the weighted-mean-zero eigendensities phi, with N- g = (K* - 1/2) phi:
     nothing is factored. Requires eps != 1 and unit interior energy.
     """
@@ -381,6 +403,6 @@ def epsdot_2d(dtn, spectrum, index, a):
                                 "off by %.3g" % gap)
     qmat = _first_order_form(eps, w * a.value(sample.t),
                              tangential_derivative(sample, g).T, dng.T)
-    branches = scipy.linalg.eigh(qmat, 0.5 * (gram + gram.T),
-                                 eigvals_only=True)
-    return float(branches[np.searchsorted(close, index)])
+    branches, vecs = scipy.linalg.eigh(qmat, 0.5 * (gram + gram.T))
+    pos = np.searchsorted(close, index)
+    return float(branches[pos]), phi @ vecs[:, pos]

@@ -43,6 +43,15 @@ _ARNOLDI_MARGIN = 12
 _ARNOLDI_N_PER_PAIR = 8
 _BLOCK = 8
 _BLOCK_TOL = 50.0
+# follow_branch: the inverse-iteration solves before the dense pencil decides,
+# and the accepted residual of the followed pair, relative to ||A- z|| +
+# mu ||A+ z||. A Ritz value errs by about the squared residual over the gap,
+# so 1e-11 leaves it at roundoff. On the 2D perturb test inputs at N = 128
+# the pair got there in 2-4 solves (444 shifted curves; the residual floor is
+# 2-4 u); 3 reached the cap, where the shift lay among the eigenvalues
+# accumulating at 1.
+_FOLLOW_SOLVES = 8
+_FOLLOW_TOL = 1e-11
 
 
 class PlasmonicSpectrum:
@@ -113,6 +122,35 @@ def _mean_zero_block(mat, root, v):
     """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2)."""
     c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T[1:, 1:]
     return 0.5 * (c + c.T)
+
+
+def _mean_zero_pencil(dtn):
+    """(A-, A+, root, v): the DtN pencil of solve_plasmonic on the mean-zero
+    basis of _mean_zero_reflector(weights) = (root, v). Both forms are
+    exactly symmetric and Fortran-ordered, so they reach LAPACK uncopied."""
+    w = dtn.sample.weights
+    root, v = _mean_zero_reflector(w)
+    form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
+    pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
+    half = 0.5 * _mean_zero_block(form, root, v)
+    return (pair - half).T, (-pair - half).T, root, v
+
+
+def _pencil_eigh(aminus, aplus, operation, **options):
+    """eigh of a plasmonic pencil (A-, A+) or of its projection on a block,
+    whose contracts are A+ positive definite and every mu = 1/eps positive."""
+    try:
+        mu, y = scipy.linalg.eigh(aminus, aplus, **options)
+    except scipy.linalg.LinAlgError as exc:
+        raise NumericalError("spectrum2d", operation,
+                             "exterior energy form must be positive definite "
+                             "on mean-zero data", str(exc))
+    if np.any(mu <= 0.0):
+        bad = int(np.count_nonzero(mu <= 0.0))
+        raise NumericalError("spectrum2d", operation,
+                             "pencil eigenvalues must be positive "
+                             "(eps = 1/mu > 0)", "%d nonpositive" % bad)
+    return mu, y
 
 
 def check_num(num, n, operation):
@@ -274,7 +312,6 @@ def solve_plasmonic(dtn, num=20):
     definite and mu > 0; the discrete Calderon identity S K* = K S makes
     both forms symmetric. Either way every eigenfunction must have positive
     interior energy, and nothing is factored."""
-    w = dtn.sample.weights
     check_num(num, dtn.sample.n, "solve_plasmonic")
     k = num + _ARNOLDI_MARGIN
     if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * k:
@@ -285,30 +322,75 @@ def solve_plasmonic(dtn, num=20):
                                      "solve_plasmonic")
             if _selection_complete(lam, eps):
                 return _spectrum(dtn, eps, *np.split(phi, 2), "dtn")
-    root, v = _mean_zero_reflector(w)
-    form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
-    pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
-    half = 0.5 * _mean_zero_block(form, root, v)
-    # exactly symmetric, so the transposes reach LAPACK uncopied (Fortran order)
-    aminus, aplus = (pair - half).T, (-pair - half).T
-    del pair, half
-    try:
-        mu, y = scipy.linalg.eigh(aminus, aplus, overwrite_a=True,
-                                  overwrite_b=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("spectrum2d", "solve_plasmonic",
-                             "exterior energy form must be positive definite "
-                             "on mean-zero data", str(exc))
-    if np.any(mu <= 0.0):
-        bad = int(np.count_nonzero(mu <= 0.0))
-        raise NumericalError("spectrum2d", "solve_plasmonic",
-                             "pencil eigenvalues must be positive "
-                             "(eps = 1/mu > 0)", "%d nonpositive" % bad)
+    aminus, aplus, root, v = _mean_zero_pencil(dtn)
+    mu, y = _pencil_eigh(aminus, aplus, "solve_plasmonic", overwrite_a=True,
+                         overwrite_b=True)
     eps = 1.0 / mu
     keep = select_far_from_one(eps, num)
     z = np.vstack([np.zeros(len(keep)), y[:, keep]])
     phi = _reflect(v, z) / root[:, None]
     return _spectrum(dtn, eps[keep], phi, dtn.np_adjoint @ phi, "dtn")
+
+
+def follow_branch(dtn, eps, start, branch, num):
+    """The eigenvalue of dtn's curve on the branch of the density branch,
+    from a guess eps of it; start holds densities, one per column, whose
+    span is near the branch and its neighbours.
+
+    Below the size where solve_plasmonic takes the block step for num
+    eigenvalues, this is block inverse iteration on the pencil of its dense
+    branch: one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
+    Rayleigh-Ritz on the block after each from the second on. The followed
+    pair is the one of largest A+-weighted overlap with branch, not the one
+    nearest eps, so two branches that cross between the guess and the answer
+    are told apart by their eigenvectors; it is accepted once its residual
+    is below _FOLLOW_TOL. Otherwise the dense eigh of the same pencil
+    answers, by the same overlap. From that size on, the num eigenpairs of
+    solve_plasmonic cost less than the pencil's O(N^3) assembly and LU (at
+    N = 512, 4.9 against 20.8 ms), and the overlap picks among them, in the
+    same form <x, y>+ = -<P S x, (K* + 1/2) y>, A+ on mean-zero densities.
+
+    The densities are node values; on a shifted sample whose nodes are the
+    images of the base nodes (perturbed_sample), base densities carry over
+    node for node."""
+    if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN):
+        spec = solve_plasmonic(dtn, num)
+        flux = dtn.sample.weights * (dtn.np_adjoint @ branch + 0.5 * branch)
+        # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
+        return float(spec.eigenvalues[np.argmax(
+            np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
+    aminus, aplus, root, v = _mean_zero_pencil(dtn)
+
+    def coordinates(phi):
+        # Q^T M phi on the M-orthonormal mean-zero basis Q, one column each
+        return _reflect(v, root[:, None] * phi.reshape(len(root), -1))[1:]
+
+    def closest(vectors):
+        # vectors are A+-orthonormal
+        return int(np.argmax(np.abs(vectors.T @ target)))
+
+    target = aplus @ coordinates(branch)[:, 0]
+    lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
+                                check_finite=False)
+    block = aplus @ coordinates(start)
+    for solve in range(_FOLLOW_SOLVES):
+        y = np.linalg.qr(scipy.linalg.lu_solve(lu, block,
+                                               check_finite=False))[0]
+        block = aplus @ y
+        if solve == 0:
+            # from a start block O(h) off and a guess O(h^2) off, one solve
+            # leaves O(h^3 / gap): above _FOLLOW_TOL at finite-difference h
+            continue
+        ay = aminus @ y
+        mu, c = _pencil_eigh(y.T @ ay, y.T @ block, "follow_branch")
+        pick = closest(y @ c)
+        az, bz = ay @ c[:, pick], block @ c[:, pick]
+        if np.linalg.norm(az - mu[pick] * bz) <= _FOLLOW_TOL * (
+                np.linalg.norm(az) + mu[pick] * np.linalg.norm(bz)):
+            return float(1.0 / mu[pick])
+    mu, y = _pencil_eigh(aminus, aplus, "follow_branch", overwrite_a=True,
+                         overwrite_b=True)
+    return float(1.0 / mu[closest(y)])
 
 
 def np_route(dtn, num=20):

@@ -16,13 +16,15 @@ import numpy as np
 
 from .bem2d import build_dtn, compute_g0, farfield_log_coefficient
 from .curve2d import CurveParam, ShapeFn2D, perturbed_sample, sample_curve
-from .dtn_shape import (band_domain, banded_opnorm, check_steps,
-                        fd_operator_check, loglog_slope, shape_derivative)
+from .dtn_shape import (band_domain, banded_opnorm, central_steps,
+                        check_steps, fd_operator_check, loglog_slope,
+                        shape_derivative)
 from .errors import ConfigError, NumericalError
 from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
                       uniform_shape)
-from .spectrum2d import (check_num, criticality_residual, np_route, rayleigh,
-                         select_far_from_one, solve_plasmonic)
+from .spectrum2d import (check_num, criticality_residual, follow_branch,
+                         np_route, rayleigh, select_far_from_one,
+                         solve_plasmonic)
 from .sphere3d import SHField, ball_spectrum
 
 # Fixed geometries of the acceptance suite.
@@ -241,47 +243,51 @@ def check_second_order(seed=0):
                 "golden_gap": golden_gap, "golden_tol": 1e-8}
 
 
-def _shifted_eigenvalue(curve, a, step, n, num, target):
-    """The eigenvalue nearest target of the curve shifted by step along a."""
-    eps = solve_plasmonic(build_dtn(perturbed_sample(curve, a, step, n)),
-                          num=num).eigenvalues
-    return float(eps[int(np.argmin(np.abs(eps - target)))])
+def finite_difference_epsdot(samples, h_list, eps0, epsdot, start, branch,
+                             num):
+    """Central-difference derivatives of the eigenvalue eps0 of a base curve
+    along a normal shift, one per step in h_list, from samples: the shifted
+    samples at +h and -h for each step in turn, node-for-node images of the
+    base nodes (perturbed_sample).
 
-
-def finite_difference_epsdot(curve, a, eps0, epsdot, h_list, n=128, num=10):
-    """Central-difference derivatives of the eigenvalue eps0 of the base
-    curve along normal shift a, one per step in h_list.
-
-    Re-solves on the shifted samples perturbed_sample(curve, a, +-h, n) for
-    each step and tracks the eigenvalue nearest the first-order prediction
-    eps0 +- h epsdot, which follows the branch of epsdot when a cluster
-    splits. The shifted spectra keep num eigenvalues. The eigenvalues belong
-    to the shifted domain, not to its parametrization, so the exact node
-    images need no re-parametrization; dtn_shape transplants operators on
-    the same sample.
+    Each shifted eigenvalue is followed by follow_branch from the prediction
+    eps0 +- h epsdot and the base densities start (the cluster of eps0 and
+    its neighbours), and is the one whose eigendensity overlaps most with
+    branch, the base density of the branch of epsdot; near a crossing the
+    overlap decides, not the prediction. The eigenvalues belong to the
+    shifted domain, not to its parametrization, so the exact node images
+    need no re-parametrization; dtn_shape transplants operators on the same
+    samples.
     """
-    return [(_shifted_eigenvalue(curve, a, h, n, num, eps0 + h * epsdot)
-             - _shifted_eigenvalue(curve, a, -h, n, num, eps0 - h * epsdot))
-            / (2.0 * h) for h in h_list]
+    values = [follow_branch(build_dtn(sample), eps0 + step * epsdot, start,
+                            branch, num)
+              for sample, step in zip(samples, central_steps(h_list)[1:])]
+    return [(up - down) / (2.0 * h)
+            for up, down, h in zip(values[::2], values[1::2], h_list)]
 
 
 def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
     """epsdot_2d of the eigenvalue at index of the num selected ones,
     ascending (its branch when the eigenvalue is clustered), against its
-    central differences: the outputs of a 2D perturb job. The base and
-    shifted spectra keep min(num + 2, n - 1) eigenvalues, so a plane cluster
-    (at most 2-fold on dihedral curves) cut by the selection of num stays
-    whole. The slope is fitted to the errors above their roundoff floors."""
+    central differences: the outputs of a 2D perturb job. The base spectrum
+    keeps min(num + 2, n - 1) eigenvalues, so a plane cluster (at most
+    2-fold on dihedral curves) cut by the selection of num stays whole; the
+    densities within two places of index start the inverse iteration on
+    each shifted curve. One perturbed_sample call forms the base and every
+    shifted sample, so the star-shape checks of all steps run before any
+    solve. The slope is fitted to the errors above their roundoff floors."""
     check_steps(h_list, "epsdot_fd_report")
     check_num(num, n, "epsdot_fd_report")
     wide = min(num + 2, n - 1)
-    dtn = build_dtn(sample_curve(curve, n))
+    base, *shifted = perturbed_sample(curve, a, central_steps(h_list), n)
+    dtn = build_dtn(base)
     spec = solve_plasmonic(dtn, num=wide)
     index = int(select_far_from_one(spec.eigenvalues, num)[index])
     eps = float(spec.eigenvalues[index])
-    value = epsdot_2d(dtn, spec, index, a)
-    diffs = finite_difference_epsdot(curve, a, eps, value, h_list, n=n,
-                                     num=wide)
+    value, branch = epsdot_2d(dtn, spec, index, a)
+    diffs = finite_difference_epsdot(
+        shifted, h_list, eps, value,
+        spec.densities[:, max(0, index - 2):index + 3], branch, wide)
     errors = [abs(d - value) for d in diffs]
     floors = [_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps)) / h
               for h in h_list]

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import plasmeig
 from plasmeig.cli import canonical_json, cmd_perturb, main
 from plasmeig.curve2d import CurveParam
-from plasmeig.errors import PlasmeigError
+from plasmeig.errors import NumericalError, PlasmeigError
 from plasmeig.validate import GOLDEN_EPSDDOT_Y20
 
 from test_perturb import random_shape
@@ -131,13 +131,15 @@ def test_spectrum_at_extreme_scales(tmp_path, capsys):
 
 def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
     # both spectrum routes and 2D perturb work on eigendensities, which
-    # need only S and K*: no LU anywhere
+    # need only S and K*: the bordered single-layer system is never
+    # factored. The only LU is 2D perturb's shifted pencil, (N - 1) square,
+    # one per shifted curve
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
     jobs = {"dtn": ("spectrum", {"curve": KITE, "N": 64, "num_eigs": 8}),
@@ -150,7 +152,7 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
         cfg = write_config(tmp_path, "job_%s.json" % name, job)
         assert main([command, "--config", cfg, "--out",
                      str(tmp_path / name)]) == 0
-    assert calls == []
+    assert calls == [63] * 4
 
 
 def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
@@ -315,9 +317,10 @@ def test_perturb_sphere_is_homogeneous_in_the_shape(k, L, seed, exponent):
 @pytest.mark.parametrize("c", [1e160, 1e300])
 def test_perturb_sphere_overflow_writes_no_artifact(tmp_path, c):
     # epsddot is quadratic in the shape, so a huge quadrupole overflows to
-    # inf and nan, which strict JSON cannot hold: the job exits 3 naming the
-    # contract. A fresh interpreter, since the test suite turns numpy's
-    # overflow warnings into exceptions
+    # inf and nan, which the chain refuses where it forms them (here the
+    # compatibility scale of solve_udot): the job exits 3 naming the
+    # contract, and writes nothing. A fresh interpreter, since the test
+    # suite turns numpy's overflow warnings into exceptions
     cfg = write_config(tmp_path, "job.json",
                        {"mode": "sphere", "k": 1, "branch": 0, "order": 2,
                         "a": {"L": 2, "coeffs": coeff_list(c, (2, 0))}})
@@ -330,9 +333,16 @@ def test_perturb_sphere_overflow_writes_no_artifact(tmp_path, c):
          "perturb", "--config", cfg, "--out", str(out)],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True)
     assert run.returncode == 3
-    assert "cli.canonical_json" in run.stderr
-    assert "artifact numbers must be finite" in run.stderr
+    assert "perturb.solve_udot" in run.stderr
+    assert "must be finite" in run.stderr
     assert not out.exists()
+
+
+def test_artifact_numbers_must_be_finite():
+    # the last guard on every artifact: strict JSON holds no NaN or inf
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(NumericalError, match="must be finite"):
+            canonical_json({"outputs": [1.0, bad]})
 
 
 def test_perturb_sphere_first_order_only(tmp_path):
@@ -458,8 +468,11 @@ def test_perturb_2d_fast_convergence_passes(tmp_path, index):
 
 
 @pytest.mark.parametrize("command, job, flags", [
-    # the tracked branch of a 2-fold cluster of the threefold curve under
-    # cos 6t: the finite differences do not converge (slope -0.32)
+    # the followed branch of a 2-fold cluster of the threefold curve under
+    # cos 6t: at the default steps the errors (0.19, 0.24, 0.30) grow as h
+    # falls (slope -0.32). Overlap tracking picks the same eigenvalues as
+    # nearest-value tracking did; the steps lie outside the h^2 range (see
+    # test_perturb_2d_threefold_cos6_converges_at_small_steps)
     ("perturb", {"mode": "2d", "curve": C3,
                  "a": {"cos": [0, 0, 0, 0, 0, 0, 1]}, "N": 128,
                  "eps_index": 2}, {"fd_slope_ok": False}),
@@ -474,6 +487,21 @@ def test_known_fd_failures_exit_1(tmp_path, command, job, flags):
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     record, _ = read_record(out, command)
     assert record["flags"] == flags
+
+
+def test_perturb_2d_threefold_cos6_converges_at_small_steps(tmp_path):
+    # the known failure above with steps 50 times smaller: the followed
+    # branch converges to epsdot as h^2, so that failure is the default
+    # steps lying outside the asymptotic range, not a lost branch
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "2d", "curve": C3,
+                        "a": {"cos": [0, 0, 0, 0, 0, 0, 1]}, "N": 128,
+                        "eps_index": 2, "h_list": [2e-4, 1e-4, 5e-5]})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 0
+    record, _ = read_record(out, "perturb")
+    assert record["flags"] == {"fd_slope_ok": True}
+    assert abs(record["outputs"]["slope"] - 2.0) < 0.01
 
 
 def test_dn_derivative_job(tmp_path):

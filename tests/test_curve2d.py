@@ -106,17 +106,23 @@ def test_tangential_derivative_of_coordinates_is_tangent():
 
 
 def test_perturbed_sample_at_zero_matches_base():
-    curve = CurveParam.ellipse(2.0, 1.0)
+    # step 0 is sample_curve itself, bit for bit, so a finite-difference job
+    # takes its base sample from the call that forms its shifted ones
     a = ShapeFn2D(cos=[0.0, 1.0], sin=[0.3])
-    base = sample_curve(curve, 64)
-    shifted = perturbed_sample(curve, a, 0.0, 64)
-    assert np.array_equal(shifted.nodes, base.nodes)
-    assert np.max(np.abs(shifted.curvature - base.curvature)) < 1e-13
+    for curve in (CurveParam.ellipse(2.0, 1.0),
+                  CurveParam.fourier(cos=[1.0, 0.25, 0.15],
+                                     sin=[0.0, 0.0, 0.05])):
+        base = sample_curve(curve, 64)
+        shifted, _ = perturbed_sample(curve, a, [0.0, 1e-2], 64)
+        for field in ("t", "nodes", "normals", "curvature", "speed",
+                      "weights"):
+            assert np.array_equal(getattr(shifted, field),
+                                  getattr(base, field))
 
 
 def test_perturbed_circle_with_constant_shift_is_circle():
-    sample = perturbed_sample(CurveParam.circle(1.0), ShapeFn2D.constant(0.5),
-                              0.2, 64)
+    [sample] = perturbed_sample(CurveParam.circle(1.0),
+                                ShapeFn2D.constant(0.5), [0.2], 64)
     assert np.allclose(np.hypot(sample.nodes[:, 0], sample.nodes[:, 1]),
                        1.1, atol=1e-14)
     assert np.allclose(sample.curvature, -1.0 / 1.1, atol=1e-13)
@@ -126,13 +132,14 @@ def test_perturbed_circle_with_constant_shift_is_circle():
 def test_shift_losing_star_shape_is_rejected():
     with pytest.raises(PerturbationError):
         perturbed_sample(CurveParam.ellipse(4.0, 1.0),
-                         ShapeFn2D(sin=[0.0, 1.0]), 0.8, 64)
+                         ShapeFn2D(sin=[0.0, 1.0]), [0.8], 64)
     # radius 1 - 1.5 < 0: the shift folds the circle onto its opposite side
     with pytest.raises(PerturbationError) as info:
-        perturbed_sample(CurveParam.circle(1.0), ShapeFn2D(cos=[-1.0]), 1.5,
-                         64)
+        perturbed_sample(CurveParam.circle(1.0), ShapeFn2D(cos=[-1.0]),
+                         [0.5, 1.5], 64)
     assert info.value.operation == "perturbed_sample"
     assert "fold" in info.value.contract
+    assert "h=1.5" in info.value.detail
 
 
 def test_config_validation():

@@ -83,7 +83,8 @@ def transplanted(curve, a, h, n):
     # interior DtN map of the curve shifted by h*a along its normal,
     # assembled on the exact images of the n base nodes, applied to the
     # identity
-    return build_dtn(perturbed_sample(curve, a, h, n)).apply(np.eye(n))[0]
+    [sample] = perturbed_sample(curve, a, [h], n)
+    return build_dtn(sample).apply(np.eye(n))[0]
 
 
 def test_transplanted_operator_at_zero_is_the_base_operator():

@@ -12,7 +12,8 @@ from plasmeig import sphere3d
 from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
                               tangential_derivative)
-from plasmeig.errors import ConfigError, PerturbationError, SplittingError
+from plasmeig.errors import (ConfigError, NumericalError,
+                             PerturbationError, SplittingError)
 from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
                               epsdot_2d, q1_matrix, solve_udot,
                               uniform_shape)
@@ -152,6 +153,23 @@ def test_flux_route_agrees_with_quadrature_formula():
         assert abs(direct - flux) < 1e-8 * max(1.0, abs(direct))
 
 
+@pytest.mark.parametrize("c, stage", [
+    (1e160, "solve_udot"), (1e300, "solve_udot"),
+    (1.5e154, "epsddot"), (5e153, "epsddot_flux_route")])
+def test_overflowing_shape_is_refused_where_it_overflows(c, stage):
+    # the chain is quadratic in the shape: a Y20 shape whose squared size
+    # overflows gives inf and nan, which each stage refuses where it forms
+    # them. From 1e160 the compatibility scale is inf, which would pass any
+    # residual; just below it epsddot or only the flux route overflows
+    a = SHField.basis(2, 2, 0).scaled(c)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match="must be finite") as info:
+        udot = solve_udot(q1_matrix(1, a), 0)
+        epsddot(udot)
+        epsddot_flux_route(udot)
+    assert info.value.operation == stage
+
+
 def test_p1u_on_the_uniform_shape():
     # with a constant shape P1 = -div(a grad) reduces to the degree
     # multiplier l(l+1), so the solve's P1 u is k(k+1) times the trace
@@ -270,6 +288,6 @@ def test_symmetric_curve_epsdot_is_the_form_branch(n):
     assert np.sqrt((1.0 + gram[0, 1]) / 2.0) > 0.1   # its Gram entry
     for basis_spec in (spec, corrupted(spec, densities=mixed)):
         for j in range(2):
-            slope = epsdot_2d(dtn, basis_spec, j, a)
+            slope, _ = epsdot_2d(dtn, basis_spec, j, a)
             assert abs(slope - branches[j]) < 1e-10 * max(1.0,
                                                           abs(branches[j]))

@@ -4,10 +4,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
+from plasmeig import spectrum2d, validate
 from plasmeig.curve2d import CurveParam, ShapeFn2D
 from plasmeig.dtn_shape import fd_flags
 from plasmeig.errors import ConfigError
+from plasmeig.spectrum2d import solve_plasmonic
 from plasmeig.validate import (CHECK_NAMES, ELLIPSE, disk_integral_epsdot_y20,
                                elliptic_eigenvalues, epsdot_fd_report,
                                run_all)
@@ -161,3 +164,91 @@ def test_symmetric_curves_pass_at_every_index(curve, shape):
         assert all(flags.values()), index
         if report["slope"] is not None:
             assert abs(report["slope"] - 2.0) <= 0.2, index
+
+
+H_LIST = [1e-2, 5e-3, 2.5e-3]
+# the acceptance check's ellipse, one member of a 2-fold cluster of the
+# threefold curve, and the fivefold curve whose errors fall as h^4
+FOLLOWED = {"ellipse": (ELLIPSE, {"cos": [0, 0, 1]}, 0),
+            "threefold-pair": (SYMMETRIC_CURVES["threefold"],
+                               {"cos": [0, 0, 1]}, 0),
+            "fivefold": ({"kind": "fourier", "cos": [1, 0, 0, 0, 0, 0.1]},
+                         {"cos": [0, 0, 1]}, 4)}
+
+
+def followed_eigenvalues(monkeypatch, case):
+    """Each follow_branch call of the 2D perturb job of case: its DtN pair
+    and the eigenvalue it returned."""
+    calls = []
+    follow = validate.follow_branch
+
+    def recording(dtn, *args):
+        calls.append((dtn, follow(dtn, *args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(validate, "follow_branch", recording)
+    curve, shape, index = FOLLOWED[case]
+    epsdot_fd_report(CurveParam.from_config(curve),
+                     ShapeFn2D.from_config(shape), H_LIST, index=index)
+    return calls
+
+
+def test_fd_report_solves_one_dense_pencil(monkeypatch):
+    # the base spectrum is the one dense pencil eigh; each shifted curve
+    # costs one LU of its (N - 1)-square pencil and a few solves, and the
+    # base curve is evaluated once per grid: the N nodes, shared by the
+    # base and every shifted sample, and the star-check grid
+    n = 128
+    sizes = {"eigh": [], "lu_factor": [], "derivatives": []}
+
+    def counting(owner, name, sized):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            sizes[name].append(len(args[sized]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counting(scipy.linalg, "eigh", 0)
+    counting(scipy.linalg, "lu_factor", 0)
+    counting(CurveParam, "derivatives", 1)
+    report = epsdot_fd_report(CurveParam.from_config(ELLIPSE),
+                              ShapeFn2D(cos=(0.0, 0.0, 1.0)), H_LIST, n=n)
+    assert report["slope"] is not None
+    assert [s for s in sizes["eigh"] if s == n - 1] == [n - 1]
+    assert sizes["lu_factor"] == [n - 1] * 2 * len(H_LIST)
+    assert sorted(sizes["derivatives"]) == [n, 720]
+
+
+@pytest.mark.parametrize("case", sorted(FOLLOWED))
+def test_followed_eigenvalue_is_the_dense_pencil_value(monkeypatch, case):
+    # inverse iteration answers with an eigenvalue of the shifted pencil:
+    # the dense eigensolve of the same curve (all N - 1 values) holds it
+    # to roundoff
+    for dtn, eps in followed_eigenvalues(monkeypatch, case):
+        dense = solve_plasmonic(dtn, num=dtn.sample.n - 1).eigenvalues
+        assert np.min(np.abs(dense - eps)) <= 1e-13 * max(1.0, abs(eps))
+
+
+@pytest.mark.parametrize("case", sorted(FOLLOWED))
+def test_dense_fallback_follows_the_same_branch(monkeypatch, case):
+    # with no inverse-iteration solve allowed, the dense eigh of each
+    # shifted pencil answers by the same overlap rule: the same branch,
+    # the same value to roundoff
+    followed = [eps for _, eps in followed_eigenvalues(monkeypatch, case)]
+    monkeypatch.undo()
+    monkeypatch.setattr(spectrum2d, "_FOLLOW_SOLVES", 0)
+    sizes = []
+    eigh = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        sizes.append(len(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    dense = [eps for _, eps in followed_eigenvalues(monkeypatch, case)]
+    # the base solve, then one dense eigh per shifted curve
+    assert sizes.count(127) == 1 + 2 * len(H_LIST)
+    for a, b in zip(followed, dense):
+        assert abs(a - b) <= 1e-13 * max(1.0, abs(a))
