@@ -172,8 +172,7 @@ def _perturb_sphere(config, seed):
 
 def _perturb_2d(config, seed):
     from .curve2d import CurveParam, ShapeFn2D
-    from .dtn_shape import fd_flags
-    from .validate import epsdot_fd_report
+    from .dtn_shape import epsdot_fd_report, fd_flags
     _check_keys(config, {"mode", "curve", "a"},
                 {"N", "num_eigs", "eps_index", "h_list"}, "cmd_perturb")
     curve = CurveParam.from_config(config["curve"])

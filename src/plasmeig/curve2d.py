@@ -243,21 +243,21 @@ class CurveSample:
         return len(self.t)
 
 
-def _geometry_from_derivatives(t, der):
+def _geometry_from_derivatives(t, der, operation):
     x, xp, xpp = der[0], der[1], der[2]
     # the extent of the nodes bounds every offset from above, and
     # neighbouring nodes give the smallest offsets of a resolved sample
     step = np.hypot(*(np.roll(x, -1, axis=0) - x).T).min()
     extent = np.hypot(*np.ptp(x, axis=0))
     if not (_OFFSET_RANGE[0] <= step and extent <= _OFFSET_RANGE[1]):
-        raise GeometryError("curve2d", "sample_curve",
+        raise GeometryError("curve2d", operation,
                             "squared node offsets must be normal floats "
                             "(%.3g <= |x_i - x_j| <= %.3g)" % _OFFSET_RANGE,
                             "smallest neighbour offset %.3g, extent %.3g"
                             % (step, extent))
     speed = np.linalg.norm(xp, axis=-1)
     if speed.min() <= 0:
-        raise GeometryError("curve2d", "sample_curve",
+        raise GeometryError("curve2d", operation,
                             "parametrization must be regular (|x'| > 0)",
                             "min speed %.3g" % speed.min())
     tangents = xp / speed[:, None]
@@ -283,7 +283,7 @@ def _nodes(n, operation):
 def sample_curve(curve, n):
     """Sample a curve at n uniform parameter values with exact geometry."""
     t = _nodes(n, "sample_curve")
-    return _geometry_from_derivatives(t, curve.derivatives(t))
+    return _geometry_from_derivatives(t, curve.derivatives(t), "sample_curve")
 
 
 def tangential_derivative(sample, values):
@@ -323,7 +323,8 @@ def perturbed_sample(curve, a, steps, n):
     samples = []
     for h in steps:
         _check_star_shaped(h, fine)
-        samples.append(_geometry_from_derivatives(t, _shifted(coarse, h)))
+        samples.append(_geometry_from_derivatives(t, _shifted(coarse, h),
+                                                  "perturbed_sample"))
     return samples
 
 
@@ -365,19 +366,22 @@ def _check_star_shaped(h, terms):
     p, pp, _ = _shifted(terms, h)
     xp = terms[0][1]
     r2 = np.einsum("ij,ij->i", p, p)
-    if r2.min() <= 0:
+    # written as not (x > 0) so that a NaN fails every test
+    if not (r2.min() > 0 and r2.max() < np.inf):
         raise PerturbationError("curve2d", "perturbed_sample",
-                                "shifted boundary must stay away from the origin",
-                                "h=%g" % h)
+                                "shifted boundary must stay away from the "
+                                "origin and its squared radii finite",
+                                "h=%g, |p|^2 in [%.3g, %.3g]"
+                                % (h, r2.min(), r2.max()))
     dtheta = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / r2
-    if dtheta.min() <= 0:
+    if not dtheta.min() > 0:
         raise PerturbationError(
             "curve2d", "perturbed_sample",
             "shifted boundary must stay star-shaped (no local self-intersection)",
             "h=%g, min dtheta/dt=%.3g" % (h, dtheta.min()))
     # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
     fold = np.einsum("ij,ij->i", xp, pp)
-    if fold.min() <= 0:
+    if not fold.min() > 0:
         raise PerturbationError(
             "curve2d", "perturbed_sample",
             "normal shift must not fold the boundary (x'.p' > 0, "

@@ -1,17 +1,18 @@
-"""Shape derivative of the Dirichlet-to-Neumann operators on plane curves.
+"""Shape derivatives on plane curves and their finite-difference checks.
 
 For a normal perturbation field a(t) the derivative of the interior
-operator acts on boundary data g as
+Dirichlet-to-Neumann operator acts on boundary data g as
 
     dN g = -d/ds (a dg/ds) + kappa a (N g) - N (a (N g)),
 
 with kappa the signed curvature and d/ds the arclength derivative
 (curve2d.tangential_derivative, by FFT); the exterior operator obeys the
-same formula with its own N. The derivative is validated against
-transplanted operators on perturbed curves by finite differences in the
-weighted operator norm over a resolved frequency band; fd_flags is the
-pass/fail rule for such finite-difference series, here and in the plane
-eigenvalue check, and check_steps the contract on their steps.
+same formula with its own N. fd_operator_check validates it against
+transplanted operators on shifted curves by finite differences in the
+weighted operator norm over a resolved frequency band, and
+epsdot_fd_report checks perturb.epsdot_2d by central differences of the
+eigenvalue on the same shifted curves (_central_samples); fd_flags is the
+pass/fail rule of both series and check_steps the contract on their steps.
 Its expected first-order (not second-order) growth in frequency, which
 distinguishes it from a generic second-order operator, is checked in the
 test suite.
@@ -31,9 +32,14 @@ import scipy.linalg
 from .bem2d import build_dtn
 from .curve2d import perturbed_sample, tangential_derivative
 from .errors import ConfigError
+from .perturb import epsdot_2d
+from .spectrum2d import (check_num, follow_branch, select_far_from_one,
+                         solve_plasmonic)
 
-# FD roundoff floor in units of u max(1, ||N||_band) / h (u machine epsilon)
-_FD_FLOOR = 1e4
+# FD roundoff floors factor u max(1, scale) / h (u the machine epsilon), with
+# scale ||N||_band for the operators and |eps| for an eigenvalue
+_OPERATOR_FD_FLOOR = 1e4
+_EIGENVALUE_FD_FLOOR = 1e3
 # The DtN maps in the order DtNPair.apply returns them
 SIDES = ("interior", "exterior")
 
@@ -129,10 +135,14 @@ def check_steps(h_list, operation):
                           "steps", "h_list=%r" % (h_list,))
 
 
-def central_steps(h_list):
-    """0, then +h and -h for each step h in turn: the perturbed_sample steps
-    of a central-difference job, its base sample first."""
-    return [0.0] + [s * h for h in h_list for s in (1.0, -1.0)]
+def _central_samples(curve, a, h_list, n, operation):
+    """The base sample of curve and (h, sample at +h, sample at -h) for each
+    step h of h_list in turn, from one perturbed_sample call, so the
+    star-shape checks of all steps run before any solve."""
+    check_steps(h_list, operation)
+    base, *shifted = perturbed_sample(
+        curve, a, [0.0] + [s * h for h in h_list for s in (1.0, -1.0)], n)
+    return base, list(zip(h_list, shifted[::2], shifted[1::2]))
 
 
 def fd_operator_check(curve, a, n, h_list, sides=SIDES):
@@ -140,25 +150,24 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     norm over trigonometric inputs of degree at most n // 4, for the
     interior and the exterior operator, or only the sides named.
 
-    One perturbed_sample call forms the base sample and the shifted ones at
-    +-h; each is assembled and applied to the band basis once for both
-    sides, one step at a time.
+    The base sample and the shifted ones at +-h are each assembled and
+    applied to the band basis once for both sides, one step at a time.
     Returns {side: report}, each with one-sided and central errors and the
-    roundoff floor _FD_FLOOR u max(1, ||N||_band) / h per step, and the
-    log-log slopes (expected near 1 and 2) of the errors above their floors.
+    roundoff floor _OPERATOR_FD_FLOOR u max(1, ||N||_band) / h per step, and
+    the log-log slopes (expected near 1 and 2) of the errors above their
+    floors.
     """
-    check_steps(h_list, "fd_operator_check")
+    sample, steps = _central_samples(curve, a, h_list, n, "fd_operator_check")
     index = [SIDES.index(side) for side in sides]
     max_degree = n // 4
-    samples = perturbed_sample(curve, a, central_steps(h_list), n)
-    dtn = build_dtn(samples[0])
+    dtn = build_dtn(sample)
     root, domain = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
     # both sides come from one stacked solve, whose bits depend on the block
     # layout, so a one-side job forms both and keeps its own
     derivs, applied = shape_derivative(dtn, a, domain)
     base, derivs = [applied[i] for i in index], [derivs[i] for i in index]
     errors = []
-    for h, up, down in zip(h_list, samples[1::2], samples[2::2]):
+    for h, up, down in steps:
         up = build_dtn(up).apply(domain)
         down = build_dtn(down).apply(domain)
         errors.append([
@@ -169,7 +178,7 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     for j, side in enumerate(sides):
         one_sided, central = np.array(errors)[:, j].T
         unit = np.finfo(float).eps * max(1.0, banded_opnorm(base[j], root))
-        floors = [_FD_FLOOR * unit / h for h in h_list]
+        floors = [_OPERATOR_FD_FLOOR * unit / h for h in h_list]
         reports[side] = {
             "curve": curve.to_config(), "a": a.to_config(),
             "n": n, "side": side, "band": max_degree,
@@ -181,3 +190,44 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
             "slopes": {"one_sided": loglog_slope(h_list, one_sided, floors),
                        "central": loglog_slope(h_list, central, floors)}}
     return reports
+
+
+def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
+    """epsdot_2d of the eigenvalue at index of the num selected ones,
+    ascending (its branch when the eigenvalue is clustered), against its
+    central differences: the outputs of a 2D perturb job. The base spectrum
+    keeps min(num + 2, n - 1) eigenvalues, so a plane cluster (at most
+    2-fold on dihedral curves) cut by the selection of num stays whole.
+    Each shifted eigenvalue is followed by follow_branch from the prediction
+    eps +- h epsdot and the base densities within two places of index, and
+    is the one whose eigendensity overlaps most with the base density of
+    the branch; near a crossing the overlap decides, not the prediction.
+    The eigenvalues belong to the shifted domain, not to its
+    parametrization, so the exact node images need no re-parametrization.
+    The slope is fitted to the errors above their roundoff floors."""
+    check_num(num, n, "epsdot_fd_report")
+    if not 0 <= index < num:
+        raise ConfigError("dtn_shape", "epsdot_fd_report",
+                          "index must lie in 0..num-1",
+                          "index=%r, num=%r" % (index, num))
+    sample, steps = _central_samples(curve, a, h_list, n, "epsdot_fd_report")
+    wide = min(num + 2, n - 1)
+    dtn = build_dtn(sample)
+    spec = solve_plasmonic(dtn, num=wide)
+    index = int(select_far_from_one(spec.eigenvalues, num)[index])
+    eps = float(spec.eigenvalues[index])
+    value, branch = epsdot_2d(dtn, spec, index, a)
+    start = spec.densities[:, max(0, index - 2):index + 3]
+    diffs = [(follow_branch(build_dtn(up), eps + h * value, start, branch,
+                            wide)
+              - follow_branch(build_dtn(down), eps - h * value, start,
+                              branch, wide)) / (2.0 * h)
+             for h, up, down in steps]
+    errors = [abs(d - value) for d in diffs]
+    floors = [_EIGENVALUE_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps))
+              / h for h in h_list]
+    return {"epsilon": eps, "epsdot": value,
+            "fd_values": [float(d) for d in diffs],
+            "fd_errors": [float(e) for e in errors],
+            "fd_floors": floors, "h_list": [float(h) for h in h_list],
+            "slope": loglog_slope(h_list, errors, floors)}

@@ -2,7 +2,9 @@
 
 Each check builds its own inputs, measures the quantities named in its
 verdict, and returns (passed, details); run_all alone times the checks and
-wraps each outcome in a CheckResult. Nothing here depends on test-runner
+wraps each outcome in a CheckResult. The module holds the suite only: the
+plane finite-difference engines it calls are dtn_shape's, which the CLI
+jobs use without loading this module. Nothing here depends on test-runner
 state. Oracle values (elliptic coordinates, the hemisphere disk integral,
 the frozen second-order baseline) are computed by routes independent of the
 operators they validate.
@@ -15,16 +17,13 @@ import time
 import numpy as np
 
 from .bem2d import build_dtn, compute_g0, farfield_log_coefficient
-from .curve2d import CurveParam, ShapeFn2D, perturbed_sample, sample_curve
-from .dtn_shape import (band_domain, banded_opnorm, central_steps,
-                        check_steps, fd_operator_check, loglog_slope,
-                        shape_derivative)
+from .curve2d import CurveParam, ShapeFn2D, sample_curve
+from .dtn_shape import (band_domain, banded_opnorm, epsdot_fd_report,
+                        fd_operator_check, shape_derivative)
 from .errors import ConfigError, NumericalError
-from .perturb import (epsddot, epsdot_2d, q1_matrix, solve_udot,
-                      uniform_shape)
-from .spectrum2d import (check_num, criticality_residual, follow_branch,
-                         np_route, rayleigh, select_far_from_one,
-                         solve_plasmonic)
+from .perturb import epsddot, q1_matrix, solve_udot, uniform_shape
+from .spectrum2d import (criticality_residual, np_route, rayleigh,
+                         select_far_from_one, solve_plasmonic)
 from .sphere3d import SHField, ball_spectrum
 
 # Fixed geometries of the acceptance suite.
@@ -36,9 +35,6 @@ KITE = {"kind": "fourier", "cos": [1.0, 0.25, 0.15], "sin": [0.0, 0.0, 0.05]}
 # the exact curved-family correction) and confirmed by the axisymmetric
 # collocation oracle in the test suite.
 GOLDEN_EPSDDOT_Y20 = 333.0 / (35.0 * math.pi)
-
-# FD roundoff floor in units of u max(1, |eps|) / h (u the machine epsilon)
-_FD_FLOOR = 1e3
 
 
 class CheckResult:
@@ -241,61 +237,6 @@ def check_second_order(seed=0):
                 "golden": GOLDEN_EPSDDOT_Y20,
                 "golden_computed": golden.epsddot,
                 "golden_gap": golden_gap, "golden_tol": 1e-8}
-
-
-def finite_difference_epsdot(samples, h_list, eps0, epsdot, start, branch,
-                             num):
-    """Central-difference derivatives of the eigenvalue eps0 of a base curve
-    along a normal shift, one per step in h_list, from samples: the shifted
-    samples at +h and -h for each step in turn, node-for-node images of the
-    base nodes (perturbed_sample).
-
-    Each shifted eigenvalue is followed by follow_branch from the prediction
-    eps0 +- h epsdot and the base densities start (the cluster of eps0 and
-    its neighbours), and is the one whose eigendensity overlaps most with
-    branch, the base density of the branch of epsdot; near a crossing the
-    overlap decides, not the prediction. The eigenvalues belong to the
-    shifted domain, not to its parametrization, so the exact node images
-    need no re-parametrization; dtn_shape transplants operators on the same
-    samples.
-    """
-    values = [follow_branch(build_dtn(sample), eps0 + step * epsdot, start,
-                            branch, num)
-              for sample, step in zip(samples, central_steps(h_list)[1:])]
-    return [(up - down) / (2.0 * h)
-            for up, down, h in zip(values[::2], values[1::2], h_list)]
-
-
-def epsdot_fd_report(curve, a, h_list, n=128, num=10, index=0):
-    """epsdot_2d of the eigenvalue at index of the num selected ones,
-    ascending (its branch when the eigenvalue is clustered), against its
-    central differences: the outputs of a 2D perturb job. The base spectrum
-    keeps min(num + 2, n - 1) eigenvalues, so a plane cluster (at most
-    2-fold on dihedral curves) cut by the selection of num stays whole; the
-    densities within two places of index start the inverse iteration on
-    each shifted curve. One perturbed_sample call forms the base and every
-    shifted sample, so the star-shape checks of all steps run before any
-    solve. The slope is fitted to the errors above their roundoff floors."""
-    check_steps(h_list, "epsdot_fd_report")
-    check_num(num, n, "epsdot_fd_report")
-    wide = min(num + 2, n - 1)
-    base, *shifted = perturbed_sample(curve, a, central_steps(h_list), n)
-    dtn = build_dtn(base)
-    spec = solve_plasmonic(dtn, num=wide)
-    index = int(select_far_from_one(spec.eigenvalues, num)[index])
-    eps = float(spec.eigenvalues[index])
-    value, branch = epsdot_2d(dtn, spec, index, a)
-    diffs = finite_difference_epsdot(
-        shifted, h_list, eps, value,
-        spec.densities[:, max(0, index - 2):index + 3], branch, wide)
-    errors = [abs(d - value) for d in diffs]
-    floors = [_FD_FLOOR * np.finfo(float).eps * max(1.0, abs(eps)) / h
-              for h in h_list]
-    return {"epsilon": eps, "epsdot": value,
-            "fd_values": [float(d) for d in diffs],
-            "fd_errors": [float(e) for e in errors],
-            "fd_floors": floors, "h_list": [float(h) for h in h_list],
-            "slope": loglog_slope(h_list, errors, floors)}
 
 
 def check_2d_first_order():

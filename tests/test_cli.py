@@ -214,6 +214,27 @@ def test_cli_import_loads_no_numerical_module():
     assert run.stdout.strip() == "False"
 
 
+def test_plane_jobs_do_not_load_the_acceptance_suite(tmp_path):
+    # the 2D perturb and dn-derivative engines live in dtn_shape; only the
+    # validate command loads the acceptance suite
+    src = os.path.dirname(os.path.dirname(os.path.abspath(plasmeig.__file__)))
+    jobs = {"perturb": {"mode": "2d", "curve": ELLIPSE,
+                        "a": {"cos": [0, 0, 1]}, "N": 32, "num_eigs": 4},
+            "dn-derivative": {"curve": ELLIPSE, "a": {"cos": [0, 0, 1]},
+                              "N": 32}}
+    for command, job in jobs.items():
+        cfg = write_config(tmp_path, "job.json", job)
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys\n"
+             "from plasmeig.cli import main\n"
+             "code = main([%r, '--config', %r, '--out', %r])\n"
+             "print(code in (0, 1), 'plasmeig.validate' in sys.modules)"
+             % (command, cfg, str(tmp_path / "out"))],
+            env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+            text=True, check=True)
+        assert run.stdout.split()[-2:] == ["True", "False"], command
+
+
 def test_spectrum_routes_agree(tmp_path):
     values = {}
     for route in ("dtn", "np"):

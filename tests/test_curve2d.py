@@ -8,7 +8,8 @@ from hypothesis import given, strategies as st
 
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve, tangential_derivative)
-from plasmeig.errors import ConfigError, GeometryError, PerturbationError
+from plasmeig.errors import (ConfigError, GeometryError, PerturbationError,
+                             PlasmeigError)
 
 _TWOPI = 2.0 * math.pi
 
@@ -140,6 +141,26 @@ def test_shift_losing_star_shape_is_rejected():
     assert info.value.operation == "perturbed_sample"
     assert "fold" in info.value.contract
     assert "h=1.5" in info.value.detail
+
+
+@pytest.mark.parametrize("h", [1e154, 1e160, 1e200])
+def test_overflowing_shift_is_refused_by_perturbed_sample(h):
+    # at 1e154 the shifted nodes leave the normal offset range; from 1e160
+    # their squared radii overflow, which must not pass the star-shape test
+    # on NaN angles. Either way the error names the caller's operation
+    a = ShapeFn2D(cos=(1.0,))
+    with np.errstate(all="ignore"), pytest.raises(PlasmeigError) as info:
+        perturbed_sample(CurveParam.ellipse(2.0, 1.0), a, [0.0, h], 64)
+    assert info.value.operation == "perturbed_sample"
+    if h >= 1e160:
+        assert isinstance(info.value, PerturbationError)
+        assert "h=%g" % h in info.value.detail
+
+
+def test_large_shift_within_range_still_samples():
+    _, shifted = perturbed_sample(CurveParam.ellipse(2.0, 1.0),
+                                  ShapeFn2D(cos=(1.0,)), [0.0, 1e140], 64)
+    assert np.all(np.isfinite(shifted.curvature))
 
 
 def test_config_validation():

@@ -6,14 +6,13 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from plasmeig import spectrum2d, validate
+from plasmeig import dtn_shape, spectrum2d, validate
 from plasmeig.curve2d import CurveParam, ShapeFn2D
-from plasmeig.dtn_shape import fd_flags
+from plasmeig.dtn_shape import epsdot_fd_report, fd_flags
 from plasmeig.errors import ConfigError
 from plasmeig.spectrum2d import solve_plasmonic
 from plasmeig.validate import (CHECK_NAMES, ELLIPSE, disk_integral_epsdot_y20,
-                               elliptic_eigenvalues, epsdot_fd_report,
-                               run_all)
+                               elliptic_eigenvalues, run_all)
 
 import oracle2d
 from test_spectrum2d import count_block_steps
@@ -72,6 +71,16 @@ def test_epsdot_fd_report_needs_two_steps():
     with pytest.raises(ConfigError, match="distinct positive"):
         epsdot_fd_report(CurveParam.from_config(ELLIPSE),
                          ShapeFn2D(cos=(0.0, 1.0)), [1e-2])
+
+
+@pytest.mark.parametrize("index", [-1, 10])
+def test_epsdot_fd_report_refuses_an_index_outside_the_selection(index):
+    # a negative index would wrap round the selection, num would run past it
+    with pytest.raises(ConfigError, match="index") as info:
+        epsdot_fd_report(CurveParam.from_config(ELLIPSE),
+                         ShapeFn2D(cos=(0.0, 0.0, 1.0)), [1e-2, 5e-3],
+                         n=64, num=10, index=index)
+    assert info.value.operation == "epsdot_fd_report"
 
 
 FLOORS = [1e-6, 2e-6, 4e-6]
@@ -180,13 +189,13 @@ def followed_eigenvalues(monkeypatch, case):
     """Each follow_branch call of the 2D perturb job of case: its DtN pair
     and the eigenvalue it returned."""
     calls = []
-    follow = validate.follow_branch
+    follow = dtn_shape.follow_branch
 
     def recording(dtn, *args):
         calls.append((dtn, follow(dtn, *args)))
         return calls[-1][1]
 
-    monkeypatch.setattr(validate, "follow_branch", recording)
+    monkeypatch.setattr(dtn_shape, "follow_branch", recording)
     curve, shape, index = FOLLOWED[case]
     epsdot_fd_report(CurveParam.from_config(curve),
                      ShapeFn2D.from_config(shape), H_LIST, index=index)
