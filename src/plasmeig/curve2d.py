@@ -256,10 +256,10 @@ def _geometry_from_derivatives(t, der, operation):
                             "smallest neighbour offset %.3g, extent %.3g"
                             % (step, extent))
     speed = np.linalg.norm(xp, axis=-1)
-    if speed.min() <= 0:
+    if not (speed.min() > 0 and speed.max() < np.inf):
         raise GeometryError("curve2d", operation,
-                            "parametrization must be regular (|x'| > 0)",
-                            "min speed %.3g" % speed.min())
+                            "parametrization must be regular (0 < |x'| < inf)",
+                            "speed in [%.3g, %.3g]" % (speed.min(), speed.max()))
     tangents = xp / speed[:, None]
     normals = np.stack([tangents[:, 1], -tangents[:, 0]], axis=-1)
     cross = xp[:, 0] * xpp[:, 1] - xp[:, 1] * xpp[:, 0]
@@ -364,26 +364,21 @@ def _shifted(terms, h):
 
 def _check_star_shaped(h, terms):
     p, pp, _ = _shifted(terms, h)
-    xp = terms[0][1]
-    r2 = np.einsum("ij,ij->i", p, p)
-    # written as not (x > 0) so that a NaN fails every test
-    if not (r2.min() > 0 and r2.max() < np.inf):
-        raise PerturbationError("curve2d", "perturbed_sample",
-                                "shifted boundary must stay away from the "
-                                "origin and its squared radii finite",
-                                "h=%g, |p|^2 in [%.3g, %.3g]"
-                                % (h, r2.min(), r2.max()))
-    dtheta = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / r2
-    if not dtheta.min() > 0:
-        raise PerturbationError(
-            "curve2d", "perturbed_sample",
-            "shifted boundary must stay star-shaped (no local self-intersection)",
-            "h=%g, min dtheta/dt=%.3g" % (h, dtheta.min()))
-    # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
-    fold = np.einsum("ij,ij->i", xp, pp)
-    if not fold.min() > 0:
-        raise PerturbationError(
-            "curve2d", "perturbed_sample",
-            "normal shift must not fold the boundary (x'.p' > 0, "
-            "i.e. 1 - h a kappa > 0)",
-            "h=%g, min x'.p'=%.3g" % (h, fold.min()))
+    with np.errstate(all="ignore"):  # an overflow or a NaN is refused below
+        r2 = np.einsum("ij,ij->i", p, p)
+        dtheta = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / r2
+        # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
+        fold = np.einsum("ij,ij->i", terms[0][1], pp)
+    for name, values, contract in (
+            ("|p|^2", r2, "shifted boundary must stay away from the origin"),
+            ("dtheta/dt", dtheta, "shifted boundary must stay star-shaped "
+             "(no local self-intersection)"),
+            ("x'.p'", fold, "normal shift must not fold the boundary "
+             "(1 - h a kappa > 0)")):
+        # written as not (x > 0) so that a NaN fails every test
+        if not (values.min() > 0 and values.max() < np.inf):
+            raise PerturbationError(
+                "curve2d", "perturbed_sample",
+                "%s, with finite %s > 0" % (contract, name),
+                "h=%g, %s in [%.3g, %.3g]"
+                % (h, name, values.min(), values.max()))

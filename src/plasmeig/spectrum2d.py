@@ -7,7 +7,7 @@ Computes permittivities eps for which the transmission problem
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: the DtN route (at large N a block Arnoldi
-step on K*; else, or if that step does not settle the selection, a
+step on K*, grown until it settles the selection; else, or past its cap, a
 symmetric eigensolve of the DtN pencil on mean-zero densities) and the
 classical Neumann-Poincare route through every eigenvalue of K*. All find
 eigendensities phi from S and K* alone and share one normalization of phi
@@ -33,12 +33,12 @@ _TIE = 1e3 * np.finfo(float).eps
 # panels of bem2d's _BLOCK_ENTRIES (at N = 1024, 32 rows: 0.83-0.89 ms for 8
 # columns, against 1.14 ms as one GEMM and 0.37 ms for one column), and
 # accepts residuals up to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20 ms
-# (median) on the spectrum_large curves. Its cap, the dimension k + 160, comes
-# from the spectrum: K*'s eigenvalues decay at a rate set by the curve, so a
-# curve needs the dimension k plus an excess that does not grow with k. On
-# ellipses at k = 13 to 52 the excess was 20-35 at aspect 2, 68-75 at 10,
-# 104-108 at 20, 124-132 at 30 and 146-152 at 40; 160 covers them all, and
-# a curve that needs more is left to the dense pencil.
+# (median) on the spectrum_large curves. A failed selection guard grows k by
+# one block. The cap, the dimension k + 160 for the first k, comes from the
+# spectrum: K*'s eigenvalues decay at a rate set by the curve, so a curve
+# needs k plus an excess that does not grow with k. On ellipses at k = 13 to
+# 52 the excess was 20-35 at aspect 2, 68-75 at 10, 104-108 at 20, 124-132
+# at 30 and 146-152 at 40; 160 covers them all.
 _ARNOLDI_MARGIN = 12
 _ARNOLDI_N_PER_PAIR = 8
 _BLOCK = 8
@@ -226,12 +226,12 @@ def _project_out(basis, x):
     return c
 
 
-def _block_krylov(k_star, k):
-    """The k eigenpairs (lam, phi) of K* of largest modulus by block Arnoldi
-    from a fixed start block, or None if some pair has not converged by the
-    dimension k + 160 (at most N - 8, so that the basis and the block after
-    it stay orthonormal). phi is (2N, k): one Ritz vector per column, with
-    K* phi stacked below it.
+def _block_krylov(sample, k_star, num):
+    """The num eps farthest from 1 and densities phi (2N x num, K* phi below
+    phi) that _k_star_pairs selects from the k K* eigenpairs of largest
+    modulus by block Arnoldi (fixed start block), k = num + margin growing
+    a block per failed _selection_complete; None past the dimension k + 160
+    for the first k (at most N - 8, so V and its next block stay orthonormal).
 
     K* V_j is formed in row panels of _BLOCK_ENTRIES entries and kept, raw,
     beside the basis V in one column-major allocation, so K* phi = (K* V) y
@@ -244,9 +244,9 @@ def _block_krylov(k_star, k):
     from its Schur form H = Z T Z^T (permuted, not scaled, which would spoil
     the vectors of roundoff eigenvalues) and y = Z x for T x = x lam. A
     failed check at residual ratio r skips log10(r) / 2 blocks (residuals
-    fell about two decades a block).
+    fell about two decades a block), a failed guard one block.
     """
-    n, b = len(k_star), _BLOCK
+    n, b, k = len(k_star), _BLOCK, num + _ARNOLDI_MARGIN
     norm = scipy.linalg.norm(k_star, 1, check_finite=False)
     tol = _BLOCK_TOL * np.finfo(float).eps * norm
     check = b * -(-(k + 20) // b)
@@ -287,22 +287,27 @@ def _block_krylov(k_star, k):
             if worst <= 1.0 and np.all(
                     np.linalg.norm(h @ y - y * lam, axis=0) <= tol):
                 y = np.ascontiguousarray(y)
-                return lam, (krylov[:, :m] @ y.view(float)).view(y.dtype)
+                eps, phi = _k_star_pairs(
+                    sample, lam, (krylov[:, :m] @ y.view(float)).view(y.dtype),
+                    num, "solve_plasmonic")
+                if _selection_complete(lam, eps):
+                    return eps, phi
+                k += b
             check += b * max(1, int(np.log10(max(worst, 1.0))) // 2)
     return None
+
+
+def _takes_block_step(n, num):
+    """When solve_plasmonic, and so follow_branch, takes the block step."""
+    return n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN)
 
 
 def solve_plasmonic(dtn, num=20):
     """DtN route: the num eigenvalues eps farthest from 1, from S and K*.
 
-    When N >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN), the k = num +
-    margin K* eigenvalues lam of largest modulus come from the block Arnoldi
-    step _block_krylov (K* read once per block of 8 vectors; its spectrum
-    decays geometrically, so at k = 52 a space of 72-80 vectors holds them on
-    star curves, 120 on ellipses of aspect 10 and 160 at aspect 20). lam maps
-    as in np_route (|lam| < 1/2 for each kept one). If the step has not
-    converged by its cap k + 160, or _selection_complete fails, the dense
-    pencil below solves.
+    When _takes_block_step, _block_krylov finds as many K* eigenvalues lam
+    of largest modulus as _selection_complete needs and maps them as np_route
+    does (|lam| < 1/2 for each kept one); past its cap the pencil below solves.
 
     The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
     with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
@@ -313,15 +318,10 @@ def solve_plasmonic(dtn, num=20):
     both forms symmetric. Either way every eigenfunction must have positive
     interior energy, and nothing is factored."""
     check_num(num, dtn.sample.n, "solve_plasmonic")
-    k = num + _ARNOLDI_MARGIN
-    if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * k:
-        pairs = _block_krylov(dtn.np_adjoint, k)
+    if _takes_block_step(dtn.sample.n, num):
+        pairs = _block_krylov(dtn.sample, dtn.np_adjoint, num)
         if pairs is not None:
-            lam, phi = pairs
-            eps, phi = _k_star_pairs(dtn.sample, lam, phi, num,
-                                     "solve_plasmonic")
-            if _selection_complete(lam, eps):
-                return _spectrum(dtn, eps, *np.split(phi, 2), "dtn")
+            return _spectrum(dtn, pairs[0], *np.split(pairs[1], 2), "dtn")
     aminus, aplus, root, v = _mean_zero_pencil(dtn)
     mu, y = _pencil_eigh(aminus, aplus, "solve_plasmonic", overwrite_a=True,
                          overwrite_b=True)
@@ -353,7 +353,7 @@ def follow_branch(dtn, eps, start, branch, num):
     The densities are node values; on a shifted sample whose nodes are the
     images of the base nodes (perturbed_sample), base densities carry over
     node for node."""
-    if dtn.sample.n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN):
+    if _takes_block_step(dtn.sample.n, num):
         spec = solve_plasmonic(dtn, num)
         flux = dtn.sample.weights * (dtn.np_adjoint @ branch + 0.5 * branch)
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps

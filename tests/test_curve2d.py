@@ -1,12 +1,14 @@
 """Curve sampling, spectral differentiation and the normal-shift map."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
+from plasmeig.curve2d import (CurveParam, ShapeFn2D,
+                              _geometry_from_derivatives, perturbed_sample,
                               sample_curve, tangential_derivative)
 from plasmeig.errors import (ConfigError, GeometryError, PerturbationError,
                              PlasmeigError)
@@ -145,9 +147,9 @@ def test_shift_losing_star_shape_is_rejected():
 
 @pytest.mark.parametrize("h", [1e154, 1e160, 1e200])
 def test_overflowing_shift_is_refused_by_perturbed_sample(h):
-    # at 1e154 the shifted nodes leave the normal offset range; from 1e160
-    # their squared radii overflow, which must not pass the star-shape test
-    # on NaN angles. Either way the error names the caller's operation
+    # at 1e154 the star-check values dtheta/dt overflow (see below); from
+    # 1e160 the squared radii overflow, which must not pass the star-shape
+    # test on NaN angles. Either way the error names the caller's operation
     a = ShapeFn2D(cos=(1.0,))
     with np.errstate(all="ignore"), pytest.raises(PlasmeigError) as info:
         perturbed_sample(CurveParam.ellipse(2.0, 1.0), a, [0.0, h], 64)
@@ -155,6 +157,33 @@ def test_overflowing_shift_is_refused_by_perturbed_sample(h):
     if h >= 1e160:
         assert isinstance(info.value, PerturbationError)
         assert "h=%g" % h in info.value.detail
+
+
+def test_infinite_star_check_values_are_refused_without_warning():
+    # at h = 1e154 the squared radii stay finite, but 90 of the 720
+    # star-check values dtheta/dt overflow to +inf: the star check refuses
+    # them, naming h, and raises no numpy warning on the way; at 1e153 the
+    # shifted curve still samples
+    curve, a = CurveParam.ellipse(2.0, 1.0), ShapeFn2D(cos=(1.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(PerturbationError) as info:
+            perturbed_sample(curve, a, [0.0, 1e154], 64)
+        _, shifted = perturbed_sample(curve, a, [0.0, 1e153], 64)
+    assert info.value.operation == "perturbed_sample"
+    assert "star-shaped" in info.value.contract
+    assert "h=1e+154" in info.value.detail
+    assert np.all(np.isfinite(shifted.curvature))
+
+
+def test_infinite_speed_is_not_regular():
+    t = np.linspace(0.0, _TWOPI, 8, endpoint=False)
+    x = np.stack([np.cos(t), np.sin(t)], axis=-1)
+    xp = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+    xp[3] = np.inf
+    with pytest.raises(GeometryError) as info:
+        _geometry_from_derivatives(t, (x, xp, -x), "sample_curve")
+    assert "regular" in info.value.contract
 
 
 def test_large_shift_within_range_still_samples():

@@ -16,6 +16,7 @@ from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
                                  _selection_complete, criticality_residual,
                                  np_route, rayleigh, select_far_from_one,
                                  solve_plasmonic)
+from plasmeig.validate import elliptic_eigenvalues
 
 from oracle2d import ellipse_plasmonic_eigenvalues
 
@@ -32,12 +33,12 @@ def bordered_residuals(dtn, eps, g):
 
 def count_block_steps(monkeypatch):
     """Record the block Arnoldi steps (_block_krylov) on K*: one entry per
-    call, True when the step converged."""
+    call, True when the step returned a selection."""
     calls = []
     step = spectrum2d._block_krylov
 
-    def counted(k_star, k):
-        pairs = step(k_star, k)
+    def counted(sample, k_star, num):
+        pairs = step(sample, k_star, num)
         calls.append(pairs is not None)
         return pairs
 
@@ -60,13 +61,13 @@ class PassCounter(np.ndarray):
         return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
 
-def block_step_passes(k_star, k):
-    """_block_krylov(k_star, k) and its passes over K*: one per N rows read,
-    however many row panels a pass is split into."""
-    counted = k_star.view(PassCounter)
+def block_step_passes(dtn, num):
+    """_block_krylov on dtn's K* for num values and its passes over K*: one
+    per N rows read, however many row panels a pass is split into."""
+    counted = dtn.np_adjoint.view(PassCounter)
     counted.rows = [0]
-    pairs = spectrum2d._block_krylov(counted, k)
-    passes, rest = divmod(counted.rows[0], len(k_star))
+    pairs = spectrum2d._block_krylov(dtn.sample, counted, num)
+    passes, rest = divmod(counted.rows[0], len(counted))
     assert rest == 0
     return pairs, passes
 
@@ -191,8 +192,8 @@ def test_block_route_residuals_equal_the_dtn_residuals(monkeypatch):
     ref = bordered_residuals(dtn, spec.eigenvalues, g)
     ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
     assert np.all(np.abs(spec.residuals - ref) <= 1e-10 * np.maximum(1.0, ng))
-    phi, k_star_phi = np.split(spectrum2d._block_krylov(dtn.np_adjoint, 52)[1],
-                               2)
+    phi, k_star_phi = np.split(
+        spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)[1], 2)
     bound = 100 * np.finfo(float).eps * np.linalg.norm(dtn.np_adjoint, 1)
     assert np.all(np.linalg.norm(k_star_phi - dtn.np_adjoint @ phi, axis=0)
                   <= bound * np.linalg.norm(phi, axis=0))
@@ -387,8 +388,8 @@ def test_block_step_deflates_rank_deficient_blocks(monkeypatch, curve):
     ref = np_route(dtn, num=40).eigenvalues
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-13 * ref)
     assert np.max(spec.residuals) < 1e-12
-    first = spectrum2d._block_krylov(dtn.np_adjoint, 52)
-    second = spectrum2d._block_krylov(dtn.np_adjoint, 52)
+    first = spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)
+    second = spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
@@ -406,8 +407,8 @@ def test_block_step_pass_count(curve, passes):
     # timing): K* is read once per block of 8 vectors, 9, 10 and 20 times
     # for k = 52 at N = 1024 (the dimensions 72, 80 and 160). STAR is a
     # random star curve of the spectrum_large workload
-    pairs, counted = block_step_passes(
-        build_dtn(sample_curve(curve, 1024)).np_adjoint, 52)
+    pairs, counted = block_step_passes(build_dtn(sample_curve(curve, 1024)),
+                                       40)
     assert pairs is not None
     assert counted == passes
 
@@ -418,7 +419,7 @@ def test_one_decomposition_per_check(monkeypatch, curve, dims):
     # real Schur form T, whose eigenvectors then give the Ritz vectors; at
     # k = 52 and N = 1024 STAR is checked at the dimensions 72 and 80 and
     # KITE at 72
-    k_star = build_dtn(sample_curve(curve, 1024)).np_adjoint
+    dtn = build_dtn(sample_curve(curve, 1024))
     seen = {"schur": [], "eig": []}
     for name, calls in seen.items():
         def spy(a, *args, _real=getattr(spectrum2d.scipy.linalg, name),
@@ -426,7 +427,7 @@ def test_one_decomposition_per_check(monkeypatch, curve, dims):
             _calls.append(len(a))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(spectrum2d.scipy.linalg, name, spy)
-    assert spectrum2d._block_krylov(k_star, 52) is not None
+    assert spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40) is not None
     assert seen == {"schur": dims, "eig": dims}
 
 
@@ -435,9 +436,12 @@ def test_one_decomposition_per_check(monkeypatch, curve, dims):
 def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
                                                      vectors):
     # on the kite, the eigenvectors x of the Schur form T, and so the Ritz
-    # vectors y = Z x, are real at the accepting check at N = 128 (every
-    # Ritz value real) and complex at N = 256; either kind reaches the basis
-    # and the stored products K* V as one real product on y.view(float)
+    # vectors y = Z x, are real at the accepting check at N = 128 (k = 16,
+    # num = 4, every Ritz value real) and complex at N = 256 (k = 22,
+    # num = 10); either kind reaches the basis and the stored products K* V
+    # as one real product on y.view(float), and each selected density is a
+    # K* eigenvector
+    num = k - spectrum2d._ARNOLDI_MARGIN
     kinds = []
     eig = spectrum2d.scipy.linalg.eig
 
@@ -447,10 +451,12 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
         return lam, x
 
     monkeypatch.setattr(spectrum2d.scipy.linalg, "eig", spy)
-    k_star = build_dtn(sample_curve(KITE, n)).np_adjoint
-    lam, pairs = spectrum2d._block_krylov(k_star, k)
+    dtn = build_dtn(sample_curve(KITE, n))
+    k_star = dtn.np_adjoint
+    eps, pairs = spectrum2d._block_krylov(dtn.sample, k_star, num)
+    lam = (eps - 1.0) / (2.0 * (eps + 1.0))
     assert kinds[-1] == vectors
-    assert pairs.shape == (2 * n, k)
+    assert pairs.shape == (2 * n, num)
     phi, k_star_phi = np.split(pairs, 2)
     bound = 100 * np.finfo(float).eps * np.linalg.norm(k_star, 1)
     size = np.linalg.norm(phi, axis=0)
@@ -461,21 +467,23 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
 
 
 def test_block_step_stops_within_the_space():
-    # at N = 104 and k = 13 the cap k + 160 passes N: the step stops at the
-    # dimension 96, whose next block fills the space, after 12 passes over
-    # K*, and ellipse(30, 1) needs more
+    # at N = 104 and num = 1 (k = 13) the cap k + 160 passes N: the step
+    # stops at the dimension 96, whose next block fills the space, after 12
+    # passes over K*, and ellipse(30, 1) needs more
     dtn = build_dtn(sample_curve(CurveParam.ellipse(30.0, 1.0), 104))
-    assert block_step_passes(dtn.np_adjoint, 13) == (None, 12)
+    assert block_step_passes(dtn, 1) == (None, 12)
 
 
 def test_block_step_memory_stays_below_one_matrix():
     # the step keeps K* V beside the basis V, one basis-sized array more,
     # and makes no N x N temporary: at N = 1024 and k = 52 its tracemalloc
-    # peak was 6.1 MB, below the 8.4 MB of one N x N float64 matrix
-    k_star = build_dtn(sample_curve(STAR, 1024)).np_adjoint
+    # peak, with the selection made inside the step, was 6.9 MB, below the
+    # 8.4 MB of one N x N float64 matrix
+    dtn = build_dtn(sample_curve(STAR, 1024))
     tracemalloc.start()
     try:
-        assert spectrum2d._block_krylov(k_star, 52) is not None
+        assert spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint,
+                                        40) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -501,18 +509,45 @@ def test_selection_guard_sees_a_cut_through_the_wanted_values():
         assert np.array_equal(chosen, exact) is complete
 
 
-def test_failed_guard_falls_back_to_the_dense_pencil(monkeypatch):
-    # with a margin of 1 on ellipse(20, 1) the block step converges, but its
-    # num + 1 pairs fail the guard
+def count_dense_solves(monkeypatch):
+    """Record the dense pencil solves (_pencil_eigh) by operation."""
+    calls = []
+    solve = spectrum2d._pencil_eigh
+
+    def counted(aminus, aplus, operation, **options):
+        calls.append(operation)
+        return solve(aminus, aplus, operation, **options)
+
+    monkeypatch.setattr(spectrum2d, "_pencil_eigh", counted)
+    return calls
+
+
+def test_failed_guard_grows_the_block_step(monkeypatch):
+    # with a margin of 1 on ellipse(20, 1) the block step converges at
+    # k = 21, but its num + 1 pairs fail the guard; k grows to 29, and the
+    # run converges at the dimension 136 with the dense pencil's answer
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
-    dense = solve_plasmonic(dtn, num=20)
+    dense = solve_plasmonic(dtn, num=20).eigenvalues
     calls = count_block_steps(monkeypatch)
+    solves = count_dense_solves(monkeypatch)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", 1)
     spec = solve_plasmonic(dtn, num=20)
     assert calls == [True]
-    assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+    assert solves == []
+    assert np.all(np.abs(spec.eigenvalues - dense) <= 1e-13 * np.abs(dense))
+
+
+def test_elongated_ellipse_needs_no_dense_solve(monkeypatch):
+    # ellipse(40, 1) at N = 1024: the first converged selection of num 40
+    # (k = 52) fails the guard, and one more block (k = 60) settles it
+    solves = count_dense_solves(monkeypatch)
+    spec = solve_plasmonic(
+        build_dtn(sample_curve(CurveParam.ellipse(40.0, 1.0), 1024)), num=40)
+    assert solves == []
+    exact = np.array(elliptic_eigenvalues(40.0, 1.0, 40))
+    assert np.all(np.abs(spec.eigenvalues - exact) <= 3e-13 * exact)
 
 
 def test_unconverged_block_step_falls_back_to_the_dense_pencil(monkeypatch):
@@ -521,6 +556,7 @@ def test_unconverged_block_step_falls_back_to_the_dense_pencil(monkeypatch):
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
     dense = solve_plasmonic(dtn, num=20)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
-    monkeypatch.setattr(spectrum2d, "_block_krylov", lambda k_star, k: None)
+    monkeypatch.setattr(spectrum2d, "_block_krylov",
+                        lambda sample, k_star, num: None)
     spec = solve_plasmonic(dtn, num=20)
     assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
