@@ -23,7 +23,9 @@ g = P S phi, P = I - 1 w^T / sum(w), without B; interior_data forms g and
 N- g from the K* phi its caller holds. A DtNPair assembles only S and K*;
 its maps are applied, never stored, and the bordered system is factored on
 the first apply. Work on densities (both spectrum routes, the plane
-eigenvalue derivative) factors nothing.
+eigenvalue derivative) factors nothing. On a mirror-symmetric sample S and
+K* commute with the node reversal j -> -j mod N, and spectrum2d's dense
+eigensolves run on the even and the odd half of DtNPair.halves.
 
 S and K* are plain (N, N) arrays acting on node values, the two halves of
 one (2, N, N) allocation (see build_dtn); the quadrature weights of the
@@ -50,6 +52,8 @@ _RCOND_FLOOR = 1e-12
 # whole-matrix passes; at N = 128 one block took 0.28 ms (whole-matrix
 # passes 0.31 ms, 32 rows 0.37 ms).
 _BLOCK_ENTRIES = 1 << 15
+# Largest relative mirror mismatch of a mirror-symmetric sample
+_MIRROR_TOL = 1e-12
 
 
 class DtNPair:
@@ -72,6 +76,25 @@ class DtNPair:
         return _checked_lu(big, "build_dtn",
                            "bordered single-layer system must be invertible")
 
+    @functools.cached_property
+    def halves(self):
+        """The even and odd DtNHalf when node -j mod N is the reflection
+        (x, -y) of node j, with its normal, speed and curvature, to roundoff
+        (cos-only Fourier curves and ellipses: 2.3e-14 of scale at most, to
+        N = 4096); else the one DtNHalf of the whole sample."""
+        sample, m = self.sample, self.sample.n // 2
+        mirror = -np.arange(sample.n) % sample.n
+        halves = [(slice(0, m + 1), 1.0), (slice(1, m), -1.0)]
+        if not all(np.all(np.abs(f[mirror] * flip - f)
+                          <= _MIRROR_TOL * np.abs(f).max(axis=0))
+                   for f, flip in ((sample.nodes, [1.0, -1.0]),
+                                   (sample.normals, [1.0, -1.0]),
+                                   (sample.speed, 1.0),
+                                   (sample.curvature, 1.0))):
+            halves = [(None, 1.0)]
+        return [DtNHalf(self.single_layer, self.np_adjoint, sample.weights,
+                        *half) for half in halves]
+
     def apply(self, g):
         """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi) with phi = B g,
         for one vector g or a block of columns, from one solve."""
@@ -89,6 +112,48 @@ class DtNPair:
         g = self.single_layer @ phi
         g -= (w @ g) / w.sum()
         return g, k_star_phi - 0.5 * phi
+
+
+class DtNHalf:
+    """S, K* and weights on the node values v = s R v of one mirror parity s:
+    coordinates y at nodes (0 to N/2 even, with the constants; 1 to N/2 - 1
+    odd), v = E y, S and K* as F A E (F restricts to nodes), weights
+    E^T diag(w) E. Without nodes it is the whole sample, and every map here
+    the identity."""
+
+    def __init__(self, single_layer, np_adjoint, weights, nodes=None,
+                 sign=1.0):
+        self.nodes, self.sign, self.n = nodes, sign, len(weights)
+        self.holds_constants = sign > 0
+        if nodes is not None:
+            index = np.arange(self.n)[nodes]
+            self.mirror = -index % self.n
+            # a node that is its own mirror (0 and N/2) counts once in E
+            self._once = np.where(index == self.mirror, 0.5, 1.0)
+            single_layer, np_adjoint = (self._fold(a[nodes], sign)
+                                        for a in (single_layer, np_adjoint))
+            weights = self._fold(weights, 1.0)
+        self.single_layer, self.np_adjoint = single_layer, np_adjoint
+        self.weights = weights
+
+    def _fold(self, a, sign):
+        """a E: the columns of each node and its mirror combined."""
+        return (a[..., self.nodes] + sign * a[..., self.mirror]) * self._once
+
+    def restrict(self, g):
+        """Coordinates of the half's part (g + s R g) / 2 of node values g."""
+        if self.nodes is None:
+            return g
+        return 0.5 * (g[self.nodes] + self.sign * g[self.mirror])
+
+    def extend(self, y):
+        """Node values E y of coordinates y."""
+        if self.nodes is None:
+            return y
+        v = np.zeros((self.n,) + y.shape[1:], dtype=y.dtype)
+        v[self.mirror] = self.sign * y
+        v[self.nodes] = y
+        return v
 
 
 def _log_quadrature_weights(n):

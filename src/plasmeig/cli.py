@@ -15,6 +15,7 @@ only errors, which imports no numerical module, loads with this one.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -255,7 +256,9 @@ _COMMANDS = {"spectrum": cmd_spectrum,
              "validate": cmd_validate}
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once (0.2 ms, as long as a trivial job)."""
     parser = argparse.ArgumentParser(
         prog="plasmeig",
         description="Plasmonic eigenvalues of smooth domains via "

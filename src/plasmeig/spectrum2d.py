@@ -9,16 +9,17 @@ has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: the DtN route (at large N a block Arnoldi
 step on K*, grown until it settles the selection; else, or past its cap, a
 symmetric eigensolve of the DtN pencil on mean-zero densities) and the
-classical Neumann-Poincare route through every eigenvalue of K*. All find
-eigendensities phi from S and K* alone and share one normalization of phi
-and g = P S phi. Eigenvalues accumulate at 1 from both sides; the selected
-ones are the num farthest from 1, reported in ascending order.
+classical Neumann-Poincare route through every eigenvalue of K*, dense
+solves per bem2d.DtNPair.halves. All find eigendensities phi from S and K*
+alone and share one normalization of phi and g = P S phi. Eigenvalues
+accumulate at 1 from both sides; the selected ones are the num farthest
+from 1, reported in ascending order.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .bem2d import _BLOCK_ENTRIES
+from .bem2d import _BLOCK_ENTRIES, DtNHalf
 from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalError
 
 _DENOM_TOL = 1e-12
@@ -52,6 +53,8 @@ _BLOCK_TOL = 50.0
 # accumulating at 1.
 _FOLLOW_SOLVES = 8
 _FOLLOW_TOL = 1e-11
+# Largest relative part of the other mirror parity in a one-parity density
+_PARITY_TOL = 1e-8
 
 
 class PlasmonicSpectrum:
@@ -119,21 +122,31 @@ def _reflect(v, a):
 
 
 def _mean_zero_block(mat, root, v):
-    """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2)."""
-    c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T[1:, 1:]
+    """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2). With v None
+    (no constants in the half) Q is diag(1 / root)."""
+    if v is None:
+        c = mat / np.outer(root, root)
+    else:
+        c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T[1:, 1:]
     return 0.5 * (c + c.T)
 
 
-def _mean_zero_pencil(dtn):
-    """(A-, A+, root, v): the DtN pencil of solve_plasmonic on the mean-zero
-    basis of _mean_zero_reflector(weights) = (root, v). Both forms are
-    exactly symmetric and Fortran-ordered, so they reach LAPACK uncopied."""
-    w = dtn.sample.weights
-    root, v = _mean_zero_reflector(w)
-    form = (dtn.single_layer - (w @ dtn.single_layer) / w.sum()).T * w
-    pair = _mean_zero_block(form @ dtn.np_adjoint, root, v)
-    half = 0.5 * _mean_zero_block(form, root, v)
-    return (pair - half).T, (-pair - half).T, root, v
+def _mean_zero_pencil(half):
+    """(A-, A+, root, v): the DtN pencil of solve_plasmonic on a
+    bem2d.DtNHalf, on the mean-zero basis of _mean_zero_reflector(weights)
+    = (root, v), or with v None on the odd half (mean-zero densities, P S =
+    S). Both forms are exactly symmetric and Fortran-ordered, so they reach
+    LAPACK uncopied."""
+    w, s = half.weights, half.single_layer
+    if half.holds_constants:
+        root, v = _mean_zero_reflector(w)
+        form = (s - (w @ s) / w.sum()).T * w
+    else:
+        root, v = np.sqrt(w), None
+        form = s.T * w
+    pair = _mean_zero_block(form @ half.np_adjoint, root, v)
+    mass = 0.5 * _mean_zero_block(form, root, v)
+    return (pair - mass).T, (-pair - mass).T, root, v
 
 
 def _pencil_eigh(aminus, aplus, operation, **options):
@@ -315,20 +328,29 @@ def solve_plasmonic(dtn, num=20):
     the M-orthonormal mean-zero basis Q of _mean_zero_reflector (O(N^2)),
     congruent to the DtN pencil on mean-zero data, so A+ is positive
     definite and mu > 0; the discrete Calderon identity S K* = K S makes
-    both forms symmetric. Either way every eigenfunction must have positive
-    interior energy, and nothing is factored."""
+    both forms symmetric; on a half they read the same in its S, K* and
+    weights, and the selection is made over both halves. Either way every
+    eigenfunction must have positive interior energy, and nothing is
+    factored."""
     check_num(num, dtn.sample.n, "solve_plasmonic")
     if _takes_block_step(dtn.sample.n, num):
         pairs = _block_krylov(dtn.sample, dtn.np_adjoint, num)
         if pairs is not None:
             return _spectrum(dtn, pairs[0], *np.split(pairs[1], 2), "dtn")
-    aminus, aplus, root, v = _mean_zero_pencil(dtn)
-    mu, y = _pencil_eigh(aminus, aplus, "solve_plasmonic", overwrite_a=True,
-                         overwrite_b=True)
-    eps = 1.0 / mu
+    eps, phi = [], []
+    for half in dtn.halves:
+        aminus, aplus, root, v = _mean_zero_pencil(half)
+        mu, y = _pencil_eigh(aminus, aplus, "solve_plasmonic",
+                             overwrite_a=True, overwrite_b=True)
+        # each half's num farthest from 1 hold its share of the selection
+        keep = select_far_from_one(1.0 / mu, num)
+        y = y[:, keep] if v is None else _reflect(
+            v, np.vstack([np.zeros(len(keep)), y[:, keep]]))
+        eps.append(1.0 / mu[keep])
+        phi.append(half.extend(y / root[:, None]))
+    eps = np.concatenate(eps)
     keep = select_far_from_one(eps, num)
-    z = np.vstack([np.zeros(len(keep)), y[:, keep]])
-    phi = _reflect(v, z) / root[:, None]
+    phi = np.take(np.hstack(phi), keep, axis=1)   # C order, as one block
     return _spectrum(dtn, eps[keep], phi, dtn.np_adjoint @ phi, "dtn")
 
 
@@ -339,7 +361,9 @@ def follow_branch(dtn, eps, start, branch, num):
 
     Below the size where solve_plasmonic takes the block step for num
     eigenvalues, this is block inverse iteration on the pencil of its dense
-    branch: one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
+    branch, on the half that holds branch (the whole pencil when branch
+    mixes the parities; start densities of the other parity drop out):
+    one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
     Rayleigh-Ritz on the block after each from the second on. The followed
     pair is the one of largest A+-weighted overlap with branch, not the one
     nearest eps, so two branches that cross between the guess and the answer
@@ -359,11 +383,16 @@ def follow_branch(dtn, eps, start, branch, num):
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
-    aminus, aplus, root, v = _mean_zero_pencil(dtn)
+    parts = [np.linalg.norm(h.restrict(branch)) for h in dtn.halves]
+    half = dtn.halves[int(np.argmax(parts))]
+    if min(parts) > _PARITY_TOL * max(parts):   # both parities, or one block
+        half = DtNHalf(dtn.single_layer, dtn.np_adjoint, dtn.sample.weights)
+    aminus, aplus, root, v = _mean_zero_pencil(half)
 
     def coordinates(phi):
         # Q^T M phi on the M-orthonormal mean-zero basis Q, one column each
-        return _reflect(v, root[:, None] * phi.reshape(len(root), -1))[1:]
+        x = root[:, None] * half.restrict(phi).reshape(len(root), -1)
+        return x if v is None else _reflect(v, x)[1:]
 
     def closest(vectors):
         # vectors are A+-orthonormal
@@ -372,7 +401,10 @@ def follow_branch(dtn, eps, start, branch, num):
     target = aplus @ coordinates(branch)[:, 0]
     lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
                                 check_finite=False)
-    block = aplus @ coordinates(start)
+    block = coordinates(start)
+    # start densities of the other parity have no part in the half
+    norms = np.linalg.norm(block, axis=0)
+    block = aplus @ np.compress(norms > _PARITY_TOL * norms.max(), block, 1)
     for solve in range(_FOLLOW_SOLVES):
         y = np.linalg.qr(scipy.linalg.lu_solve(lu, block,
                                                check_finite=False))[0]
@@ -395,11 +427,14 @@ def follow_branch(dtn, eps, start, branch, num):
 
 def np_route(dtn, num=20):
     """Neumann-Poincare route: eps = (1 + 2 lam) / (1 - 2 lam) from every
-    eigenvalue lam of K* (dense eig). The K* eigendensities are mean-zero up
-    to the quadrature error of the Gauss integral w^T K* = w^T / 2 and are
-    normalized like the DtN route's, so nothing is factored here either."""
+    eigenvalue lam of K* (dense eig per half). The K* eigendensities are
+    mean-zero up to the quadrature error of the Gauss integral w^T K* =
+    w^T / 2 and are normalized like the DtN route's, so nothing is
+    factored here either."""
     check_num(num, dtn.sample.n, "np_route")
-    lam, phi = scipy.linalg.eig(dtn.np_adjoint)
+    lam, phi = zip(*(scipy.linalg.eig(h.np_adjoint) for h in dtn.halves))
+    lam = np.concatenate(lam)
+    phi = np.hstack([h.extend(p) for h, p in zip(dtn.halves, phi)])
     eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
     return _spectrum(dtn, eps, phi, dtn.np_adjoint @ phi, "np")
 
@@ -447,20 +482,25 @@ def rayleigh(dtn, g):
 
 
 def criticality_residual(dtn, g, seed=0):
-    """Max first-order variation of the Rayleigh quotient at g.
+    """Max first-order variation of the Rayleigh quotient at g, or one per
+    column of g, the i-th probed from the seed seed + i.
 
     Probes _CRIT_DIRECTIONS random weighted-mean-zero directions with
-    central differences of step _CRIT_STEP, all 2 _CRIT_DIRECTIONS
-    quotients from one apply; near zero at eigenfunctions since they are
-    critical points.
+    central differences of step _CRIT_STEP, the 2 _CRIT_DIRECTIONS
+    quotients of every column from one apply; near zero at eigenfunctions
+    since they are critical points.
     """
     w = dtn.sample.weights
     base = np.asarray(g, dtype=float)
-    scale = np.sqrt(float(base @ (w * base)))
-    v = np.random.default_rng(seed).standard_normal(
-        (_CRIT_DIRECTIONS, len(base))).T
-    v -= (w @ v) / w.sum()
-    v *= scale / np.sqrt(w @ (v * v))
-    probes = base[:, None] + _CRIT_STEP * np.hstack([v, -v])
-    plus, minus = np.split(rayleigh(dtn, probes), 2)
-    return float(np.max(np.abs(plus - minus))) / (2.0 * _CRIT_STEP)
+    probes = []
+    for i, col in enumerate(base.reshape(len(base), -1).T):
+        scale = np.sqrt(float(col @ (w * col)))
+        v = np.random.default_rng(seed + i).standard_normal(
+            (_CRIT_DIRECTIONS, len(col))).T
+        v -= (w @ v) / w.sum()
+        v *= scale / np.sqrt(w @ (v * v))
+        probes.append(col[:, None] + _CRIT_STEP * np.hstack([v, -v]))
+    plus, minus = rayleigh(dtn, np.hstack(probes)).reshape(
+        -1, 2, _CRIT_DIRECTIONS).transpose(1, 0, 2)
+    worst = np.max(np.abs(plus - minus), axis=1) / (2.0 * _CRIT_STEP)
+    return float(worst[0]) if base.ndim == 1 else worst
