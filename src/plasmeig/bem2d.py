@@ -23,11 +23,14 @@ g = P S phi, P = I - 1 w^T / sum(w), without B; interior_data forms g and
 N- g from the K* phi its caller holds. A DtNPair assembles only S and K*;
 its maps are applied, never stored, and the bordered system is factored on
 the first apply. Work on densities (both spectrum routes, the plane
-eigenvalue derivative) factors nothing. On a mirror-symmetric sample S and
-K* commute with the node reversal j -> -j mod N, and spectrum2d's dense
-eigensolves run on the even and the odd half of DtNPair.halves.
+eigenvalue derivative) factors nothing.
 
-S and K* are plain (N, N) arrays acting on node values, the two halves of
+spectrum2d's dense eigensolves run per DtNBlock of DtNPair.blocks: the
+even and the odd block of a mirror-symmetric sample, whose S and K* commute
+with the node reversal j -> -j mod N, else the one block DtNPair.whole.
+Each block owns its fold, its mean-zero basis and its DtN pencil.
+
+S and K* are plain (N, N) arrays acting on node values, the two slices of
 one (2, N, N) allocation (see build_dtn); the quadrature weights of the
 discrete inner product <f, g> = sum f g w come only from the sample.
 """
@@ -58,8 +61,9 @@ _MIRROR_TOL = 1e-12
 
 class DtNPair:
     """S and K* on one curve sample, both read-only (N, N) arrays (from
-    build_dtn, the halves of one block), with the Dirichlet-to-Neumann maps
-    N- and N+ applied through one bordered LU factored on first use."""
+    build_dtn, the two slices of one allocation), with the
+    Dirichlet-to-Neumann maps N- and N+ applied through one bordered LU;
+    the LU and the symmetry blocks are formed on first use."""
 
     def __init__(self, sample, single_layer, np_adjoint):
         self.sample = sample
@@ -77,23 +81,29 @@ class DtNPair:
                            "bordered single-layer system must be invertible")
 
     @functools.cached_property
-    def halves(self):
-        """The even and odd DtNHalf when node -j mod N is the reflection
+    def whole(self):
+        """The one DtNBlock of the whole sample."""
+        return DtNBlock(self.single_layer, self.np_adjoint,
+                        self.sample.weights)
+
+    @functools.cached_property
+    def blocks(self):
+        """The even and odd DtNBlock when node -j mod N is the reflection
         (x, -y) of node j, with its normal, speed and curvature, to roundoff
         (cos-only Fourier curves and ellipses: 2.3e-14 of scale at most, to
-        N = 4096); else the one DtNHalf of the whole sample."""
+        N = 4096); else [whole]."""
         sample, m = self.sample, self.sample.n // 2
         mirror = -np.arange(sample.n) % sample.n
-        halves = [(slice(0, m + 1), 1.0), (slice(1, m), -1.0)]
         if not all(np.all(np.abs(f[mirror] * flip - f)
                           <= _MIRROR_TOL * np.abs(f).max(axis=0))
                    for f, flip in ((sample.nodes, [1.0, -1.0]),
                                    (sample.normals, [1.0, -1.0]),
                                    (sample.speed, 1.0),
                                    (sample.curvature, 1.0))):
-            halves = [(None, 1.0)]
-        return [DtNHalf(self.single_layer, self.np_adjoint, sample.weights,
-                        *half) for half in halves]
+            return [self.whole]
+        return [DtNBlock(self.single_layer, self.np_adjoint, sample.weights,
+                         *block)
+                for block in ((slice(0, m + 1), 1.0), (slice(1, m), -1.0))]
 
     def apply(self, g):
         """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi) with phi = B g,
@@ -114,17 +124,18 @@ class DtNPair:
         return g, k_star_phi - 0.5 * phi
 
 
-class DtNHalf:
+class DtNBlock:
     """S, K* and weights on the node values v = s R v of one mirror parity s:
     coordinates y at nodes (0 to N/2 even, with the constants; 1 to N/2 - 1
     odd), v = E y, S and K* as F A E (F restricts to nodes), weights
-    E^T diag(w) E. Without nodes it is the whole sample, and every map here
-    the identity."""
+    E^T diag(w) E; without nodes the whole sample, E the identity. Its
+    M-orthonormal mean-zero basis is Q = D^{-1} H[:, 1:], D = diag(sqrt(w)),
+    H the reflector taking sqrt(w) to the e1 axis; Q = D^{-1} on the odd
+    block, whose densities all are mean-zero."""
 
     def __init__(self, single_layer, np_adjoint, weights, nodes=None,
                  sign=1.0):
         self.nodes, self.sign, self.n = nodes, sign, len(weights)
-        self.holds_constants = sign > 0
         if nodes is not None:
             index = np.arange(self.n)[nodes]
             self.mirror = -index % self.n
@@ -135,13 +146,54 @@ class DtNHalf:
             weights = self._fold(weights, 1.0)
         self.single_layer, self.np_adjoint = single_layer, np_adjoint
         self.weights = weights
+        # H's vector; a block with the constants drops H's first coordinate
+        self._root, self._skip = np.sqrt(weights), int(sign > 0)
+        self._v = self._root / np.linalg.norm(self._root)
+        self._v[0] += 1.0   # weights are positive: no cancellation
 
     def _fold(self, a, sign):
         """a E: the columns of each node and its mirror combined."""
         return (a[..., self.nodes] + sign * a[..., self.mirror]) * self._once
 
+    def _reflect(self, a):
+        """H a, one rank-1 update; a itself on the odd block."""
+        if not self._skip:
+            return a
+        v = self._v
+        return a - np.outer(v, (2.0 / (v @ v)) * (v @ a))
+
+    def _mean_zero_block(self, mat):
+        """Q^T mat Q, symmetrized; O(N^2)."""
+        c = self._reflect(self._reflect(mat / np.outer(self._root, self._root))
+                          .T).T[self._skip:, self._skip:]
+        return 0.5 * (c + c.T)
+
+    def pencil(self):
+        """(A-, A+), spectrum2d.solve_plasmonic's DtN pencil on Q (P S = S on
+        the odd block); exactly symmetric and Fortran-ordered, so both reach
+        LAPACK uncopied."""
+        w, s = self.weights, self.single_layer
+        if self._skip:
+            s = s - (w @ s) / w.sum()
+        form = s.T * w
+        pair = self._mean_zero_block(form @ self.np_adjoint)
+        mass = 0.5 * self._mean_zero_block(form)
+        return (pair - mass).T, (-pair - mass).T
+
+    def coordinates(self, phi):
+        """Q^T M phi of node-value densities phi, one column each."""
+        x = self.restrict(phi).reshape(len(self._root), -1)
+        return self._reflect(self._root[:, None] * x)[self._skip:]
+
+    def densities(self, y):
+        """Node values E Q y of the columns of y."""
+        # Fortran order, as eigh's y: the layout fixes how v @ x sums
+        x = np.zeros((len(self._root), y.shape[1]), order="F")
+        x[self._skip:] = y
+        return self.extend(self._reflect(x) / self._root[:, None])
+
     def restrict(self, g):
-        """Coordinates of the half's part (g + s R g) / 2 of node values g."""
+        """Coordinates of the block's part (g + s R g) / 2 of node values g."""
         if self.nodes is None:
             return g
         return 0.5 * (g[self.nodes] + self.sign * g[self.mirror])
@@ -199,7 +251,7 @@ def build_dtn(sample):
     time; each block's offsets are cache-sized temporaries, and r^2 lives
     in the block's rows of S until their log replaces it.
 
-    S and K* are the halves of one (2, N, N) array. glibc keeps up to twice
+    S and K* are the two slices of one (2, N, N) array. glibc keeps up to twice
     its largest freed block in the heap, so the 16 MB pair stays for the
     next call (N = 1024), where two 8 MB arrays were trimmed and faulted in
     again: 2,000-2,600 minor faults per spectrum job, now none to N = 1448.

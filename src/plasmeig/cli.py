@@ -3,11 +3,11 @@
 Subcommands: spectrum | perturb | dn-derivative | validate. Every job is
 described by a JSON config (strict schemas, unknown keys rejected) and
 produces a ResultRecord serialized as canonical, strict JSON, so identical
-(config, seed) pairs yield byte-identical artifacts and a NaN or infinity
-among the outputs is a numerical error. The finite-difference jobs take
-their verdicts from dtn_shape.fd_flags. Wall-clock times are printed to
-stdout and never written into artifacts. Exit codes: 0 pass, 1 validation
-failure, 2 config error, 3 numerical error.
+(config, seed) pairs at one --threads count give byte-identical artifacts
+and an output NaN or infinity is a numerical error. The finite-difference
+jobs take their verdicts from dtn_shape.fd_flags. Wall-clock times are
+printed to stdout and never written into artifacts. Exit codes: 0 pass,
+1 validation failure, 2 config error, 3 numerical error.
 
 Numerical modules are imported inside the handlers so that --threads can
 pin the BLAS thread count through the environment before anything loads;

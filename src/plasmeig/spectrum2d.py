@@ -9,17 +9,17 @@ has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: the DtN route (at large N a block Arnoldi
 step on K*, grown until it settles the selection; else, or past its cap, a
 symmetric eigensolve of the DtN pencil on mean-zero densities) and the
-classical Neumann-Poincare route through every eigenvalue of K*, dense
-solves per bem2d.DtNPair.halves. All find eigendensities phi from S and K*
-alone and share one normalization of phi and g = P S phi. Eigenvalues
-accumulate at 1 from both sides; the selected ones are the num farthest
-from 1, reported in ascending order.
+classical Neumann-Poincare route through every eigenvalue of K*. Dense
+solves run per symmetry block of bem2d.DtNPair.blocks. All find
+eigendensities phi from S and K* alone and share one normalization of phi
+and g = P S phi. Eigenvalues accumulate at 1 from both sides; the selected
+ones are the num farthest from 1, reported in ascending order.
 """
 
 import numpy as np
 import scipy.linalg
 
-from .bem2d import _BLOCK_ENTRIES, DtNHalf
+from .bem2d import _BLOCK_ENTRIES
 from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalError
 
 _DENOM_TOL = 1e-12
@@ -101,52 +101,6 @@ class PlasmonicSpectrum:
         for k, (e, r) in enumerate(zip(self.eigenvalues, self.residuals)):
             lines.append("%d,%s,%s" % (k, repr(float(e)), repr(float(r))))
         return "\n".join(lines) + "\n"
-
-
-def _mean_zero_reflector(weights):
-    """sqrt(w) and the vector v of the reflector H taking sqrt(w) onto the e1 axis.
-
-    With D = diag(sqrt(w)), the columns of Q = D^{-1} H[:, 1:] are an
-    M-orthonormal basis of the weighted-mean-zero subspace, and Q^T A Q is
-    the trailing block of H (D^{-1} A D^{-1}) H.
-    """
-    root = np.sqrt(weights)
-    v = root / np.linalg.norm(root)
-    v[0] += 1.0   # weights are positive, so this adds without cancellation
-    return root, v
-
-
-def _reflect(v, a):
-    """H a for H = I - 2 v v^T / (v^T v): one rank-1 update."""
-    return a - np.outer(v, (2.0 / (v @ v)) * (v @ a))
-
-
-def _mean_zero_block(mat, root, v):
-    """Q^T mat Q on the mean-zero basis, symmetrized; O(N^2). With v None
-    (no constants in the half) Q is diag(1 / root)."""
-    if v is None:
-        c = mat / np.outer(root, root)
-    else:
-        c = _reflect(v, _reflect(v, mat / np.outer(root, root)).T).T[1:, 1:]
-    return 0.5 * (c + c.T)
-
-
-def _mean_zero_pencil(half):
-    """(A-, A+, root, v): the DtN pencil of solve_plasmonic on a
-    bem2d.DtNHalf, on the mean-zero basis of _mean_zero_reflector(weights)
-    = (root, v), or with v None on the odd half (mean-zero densities, P S =
-    S). Both forms are exactly symmetric and Fortran-ordered, so they reach
-    LAPACK uncopied."""
-    w, s = half.weights, half.single_layer
-    if half.holds_constants:
-        root, v = _mean_zero_reflector(w)
-        form = (s - (w @ s) / w.sum()).T * w
-    else:
-        root, v = np.sqrt(w), None
-        form = s.T * w
-    pair = _mean_zero_block(form @ half.np_adjoint, root, v)
-    mass = 0.5 * _mean_zero_block(form, root, v)
-    return (pair - mass).T, (-pair - mass).T, root, v
 
 
 def _pencil_eigh(aminus, aplus, operation, **options):
@@ -325,11 +279,11 @@ def solve_plasmonic(dtn, num=20):
     The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
     with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
     for A- = Q^T (PS)^T M (K* - 1/2) Q, A+ = -Q^T (PS)^T M (K* + 1/2) Q on
-    the M-orthonormal mean-zero basis Q of _mean_zero_reflector (O(N^2)),
+    the M-orthonormal mean-zero basis Q (O(N^2), DtNBlock.pencil),
     congruent to the DtN pencil on mean-zero data, so A+ is positive
     definite and mu > 0; the discrete Calderon identity S K* = K S makes
-    both forms symmetric; on a half they read the same in its S, K* and
-    weights, and the selection is made over both halves. Either way every
+    both forms symmetric. Each symmetry block solves its own pencil, and
+    the selection is made over all blocks. Either way every
     eigenfunction must have positive interior energy, and nothing is
     factored."""
     check_num(num, dtn.sample.n, "solve_plasmonic")
@@ -338,16 +292,13 @@ def solve_plasmonic(dtn, num=20):
         if pairs is not None:
             return _spectrum(dtn, pairs[0], *np.split(pairs[1], 2), "dtn")
     eps, phi = [], []
-    for half in dtn.halves:
-        aminus, aplus, root, v = _mean_zero_pencil(half)
-        mu, y = _pencil_eigh(aminus, aplus, "solve_plasmonic",
+    for block in dtn.blocks:
+        mu, y = _pencil_eigh(*block.pencil(), "solve_plasmonic",
                              overwrite_a=True, overwrite_b=True)
-        # each half's num farthest from 1 hold its share of the selection
+        # each block's num farthest from 1 hold its share of the selection
         keep = select_far_from_one(1.0 / mu, num)
-        y = y[:, keep] if v is None else _reflect(
-            v, np.vstack([np.zeros(len(keep)), y[:, keep]]))
         eps.append(1.0 / mu[keep])
-        phi.append(half.extend(y / root[:, None]))
+        phi.append(block.densities(y[:, keep]))
     eps = np.concatenate(eps)
     keep = select_far_from_one(eps, num)
     phi = np.take(np.hstack(phi), keep, axis=1)   # C order, as one block
@@ -361,8 +312,8 @@ def follow_branch(dtn, eps, start, branch, num):
 
     Below the size where solve_plasmonic takes the block step for num
     eigenvalues, this is block inverse iteration on the pencil of its dense
-    branch, on the half that holds branch (the whole pencil when branch
-    mixes the parities; start densities of the other parity drop out):
+    branch, on the symmetry block that holds branch (DtNPair.whole when
+    branch mixes the parities; start densities of the other parity drop out):
     one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
     Rayleigh-Ritz on the block after each from the second on. The followed
     pair is the one of largest A+-weighted overlap with branch, not the one
@@ -383,26 +334,21 @@ def follow_branch(dtn, eps, start, branch, num):
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
-    parts = [np.linalg.norm(h.restrict(branch)) for h in dtn.halves]
-    half = dtn.halves[int(np.argmax(parts))]
+    parts = [np.linalg.norm(b.restrict(branch)) for b in dtn.blocks]
+    home = dtn.blocks[int(np.argmax(parts))]
     if min(parts) > _PARITY_TOL * max(parts):   # both parities, or one block
-        half = DtNHalf(dtn.single_layer, dtn.np_adjoint, dtn.sample.weights)
-    aminus, aplus, root, v = _mean_zero_pencil(half)
-
-    def coordinates(phi):
-        # Q^T M phi on the M-orthonormal mean-zero basis Q, one column each
-        x = root[:, None] * half.restrict(phi).reshape(len(root), -1)
-        return x if v is None else _reflect(v, x)[1:]
+        home = dtn.whole
+    aminus, aplus = home.pencil()
 
     def closest(vectors):
         # vectors are A+-orthonormal
         return int(np.argmax(np.abs(vectors.T @ target)))
 
-    target = aplus @ coordinates(branch)[:, 0]
+    target = aplus @ home.coordinates(branch)[:, 0]
     lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
                                 check_finite=False)
-    block = coordinates(start)
-    # start densities of the other parity have no part in the half
+    block = home.coordinates(start)
+    # start densities of the other parity have no part in the home block
     norms = np.linalg.norm(block, axis=0)
     block = aplus @ np.compress(norms > _PARITY_TOL * norms.max(), block, 1)
     for solve in range(_FOLLOW_SOLVES):
@@ -427,14 +373,14 @@ def follow_branch(dtn, eps, start, branch, num):
 
 def np_route(dtn, num=20):
     """Neumann-Poincare route: eps = (1 + 2 lam) / (1 - 2 lam) from every
-    eigenvalue lam of K* (dense eig per half). The K* eigendensities are
-    mean-zero up to the quadrature error of the Gauss integral w^T K* =
-    w^T / 2 and are normalized like the DtN route's, so nothing is
-    factored here either."""
+    eigenvalue lam of K* (dense eig per symmetry block). The K*
+    eigendensities are mean-zero up to the quadrature error of the Gauss
+    integral w^T K* = w^T / 2 and are normalized like the DtN route's, so
+    nothing is factored here either."""
     check_num(num, dtn.sample.n, "np_route")
-    lam, phi = zip(*(scipy.linalg.eig(h.np_adjoint) for h in dtn.halves))
+    lam, phi = zip(*(scipy.linalg.eig(b.np_adjoint) for b in dtn.blocks))
     lam = np.concatenate(lam)
-    phi = np.hstack([h.extend(p) for h, p in zip(dtn.halves, phi)])
+    phi = np.hstack([b.extend(p) for b, p in zip(dtn.blocks, phi)])
     eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
     return _spectrum(dtn, eps, phi, dtn.np_adjoint @ phi, "np")
 

@@ -11,10 +11,11 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 import plasmeig
+from plasmeig import validate
 from plasmeig.cli import canonical_json, cmd_perturb, main
 from plasmeig.curve2d import CurveParam
 from plasmeig.errors import NumericalError, PlasmeigError
-from plasmeig.validate import GOLDEN_EPSDDOT_Y20
+from plasmeig.validate import CHECK_NAMES, GOLDEN_EPSDDOT_Y20
 
 from test_perturb import random_shape
 from test_spectrum2d import count_block_steps
@@ -613,6 +614,44 @@ def test_validate_subset_passes_and_writes_csv(tmp_path):
                          "first_order_sphere,pass"]
 
 
+def test_bare_validate_runs_the_whole_suite(tmp_path, monkeypatch):
+    # no --config: the README's first example, every check in suite order
+    monkeypatch.chdir(tmp_path)
+    assert main(["validate", "--out", "out"]) == 0
+    record, _ = read_record(tmp_path / "out", "validate")
+    assert record["job"] == {} and record["passed"] is True
+    assert [c["name"] for c in record["outputs"]["checks"]] == CHECK_NAMES
+    assert list(record["flags"]) == sorted(CHECK_NAMES)
+    csv_lines = (tmp_path / "out" / "validate.csv").read_text().splitlines()
+    assert csv_lines == ["check,passed"] + ["%s,pass" % name
+                                            for name in CHECK_NAMES]
+
+
+def test_check_raising_a_numerical_error_fails_with_exit_1(tmp_path,
+                                                          monkeypatch):
+    # a check that raises is a failed check, not a numerical-error exit
+    def broken():
+        raise NumericalError("sphere3d", "ball_spectrum", "a contract",
+                             "broken on purpose")
+
+    monkeypatch.setattr(validate, "check_ball_spectrum", broken)
+    cfg = write_config(tmp_path, "job.json",
+                       {"checks": ["ball_spectrum", "first_order_sphere"]})
+    out = tmp_path / "out"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == 1
+    record, _ = read_record(out, "validate")
+    assert record["passed"] is False
+    assert record["flags"] == {"ball_spectrum": False,
+                               "first_order_sphere": True}
+    failed = record["outputs"]["checks"][0]
+    assert failed == {"name": "ball_spectrum", "passed": False,
+                      "details": {"error": str(NumericalError(
+                          "sphere3d", "ball_spectrum", "a contract",
+                          "broken on purpose"))}}
+    assert (out / "validate.csv").read_text().splitlines()[1] == \
+        "ball_spectrum,fail"
+
+
 def test_validate_underresolved_grid_fails(tmp_path):
     cfg = write_config(tmp_path, "job.json",
                        {"N": 16, "checks": ["ellipse_oracle"]})
@@ -705,6 +744,15 @@ def test_config_errors_exit_2(tmp_path, capsys):
                  "h_list": [1e-2, -5e-3]}, "h_list"),
     ("dn-derivative", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]},
                        "h_list": [1e-2, 0.0]}, "h_list"),
+    ("spectrum", [KITE], "JSON object"),
+    ("spectrum", {"curve": KITE, "N": 0}, "N"),
+    ("spectrum", {"curve": KITE, "num_eigs": True}, "num_eigs"),
+    ("perturb", {"mode": "sphere", "k": 1, "a": 5}, "sphere shape"),
+    ("spectrum", {"curve": KITE, "scale": 0.0}, "scale"),
+    ("spectrum", {"curve": KITE, "scale": -2.0}, "scale"),
+    ("perturb", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]}}, "mode"),
+    ("perturb", {"mode": "3d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]}},
+     "mode"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

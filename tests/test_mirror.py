@@ -1,11 +1,11 @@
-"""Mirror-symmetric samples: the even and odd halves of S and K* against
+"""Mirror-symmetric samples: the even and odd blocks of S and K* against
 the one-block operators they replace."""
 
 import numpy as np
 import pytest
 
 from plasmeig import bem2d, cli, spectrum2d
-from plasmeig.bem2d import DtNHalf, build_dtn
+from plasmeig.bem2d import DtNBlock, build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve)
 from plasmeig.spectrum2d import (criticality_residual, follow_branch,
@@ -22,10 +22,9 @@ COS2 = ShapeFn2D(cos=(0.0, 0.0, 1.0))
 
 
 def one_block(dtn):
-    """dtn with its halves replaced by the whole pair: every solve runs on
+    """dtn with its blocks replaced by the whole pair: every solve runs on
     the one block, as on an asymmetric sample."""
-    dtn.halves = [DtNHalf(dtn.single_layer, dtn.np_adjoint,
-                          dtn.sample.weights)]
+    dtn.blocks = [dtn.whole]
     return dtn
 
 
@@ -39,8 +38,8 @@ def test_mirror_symmetric_samples_split(curve):
     samples = perturbed_sample(MIRRORED[curve], ShapeFn2D(cos=(0.1, 0.2, 0.3)),
                                [0.0, 0.05, -0.05], 128)
     for sample in [sample_curve(MIRRORED[curve], 256)] + samples:
-        halves = build_dtn(sample).halves
-        assert [len(h.weights) for h in halves] == [sample.n // 2 + 1,
+        blocks = build_dtn(sample).blocks
+        assert [len(b.weights) for b in blocks] == [sample.n // 2 + 1,
                                                      sample.n // 2 - 1]
 
 
@@ -52,14 +51,15 @@ def test_mirror_symmetric_samples_split(curve):
     ids=["kite", "sin-shifted-ellipse", "fourier-sin-1e-6"])
 def test_asymmetric_samples_stay_one_block(sample):
     dtn = build_dtn(sample)
-    [whole] = dtn.halves
+    [whole] = dtn.blocks
+    assert whole is dtn.whole
     assert whole.nodes is None and whole.single_layer is dtn.single_layer
 
 
 @pytest.mark.parametrize("n", SIZES)
 @pytest.mark.parametrize("curve", sorted(MIRRORED))
 def test_split_spectra_match_the_one_block_solve(curve, n):
-    # np_route's dense eig and the dense pencil of solve_plasmonic, per half
+    # np_route's dense eig and the dense pencil of solve_plasmonic, per block
     # against the whole sample
     sample = sample_curve(MIRRORED[curve], n)
     num = DENSE_NUM[n]
@@ -91,36 +91,37 @@ def test_followed_branch_matches_the_one_block_solve(monkeypatch, curve, n,
 
 def test_mixed_parity_branch_takes_the_one_block_path(monkeypatch):
     # the ellipse's two eigendensities farthest from 1 lie in different
-    # halves; a branch of their sum belongs to neither, and is followed on
-    # the whole pencil (N - 1 rows), a pure one on its half
+    # blocks; a branch of their sum belongs to neither, and is followed on
+    # the whole pencil (N - 1 rows), a pure one on its block
     dtn = build_dtn(sample_curve(MIRRORED["ellipse"], 128))
     spec = solve_plasmonic(dtn, 10)
     phi = spec.densities
-    parts = [[np.linalg.norm(h.restrict(phi[:, i])) for h in dtn.halves]
+    parts = [[np.linalg.norm(b.restrict(phi[:, i])) for b in dtn.blocks]
              for i in (0, 9)]
     assert min(parts[0]) == 0.0 and min(parts[1]) == 0.0
     assert np.argmax(parts[0]) != np.argmax(parts[1])
     sizes = []
-    pencil = spectrum2d._mean_zero_pencil
+    pencil = DtNBlock.pencil
 
-    def recording(half):
-        sizes.append(len(half.weights))
-        return pencil(half)
+    def recording(block):
+        sizes.append(len(block.weights))
+        return pencil(block)
 
-    monkeypatch.setattr(spectrum2d, "_mean_zero_pencil", recording)
+    monkeypatch.setattr(DtNBlock, "pencil", recording)
     for branch in (phi[:, 0], phi[:, 0] + phi[:, 9]):
         eps = follow_branch(dtn, spec.eigenvalues[0], phi[:, :3], branch, 10)
         assert abs(eps - spec.eigenvalues[0]) <= 1e-13
     assert sizes == [63, 128]
 
 
-def test_block_step_never_forms_the_halves(monkeypatch):
-    # a symmetric block-step job runs no detection: its eigenvalues are the
-    # block step's own, bit for bit
+def test_block_step_never_forms_the_blocks(monkeypatch):
+    # a symmetric block-step job runs no detection and forms no block: its
+    # eigenvalues are the block step's own, bit for bit
     def refused(dtn):
-        raise AssertionError("mirror detection on the block-step path")
+        raise AssertionError("a symmetry block on the block-step path")
 
-    monkeypatch.setattr(bem2d.DtNPair, "halves", property(refused))
+    for name in ("blocks", "whole"):
+        monkeypatch.setattr(bem2d.DtNPair, name, property(refused))
     dtn = build_dtn(sample_curve(CurveParam.ellipse(40.0, 1.0), 1024))
     spec = solve_plasmonic(dtn, 40)
     eps, _ = spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)

@@ -12,8 +12,7 @@ from plasmeig.bem2d import build_dtn
 from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import ConfigError, EInfinitySignal
-from plasmeig.spectrum2d import (_mean_zero_reflector, _reflect,
-                                 _selection_complete, criticality_residual,
+from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
                                  np_route, rayleigh, select_far_from_one,
                                  solve_plasmonic)
 from plasmeig.validate import elliptic_eigenvalues
@@ -199,15 +198,25 @@ def test_block_route_residuals_equal_the_dtn_residuals(monkeypatch):
                   <= bound * np.linalg.norm(phi, axis=0))
 
 
-def test_householder_basis_is_mean_zero_and_m_orthonormal():
-    dtn = build_dtn(sample_curve(KITE, 128))
+@pytest.mark.parametrize("curve, block, dim", [
+    ("ellipse", "whole", 127), ("ellipse", "even", 64), ("ellipse", "odd", 63),
+    ("kite", "whole", 127)])
+def test_block_basis_is_mean_zero_and_m_orthonormal(curve, block, dim):
+    # the node values Q y of a block's coordinates y, for Q the whole
+    # sample's mean-zero basis or one mirror parity's
+    param = KITE if curve == "kite" else CurveParam.ellipse(2.0, 1.0)
+    dtn = build_dtn(sample_curve(param, 128))
     w = dtn.sample.weights
     spec = solve_plasmonic(dtn, num=20)
     assert np.max(np.abs(w @ spec.eigenfunctions)) < 1e-12
-    root, v = _mean_zero_reflector(w)
-    q = _reflect(v, np.eye(128))[:, 1:] / root[:, None]
+    part = {"whole": dtn.whole, "even": dtn.blocks[0],
+            "odd": dtn.blocks[-1]}[block]
+    q = part.densities(np.eye(dim))
+    assert q.shape == (128, dim)
     assert np.max(np.abs(w @ q)) < 1e-13
-    assert np.max(np.abs(q.T @ (w[:, None] * q) - np.eye(127))) < 1e-13
+    assert np.max(np.abs(q.T @ (w[:, None] * q) - np.eye(dim))) < 1e-13
+    y = np.random.default_rng(1).standard_normal((dim, 3))
+    assert np.max(np.abs(part.coordinates(part.densities(y)) - y)) < 1e-13
 
 
 def test_both_routes_agree_on_kite():
