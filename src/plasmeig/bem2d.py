@@ -25,14 +25,19 @@ its maps are applied, never stored, and the bordered system is factored on
 the first apply. Work on densities (both spectrum routes, the plane
 eigenvalue derivative) factors nothing.
 
-spectrum2d's dense eigensolves run per DtNBlock of DtNPair.blocks: the
-even and the odd block of a mirror-symmetric sample, whose S and K* commute
-with the node reversal j -> -j mod N, else the one block DtNPair.whole.
-Each block owns its fold, its mean-zero basis and its DtN pencil.
+spectrum2d's eigensolves, the block Arnoldi step included, run per
+DtNBlock of DtNPair.blocks: the even and the odd block of a
+mirror-symmetric sample, whose S and K* commute with the node reversal
+j -> -j mod N, else the one block DtNPair.whole. Each block owns its fold,
+its mean-zero basis and its DtN pencil. A mirror-symmetric sample
+assembles its blocks on the rows 0 to N/2 alone, and its whole S and K*,
+on all N rows, only for a consumer that asks: the bordered LU of apply,
+farfield_log_coefficient, a branch of both parities. Products with S and
+K* on densities (DtNPair.product) go through the blocks.
 
-S and K* are plain (N, N) arrays acting on node values, the two slices of
-one (2, N, N) allocation (see build_dtn); the quadrature weights of the
-discrete inner product <f, g> = sum f g w come only from the sample.
+The whole S and K* are plain (N, N) arrays acting on node values, the two
+slices of one (2, N, N) allocation (see _assemble); the quadrature weights
+of the discrete inner product <f, g> = sum f g w come only from the sample.
 """
 
 import functools
@@ -60,17 +65,15 @@ _MIRROR_TOL = 1e-12
 
 
 class DtNPair:
-    """S and K* on one curve sample, both read-only (N, N) arrays (from
-    build_dtn, the two slices of one allocation), with the
-    Dirichlet-to-Neumann maps N- and N+ applied through one bordered LU;
-    the LU and the symmetry blocks are formed on first use."""
+    """S and K* on one curve sample, with the Dirichlet-to-Neumann maps N-
+    and N+ applied through one bordered LU. The symmetry blocks, the whole
+    S and K* (read-only (N, N) arrays, the two slices of one allocation)
+    and the LU are each formed on first use; build_dtn forms the whole pair
+    of an asymmetric sample, its one block."""
 
-    def __init__(self, sample, single_layer, np_adjoint):
+    def __init__(self, sample):
         self.sample = sample
-        self.single_layer = single_layer
-        self.np_adjoint = np_adjoint
-        for arr in (single_layer, np_adjoint):
-            arr.setflags(write=False)
+        self.mirrored = _is_mirrored(sample)
 
     @functools.cached_property
     def _lu(self):
@@ -82,28 +85,38 @@ class DtNPair:
 
     @functools.cached_property
     def whole(self):
-        """The one DtNBlock of the whole sample."""
-        return DtNBlock(self.single_layer, self.np_adjoint,
-                        self.sample.weights)
+        """The one DtNBlock of the whole sample, assembled on all N rows."""
+        pair = _assemble(self.sample)
+        pair.setflags(write=False)
+        return DtNBlock(self.sample.weights, pair)
+
+    @property
+    def single_layer(self):
+        return self.whole.single_layer
+
+    @property
+    def np_adjoint(self):
+        return self.whole.np_adjoint
 
     @functools.cached_property
     def blocks(self):
-        """The even and odd DtNBlock when node -j mod N is the reflection
-        (x, -y) of node j, with its normal, speed and curvature, to roundoff
-        (cos-only Fourier curves and ellipses: 2.3e-14 of scale at most, to
-        N = 4096); else [whole]."""
-        sample, m = self.sample, self.sample.n // 2
-        mirror = -np.arange(sample.n) % sample.n
-        if not all(np.all(np.abs(f[mirror] * flip - f)
-                          <= _MIRROR_TOL * np.abs(f).max(axis=0))
-                   for f, flip in ((sample.nodes, [1.0, -1.0]),
-                                   (sample.normals, [1.0, -1.0]),
-                                   (sample.speed, 1.0),
-                                   (sample.curvature, 1.0))):
+        """The even and odd DtNBlock of a mirror-symmetric sample, assembled
+        on the rows 0 to N/2 alone; else [whole]."""
+        if not self.mirrored:
             return [self.whole]
-        return [DtNBlock(self.single_layer, self.np_adjoint, sample.weights,
-                         *block)
-                for block in ((slice(0, m + 1), 1.0), (slice(1, m), -1.0))]
+        m = self.sample.n // 2
+        # one allocation of the whole pair's size, half filled, so the heap
+        # keeps one chunk for either kind of sample: smaller, the blocks were
+        # faulted in again each job or left a hole the next whole pair did
+        # not fit (10 MB more peak RSS on spectrum_large in some runs)
+        flat = np.empty(2 * self.sample.n ** 2)
+        even = flat[:2 * (m + 1) ** 2].reshape(2, m + 1, m + 1)
+        odd = flat[even.size:even.size + 2 * (m - 1) ** 2].reshape(
+            2, m - 1, m - 1)
+        blocks = [DtNBlock(self.sample.weights, even, slice(0, m + 1), 1.0),
+                  DtNBlock(self.sample.weights, odd, slice(1, m), -1.0)]
+        _assemble(self.sample, blocks)
+        return blocks
 
     def apply(self, g):
         """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi) with phi = B g,
@@ -114,12 +127,30 @@ class DtNPair:
         phi *= 0.5
         return kphi - phi, kphi + phi
 
+    def product(self, name, phi):
+        """A phi for A = S (name "single_layer") or K* ("np_adjoint") and
+        node-value densities phi, one per column, from the blocks: A commutes
+        with the mirror, so A phi sums E A_b y over the blocks, y the block's
+        part of phi. A block skips the columns it holds no part of (the
+        eigendensities of the other parity). The whole pair answers when it
+        is all that is assembled."""
+        if not self.mirrored or "blocks" not in vars(self) \
+                and "whole" in vars(self):
+            return getattr(self.whole, name) @ phi
+        cols = np.reshape(phi, (len(phi), -1))
+        out = np.zeros(cols.shape)
+        for block in self.blocks:
+            y = block.restrict(cols)
+            held = np.any(y, axis=0)
+            out[:, held] += block.extend(getattr(block, name) @ y[:, held])
+        return out.reshape(np.shape(phi))
+
     def interior_data(self, phi, k_star_phi):
         """g = P S phi and N- g = (K* - 1/2) phi for weighted-mean-zero
         densities phi (one per column), given k_star_phi = K* phi, which a
         caller may already hold (the block Arnoldi step stores it)."""
         w = self.sample.weights
-        g = self.single_layer @ phi
+        g = self.product("single_layer", phi)
         g -= (w @ g) / w.sum()
         return g, k_star_phi - 0.5 * phi
 
@@ -127,33 +158,43 @@ class DtNPair:
 class DtNBlock:
     """S, K* and weights on the node values v = s R v of one mirror parity s:
     coordinates y at nodes (0 to N/2 even, with the constants; 1 to N/2 - 1
-    odd), v = E y, S and K* as F A E (F restricts to nodes), weights
-    E^T diag(w) E; without nodes the whole sample, E the identity. Its
-    M-orthonormal mean-zero basis is Q = D^{-1} H[:, 1:], D = diag(sqrt(w)),
-    H the reflector taking sqrt(w) to the e1 axis; Q = D^{-1} on the odd
-    block, whose densities all are mean-zero."""
+    odd), v = E y, S and K* as F A E (F restricts to nodes; filled row
+    panel by row panel by fold), weights E^T diag(w) E; without nodes the
+    whole sample's pair, E the identity. Its M-orthonormal mean-zero basis
+    is Q = D^{-1} H[:, 1:], D = diag(sqrt(w)), H the reflector taking
+    sqrt(w) to the e1 axis; Q = D^{-1} on the odd block, whose densities all
+    are mean-zero."""
 
-    def __init__(self, single_layer, np_adjoint, weights, nodes=None,
-                 sign=1.0):
+    def __init__(self, weights, pair, nodes=None, sign=1.0):
         self.nodes, self.sign, self.n = nodes, sign, len(weights)
         if nodes is not None:
             index = np.arange(self.n)[nodes]
             self.mirror = -index % self.n
             # a node that is its own mirror (0 and N/2) counts once in E
             self._once = np.where(index == self.mirror, 0.5, 1.0)
-            single_layer, np_adjoint = (self._fold(a[nodes], sign)
-                                        for a in (single_layer, np_adjoint))
-            weights = self._fold(weights, 1.0)
-        self.single_layer, self.np_adjoint = single_layer, np_adjoint
+            weights = (weights[nodes] + weights[self.mirror]) * self._once
+        self.pair = pair
+        self.single_layer, self.np_adjoint = pair
         self.weights = weights
         # H's vector; a block with the constants drops H's first coordinate
         self._root, self._skip = np.sqrt(weights), int(sign > 0)
         self._v = self._root / np.linalg.norm(self._root)
         self._v[0] += 1.0   # weights are positive: no cancellation
 
-    def _fold(self, a, sign):
-        """a E: the columns of each node and its mirror combined."""
-        return (a[..., self.nodes] + sign * a[..., self.mirror]) * self._once
+    def fold(self, start, panel):
+        """Fold the block's rows of a panel of S and K* (panel[:, i] holds
+        the rows of node start + i) into its own F A E. The mirrors N - 1,
+        N - 2, ... of the nodes 1, 2, ... are one reversed view: a gathered
+        copy faulted in a fresh temporary per panel."""
+        lo, hi = self.nodes.start, self.nodes.stop
+        first, last = max(start, lo), min(start + panel.shape[1], hi)
+        a = panel[:, first - start:last - start]
+        out = self.pair[:, first - lo:last - lo]
+        (np.add if self.sign > 0 else np.subtract)(
+            a[..., 1:hi], a[..., -1:-hi:-1], out=out[..., 1 - lo:])
+        if lo == 0:   # nodes 0 and N/2 are their own mirrors
+            out[..., 0] = a[..., 0]
+            out[..., -1] *= 0.5
 
     def _reflect(self, a):
         """H a, one rank-1 update; a itself on the odd block."""
@@ -199,13 +240,16 @@ class DtNBlock:
         return 0.5 * (g[self.nodes] + self.sign * g[self.mirror])
 
     def extend(self, y):
-        """Node values E y of coordinates y."""
+        """Node values E y of coordinates y, or of each block of coordinates
+        stacked in y (V y over K* V y) alike."""
         if self.nodes is None:
             return y
-        v = np.zeros((self.n,) + y.shape[1:], dtype=y.dtype)
-        v[self.mirror] = self.sign * y
-        v[self.nodes] = y
-        return v
+        rows = len(self.weights)
+        part = y.reshape((len(y) // rows, rows) + y.shape[1:])
+        v = np.zeros((len(part), self.n) + y.shape[1:], dtype=y.dtype)
+        v[:, self.mirror] = self.sign * part
+        v[:, self.nodes] = part
+        return v.reshape((len(part) * self.n,) + y.shape[1:])
 
 
 def _log_quadrature_weights(n):
@@ -235,9 +279,35 @@ def _checked_lu(mat, operation, contract):
     return lu, piv
 
 
+def _is_mirrored(sample):
+    """Whether node -j mod N is the reflection (x, -y) of node j, with its
+    normal, speed and curvature, to roundoff (cos-only Fourier curves and
+    ellipses: 2.3e-14 of scale at most, to N = 4096)."""
+    f = np.column_stack([sample.nodes, sample.normals, sample.speed,
+                         sample.curvature])
+    mirror = -np.arange(sample.n) % sample.n
+    return bool(np.all(np.abs(f[mirror] * [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
+                              - f) <= _MIRROR_TOL * np.abs(f).max(axis=0)))
+
+
 def build_dtn(sample):
-    """Assemble S and K* for a curve sample from one set of node offsets
-    x_i - x_j and r^2 = |x_i - x_j|^2; the first apply factors.
+    """The DtNPair of a curve sample: mirror detection first, then, on an
+    asymmetric sample, S and K* on all N rows (see _assemble); a
+    mirror-symmetric sample assembles its blocks, or its whole pair, when a
+    consumer first asks, so a spectrum job assembles only the rows 0 to
+    N/2 and a job of the DtN maps alone only the whole pair. The first
+    apply factors."""
+    dtn = DtNPair(sample)
+    if not dtn.mirrored:
+        dtn.whole
+    return dtn
+
+
+def _assemble(sample, blocks=()):
+    """S and K* of a curve sample from one set of node offsets x_i - x_j and
+    r^2 = |x_i - x_j|^2: the (2, N, N) pair, or, given the even and odd
+    DtNBlock of a mirror-symmetric sample, only the rows 0 to N/2, each row
+    panel folded into the blocks while it is in cache.
 
     S uses the log-split quadrature: the smooth remainder
     log(|x_i - x_j| / (2 |sin((t_i - t_j)/2)|)) is (1/2) log r^2 minus a
@@ -247,14 +317,19 @@ def build_dtn(sample):
 
     K* has the smooth kernel <x_i - x_j, n_i> / r^2 with the curvature
     diagonal; on the unit circle it maps constants to 1/2 and kills
-    mean-zero densities. Both are written in place one block of rows at a
-    time; each block's offsets are cache-sized temporaries, and r^2 lives
-    in the block's rows of S until their log replaces it.
+    mean-zero densities. Both are written in place one panel of rows at a
+    time; each panel's offsets are cache-sized temporaries, and r^2 lives
+    in the panel's rows of S until their log replaces it. A row's entries
+    do not depend on the panels, so the blocks are bitwise the fold of the
+    whole pair's rows.
 
-    S and K* are the two slices of one (2, N, N) array. glibc keeps up to twice
-    its largest freed block in the heap, so the 16 MB pair stays for the
-    next call (N = 1024), where two 8 MB arrays were trimmed and faulted in
-    again: 2,000-2,600 minor faults per spectrum job, now none to N = 1448.
+    S and K* are the two slices of one (2, N, N) array. glibc keeps up to
+    twice its largest freed block in the heap, so the 16 MB pair stays for
+    the next call (N = 1024), where two 8 MB arrays were trimmed and
+    faulted in again: 2,000-2,600 minor faults per spectrum job, now none to
+    N = 1448. The two blocks of a mirror-symmetric sample fill 8.4 MB of
+    one allocation of the same 16 MB (DtNPair.blocks), and their rows pass
+    through one reused (2, 32, N) panel.
     """
     n = sample.n
     (x0, x1), (n0, n1) = (np.ascontiguousarray(sample.nodes.T),
@@ -268,11 +343,12 @@ def build_dtn(sample):
     c = w / (2.0 * math.pi)
     circ = np.lib.stride_tricks.sliding_window_view(
         np.concatenate([c[::-1], c[:0:-1]]), n)[::-1]
-    single, kern = np.empty((2, n, n))
     rows = max(1, _BLOCK_ENTRIES // n)
-    for start in range(0, n, rows):
-        rs = slice(start, start + rows)
-        s, k = single[rs], kern[rs]
+    stop = n // 2 + 1 if blocks else n
+    pair = np.empty((2, min(rows, stop), n) if blocks else (2, n, n))
+    for start in range(0, stop, rows):
+        rs = slice(start, min(start + rows, stop))
+        s, k = panel = pair[:, :rs.stop - start] if blocks else pair[:, rs]
         # x_i - x_j; a repeat and an in-place subtract outran
         # np.subtract.outer, which buffers its operands
         dx = np.repeat(x0[rs, None], n, axis=1)
@@ -297,7 +373,9 @@ def build_dtn(sample):
         np.fill_diagonal(k[:, rs], -0.5 * sample.curvature[rs])
         k *= speed
         k /= n
-    return DtNPair(sample, single, kern)
+        for block in blocks:
+            block.fold(start, panel)
+    return pair
 
 
 def _point_in_polygon(point, nodes):

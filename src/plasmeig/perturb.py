@@ -394,7 +394,7 @@ def epsdot_2d(dtn, spectrum, index, a):
         raise PerturbationError("perturb", "epsdot_2d",
                                 "eigendensity must be weighted-mean-zero",
                                 "<phi, 1> = %.3g" % np.max(np.abs(mean)))
-    g, dng = dtn.interior_data(phi, dtn.np_adjoint @ phi)
+    g, dng = dtn.interior_data(phi, dtn.product("np_adjoint", phi))
     gram = g.T @ (w[:, None] * dng)
     gap = float(np.max(np.abs(np.diag(gram) - 1.0)))
     if gap > 1e-6:

@@ -9,11 +9,13 @@ has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
 data. Two routes are provided: the DtN route (at large N a block Arnoldi
 step on K*, grown until it settles the selection; else, or past its cap, a
 symmetric eigensolve of the DtN pencil on mean-zero densities) and the
-classical Neumann-Poincare route through every eigenvalue of K*. Dense
-solves run per symmetry block of bem2d.DtNPair.blocks. All find
-eigendensities phi from S and K* alone and share one normalization of phi
-and g = P S phi. Eigenvalues accumulate at 1 from both sides; the selected
-ones are the num farthest from 1, reported in ascending order.
+classical Neumann-Poincare route through every eigenvalue of K*. Every
+solve runs per symmetry block of bem2d.DtNPair.blocks, the block step as
+one resumable run per block with the selection made over their union
+(at large enough N, _splits_block_step). All find eigendensities phi from
+S and K* alone and share one normalization of phi and g = P S phi.
+Eigenvalues accumulate at 1 from both sides; the selected ones are the num
+farthest from 1, reported in ascending order.
 """
 
 import numpy as np
@@ -33,8 +35,10 @@ _TIE = 1e3 * np.finfo(float).eps
 # thread). The block step reads K* once per block of _BLOCK vectors, in row
 # panels of bem2d's _BLOCK_ENTRIES (at N = 1024, 32 rows: 0.83-0.89 ms for 8
 # columns, against 1.14 ms as one GEMM and 0.37 ms for one column), and
-# accepts residuals up to _BLOCK_TOL u ||K*||_1; at k = 52 it took 20 ms
-# (median) on the spectrum_large curves. A failed selection guard grows k by
+# accepts residuals up to _BLOCK_TOL u ||K*||_1. On the 16 ellipse jobs of
+# spectrum_large seeds 31 and 5 (N = 1024, num 40) it took 14.9-40.8 ms
+# (median 20.2) at k = 52 on the whole K*, and 9.4-25.5 ms (median 12.1) at
+# k = 32 on each mirror half. A failed selection guard grows a run's k by
 # one block. The cap, the dimension k + 160 for the first k, comes from the
 # spectrum: K*'s eigenvalues decay at a rate set by the curve, so a curve
 # needs k plus an excess that does not grow with k. On ellipses at k = 13 to
@@ -137,19 +141,25 @@ def select_far_from_one(eps, num):
     return keep[np.argsort(eps[keep], kind="stable")]
 
 
-def _k_star_pairs(sample, lam, phi, num, operation):
-    """eps and densities of the num K* eigenpairs (lam, phi) farthest from 1.
+def _real_parts(lam, vectors):
+    """The vectors of K* eigenvalues lam as real densities: a
+    complex-conjugate pair (a double eigenvalue split by roundoff) gives the
+    real and imaginary parts of its vector."""
+    return np.where(lam.imag < 0.0, vectors.imag, vectors.real)
 
-    A complex-conjugate pair (a double eigenvalue split by roundoff) gives
-    the real and imaginary parts of its vector. The one density with a flux
-    cosine above _FLUX_COS (eigenvalue 1/2, eps infinite) is dropped; every
-    other lam must satisfy |lam| < 1/2, i.e. eps > 0. Rows of phi past N
-    (K* phi, stacked below phi by the block step) are selected alike."""
+
+def _k_star_pairs(sample, lam, phi, num, operation):
+    """eps and densities of the num K* eigenpairs (lam, phi) farthest from 1,
+    phi real (_real_parts), gathered once.
+
+    The one density with a flux cosine above _FLUX_COS (eigenvalue 1/2, eps
+    infinite) is dropped; every other lam must satisfy |lam| < 1/2, i.e.
+    eps > 0. Rows of phi past N (K* phi, stacked below phi by the block
+    step) are selected alike."""
     if np.max(np.abs(lam.imag)) > 1e-8:
         raise NumericalError("spectrum2d", operation,
                              "K* spectrum must be real on smooth curves",
                              "max imag %.3g" % float(np.max(np.abs(lam.imag))))
-    phi = np.where(lam.imag < 0.0, phi.imag, phi.real)
     lam = lam.real
     w = sample.weights
     top = phi[:len(w)]
@@ -162,7 +172,8 @@ def _k_star_pairs(sample, lam, phi, num, operation):
                              "found %d at N=%d, largest extra flux cosine %.3g"
                              % (np.count_nonzero(carrier), len(w),
                                 np.sort(flux)[-2]))
-    lam, phi = lam[~carrier], phi[:, ~carrier]
+    rest = np.flatnonzero(~carrier)
+    lam = lam[rest]
     if np.any(np.abs(1.0 - 2.0 * lam) < _DENOM_TOL):
         raise DegeneracyError("spectrum2d", operation, "K* eigenvalue 1/2 "
                               "of multiplicity > 1 maps to no finite eps")
@@ -171,7 +182,7 @@ def _k_star_pairs(sample, lam, phi, num, operation):
                              "max |lam| %.17g" % np.max(np.abs(lam)))
     eps = (1.0 + 2.0 * lam) / (1.0 - 2.0 * lam)
     keep = select_far_from_one(eps, num)
-    return eps[keep], phi[:, keep]
+    return eps[keep], phi[:, rest[keep]]
 
 
 def _selection_complete(lam, eps):
@@ -193,29 +204,29 @@ def _project_out(basis, x):
     return c
 
 
-def _block_krylov(sample, k_star, num):
-    """The num eps farthest from 1 and densities phi (2N x num, K* phi below
-    phi) that _k_star_pairs selects from the k K* eigenpairs of largest
-    modulus by block Arnoldi (fixed start block), k = num + margin growing
-    a block per failed _selection_complete; None past the dimension k + 160
-    for the first k (at most N - 8, so V and its next block stay orthonormal).
+def _block_krylov(k_star, k, tol):
+    """Block Arnoldi on k_star (fixed start block), run to be resumed: at
+    each converged check it yields the k Ritz values lam of largest modulus
+    and their vectors V y stacked over K* V y (2n x k, _real_parts);
+    resumed, it grows k by one block. It ends past the dimension k + 160
+    for the first k (at most n - 8, so V and its next block stay
+    orthonormal). k_star is one symmetry block's K* (_block_step).
 
     K* V_j is formed in row panels of _BLOCK_ENTRIES entries and kept, raw,
     beside the basis V in one column-major allocation, so K* phi = (K* V) y
     costs no further pass over K*: one real product on y.view(float) gives
     V y over (K* V) y. Each column of K* V_j is orthogonalized twice (against
     the earlier blocks at once and within its block, then against all). A
-    column that K* maps into the basis (K* has rank 1 on the circle) is
-    deflated: a random direction replaces it, with a zero subdiagonal. Ritz
-    pairs come from the block Hessenberg H from the dimension k + 20 on,
-    from its Schur form H = Z T Z^T (permuted, not scaled, which would spoil
-    the vectors of roundoff eigenvalues) and y = Z x for T x = x lam. A
-    failed check at residual ratio r skips log10(r) / 2 blocks (residuals
-    fell about two decades a block), a failed guard one block.
+    column that K* maps into the basis, to tol (K* has rank 1 on the
+    circle), is deflated: a random direction replaces it, with a zero
+    subdiagonal. Ritz pairs come from the block Hessenberg H from the
+    dimension k + 20 on, from its Schur form H = Z T Z^T (permuted, not
+    scaled, which would spoil the vectors of roundoff eigenvalues) and
+    y = Z x for T x = x lam, and converge at residuals up to tol. A failed
+    check at residual ratio r skips log10(r) / 2 blocks (residuals fell
+    about two decades a block), a resumed run one block.
     """
-    n, b, k = len(k_star), _BLOCK, num + _ARNOLDI_MARGIN
-    norm = scipy.linalg.norm(k_star, 1, check_finite=False)
-    tol = _BLOCK_TOL * np.finfo(float).eps * norm
+    n, b = len(k_star), _BLOCK
     check = b * -(-(k + 20) // b)
     cap = b * min(-(-(k + 160) // b), n // b - 1)
     rows = max(1, _BLOCK_ENTRIES // n)
@@ -254,13 +265,46 @@ def _block_krylov(sample, k_star, num):
             if worst <= 1.0 and np.all(
                     np.linalg.norm(h @ y - y * lam, axis=0) <= tol):
                 y = np.ascontiguousarray(y)
-                eps, phi = _k_star_pairs(
-                    sample, lam, (krylov[:, :m] @ y.view(float)).view(y.dtype),
-                    num, "solve_plasmonic")
-                if _selection_complete(lam, eps):
-                    return eps, phi
+                yield lam, _real_parts(lam, (krylov[:, :m] @ y.view(float))
+                                       .view(y.dtype))
                 k += b
             check += b * max(1, int(np.log10(max(worst, 1.0))) // 2)
+
+
+def _block_step(dtn, num):
+    """The num eps farthest from 1 and densities phi (2N x num, K* phi below
+    phi) that _k_star_pairs selects over the union of one _block_krylov run
+    per symmetry block, each from k = ceil(num / blocks) + margin; None once
+    a run ends unconverged. Each run takes the tolerance _BLOCK_TOL u
+    max_b ||K*_b||_1 (the odd block of a circle is roundoff), and a run
+    whose smallest kept |lam| fails _selection_complete against the union's
+    selection is resumed; the others keep their selection. The whole pair
+    runs unless _splits_block_step."""
+    blocks = dtn.blocks if _splits_block_step(dtn, num) else [dtn.whole]
+    norm = max(scipy.linalg.norm(b.np_adjoint, 1, check_finite=False)
+               for b in blocks)
+    k = -(-num // len(blocks)) + _ARNOLDI_MARGIN
+    runs = [_block_krylov(b.np_adjoint, k,
+                          _BLOCK_TOL * np.finfo(float).eps * norm)
+            for b in blocks]
+
+    found = [next(run, None) for run in runs]
+    while all(f is not None for f in found):
+        union = np.concatenate([lam for lam, _ in found])
+        if len(blocks) == 1:   # uncopied: the step's largest array
+            phi = found[0][1]
+        else:   # node values of each run's vectors in turn, not all at once
+            phi, end = np.empty((2 * dtn.sample.n, len(union))), 0
+            for block, (_, v) in zip(blocks, found):
+                end += v.shape[1]
+                phi[:, end - v.shape[1]:end] = block.extend(v)
+        eps, phi = _k_star_pairs(dtn.sample, union, phi, num,
+                                 "solve_plasmonic")
+        short = [not _selection_complete(lam, eps) for lam, _ in found]
+        if not any(short):
+            return eps, phi
+        found = [next(run, None) if grow else f
+                 for run, f, grow in zip(runs, found, short)]
     return None
 
 
@@ -269,12 +313,23 @@ def _takes_block_step(n, num):
     return n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN)
 
 
+def _splits_block_step(dtn, num):
+    """Whether the block step runs per mirror block: each half of a
+    mirror-symmetric sample passes _takes_block_step for its share of num.
+    Below that a run's steps cost more in Python than in reading K*
+    (ellipse(2, 1), N = 128, num 4: 5.8 ms on the halves, 4.6 ms on the
+    whole pair)."""
+    return dtn.mirrored and _takes_block_step(dtn.sample.n // 2 - 1,
+                                              -(-num // 2))
+
+
 def solve_plasmonic(dtn, num=20):
     """DtN route: the num eigenvalues eps farthest from 1, from S and K*.
 
-    When _takes_block_step, _block_krylov finds as many K* eigenvalues lam
-    of largest modulus as _selection_complete needs and maps them as np_route
-    does (|lam| < 1/2 for each kept one); past its cap the pencil below solves.
+    When _takes_block_step, _block_step finds as many K* eigenvalues lam
+    of largest modulus as _selection_complete needs, one _block_krylov run
+    per symmetry block, and maps them as np_route does (|lam| < 1/2 for
+    each kept one); past a run's cap the pencil below solves.
 
     The pencil: a mean-zero density phi has the mean-zero datum g = P S phi,
     with P = I - 1 w^T / sum(w), and N-+ g = (K* -+ 1/2) phi. So eps = 1/mu
@@ -288,7 +343,7 @@ def solve_plasmonic(dtn, num=20):
     factored."""
     check_num(num, dtn.sample.n, "solve_plasmonic")
     if _takes_block_step(dtn.sample.n, num):
-        pairs = _block_krylov(dtn.sample, dtn.np_adjoint, num)
+        pairs = _block_step(dtn, num)
         if pairs is not None:
             return _spectrum(dtn, pairs[0], *np.split(pairs[1], 2), "dtn")
     eps, phi = [], []
@@ -302,7 +357,8 @@ def solve_plasmonic(dtn, num=20):
     eps = np.concatenate(eps)
     keep = select_far_from_one(eps, num)
     phi = np.take(np.hstack(phi), keep, axis=1)   # C order, as one block
-    return _spectrum(dtn, eps[keep], phi, dtn.np_adjoint @ phi, "dtn")
+    return _spectrum(dtn, eps[keep], phi, dtn.product("np_adjoint", phi),
+                     "dtn")
 
 
 def follow_branch(dtn, eps, start, branch, num):
@@ -311,7 +367,10 @@ def follow_branch(dtn, eps, start, branch, num):
     span is near the branch and its neighbours.
 
     Below the size where solve_plasmonic takes the block step for num
-    eigenvalues, this is block inverse iteration on the pencil of its dense
+    eigenvalues (for a branch of one mirror parity: where that step splits,
+    _splits_block_step; on ellipse(2, 1), N = 256, num 12 the block step on
+    the whole pair took 4.7 ms with the assembly, the odd block's pencil and
+    eigh 2.9 ms), this is block inverse iteration on the pencil of its dense
     branch, on the symmetry block that holds branch (DtNPair.whole when
     branch mixes the parities; start densities of the other parity drop out):
     one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
@@ -328,16 +387,17 @@ def follow_branch(dtn, eps, start, branch, num):
     The densities are node values; on a shifted sample whose nodes are the
     images of the base nodes (perturbed_sample), base densities carry over
     node for node."""
-    if _takes_block_step(dtn.sample.n, num):
+    parts = [np.linalg.norm(b.restrict(branch)) for b in dtn.blocks]
+    mixed = min(parts) > _PARITY_TOL * max(parts)   # or one block
+    if (_takes_block_step(dtn.sample.n, num) if mixed
+            else _splits_block_step(dtn, num)):
         spec = solve_plasmonic(dtn, num)
-        flux = dtn.sample.weights * (dtn.np_adjoint @ branch + 0.5 * branch)
+        flux = dtn.sample.weights * (dtn.product("np_adjoint", branch)
+                                     + 0.5 * branch)
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
-    parts = [np.linalg.norm(b.restrict(branch)) for b in dtn.blocks]
-    home = dtn.blocks[int(np.argmax(parts))]
-    if min(parts) > _PARITY_TOL * max(parts):   # both parities, or one block
-        home = dtn.whole
+    home = dtn.whole if mixed else dtn.blocks[int(np.argmax(parts))]
     aminus, aplus = home.pencil()
 
     def closest(vectors):
@@ -380,9 +440,10 @@ def np_route(dtn, num=20):
     check_num(num, dtn.sample.n, "np_route")
     lam, phi = zip(*(scipy.linalg.eig(b.np_adjoint) for b in dtn.blocks))
     lam = np.concatenate(lam)
-    phi = np.hstack([b.extend(p) for b, p in zip(dtn.blocks, phi)])
+    phi = _real_parts(lam, np.hstack([b.extend(p)
+                                      for b, p in zip(dtn.blocks, phi)]))
     eps, phi = _k_star_pairs(dtn.sample, lam, phi, num, "np_route")
-    return _spectrum(dtn, eps, phi, dtn.np_adjoint @ phi, "np")
+    return _spectrum(dtn, eps, phi, dtn.product("np_adjoint", phi), "np")
 
 
 def _spectrum(dtn, eps, phi, k_star_phi, route):

@@ -31,17 +31,17 @@ def bordered_residuals(dtn, eps, g):
 
 
 def count_block_steps(monkeypatch):
-    """Record the block Arnoldi steps (_block_krylov) on K*: one entry per
+    """Record the block Arnoldi steps (_block_step) on K*: one entry per
     call, True when the step returned a selection."""
     calls = []
-    step = spectrum2d._block_krylov
+    step = spectrum2d._block_step
 
-    def counted(sample, k_star, num):
-        pairs = step(sample, k_star, num)
+    def counted(dtn, num):
+        pairs = step(dtn, num)
         calls.append(pairs is not None)
         return pairs
 
-    monkeypatch.setattr(spectrum2d, "_block_krylov", counted)
+    monkeypatch.setattr(spectrum2d, "_block_step", counted)
     return calls
 
 
@@ -60,15 +60,23 @@ class PassCounter(np.ndarray):
         return getattr(ufunc, method)(*map(np.asarray, inputs), **kwargs)
 
 
-def block_step_passes(dtn, num):
-    """_block_krylov on dtn's K* for num values and its passes over K*: one
-    per N rows read, however many row panels a pass is split into."""
-    counted = dtn.np_adjoint.view(PassCounter)
-    counted.rows = [0]
-    pairs = spectrum2d._block_krylov(dtn.sample, counted, num)
-    passes, rest = divmod(counted.rows[0], len(counted))
-    assert rest == 0
-    return pairs, passes
+def block_step_passes(monkeypatch, dtn, num):
+    """_block_step on dtn for num values and the passes of each of its runs
+    over its block's K*: one per row of the block's K* read, however many
+    row panels a pass is split into."""
+    counters = []
+    run = spectrum2d._block_krylov
+
+    def counted(k_star, k, tol):
+        counters.append(k_star.view(PassCounter))
+        counters[-1].rows = [0]
+        return run(counters[-1], k, tol)
+
+    monkeypatch.setattr(spectrum2d, "_block_krylov", counted)
+    pairs = spectrum2d._block_step(dtn, num)
+    passes = [divmod(c.rows[0], len(c)) for c in counters]
+    assert all(rest == 0 for _, rest in passes)
+    return pairs, [count for count, _ in passes]
 
 
 def test_ellipse_matches_separation_of_variables():
@@ -191,8 +199,7 @@ def test_block_route_residuals_equal_the_dtn_residuals(monkeypatch):
     ref = bordered_residuals(dtn, spec.eigenvalues, g)
     ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
     assert np.all(np.abs(spec.residuals - ref) <= 1e-10 * np.maximum(1.0, ng))
-    phi, k_star_phi = np.split(
-        spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)[1], 2)
+    phi, k_star_phi = np.split(spectrum2d._block_step(dtn, 40)[1], 2)
     bound = 100 * np.finfo(float).eps * np.linalg.norm(dtn.np_adjoint, 1)
     assert np.all(np.linalg.norm(k_star_phi - dtn.np_adjoint @ phi, axis=0)
                   <= bound * np.linalg.norm(phi, axis=0))
@@ -366,7 +373,8 @@ def test_arnoldi_matches_separation_of_variables(monkeypatch, a, b, num):
     # the block step converges on the near-circle capacity-1 ellipses, whose
     # K* eigenvalues reach roundoff after about 24, and within its cap k + 160
     # on ellipses (a, 1) (K* eigenvalues +-q^j / 2, q = (a - 1) / (a + 1)),
-    # which need the dimensions 160 and 184 for k = 52
+    # whose mirror halves need the dimensions 104 and 128 for k = 32 (the
+    # whole K* needed 160 and 184 for k = 52)
     calls = count_block_steps(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(a, b), 1024)), num=num)
@@ -397,8 +405,8 @@ def test_block_step_deflates_rank_deficient_blocks(monkeypatch, curve):
     ref = np_route(dtn, num=40).eigenvalues
     assert np.all(np.abs(spec.eigenvalues - ref) <= 1e-13 * ref)
     assert np.max(spec.residuals) < 1e-12
-    first = spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)
-    second = spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40)
+    first = spectrum2d._block_step(dtn, 40)
+    second = spectrum2d._block_step(dtn, 40)
     assert all(np.array_equal(x, y) for x, y in zip(first, second))
 
 
@@ -410,16 +418,19 @@ STAR = CurveParam.fourier(
 
 
 @pytest.mark.parametrize("curve, passes", [
-    (KITE, 9), (STAR, 10), (CurveParam.ellipse(20.0, 1.0), 20)])
-def test_block_step_pass_count(curve, passes):
+    (KITE, 9), (STAR, 10), (CurveParam.ellipse(20.0, 1.0), 13)])
+def test_block_step_pass_count(monkeypatch, curve, passes):
     # a regression guard on the cost of the block step (a count, not a
-    # timing): K* is read once per block of 8 vectors, 9, 10 and 20 times
-    # for k = 52 at N = 1024 (the dimensions 72, 80 and 160). STAR is a
-    # random star curve of the spectrum_large workload
-    pairs, counted = block_step_passes(build_dtn(sample_curve(curve, 1024)),
-                                       40)
+    # timing): each block's K* is read once per block of 8 vectors, 9 and 10
+    # times for k = 52 at N = 1024 (the dimensions 72 and 80) on the
+    # asymmetric KITE and STAR, 13 times on each half of the mirror-symmetric
+    # ellipse(20, 1) for k = 32 (the dimension 104; the whole K* took 20
+    # passes to the dimension 160). STAR is a random star curve of the
+    # spectrum_large workload
+    dtn = build_dtn(sample_curve(curve, 1024))
+    pairs, counted = block_step_passes(monkeypatch, dtn, 40)
     assert pairs is not None
-    assert counted == passes
+    assert counted == [passes] * len(dtn.blocks)
 
 
 @pytest.mark.parametrize("curve, dims", [(STAR, [72, 80]), (KITE, [72])])
@@ -436,7 +447,7 @@ def test_one_decomposition_per_check(monkeypatch, curve, dims):
             _calls.append(len(a))
             return _real(a, *args, **kwargs)
         monkeypatch.setattr(spectrum2d.scipy.linalg, name, spy)
-    assert spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint, 40) is not None
+    assert spectrum2d._block_step(dtn, 40) is not None
     assert seen == {"schur": dims, "eig": dims}
 
 
@@ -462,7 +473,7 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
     monkeypatch.setattr(spectrum2d.scipy.linalg, "eig", spy)
     dtn = build_dtn(sample_curve(KITE, n))
     k_star = dtn.np_adjoint
-    eps, pairs = spectrum2d._block_krylov(dtn.sample, k_star, num)
+    eps, pairs = spectrum2d._block_step(dtn, num)
     lam = (eps - 1.0) / (2.0 * (eps + 1.0))
     assert kinds[-1] == vectors
     assert pairs.shape == (2 * n, num)
@@ -475,12 +486,13 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
                   <= bound * size)
 
 
-def test_block_step_stops_within_the_space():
+def test_block_step_stops_within_the_space(monkeypatch):
     # at N = 104 and num = 1 (k = 13) the cap k + 160 passes N: the step
-    # stops at the dimension 96, whose next block fills the space, after 12
-    # passes over K*, and ellipse(30, 1) needs more
+    # (on the whole pair: the mirror blocks of 53 and 51 rows are below the
+    # crossover) stops at the dimension 96, whose next block fills the
+    # space, after 12 passes over K*, and ellipse(30, 1) needs more
     dtn = build_dtn(sample_curve(CurveParam.ellipse(30.0, 1.0), 104))
-    assert block_step_passes(dtn, 1) == (None, 12)
+    assert block_step_passes(monkeypatch, dtn, 1) == (None, [12])
 
 
 def test_block_step_memory_stays_below_one_matrix():
@@ -491,8 +503,7 @@ def test_block_step_memory_stays_below_one_matrix():
     dtn = build_dtn(sample_curve(STAR, 1024))
     tracemalloc.start()
     try:
-        assert spectrum2d._block_krylov(dtn.sample, dtn.np_adjoint,
-                                        40) is not None
+        assert spectrum2d._block_step(dtn, 40) is not None
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -532,9 +543,11 @@ def count_dense_solves(monkeypatch):
 
 
 def test_failed_guard_grows_the_block_step(monkeypatch):
-    # with a margin of 1 on ellipse(20, 1) the block step converges at
-    # k = 21, but its num + 1 pairs fail the guard; k grows to 29, and the
-    # run converges at the dimension 136 with the dense pencil's answer
+    # with a margin of 1 on ellipse(20, 1) the run on each mirror half
+    # converges at k = 11 (the dimension 88), but the union's selection
+    # fails the guard of both; each grows to k = 19 and converges at the
+    # dimension 96 with the dense pencil's answer (on the whole K*: k = 21,
+    # then 29 at the dimension 136)
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
     dense = solve_plasmonic(dtn, num=20).eigenvalues
@@ -549,8 +562,10 @@ def test_failed_guard_grows_the_block_step(monkeypatch):
 
 
 def test_elongated_ellipse_needs_no_dense_solve(monkeypatch):
-    # ellipse(40, 1) at N = 1024: the first converged selection of num 40
-    # (k = 52) fails the guard, and one more block (k = 60) settles it
+    # ellipse(40, 1) at N = 1024: the first converged selection of each
+    # mirror half (k = 32, the dimension 144) settles num 40; on the whole
+    # K* the first (k = 52) failed the guard and one more block (k = 60)
+    # settled it
     solves = count_dense_solves(monkeypatch)
     spec = solve_plasmonic(
         build_dtn(sample_curve(CurveParam.ellipse(40.0, 1.0), 1024)), num=40)
@@ -565,7 +580,6 @@ def test_unconverged_block_step_falls_back_to_the_dense_pencil(monkeypatch):
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
     dense = solve_plasmonic(dtn, num=20)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
-    monkeypatch.setattr(spectrum2d, "_block_krylov",
-                        lambda sample, k_star, num: None)
+    monkeypatch.setattr(spectrum2d, "_block_step", lambda dtn, num: None)
     spec = solve_plasmonic(dtn, num=20)
     assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
