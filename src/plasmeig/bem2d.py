@@ -20,24 +20,20 @@ negative semidefinite on mean-zero data. The bordered system is invertible
 whatever the logarithmic capacity, also at capacity 1, where S is singular.
 On a weighted-mean-zero density phi they give N-+ g = (K* -+ 1/2) phi for
 g = P S phi, P = I - 1 w^T / sum(w), without B; interior_data forms g and
-N- g from the K* phi its caller holds. A DtNPair assembles only S and K*;
-its maps are applied, never stored, and the bordered system is factored on
-the first apply. Work on densities (both spectrum routes, the plane
-eigenvalue derivative) factors nothing.
+N- g from the K* phi its caller holds, so work on densities (both spectrum
+routes, the plane eigenvalue derivative) factors nothing.
 
-spectrum2d's eigensolves, the block Arnoldi step included, run per
-DtNBlock of DtNPair.blocks: the even and the odd block of a
+A DtNPair is its list of DtNBlocks: the even and the odd block of a
 mirror-symmetric sample, whose S and K* commute with the node reversal
-j -> -j mod N, else the one block DtNPair.whole. Each block owns its fold,
-its mean-zero basis and its DtN pencil. A mirror-symmetric sample
-assembles its blocks on the rows 0 to N/2 alone, and its whole S and K*,
-on all N rows, only for a consumer that asks: the bordered LU of apply,
-farfield_log_coefficient, a branch of both parities. Products with S and
-K* on densities (DtNPair.product) go through the blocks.
-
-The whole S and K* are plain (N, N) arrays acting on node values, the two
-slices of one (2, N, N) allocation (see _assemble); the quadrature weights
-of the discrete inner product <f, g> = sum f g w come only from the sample.
+j -> -j mod N, assembled on the rows 0 to N/2 alone; else the one block
+DtNPair.whole, plain (N, N) S and K*, two slices of one allocation. Each
+block owns its fold, its mean-zero basis, its DtN pencil and its LU: B on
+the block with the constants, plain S on the odd block, whose densities
+are mean-zero. The maps, the products with S and K*,
+farfield_log_coefficient and spectrum2d's eigensolves all run per block.
+The whole S and K* of a mirror-symmetric sample are assembled only for
+the block step below its split size and a branch of both parities. The
+quadrature weights of <f, g> = sum f g w come only from the sample.
 """
 
 import functools
@@ -65,23 +61,26 @@ _MIRROR_TOL = 1e-12
 
 
 class DtNPair:
-    """S and K* on one curve sample, with the Dirichlet-to-Neumann maps N-
-    and N+ applied through one bordered LU. The symmetry blocks, the whole
-    S and K* (read-only (N, N) arrays, the two slices of one allocation)
-    and the LU are each formed on first use; build_dtn forms the whole pair
-    of an asymmetric sample, its one block."""
+    """S and K* on one curve sample as its symmetry blocks, the even and odd
+    DtNBlock of a mirror-symmetric sample (rows 0 to N/2) or [whole], with
+    N- and N+ applied block by block; whole is formed on first use."""
 
     def __init__(self, sample):
-        self.sample = sample
-        self.mirrored = _is_mirrored(sample)
-
-    @functools.cached_property
-    def _lu(self):
-        n = self.sample.n
-        big = np.block([[self.single_layer, np.ones((n, 1))],
-                        [self.sample.weights[None, :], np.zeros((1, 1))]])
-        return _checked_lu(big, "build_dtn",
-                           "bordered single-layer system must be invertible")
+        self.sample, self.mirrored = sample, _is_mirrored(sample)
+        if not self.mirrored:
+            self.blocks = [self.whole]
+            return
+        m = sample.n // 2
+        # one allocation of the whole pair's size, half filled: the heap
+        # keeps one chunk for either kind of sample (smaller blocks cost up
+        # to 10 MB more peak RSS on spectrum_large)
+        flat = np.empty(2 * sample.n ** 2)
+        even = flat[:2 * (m + 1) ** 2].reshape(2, m + 1, m + 1)
+        odd = flat[even.size:even.size + 2 * (m - 1) ** 2].reshape(
+            2, m - 1, m - 1)
+        self.blocks = [DtNBlock(sample.weights, even, slice(0, m + 1), 1.0),
+                       DtNBlock(sample.weights, odd, slice(1, m), -1.0)]
+        _assemble(sample, self.blocks)
 
     @functools.cached_property
     def whole(self):
@@ -90,53 +89,27 @@ class DtNPair:
         pair.setflags(write=False)
         return DtNBlock(self.sample.weights, pair)
 
-    @property
-    def single_layer(self):
-        return self.whole.single_layer
-
-    @property
-    def np_adjoint(self):
-        return self.whole.np_adjoint
-
-    @functools.cached_property
-    def blocks(self):
-        """The even and odd DtNBlock of a mirror-symmetric sample, assembled
-        on the rows 0 to N/2 alone; else [whole]."""
-        if not self.mirrored:
-            return [self.whole]
-        m = self.sample.n // 2
-        # one allocation of the whole pair's size, half filled, so the heap
-        # keeps one chunk for either kind of sample: smaller, the blocks were
-        # faulted in again each job or left a hole the next whole pair did
-        # not fit (10 MB more peak RSS on spectrum_large in some runs)
-        flat = np.empty(2 * self.sample.n ** 2)
-        even = flat[:2 * (m + 1) ** 2].reshape(2, m + 1, m + 1)
-        odd = flat[even.size:even.size + 2 * (m - 1) ** 2].reshape(
-            2, m - 1, m - 1)
-        blocks = [DtNBlock(self.sample.weights, even, slice(0, m + 1), 1.0),
-                  DtNBlock(self.sample.weights, odd, slice(1, m), -1.0)]
-        _assemble(self.sample, blocks)
-        return blocks
-
     def apply(self, g):
-        """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi) with phi = B g,
-        for one vector g or a block of columns, from one solve."""
-        rhs = np.concatenate([g, np.zeros((1,) + np.shape(g)[1:])])
-        phi = scipy.linalg.lu_solve(self._lu, rhs)[:-1]
-        kphi = self.np_adjoint @ phi
-        phi *= 0.5
-        return kphi - phi, kphi + phi
+        """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi), phi = B g, for one
+        vector g or a block of columns: one solve per block g has a part in."""
+        if len(self.blocks) == 1:
+            return self.blocks[0].apply(g)
+        both = np.zeros((2,) + np.shape(g))
+        for block in self.blocks:
+            y = block.restrict(g)
+            if y.any():
+                for part, total in zip(block.apply(y), both):
+                    block.extend(part, total)
+        return both[0], both[1]
 
     def product(self, name, phi):
         """A phi for A = S (name "single_layer") or K* ("np_adjoint") and
         node-value densities phi, one per column, from the blocks: A commutes
         with the mirror, so A phi sums E A_b y over the blocks, y the block's
         part of phi. A block skips the columns it holds no part of (the
-        eigendensities of the other parity). The whole pair answers when it
-        is all that is assembled."""
-        if not self.mirrored or "blocks" not in vars(self) \
-                and "whole" in vars(self):
-            return getattr(self.whole, name) @ phi
+        eigendensities of the other parity)."""
+        if len(self.blocks) == 1:
+            return getattr(self.blocks[0], name) @ phi
         cols = np.reshape(phi, (len(phi), -1))
         out = np.zeros(cols.shape)
         for block in self.blocks:
@@ -167,12 +140,13 @@ class DtNBlock:
 
     def __init__(self, weights, pair, nodes=None, sign=1.0):
         self.nodes, self.sign, self.n = nodes, sign, len(weights)
+        self._join = np.add if sign > 0 else np.subtract   # node and mirror
         if nodes is not None:
             index = np.arange(self.n)[nodes]
-            self.mirror = -index % self.n
+            mirror = -index % self.n
             # a node that is its own mirror (0 and N/2) counts once in E
-            self._once = np.where(index == self.mirror, 0.5, 1.0)
-            weights = (weights[nodes] + weights[self.mirror]) * self._once
+            weights = (weights[nodes] + weights[mirror]) * np.where(
+                index == mirror, 0.5, 1.0)
         self.pair = pair
         self.single_layer, self.np_adjoint = pair
         self.weights = weights
@@ -180,6 +154,27 @@ class DtNBlock:
         self._root, self._skip = np.sqrt(weights), int(sign > 0)
         self._v = self._root / np.linalg.norm(self._root)
         self._v[0] += 1.0   # weights are positive: no cancellation
+
+    @functools.cached_property
+    def _lu(self):
+        """LU of [[S, 1], [w^T, 0]] on the block with the constants, where S
+        is singular at capacity 1; of S on the odd block (an empty border)."""
+        m = len(self.weights)
+        mat = np.zeros((m + self._skip,) * 2)
+        mat[:m, :m] = self.single_layer
+        mat[:m, m:], mat[m:, :m] = 1.0, self.weights
+        return _checked_lu(mat, "build_dtn",
+                           "single-layer system must be invertible")
+
+    def apply(self, y):
+        """((K* - 1/2) phi, (K* + 1/2) phi) for the coordinates y of data,
+        phi the density of the bordered solve S phi + c = y, <phi, 1>_w = 0
+        (S phi = y on the odd block)."""
+        rhs = np.concatenate([y, np.zeros((self._skip,) + np.shape(y)[1:])])
+        phi = scipy.linalg.lu_solve(self._lu, rhs)[:len(y)]
+        kphi = self.np_adjoint @ phi
+        phi *= 0.5
+        return kphi - phi, kphi + phi
 
     def fold(self, start, panel):
         """Fold the block's rows of a panel of S and K* (panel[:, i] holds
@@ -190,8 +185,7 @@ class DtNBlock:
         first, last = max(start, lo), min(start + panel.shape[1], hi)
         a = panel[:, first - start:last - start]
         out = self.pair[:, first - lo:last - lo]
-        (np.add if self.sign > 0 else np.subtract)(
-            a[..., 1:hi], a[..., -1:-hi:-1], out=out[..., 1 - lo:])
+        self._join(a[..., 1:hi], a[..., -1:-hi:-1], out=out[..., 1 - lo:])
         if lo == 0:   # nodes 0 and N/2 are their own mirrors
             out[..., 0] = a[..., 0]
             out[..., -1] *= 0.5
@@ -237,18 +231,29 @@ class DtNBlock:
         """Coordinates of the block's part (g + s R g) / 2 of node values g."""
         if self.nodes is None:
             return g
-        return 0.5 * (g[self.nodes] + self.sign * g[self.mirror])
+        lo, m = self.nodes.start, self.n // 2
+        y = np.array(g[self.nodes], float, order="C")
+        inner = y[1 - lo:m - lo]
+        self._join(inner, g[:m:-1], out=inner)
+        inner *= 0.5
+        return y
 
-    def extend(self, y):
+    def extend(self, y, total=None):
         """Node values E y of coordinates y, or of each block of coordinates
-        stacked in y (V y over K* V y) alike."""
+        stacked in y (V y over K* V y) alike; added in place to total."""
         if self.nodes is None:
             return y
-        rows = len(self.weights)
+        lo, m, rows = self.nodes.start, self.n // 2, len(self.weights)
         part = y.reshape((len(y) // rows, rows) + y.shape[1:])
-        v = np.zeros((len(part), self.n) + y.shape[1:], dtype=y.dtype)
-        v[:, self.mirror] = self.sign * part
-        v[:, self.nodes] = part
+        shape = (len(part), self.n) + y.shape[1:]
+        v = np.zeros(shape, y.dtype) if total is None else total.reshape(shape)
+        mirror, inner = v[:, :m:-1], part[:, 1 - lo:m - lo]
+        if total is None:
+            v[:, self.nodes] = part
+            np.multiply(inner, self.sign, out=mirror)
+        else:
+            v[:, self.nodes] += part
+            self._join(mirror, inner, out=mirror)
         return v.reshape((len(part) * self.n,) + y.shape[1:])
 
 
@@ -291,16 +296,9 @@ def _is_mirrored(sample):
 
 
 def build_dtn(sample):
-    """The DtNPair of a curve sample: mirror detection first, then, on an
-    asymmetric sample, S and K* on all N rows (see _assemble); a
-    mirror-symmetric sample assembles its blocks, or its whole pair, when a
-    consumer first asks, so a spectrum job assembles only the rows 0 to
-    N/2 and a job of the DtN maps alone only the whole pair. The first
-    apply factors."""
-    dtn = DtNPair(sample)
-    if not dtn.mirrored:
-        dtn.whole
-    return dtn
+    """The DtNPair of a curve sample, its blocks assembled (_assemble);
+    nothing is factored until the maps are first applied."""
+    return DtNPair(sample)
 
 
 def _assemble(sample, blocks=()):
@@ -431,10 +429,12 @@ def farfield_log_coefficient(dtn, g):
     constant c of the bordered solve S phi + c = g behind build_dtn does,
     since then both solves give the same density. Needs the plain single
     layer to be invertible, so it raises NumericalError on curves of
-    logarithmic capacity 1.
+    logarithmic capacity 1. Solved on the block with the constants alone:
+    the odd part of the density has no weighted mean.
     """
-    lu = _checked_lu(dtn.single_layer, "farfield_log_coefficient",
+    block = dtn.blocks[0]
+    lu = _checked_lu(block.single_layer, "farfield_log_coefficient",
                      "plain single layer must be invertible; logarithmic "
                      "capacity is 1")
-    phi = scipy.linalg.lu_solve(lu, np.asarray(g, dtype=float))
-    return float(np.dot(phi, dtn.sample.weights)) / (2.0 * math.pi)
+    phi = scipy.linalg.lu_solve(lu, block.restrict(np.asarray(g, dtype=float)))
+    return float(np.dot(phi, block.weights)) / (2.0 * math.pi)

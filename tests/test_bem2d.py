@@ -74,8 +74,8 @@ def test_row_blocks_match_the_whole_matrix_bit_for_bit(n, blocks, curve):
     sample = sample_curve(curve, n)
     dtn = build_dtn(sample)
     single, kern = whole_matrix_operators(sample)
-    assert np.array_equal(dtn.single_layer, single)
-    assert np.array_equal(dtn.np_adjoint, kern)
+    assert np.array_equal(dtn.whole.single_layer, single)
+    assert np.array_equal(dtn.whole.np_adjoint, kern)
 
 
 @pytest.mark.parametrize("n", [64, 180, 1024])
@@ -84,7 +84,7 @@ def test_single_layer_and_np_adjoint_share_one_allocation(n):
     # loop of jobs at N = 1024 gets one 16 MB block back from the allocator
     # instead of faulting in two fresh 8 MB ones
     dtn = build_dtn(sample_curve(KITE, n))
-    single, kern = dtn.single_layer, dtn.np_adjoint
+    single, kern = dtn.whole.single_layer, dtn.whole.np_adjoint
     assert single.base is kern.base
     assert single.base.shape == (2, n, n)
     assert single.base.flags.c_contiguous
@@ -104,7 +104,7 @@ def test_assembly_keeps_no_full_size_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dtn.single_layer.shape == (n, n)
+    assert dtn.whole.single_layer.shape == (n, n)
     assert peak <= 2.25 * 8 * n * n
 
 
@@ -112,7 +112,7 @@ def test_single_layer_circle_multipliers():
     # S cos(lt) = -(R / 2l) cos(lt) on a circle of radius R; constants map
     # to R log R
     sample = sample_curve(CurveParam.circle(2.0), 64)
-    sop = build_dtn(sample).single_layer
+    sop = build_dtn(sample).whole.single_layer
     t = sample.t
     assert np.max(np.abs(sop @ np.ones(64) - 2.0 * math.log(2.0))) < 1e-12
     for l in (1, 2, 5, 13):
@@ -124,21 +124,21 @@ def test_single_layer_circle_multipliers():
 
 def test_single_layer_is_weighted_symmetric():
     sample = sample_curve(KITE, 128)
-    sop = build_dtn(sample).single_layer
+    sop = build_dtn(sample).whole.single_layer
     assert weighted_symmetry_residual(sop, sample.weights) < 1e-13
 
 
 def test_unit_capacity_singular_single_layer_still_builds_dtn():
     # capacity 1: the plain single layer is singular, the bordered one is not
     dtn = build_dtn(sample_curve(CurveParam.circle(1.0), 64))
-    assert scipy.linalg.svdvals(dtn.single_layer)[-1] < 1e-6
+    assert scipy.linalg.svdvals(dtn.whole.single_layer)[-1] < 1e-6
     for applied in dtn.apply(np.eye(64)):
         assert np.all(np.isfinite(applied))
 
 
 def test_np_adjoint_circle_action():
     sample = sample_curve(CurveParam.circle(1.0), 64)
-    kstar = build_dtn(sample).np_adjoint
+    kstar = build_dtn(sample).whole.np_adjoint
     ones = np.ones(64)
     assert np.max(np.abs(kstar @ ones - 0.5 * ones)) < 1e-13
     for l in (1, 2, 4):
@@ -149,7 +149,8 @@ def test_np_adjoint_ellipse_eigenvalues_exact():
     exact = ellipse_np_eigenvalues(2.0, 1.0, kmax=5)
     for n in (64, 128):
         sample = sample_curve(CurveParam.ellipse(2.0, 1.0), n)
-        lam = np.sort(scipy.linalg.eigvals(build_dtn(sample).np_adjoint).real)
+        kstar = build_dtn(sample).whole.np_adjoint
+        lam = np.sort(scipy.linalg.eigvals(kstar).real)
         got = np.sort(np.concatenate([lam[:5], lam[-6:]]))
         assert np.max(np.abs(got - np.array(exact))) < 1e-12
 
@@ -201,7 +202,7 @@ def test_boundary_operator_validation():
     # applied, to one vector or to the columns of a block, and are weighted
     # self-adjoint
     dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 32))
-    for op in (dtn.single_layer, dtn.np_adjoint):
+    for op in (dtn.whole.single_layer, dtn.whole.np_adjoint):
         assert op.shape == (32, 32)
         assert not op.flags.writeable
         with pytest.raises(ValueError):
@@ -220,16 +221,21 @@ def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
     calls = []
     lu_factor = scipy.linalg.lu_factor
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return lu_factor(*args, **kwargs)
+    def counting(a, *args, **kwargs):
+        calls.append(len(a))
+        return lu_factor(a, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
-    dtn = build_dtn(sample_curve(KITE, 64))
-    assert calls == []
-    dtn.apply(np.cos(dtn.sample.t))
-    dtn.apply(np.eye(64))
-    assert len(calls) == 1
+    for curve, sizes in ((KITE, [65]), (CurveParam.ellipse(2.0, 1.0),
+                                        [34, 31])):
+        # once per block: the bordered system of the block with the
+        # constants, plain S on the odd block of a mirror-symmetric sample
+        calls.clear()
+        dtn = build_dtn(sample_curve(curve, 64))
+        assert calls == []
+        dtn.apply(np.cos(dtn.sample.t))
+        dtn.apply(np.eye(64))
+        assert calls == sizes
 
 
 def test_g0_constant_on_circle_and_normalized():

@@ -181,11 +181,11 @@ def test_one_side_check_takes_only_its_own_norms(monkeypatch, side):
 
 
 def test_fd_check_solves_only_the_band_basis(monkeypatch):
-    # every pair is factored once and applied to the band basis (N/2 + 1
-    # columns) only: the base pair to it once, inside shape_derivative, and
-    # to the derivative's inner block of twice as many columns, each
-    # shifted pair to it once; forming the full maps would solve N columns
-    # on each of the 1 + 2 len(h_list) pairs
+    # every pair is factored once per mirror block and applied to the band
+    # basis (N/2 + 1 columns) only: the base pair to it once, inside
+    # shape_derivative, and to the derivative's inner block of twice as
+    # many columns, each shifted pair to it once; forming the full maps
+    # would solve N columns on each block of the 1 + 2 len(h_list) pairs
     factored, columns = [], []
     lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
 
@@ -200,8 +200,8 @@ def test_fd_check_solves_only_the_band_basis(monkeypatch):
     monkeypatch.setattr(scipy.linalg, "lu_factor", counting_factor)
     monkeypatch.setattr(scipy.linalg, "lu_solve", counting_solve)
     fd_operator_check(ELLIPSE, A_COS, 128, [1e-2, 5e-3, 2.5e-3])
-    assert len(factored) == 7
-    assert sum(columns) == (1 + 2 + 6) * 65
+    assert len(factored) == 2 * 7
+    assert sum(columns) == 2 * (1 + 2 + 6) * 65
 
 
 def test_circle_derivative_matches_multiplier_rule_in_norm():

@@ -3,13 +3,18 @@ the one-block operators they replace."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from plasmeig import bem2d, cli, spectrum2d
-from plasmeig.bem2d import DtNBlock, build_dtn
+from plasmeig.bem2d import (DtNBlock, build_dtn, compute_g0,
+                            farfield_log_coefficient)
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve)
+from plasmeig.dtn_shape import fd_operator_check
+from plasmeig.errors import NumericalError
 from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
-                                 follow_branch, np_route, solve_plasmonic)
+                                 follow_branch, np_route, rayleigh,
+                                 solve_plasmonic)
 from plasmeig.validate import elliptic_eigenvalues
 
 from test_spectrum2d import STAR, count_block_steps, count_dense_solves
@@ -29,6 +34,14 @@ def one_block(dtn):
     the one block, as on an asymmetric sample."""
     dtn.blocks = [dtn.whole]
     return dtn
+
+
+def refuse_whole(monkeypatch):
+    """Make any use of DtNPair.whole, the whole S and K*, fail."""
+    def refused(dtn):
+        raise AssertionError("the whole S or K* formed")
+
+    monkeypatch.setattr(bem2d.DtNPair, "whole", property(refused))
 
 
 def close_eigenvalues(got, want):
@@ -77,8 +90,8 @@ def test_half_row_blocks_are_the_fold_of_the_whole_pair(n):
                                               index[1:n // 2]), (1.0, -1.0)):
         mirror = -rows % n
         once = np.where(rows == mirror, 0.5, 1.0)
-        for got, whole in ((block.single_layer, dtn.single_layer),
-                           (block.np_adjoint, dtn.np_adjoint)):
+        for got, whole in ((block.single_layer, dtn.whole.single_layer),
+                           (block.np_adjoint, dtn.whole.np_adjoint)):
             part = whole[rows]
             assert np.array_equal(
                 got, (part[:, rows] + sign * part[:, mirror]) * once)
@@ -94,7 +107,89 @@ def test_asymmetric_samples_stay_one_block(sample):
     dtn = build_dtn(sample)
     [whole] = dtn.blocks
     assert whole is dtn.whole
-    assert whole.nodes is None and whole.single_layer is dtn.single_layer
+    assert whole.nodes is None
+
+
+@pytest.mark.parametrize("curve", [KITE, STAR], ids=["kite", "star"])
+def test_asymmetric_apply_is_the_bordered_solve(curve):
+    # the one block of an asymmetric sample applies N- and N+ through the
+    # LU of [[S, 1], [w^T, 0]], bit for bit, to a block and to one vector
+    dtn = build_dtn(sample_curve(curve, 128))
+    single, kern = dtn.whole.single_layer, dtn.whole.np_adjoint
+    lu = scipy.linalg.lu_factor(np.block([
+        [single, np.ones((128, 1))],
+        [dtn.sample.weights[None, :], np.zeros((1, 1))]]))
+    g = np.random.default_rng(7).standard_normal((128, 5))
+    for x in (g, g[:, 2]):
+        rhs = np.concatenate([x, np.zeros((1,) + x.shape[1:])])
+        phi = scipy.linalg.lu_solve(lu, rhs)[:-1]
+        kphi = kern @ phi
+        phi *= 0.5
+        for got, want in zip(dtn.apply(x), (kphi - phi, kphi + phi)):
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("curve", sorted(MIRRORED))
+def test_block_apply_matches_the_one_block_solve(curve, n):
+    # N- and N+ of a mirror-symmetric sample, one solve per block (bordered
+    # on the even block, plain S on the odd one), against the bordered solve
+    # of the whole pair; the unit circle has capacity 1, where S is singular
+    sample = sample_curve(MIRRORED[curve], n)
+    g = np.column_stack([np.random.default_rng(n).standard_normal((n, 3)),
+                         np.cos(2 * sample.t), np.sin(3 * sample.t)])
+    split = build_dtn(sample)
+    whole = one_block(build_dtn(sample))
+    for x in (g, g[:, 0]):
+        for got, want in zip(split.apply(x), whole.apply(x)):
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_apply_only_jobs_never_form_the_whole_pair(monkeypatch):
+    # g0, the far-field coefficient, the operator finite differences and
+    # the Rayleigh quotient of mirror-symmetric samples run on the blocks
+    refuse_whole(monkeypatch)
+    ellipse = MIRRORED["ellipse"]
+    dtn = build_dtn(sample_curve(ellipse, 128))
+    w, t = dtn.sample.weights, dtn.sample.t
+    g0 = compute_g0(dtn)
+    f = np.cos(t) + 0.3 * np.sin(2.0 * t)
+    assert abs(farfield_log_coefficient(dtn, f - w @ (f * g0))) < 1e-12
+    reports = fd_operator_check(ellipse, COS2, 128, [1e-2, 5e-3])
+    assert reports["interior"]["slopes"]["central"] >= 1.8
+    spec = solve_plasmonic(dtn, 10)
+    gap = rayleigh(dtn, spec.eigenfunctions) - spec.eigenvalues
+    assert np.max(np.abs(gap)) <= 1e-8
+
+
+def test_product_does_not_depend_on_what_is_assembled():
+    # a mirror-symmetric sample's products go through its blocks, whether or
+    # not its whole pair was assembled first
+    sample = sample_curve(MIRRORED["ellipse"], 128)
+    phi = np.random.default_rng(3).standard_normal((128, 4))
+    fresh, assembled = build_dtn(sample), build_dtn(sample)
+    assembled.whole
+    for name in ("single_layer", "np_adjoint"):
+        assert fresh.product(name, phi).tobytes() == \
+            assembled.product(name, phi).tobytes()
+
+
+@pytest.mark.parametrize("curve", ["kite"] + sorted(MIRRORED))
+def test_farfield_log_coefficient_is_the_plain_solve(curve):
+    # on the block with the constants alone, against the plain solve of the
+    # whole single layer
+    dtn = build_dtn(sample_curve(MIRRORED.get(curve, KITE), 128))
+    t = dtn.sample.t
+    g = 1.0 + np.cos(t) + 0.3 * np.sin(2.0 * t)
+    if curve == "circle":   # capacity 1: S is singular
+        with pytest.raises(NumericalError, match="logarithmic capacity is 1"):
+            farfield_log_coefficient(dtn, g)
+        return
+    phi = scipy.linalg.solve(dtn.whole.single_layer, g)
+    want = float(dtn.sample.weights @ phi) / (2.0 * np.pi)
+    assert abs(farfield_log_coefficient(dtn, g) - want) <= 1e-12 * abs(want)
 
 
 @pytest.mark.parametrize("n", SIZES)
@@ -162,12 +257,7 @@ def test_block_step_never_forms_the_whole_pair(monkeypatch):
     # closed form's
     sample = sample_curve(CurveParam.ellipse(40.0, 1.0), 1024)
     whole = solve_plasmonic(one_block(build_dtn(sample)), 40).eigenvalues
-
-    def refused(dtn):
-        raise AssertionError("the whole S or K* on the block-step path")
-
-    for name in ("whole", "single_layer", "np_adjoint"):
-        monkeypatch.setattr(bem2d.DtNPair, name, property(refused))
+    refuse_whole(monkeypatch)
     assembled = record_assembly(monkeypatch)
     steps = count_block_steps(monkeypatch)
     spec = solve_plasmonic(build_dtn(sample), 40)
@@ -185,7 +275,7 @@ def test_asymmetric_samples_assemble_every_row(monkeypatch, curve):
     dtn = build_dtn(sample_curve(curve, 1024))
     assert not dtn.mirrored and "whole" in vars(dtn)
     assert dtn.blocks == [dtn.whole]
-    assert dtn.single_layer.shape == (1024, 1024) and assembled == [0]
+    assert dtn.whole.single_layer.shape == (1024, 1024) and assembled == [0]
 
 
 def test_near_symmetric_samples_follow_the_mirror_test(monkeypatch):

@@ -273,7 +273,7 @@ def test_symmetric_curve_epsdot_is_the_form_branch(n):
     weights = dtn.sample.weights
     pair = spec.densities[:, :2]
     traces = spec.eigenfunctions[:, :2]
-    fluxes = dtn.np_adjoint @ pair - 0.5 * pair
+    fluxes = dtn.whole.np_adjoint @ pair - 0.5 * pair
     form = _first_order_form(eps[0], weights * a.value(dtn.sample.t),
                              tangential_derivative(dtn.sample, traces).T,
                              fluxes.T)
