@@ -25,15 +25,14 @@ routes, the plane eigenvalue derivative) factors nothing.
 
 A DtNPair is its list of DtNBlocks: the even and the odd block of a
 mirror-symmetric sample, whose S and K* commute with the node reversal
-j -> -j mod N, assembled on the rows 0 to N/2 alone; else the one block
-DtNPair.whole, plain (N, N) S and K*, two slices of one allocation. Each
-block owns its fold, its mean-zero basis, its DtN pencil and its LU: B on
-the block with the constants, plain S on the odd block, whose densities
-are mean-zero. The maps, the products with S and K*,
-farfield_log_coefficient and spectrum2d's eigensolves all run per block.
-The whole S and K* of a mirror-symmetric sample are assembled only for
-the block step below its split size and a branch of both parities. The
-quadrature weights of <f, g> = sum f g w come only from the sample.
+j -> -j mod N, assembled on the rows 0 to N/2 alone; else one block of
+plain (N, N) S and K*, two slices of one allocation. Each block owns its
+fold, its mean-zero basis, its DtN pencil and its LU: B on the block with
+the constants, plain S on the odd block, whose densities are mean-zero.
+The maps, the products with S and K*, farfield_log_coefficient and
+spectrum2d's eigensolves all run per block, so all N rows of S and K* are
+assembled only for an asymmetric sample. The quadrature weights of
+<f, g> = sum f g w come only from the sample.
 """
 
 import functools
@@ -62,13 +61,13 @@ _MIRROR_TOL = 1e-12
 
 class DtNPair:
     """S and K* on one curve sample as its symmetry blocks, the even and odd
-    DtNBlock of a mirror-symmetric sample (rows 0 to N/2) or [whole], with
-    N- and N+ applied block by block; whole is formed on first use."""
+    DtNBlock of a mirror-symmetric sample (rows 0 to N/2) or the one block
+    of all N rows, with N- and N+ applied block by block."""
 
     def __init__(self, sample):
-        self.sample, self.mirrored = sample, _is_mirrored(sample)
-        if not self.mirrored:
-            self.blocks = [self.whole]
+        self.sample = sample
+        if not _is_mirrored(sample):
+            self.blocks = [DtNBlock(sample.weights, _assemble(sample))]
             return
         m = sample.n // 2
         # one allocation of the whole pair's size, half filled: the heap
@@ -81,13 +80,6 @@ class DtNPair:
         self.blocks = [DtNBlock(sample.weights, even, slice(0, m + 1), 1.0),
                        DtNBlock(sample.weights, odd, slice(1, m), -1.0)]
         _assemble(sample, self.blocks)
-
-    @functools.cached_property
-    def whole(self):
-        """The one DtNBlock of the whole sample, assembled on all N rows."""
-        pair = _assemble(self.sample)
-        pair.setflags(write=False)
-        return DtNBlock(self.sample.weights, pair)
 
     def apply(self, g):
         """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi), phi = B g, for one
@@ -303,9 +295,9 @@ def build_dtn(sample):
 
 def _assemble(sample, blocks=()):
     """S and K* of a curve sample from one set of node offsets x_i - x_j and
-    r^2 = |x_i - x_j|^2: the (2, N, N) pair, or, given the even and odd
-    DtNBlock of a mirror-symmetric sample, only the rows 0 to N/2, each row
-    panel folded into the blocks while it is in cache.
+    r^2 = |x_i - x_j|^2: the read-only (2, N, N) pair, or, given the even
+    and odd DtNBlock of a mirror-symmetric sample, only the rows 0 to N/2,
+    each row panel folded into the blocks while it is in cache.
 
     S uses the log-split quadrature: the smooth remainder
     log(|x_i - x_j| / (2 |sin((t_i - t_j)/2)|)) is (1/2) log r^2 minus a
@@ -373,6 +365,7 @@ def _assemble(sample, blocks=()):
         k /= n
         for block in blocks:
             block.fold(start, panel)
+    pair.setflags(write=False)
     return pair
 
 

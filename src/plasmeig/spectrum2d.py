@@ -11,9 +11,9 @@ step on K*, grown until it settles the selection; else, or past its cap, a
 symmetric eigensolve of the DtN pencil on mean-zero densities) and the
 classical Neumann-Poincare route through every eigenvalue of K*. Every
 solve runs per symmetry block of bem2d.DtNPair.blocks, the block step as
-one resumable run per block with the selection made over their union
-(at large enough N, _splits_block_step). All find eigendensities phi from
-S and K* alone and share one normalization of phi and g = P S phi.
+one resumable run per block with the selection made over their union.
+All find eigendensities phi from S and K* alone and share one
+normalization of phi and g = P S phi.
 Eigenvalues accumulate at 1 from both sides; the selected ones are the num
 farthest from 1, reported in ascending order.
 """
@@ -278,9 +278,8 @@ def _block_step(dtn, num):
     a run ends unconverged. Each run takes the tolerance _BLOCK_TOL u
     max_b ||K*_b||_1 (the odd block of a circle is roundoff), and a run
     whose smallest kept |lam| fails _selection_complete against the union's
-    selection is resumed; the others keep their selection. The whole pair
-    runs unless _splits_block_step."""
-    blocks = dtn.blocks if _splits_block_step(dtn, num) else [dtn.whole]
+    selection is resumed; the others keep their selection."""
+    blocks = dtn.blocks
     norm = max(scipy.linalg.norm(b.np_adjoint, 1, check_finite=False)
                for b in blocks)
     k = -(-num // len(blocks)) + _ARNOLDI_MARGIN
@@ -309,18 +308,9 @@ def _block_step(dtn, num):
 
 
 def _takes_block_step(n, num):
-    """When solve_plasmonic, and so follow_branch, takes the block step."""
+    """Whether the block step pays for num values of a K* of n rows (of the
+    whole sample, or of follow_branch's smallest block for its share)."""
     return n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN)
-
-
-def _splits_block_step(dtn, num):
-    """Whether the block step runs per mirror block: each half of a
-    mirror-symmetric sample passes _takes_block_step for its share of num.
-    Below that a run's steps cost more in Python than in reading K*
-    (ellipse(2, 1), N = 128, num 4: 5.8 ms on the halves, 4.6 ms on the
-    whole pair)."""
-    return dtn.mirrored and _takes_block_step(dtn.sample.n // 2 - 1,
-                                              -(-num // 2))
 
 
 def solve_plasmonic(dtn, num=20):
@@ -366,69 +356,82 @@ def follow_branch(dtn, eps, start, branch, num):
     from a guess eps of it; start holds densities, one per column, whose
     span is near the branch and its neighbours.
 
-    Below the size where solve_plasmonic takes the block step for num
-    eigenvalues (for a branch of one mirror parity: where that step splits,
-    _splits_block_step; on ellipse(2, 1), N = 256, num 12 the block step on
-    the whole pair took 4.7 ms with the assembly, the odd block's pencil and
-    eigh 2.9 ms), this is block inverse iteration on the pencil of its dense
-    branch, on the symmetry block that holds branch (DtNPair.whole when
-    branch mixes the parities; start densities of the other parity drop out):
-    one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves, with
-    Rayleigh-Ritz on the block after each from the second on. The followed
-    pair is the one of largest A+-weighted overlap with branch, not the one
-    nearest eps, so two branches that cross between the guess and the answer
-    are told apart by their eigenvectors; it is accepted once its residual
-    is below _FOLLOW_TOL. Otherwise the dense eigh of the same pencil
-    answers, by the same overlap. From that size on, the num eigenpairs of
-    solve_plasmonic cost less than the pencil's O(N^3) assembly and LU (at
-    N = 512, 4.9 against 20.8 ms), and the overlap picks among them, in the
-    same form <x, y>+ = -<P S x, (K* + 1/2) y>, A+ on mean-zero densities.
+    Below the size where the block step runs on the smallest symmetry block
+    for its share of num (ellipse(2, 1), N = 256, num 12: the block step
+    took 4.7 ms with the assembly, the odd block's pencil and eigh 2.9 ms),
+    each symmetry block that holds a part of branch follows it on its own
+    pencil, from the parts of start it holds (_follow_in_block). The
+    followed pair is the one of largest A+-weighted overlap with branch,
+    not the one nearest eps, so two branches that cross between the guess
+    and the answer are told apart by their eigenvectors. A+ is
+    block-diagonal, so the blocks' overlaps compare: a branch of both
+    mirror parities gets the whole pencil's answer. From that size on, the
+    num eigenpairs of solve_plasmonic cost less than the pencil's O(N^3)
+    assembly and LU (at N = 512, 4.9 against 20.8 ms), and the overlap
+    picks among them, in the same form <x, y>+ = -<P S x, (K* + 1/2) y>,
+    A+ on mean-zero densities.
 
     The densities are node values; on a shifted sample whose nodes are the
     images of the base nodes (perturbed_sample), base densities carry over
     node for node."""
-    parts = [np.linalg.norm(b.restrict(branch)) for b in dtn.blocks]
-    mixed = min(parts) > _PARITY_TOL * max(parts)   # or one block
-    if (_takes_block_step(dtn.sample.n, num) if mixed
-            else _splits_block_step(dtn, num)):
+    blocks = dtn.blocks
+    if _takes_block_step(min(len(b.weights) for b in blocks),
+                         -(-num // len(blocks))):
         spec = solve_plasmonic(dtn, num)
         flux = dtn.sample.weights * (dtn.product("np_adjoint", branch)
                                      + 0.5 * branch)
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
-    home = dtn.whole if mixed else dtn.blocks[int(np.argmax(parts))]
+    parts = [np.linalg.norm(b.restrict(branch)) for b in blocks]
+    small = _PARITY_TOL * np.sqrt(dtn.sample.weights @ (start * start))
+    return float(1.0 / max(_follow_in_block(b, eps, branch, start, small)
+                           for b, part in zip(blocks, parts)
+                           if part >= _PARITY_TOL * max(parts))[1])
+
+
+def _follow_in_block(home, eps, branch, start, small):
+    """(overlap, mu) of the pair of home's pencil of largest A+-weighted
+    overlap with the density branch, by block inverse iteration from the
+    parts in home of the start densities, those whose part has an M-norm
+    above small: one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves,
+    with Rayleigh-Ritz on the block after each from the second on, until
+    the pair's residual is below _FOLLOW_TOL; else, or with no start part,
+    by the dense eigh of the same pencil."""
     aminus, aplus = home.pencil()
-
-    def closest(vectors):
-        # vectors are A+-orthonormal
-        return int(np.argmax(np.abs(vectors.T @ target)))
-
     target = aplus @ home.coordinates(branch)[:, 0]
-    lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
-                                check_finite=False)
-    block = home.coordinates(start)
-    # start densities of the other parity have no part in the home block
-    norms = np.linalg.norm(block, axis=0)
-    block = aplus @ np.compress(norms > _PARITY_TOL * norms.max(), block, 1)
-    for solve in range(_FOLLOW_SOLVES):
-        y = np.linalg.qr(scipy.linalg.lu_solve(lu, block,
-                                               check_finite=False))[0]
-        block = aplus @ y
-        if solve == 0:
-            # from a start block O(h) off and a guess O(h^2) off, one solve
-            # leaves O(h^3 / gap): above _FOLLOW_TOL at finite-difference h
-            continue
-        ay = aminus @ y
-        mu, c = _pencil_eigh(y.T @ ay, y.T @ block, "follow_branch")
-        pick = closest(y @ c)
-        az, bz = ay @ c[:, pick], block @ c[:, pick]
-        if np.linalg.norm(az - mu[pick] * bz) <= _FOLLOW_TOL * (
-                np.linalg.norm(az) + mu[pick] * np.linalg.norm(bz)):
-            return float(1.0 / mu[pick])
+    start = home.coordinates(start)
+    start = np.compress(np.linalg.norm(start, axis=0) > small, start, 1)
+
+    def closest(vectors, mu):
+        # vectors are A+-orthonormal; (overlap, mu) of the pick, its index
+        overlaps = np.abs(vectors.T @ target)
+        pick = int(np.argmax(overlaps))
+        return (overlaps[pick], mu[pick]), pick
+
+    if start.size:
+        lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
+                                    check_finite=False)
+        block = aplus @ start
+        for solve in range(_FOLLOW_SOLVES):
+            y = np.linalg.qr(scipy.linalg.lu_solve(lu, block,
+                                                   check_finite=False))[0]
+            block = aplus @ y
+            if solve == 0:
+                # from a start block O(h) off and a guess O(h^2) off, one
+                # solve leaves O(h^3 / gap): above _FOLLOW_TOL at
+                # finite-difference h
+                continue
+            ay = aminus @ y
+            mu, c = _pencil_eigh(y.T @ ay, y.T @ block, "follow_branch")
+            found, pick = closest(y @ c, mu)
+            az, bz = ay @ c[:, pick], block @ c[:, pick]
+            if np.linalg.norm(az - mu[pick] * bz) <= _FOLLOW_TOL * (
+                    np.linalg.norm(az) + mu[pick] * np.linalg.norm(bz)):
+                return found
     mu, y = _pencil_eigh(aminus, aplus, "follow_branch", overwrite_a=True,
                          overwrite_b=True)
-    return float(1.0 / mu[closest(y)])
+    return closest(y, mu)[0]
 
 
 def np_route(dtn, num=20):

@@ -160,10 +160,11 @@ def check_two_routes(n=128):
 
     Both find eigendensities from S and K* alone and share one normalization
     and residual; only the eigensolvers differ. At num = 10 and n = 128 both
-    are dense (pencil eigh, eig): an algebraic identity. At num = 4 (k = 16)
-    and n >= 8k = 128 the DtN route runs the block Arnoldi step on K*, and
-    matching the 4 dense eig values farthest from 1 cross-checks two
-    eigensolvers. Independent: ellipse_oracle and tests/oracle2d.py.
+    are dense (pencil eigh, eig): an algebraic identity. At num = 4 and
+    n >= 8 (num + 12) = 128 the DtN route runs the block Arnoldi step on K*,
+    one run per mirror block of the ellipse (k = 2 + 12 each), and matching
+    the 4 dense eig values farthest from 1 cross-checks two eigensolvers.
+    Independent: ellipse_oracle and tests/oracle2d.py.
     """
     dtn = _ellipse_dtn(n)
     dense = np_route(dtn, num=10).eigenvalues

@@ -72,10 +72,10 @@ def test_row_blocks_match_the_whole_matrix_bit_for_bit(n, blocks, curve):
     assert blocks == ("one" if rows >= n else
                       "whole" if n % rows == 0 else "partial")
     sample = sample_curve(curve, n)
-    dtn = build_dtn(sample)
+    pair = bem2d._assemble(sample)
     single, kern = whole_matrix_operators(sample)
-    assert np.array_equal(dtn.whole.single_layer, single)
-    assert np.array_equal(dtn.whole.np_adjoint, kern)
+    assert np.array_equal(pair[0], single)
+    assert np.array_equal(pair[1], kern)
 
 
 @pytest.mark.parametrize("n", [64, 180, 1024])
@@ -83,8 +83,8 @@ def test_single_layer_and_np_adjoint_share_one_allocation(n):
     # S and K* are the halves of one C-contiguous (2, N, N) block, so that a
     # loop of jobs at N = 1024 gets one 16 MB block back from the allocator
     # instead of faulting in two fresh 8 MB ones
-    dtn = build_dtn(sample_curve(KITE, n))
-    single, kern = dtn.whole.single_layer, dtn.whole.np_adjoint
+    [block] = build_dtn(sample_curve(KITE, n)).blocks
+    single, kern = block.single_layer, block.np_adjoint
     assert single.base is kern.base
     assert single.base.shape == (2, n, n)
     assert single.base.flags.c_contiguous
@@ -104,7 +104,7 @@ def test_assembly_keeps_no_full_size_temporaries():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert dtn.whole.single_layer.shape == (n, n)
+    assert dtn.blocks[0].single_layer.shape == (n, n)
     assert peak <= 2.25 * 8 * n * n
 
 
@@ -112,7 +112,7 @@ def test_single_layer_circle_multipliers():
     # S cos(lt) = -(R / 2l) cos(lt) on a circle of radius R; constants map
     # to R log R
     sample = sample_curve(CurveParam.circle(2.0), 64)
-    sop = build_dtn(sample).whole.single_layer
+    sop = bem2d._assemble(sample)[0]
     t = sample.t
     assert np.max(np.abs(sop @ np.ones(64) - 2.0 * math.log(2.0))) < 1e-12
     for l in (1, 2, 5, 13):
@@ -124,21 +124,22 @@ def test_single_layer_circle_multipliers():
 
 def test_single_layer_is_weighted_symmetric():
     sample = sample_curve(KITE, 128)
-    sop = build_dtn(sample).whole.single_layer
+    [block] = build_dtn(sample).blocks
+    sop = block.single_layer
     assert weighted_symmetry_residual(sop, sample.weights) < 1e-13
 
 
 def test_unit_capacity_singular_single_layer_still_builds_dtn():
     # capacity 1: the plain single layer is singular, the bordered one is not
     dtn = build_dtn(sample_curve(CurveParam.circle(1.0), 64))
-    assert scipy.linalg.svdvals(dtn.whole.single_layer)[-1] < 1e-6
+    assert scipy.linalg.svdvals(bem2d._assemble(dtn.sample)[0])[-1] < 1e-6
     for applied in dtn.apply(np.eye(64)):
         assert np.all(np.isfinite(applied))
 
 
 def test_np_adjoint_circle_action():
     sample = sample_curve(CurveParam.circle(1.0), 64)
-    kstar = build_dtn(sample).whole.np_adjoint
+    kstar = bem2d._assemble(sample)[1]
     ones = np.ones(64)
     assert np.max(np.abs(kstar @ ones - 0.5 * ones)) < 1e-13
     for l in (1, 2, 4):
@@ -149,7 +150,7 @@ def test_np_adjoint_ellipse_eigenvalues_exact():
     exact = ellipse_np_eigenvalues(2.0, 1.0, kmax=5)
     for n in (64, 128):
         sample = sample_curve(CurveParam.ellipse(2.0, 1.0), n)
-        kstar = build_dtn(sample).whole.np_adjoint
+        kstar = bem2d._assemble(sample)[1]
         lam = np.sort(scipy.linalg.eigvals(kstar).real)
         got = np.sort(np.concatenate([lam[:5], lam[-6:]]))
         assert np.max(np.abs(got - np.array(exact))) < 1e-12
@@ -202,7 +203,7 @@ def test_boundary_operator_validation():
     # applied, to one vector or to the columns of a block, and are weighted
     # self-adjoint
     dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 32))
-    for op in (dtn.whole.single_layer, dtn.whole.np_adjoint):
+    for op in bem2d._assemble(dtn.sample):
         assert op.shape == (32, 32)
         assert not op.flags.writeable
         with pytest.raises(ValueError):

@@ -29,19 +29,24 @@ DENSE_NUM = {128: 10, 256: 30}
 COS2 = ShapeFn2D(cos=(0.0, 0.0, 1.0))
 
 
-def one_block(dtn):
-    """dtn with its blocks replaced by the whole pair: every solve runs on
-    the one block, as on an asymmetric sample."""
-    dtn.blocks = [dtn.whole]
-    return dtn
+def one_block(sample):
+    """The DtNPair of sample built as if it were asymmetric: one block of
+    all N rows, on which every solve runs."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(bem2d, "_is_mirrored", lambda sample: False)
+        return build_dtn(sample)
 
 
 def refuse_whole(monkeypatch):
-    """Make any use of DtNPair.whole, the whole S and K*, fail."""
-    def refused(dtn):
-        raise AssertionError("the whole S or K* formed")
+    """Make any assembly of all N rows of S and K* fail."""
+    assemble = bem2d._assemble
 
-    monkeypatch.setattr(bem2d.DtNPair, "whole", property(refused))
+    def refused(sample, blocks=()):
+        if not blocks:
+            raise AssertionError("the whole S and K* assembled")
+        return assemble(sample, blocks)
+
+    monkeypatch.setattr(bem2d, "_assemble", refused)
 
 
 def close_eigenvalues(got, want):
@@ -85,13 +90,13 @@ def test_half_row_blocks_are_the_fold_of_the_whole_pair(n):
     # a partial last panel, 32-row panels), are bit for bit the columns of
     # each node and its mirror combined in the whole pair's rows
     dtn = build_dtn(sample_curve(MIRRORED["ellipse"], n))
+    pair = bem2d._assemble(dtn.sample)
     index = np.arange(n)
     for block, rows, sign in zip(dtn.blocks, (index[:n // 2 + 1],
                                               index[1:n // 2]), (1.0, -1.0)):
         mirror = -rows % n
         once = np.where(rows == mirror, 0.5, 1.0)
-        for got, whole in ((block.single_layer, dtn.whole.single_layer),
-                           (block.np_adjoint, dtn.whole.np_adjoint)):
+        for got, whole in zip((block.single_layer, block.np_adjoint), pair):
             part = whole[rows]
             assert np.array_equal(
                 got, (part[:, rows] + sign * part[:, mirror]) * once)
@@ -104,10 +109,9 @@ def test_half_row_blocks_are_the_fold_of_the_whole_pair(n):
     sample_curve(CurveParam.fourier(cos=[1.0, 0.0, 0.1], sin=[1e-6]), 128)],
     ids=["kite", "sin-shifted-ellipse", "fourier-sin-1e-6"])
 def test_asymmetric_samples_stay_one_block(sample):
-    dtn = build_dtn(sample)
-    [whole] = dtn.blocks
-    assert whole is dtn.whole
-    assert whole.nodes is None
+    [block] = build_dtn(sample).blocks
+    assert block.nodes is None
+    assert block.single_layer.shape == (128, 128)
 
 
 @pytest.mark.parametrize("curve", [KITE, STAR], ids=["kite", "star"])
@@ -115,7 +119,7 @@ def test_asymmetric_apply_is_the_bordered_solve(curve):
     # the one block of an asymmetric sample applies N- and N+ through the
     # LU of [[S, 1], [w^T, 0]], bit for bit, to a block and to one vector
     dtn = build_dtn(sample_curve(curve, 128))
-    single, kern = dtn.whole.single_layer, dtn.whole.np_adjoint
+    single, kern = dtn.blocks[0].single_layer, dtn.blocks[0].np_adjoint
     lu = scipy.linalg.lu_factor(np.block([
         [single, np.ones((128, 1))],
         [dtn.sample.weights[None, :], np.zeros((1, 1))]]))
@@ -140,7 +144,7 @@ def test_block_apply_matches_the_one_block_solve(curve, n):
     g = np.column_stack([np.random.default_rng(n).standard_normal((n, 3)),
                          np.cos(2 * sample.t), np.sin(3 * sample.t)])
     split = build_dtn(sample)
-    whole = one_block(build_dtn(sample))
+    whole = one_block(sample)
     for x in (g, g[:, 0]):
         for got, want in zip(split.apply(x), whole.apply(x)):
             assert got.shape == want.shape
@@ -165,15 +169,15 @@ def test_apply_only_jobs_never_form_the_whole_pair(monkeypatch):
 
 
 def test_product_does_not_depend_on_what_is_assembled():
-    # a mirror-symmetric sample's products go through its blocks, whether or
-    # not its whole pair was assembled first
+    # a mirror-symmetric sample's products go through its half-row blocks
+    # and agree with the products of all N rows, to roundoff
     sample = sample_curve(MIRRORED["ellipse"], 128)
     phi = np.random.default_rng(3).standard_normal((128, 4))
-    fresh, assembled = build_dtn(sample), build_dtn(sample)
-    assembled.whole
+    split, whole = build_dtn(sample), one_block(sample)
     for name in ("single_layer", "np_adjoint"):
-        assert fresh.product(name, phi).tobytes() == \
-            assembled.product(name, phi).tobytes()
+        want = whole.product(name, phi)
+        assert np.max(np.abs(split.product(name, phi) - want)) <= \
+            1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("curve", ["kite"] + sorted(MIRRORED))
@@ -187,7 +191,7 @@ def test_farfield_log_coefficient_is_the_plain_solve(curve):
         with pytest.raises(NumericalError, match="logarithmic capacity is 1"):
             farfield_log_coefficient(dtn, g)
         return
-    phi = scipy.linalg.solve(dtn.whole.single_layer, g)
+    phi = scipy.linalg.solve(bem2d._assemble(dtn.sample)[0], g)
     want = float(dtn.sample.weights @ phi) / (2.0 * np.pi)
     assert abs(farfield_log_coefficient(dtn, g) - want) <= 1e-12 * abs(want)
 
@@ -201,7 +205,7 @@ def test_split_spectra_match_the_one_block_solve(curve, n):
     num = DENSE_NUM[n]
     for solve in (np_route, solve_plasmonic):
         split = solve(build_dtn(sample), num)
-        whole = solve(one_block(build_dtn(sample)), num)
+        whole = solve(one_block(sample), num)
         assert close_eigenvalues(split.eigenvalues, whole.eigenvalues) \
             <= 1e-13
         assert np.max(split.residuals) <= 1e-8
@@ -221,21 +225,26 @@ def test_followed_branch_matches_the_one_block_solve(monkeypatch, curve, n,
         args = (spec.eigenvalues[i], spec.densities[:, max(0, i - 2):i + 3],
                 spec.densities[:, i], num)
         split = follow_branch(build_dtn(shifted), *args)
-        whole = follow_branch(one_block(build_dtn(shifted)), *args)
+        whole = follow_branch(one_block(shifted), *args)
         assert abs(split - whole) <= 1e-13 * max(1.0, abs(whole))
 
 
-def test_mixed_parity_branch_takes_the_one_block_path(monkeypatch):
+def test_mixed_parity_branch_follows_each_block(monkeypatch):
     # the ellipse's two eigendensities farthest from 1 lie in different
-    # blocks; a branch of their sum belongs to neither, and is followed on
-    # the whole pencil (N - 1 rows), a pure one on its block
+    # blocks; a branch of the first plus a quarter of the second is followed
+    # on both blocks' pencils (63 and 64 rows, the even one, which holds no
+    # start density, by its dense eigh), whose best overlap is the whole
+    # pencil's by inverse iteration and by eigh alike; a pure branch is
+    # followed on its block alone
     dtn = build_dtn(sample_curve(MIRRORED["ellipse"], 128))
     spec = solve_plasmonic(dtn, 10)
     phi = spec.densities
     parts = [[np.linalg.norm(b.restrict(phi[:, i])) for b in dtn.blocks]
-             for i in (0, 9)]
-    assert min(parts[0]) == 0.0 and min(parts[1]) == 0.0
-    assert np.argmax(parts[0]) != np.argmax(parts[1])
+             for i in (0, 1, 2, 9)]
+    # the start, phi 0 to 2, lies in one block, phi 9 in the other
+    assert all(min(p) == 0.0 for p in parts)
+    assert len({int(np.argmax(p)) for p in parts[:3]}) == 1
+    assert np.argmax(parts[0]) != np.argmax(parts[3])
     sizes = []
     pencil = DtNBlock.pencil
 
@@ -244,10 +253,10 @@ def test_mixed_parity_branch_takes_the_one_block_path(monkeypatch):
         return pencil(block)
 
     monkeypatch.setattr(DtNBlock, "pencil", recording)
-    for branch in (phi[:, 0], phi[:, 0] + phi[:, 9]):
+    for branch in (phi[:, 0], phi[:, 0] + 0.25 * phi[:, 9]):
         eps = follow_branch(dtn, spec.eigenvalues[0], phi[:, :3], branch, 10)
         assert abs(eps - spec.eigenvalues[0]) <= 1e-13
-    assert sizes == [63, 128]
+    assert sizes == [63, 65, 63]
 
 
 def test_block_step_never_forms_the_whole_pair(monkeypatch):
@@ -256,7 +265,7 @@ def test_block_step_never_forms_the_whole_pair(monkeypatch):
     # formed, and the union's selection is the one-block run's and the
     # closed form's
     sample = sample_curve(CurveParam.ellipse(40.0, 1.0), 1024)
-    whole = solve_plasmonic(one_block(build_dtn(sample)), 40).eigenvalues
+    whole = solve_plasmonic(one_block(sample), 40).eigenvalues
     refuse_whole(monkeypatch)
     assembled = record_assembly(monkeypatch)
     steps = count_block_steps(monkeypatch)
@@ -267,15 +276,52 @@ def test_block_step_never_forms_the_whole_pair(monkeypatch):
     assert np.all(np.abs(spec.eigenvalues - exact) <= 3e-13 * exact)
 
 
+def test_follow_without_a_start_density_in_the_branch_block():
+    # a branch of one parity followed from start densities of the other
+    # alone: the branch's block holds no start column and answers by its
+    # dense eigh, as inverse iteration does from a start in that block
+    base, shifted = perturbed_sample(MIRRORED["ellipse"], COS2, [0.0, 1e-3],
+                                     128)
+    spec = solve_plasmonic(build_dtn(base), 10)
+    phi = spec.densities   # phi 0 to 4 in the odd block, 5 to 9 the even
+    dtn = build_dtn(shifted)
+    for i, other, own in ((0, slice(5, 8), slice(0, 3)),
+                          (9, slice(2, 5), slice(7, 10))):
+        args = (spec.eigenvalues[i], phi[:, other], phi[:, i], 10)
+        got = follow_branch(dtn, *args)
+        want = follow_branch(dtn, spec.eigenvalues[i], phi[:, own],
+                             phi[:, i], 10)
+        assert abs(got - want) <= 1e-13 * abs(want)
+
+
+@pytest.mark.parametrize("n, num", [(256, 12), (128, 4)])
+def test_band_jobs_never_form_the_whole_pair(monkeypatch, n, num):
+    # N and num where the block step runs on the whole sample's size but
+    # not on each block's for its share: the step runs per block all the
+    # same, on the rows 0 to N/2, and its selection is the one-block
+    # solve's and the closed form's
+    sample = sample_curve(MIRRORED["ellipse"], n)
+    whole = solve_plasmonic(one_block(sample), num).eigenvalues
+    assert spectrum2d._takes_block_step(n, num)
+    assert not spectrum2d._takes_block_step(n // 2 - 1, -(-num // 2))
+    assembled = record_assembly(monkeypatch)
+    steps = count_block_steps(monkeypatch)
+    spec = solve_plasmonic(build_dtn(sample), num)
+    assert assembled == [2] and steps == [True]
+    assert np.all(np.abs(spec.eigenvalues - whole) <= 1e-13 * whole)
+    exact = np.array(elliptic_eigenvalues(2.0, 1.0, num))
+    assert np.all(np.abs(spec.eigenvalues - exact) <= 1e-13 * exact)
+
+
 @pytest.mark.parametrize("curve", [KITE, STAR], ids=["kite", "star"])
 def test_asymmetric_samples_assemble_every_row(monkeypatch, curve):
     # build_dtn assembles the whole pair of an asymmetric sample, on all N
     # rows, and it is the sample's one block
     assembled = record_assembly(monkeypatch)
     dtn = build_dtn(sample_curve(curve, 1024))
-    assert not dtn.mirrored and "whole" in vars(dtn)
-    assert dtn.blocks == [dtn.whole]
-    assert dtn.whole.single_layer.shape == (1024, 1024) and assembled == [0]
+    assert len(dtn.blocks) == 1
+    assert dtn.blocks[0].single_layer.shape == (1024, 1024)
+    assert assembled == [0]
 
 
 def test_near_symmetric_samples_follow_the_mirror_test(monkeypatch):

@@ -7,8 +7,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from plasmeig import spectrum2d
-from plasmeig.bem2d import build_dtn
+from plasmeig import bem2d, spectrum2d
+from plasmeig.bem2d import DtNBlock, build_dtn
 from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import ConfigError, EInfinitySignal
@@ -165,9 +165,9 @@ def test_densities_carry_the_eigenfunctions():
         phi, g = spec.densities, spec.eigenfunctions
         size = np.sqrt(w @ (phi * phi) * w.sum())
         assert np.all(np.abs(w @ phi) <= 1e-12 * size)
-        sphi = dtn.whole.single_layer @ phi
+        sphi = dtn.blocks[0].single_layer @ phi
         assert np.max(np.abs(g - (sphi - (w @ sphi) / w.sum()))) < 1e-14
-        dng = dtn.whole.np_adjoint @ phi - 0.5 * phi
+        dng = dtn.blocks[0].np_adjoint @ phi - 0.5 * phi
         assert np.max(np.abs(w @ (g * dng) - 1.0)) < 1e-12
         gap = np.sqrt(w @ (dtn.apply(g)[0] - dng) ** 2)
         assert np.all(gap <= 1e-10 * np.maximum(1.0, np.sqrt(w @ dng ** 2)))
@@ -200,7 +200,7 @@ def test_block_route_residuals_equal_the_dtn_residuals(monkeypatch):
     ng = np.sqrt(dtn.sample.weights @ dtn.apply(g)[0] ** 2)
     assert np.all(np.abs(spec.residuals - ref) <= 1e-10 * np.maximum(1.0, ng))
     phi, k_star_phi = np.split(spectrum2d._block_step(dtn, 40)[1], 2)
-    k_star = dtn.whole.np_adjoint
+    k_star = dtn.blocks[0].np_adjoint
     bound = 100 * np.finfo(float).eps * np.linalg.norm(k_star, 1)
     assert np.all(np.linalg.norm(k_star_phi - k_star @ phi, axis=0)
                   <= bound * np.linalg.norm(phi, axis=0))
@@ -217,8 +217,8 @@ def test_block_basis_is_mean_zero_and_m_orthonormal(curve, block, dim):
     w = dtn.sample.weights
     spec = solve_plasmonic(dtn, num=20)
     assert np.max(np.abs(w @ spec.eigenfunctions)) < 1e-12
-    part = {"whole": dtn.whole, "even": dtn.blocks[0],
-            "odd": dtn.blocks[-1]}[block]
+    part = {"whole": DtNBlock(w, bem2d._assemble(dtn.sample)),
+            "even": dtn.blocks[0], "odd": dtn.blocks[-1]}[block]
     q = part.densities(np.eye(dim))
     assert q.shape == (128, dim)
     assert np.max(np.abs(w @ q)) < 1e-13
@@ -473,7 +473,7 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
 
     monkeypatch.setattr(spectrum2d.scipy.linalg, "eig", spy)
     dtn = build_dtn(sample_curve(KITE, n))
-    k_star = dtn.whole.np_adjoint
+    k_star = dtn.blocks[0].np_adjoint
     eps, pairs = spectrum2d._block_step(dtn, num)
     lam = (eps - 1.0) / (2.0 * (eps + 1.0))
     assert kinds[-1] == vectors
@@ -489,11 +489,16 @@ def test_ritz_vectors_of_both_kinds_are_eigenvectors(monkeypatch, n, k,
 
 def test_block_step_stops_within_the_space(monkeypatch):
     # at N = 104 and num = 1 (k = 13) the cap k + 160 passes N: the step
-    # (on the whole pair: the mirror blocks of 53 and 51 rows are below the
-    # crossover) stops at the dimension 96, whose next block fills the
-    # space, after 12 passes over K*, and ellipse(30, 1) needs more
-    dtn = build_dtn(sample_curve(CurveParam.ellipse(30.0, 1.0), 104))
-    assert block_step_passes(monkeypatch, dtn, 1) == (None, [12])
+    # stops at the dimension 96 of the one block, whose next block fills
+    # the space, after 12 passes over K*, and at the dimension 40 of each
+    # mirror block (53 and 51 rows) after 5; ellipse(30, 1) needs more
+    sample = sample_curve(CurveParam.ellipse(30.0, 1.0), 104)
+    with monkeypatch.context() as patch:
+        patch.setattr(bem2d, "_is_mirrored", lambda sample: False)
+        whole = build_dtn(sample)
+    for dtn, passes in ((whole, [12]), (build_dtn(sample), [5, 5])):
+        with monkeypatch.context() as patch:
+            assert block_step_passes(patch, dtn, 1) == (None, passes)
 
 
 def test_block_step_memory_stays_below_one_matrix():
