@@ -6,14 +6,14 @@ Computes permittivities eps for which the transmission problem
     eps dn(u-) + dn(u+) = 0,       u bounded at infinity
 
 has a nontrivial solution, i.e. (eps N- + N+) g = 0 on mean-zero boundary
-data. Two routes are provided: the DtN route (at large N a block Arnoldi
-step on K*, grown until it settles the selection; else, or past its cap, a
-symmetric eigensolve of the DtN pencil on mean-zero densities) and the
-classical Neumann-Poincare route through every eigenvalue of K*. Every
-solve runs per symmetry block of bem2d.DtNPair.blocks, the block step as
-one resumable run per block with the selection made over their union.
-All find eigendensities phi from S and K* alone and share one
-normalization of phi and g = P S phi.
+data. Two routes are provided: the DtN route (on large symmetry blocks a
+block Arnoldi step on K*, grown until it settles the selection; else, or
+past its cap, a symmetric eigensolve of the DtN pencil on mean-zero
+densities) and the classical Neumann-Poincare route through every
+eigenvalue of K*. Every solve runs per symmetry block of
+bem2d.DtNPair.blocks, the block step as one resumable run per block with
+the selection made over their union. All find eigendensities phi from S
+and K* alone and share one normalization of phi and g = P S phi.
 Eigenvalues accumulate at 1 from both sides; the selected ones are the num
 farthest from 1, reported in ascending order.
 """
@@ -30,22 +30,21 @@ _CRIT_DIRECTIONS = 20
 _CLUSTER_TAIL = 20
 _FLUX_COS = 1e-6
 _TIE = 1e3 * np.finfo(float).eps
-# From N = 8k a Krylov method beats the dense pencil for the k = num + margin
-# K* eigenvalues of largest modulus (measured at num 40 and 10, 1 BLAS
-# thread). The block step reads K* once per block of _BLOCK vectors, in row
-# panels of bem2d's _BLOCK_ENTRIES (at N = 1024, 32 rows: 0.83-0.89 ms for 8
-# columns, against 1.14 ms as one GEMM and 0.37 ms for one column), and
-# accepts residuals up to _BLOCK_TOL u ||K*||_1. On the 16 ellipse jobs of
-# spectrum_large seeds 31 and 5 (N = 1024, num 40) it took 14.9-40.8 ms
-# (median 20.2) at k = 52 on the whole K*, and 9.4-25.5 ms (median 12.1) at
-# k = 32 on each mirror half. A failed selection guard grows a run's k by
-# one block. The cap, the dimension k + 160 for the first k, comes from the
-# spectrum: K*'s eigenvalues decay at a rate set by the curve, so a curve
-# needs k plus an excess that does not grow with k. On ellipses at k = 13 to
-# 52 the excess was 20-35 at aspect 2, 68-75 at 10, 104-108 at 20, 124-132
-# at 30 and 146-152 at 40; 160 covers them all.
+# The block step finds the k = share + margin K* eigenvalues of largest
+# modulus of each symmetry block, share = ceil(num / blocks), in about
+# k + 20 + excess passes over its r^2 entries plus a fixed cost; the dense
+# pencil costs about r^3 per block. It runs where the largest block has
+# r >= _ROWS_PER_VALUE (share + _ROWS_OFFSET) rows and _BLOCK_STEP_ROWS,
+# the floor for one block or two. A failed selection guard grows a run's k
+# by one block. The cap, the dimension k + 160 for the first k, comes from
+# the spectrum: K*'s eigenvalues decay at a rate set by the curve, so a
+# curve needs k plus an excess that does not grow with k. On ellipses at
+# k = 13 to 52 the excess was 20-35 at aspect 2, 68-75 at 10, 104-108 at
+# 20, 124-132 at 30 and 146-152 at 40; 160 covers them all.
 _ARNOLDI_MARGIN = 12
-_ARNOLDI_N_PER_PAIR = 8
+_BLOCK_STEP_ROWS = (128, 160)
+_ROWS_PER_VALUE = 2
+_ROWS_OFFSET = 55
 _BLOCK = 8
 _BLOCK_TOL = 50.0
 # follow_branch: the inverse-iteration solves before the dense pencil decides,
@@ -57,6 +56,7 @@ _BLOCK_TOL = 50.0
 # accumulating at 1.
 _FOLLOW_SOLVES = 8
 _FOLLOW_TOL = 1e-11
+_FOLLOW_ROWS_PER_VALUE = 2.75
 # Largest relative part of the other mirror parity in a one-parity density
 _PARITY_TOL = 1e-8
 
@@ -307,10 +307,11 @@ def _block_step(dtn, num):
     return None
 
 
-def _takes_block_step(n, num):
-    """Whether the block step pays for num values of a K* of n rows (of the
-    whole sample, or of follow_branch's smallest block for its share)."""
-    return n >= _ARNOLDI_N_PER_PAIR * (num + _ARNOLDI_MARGIN)
+def _takes_block_step(blocks, num, per_value=_ROWS_PER_VALUE):
+    """Whether the block step pays for num values on the symmetry blocks."""
+    return max(len(b.weights) for b in blocks) >= max(
+        _BLOCK_STEP_ROWS[len(blocks) - 1],
+        per_value * (-(-num // len(blocks)) + _ROWS_OFFSET))
 
 
 def solve_plasmonic(dtn, num=20):
@@ -332,7 +333,7 @@ def solve_plasmonic(dtn, num=20):
     eigenfunction must have positive interior energy, and nothing is
     factored."""
     check_num(num, dtn.sample.n, "solve_plasmonic")
-    if _takes_block_step(dtn.sample.n, num):
+    if _takes_block_step(dtn.blocks, num):
         pairs = _block_step(dtn, num)
         if pairs is not None:
             return _spectrum(dtn, pairs[0], *np.split(pairs[1], 2), "dtn")
@@ -356,38 +357,44 @@ def follow_branch(dtn, eps, start, branch, num):
     from a guess eps of it; start holds densities, one per column, whose
     span is near the branch and its neighbours.
 
-    Below the size where the block step runs on the smallest symmetry block
-    for its share of num (ellipse(2, 1), N = 256, num 12: the block step
-    took 4.7 ms with the assembly, the odd block's pencil and eigh 2.9 ms),
-    each symmetry block that holds a part of branch follows it on its own
-    pencil, from the parts of start it holds (_follow_in_block). The
-    followed pair is the one of largest A+-weighted overlap with branch,
-    not the one nearest eps, so two branches that cross between the guess
-    and the answer are told apart by their eigenvectors. A+ is
-    block-diagonal, so the blocks' overlaps compare: a branch of both
-    mirror parities gets the whole pencil's answer. From that size on, the
-    num eigenpairs of solve_plasmonic cost less than the pencil's O(N^3)
-    assembly and LU (at N = 512, 4.9 against 20.8 ms), and the overlap
-    picks among them, in the same form <x, y>+ = -<P S x, (K* + 1/2) y>,
-    A+ on mean-zero densities.
+    Where the block step on every block pays against one block's pencil,
+    LU and solves (_FOLLOW_ROWS_PER_VALUE, fitted at 2.6-3.2), the num
+    eigenpairs of solve_plasmonic are read by their A+-weighted overlap
+    with branch, <x, y>+ = -<P S x, (K* + 1/2) y> on mean-zero densities.
+    Else each block holding a part of branch follows it on its own pencil
+    from its parts of start (_follow_in_block), by decreasing A+ norm of
+    that part, skipped once the best overlap found reaches it
+    (Cauchy-Schwarz). The pair of largest overlap wins, not the value
+    nearest eps, so branches that cross between the guess and the answer
+    are told apart; A+ is block-diagonal, so the blocks' overlaps compare.
 
     The densities are node values; on a shifted sample whose nodes are the
     images of the base nodes (perturbed_sample), base densities carry over
     node for node."""
-    blocks = dtn.blocks
-    if _takes_block_step(min(len(b.weights) for b in blocks),
-                         -(-num // len(blocks))):
+    blocks, w = dtn.blocks, dtn.sample.weights
+    if _takes_block_step(blocks, num, _FOLLOW_ROWS_PER_VALUE * len(blocks)):
         spec = solve_plasmonic(dtn, num)
-        flux = dtn.sample.weights * (dtn.product("np_adjoint", branch)
-                                     + 0.5 * branch)
+        flux = w * (dtn.product("np_adjoint", branch) + 0.5 * branch)
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
     parts = [np.linalg.norm(b.restrict(branch)) for b in blocks]
-    small = _PARITY_TOL * np.sqrt(dtn.sample.weights @ (start * start))
-    return float(1.0 / max(_follow_in_block(b, eps, branch, start, small)
-                           for b, part in zip(blocks, parts)
-                           if part >= _PARITY_TOL * max(parts))[1])
+    held = [b for b, p in zip(blocks, parts) if p >= _PARITY_TOL * max(parts)]
+    norms = [0.0] * len(held)
+    if len(held) > 1:   # <x, x>+ = -<P S x, (K* + 1/2) x>, x each held part
+        norms = []
+        for b in held:   # P: the mean-zero projection, on the even block
+            mean = b.weights * (b.sign > 0) / b.weights.sum()
+            x = b.restrict(branch)
+            x = x - mean @ x
+            s = b.single_layer @ x
+            norms.append(np.sqrt(max(0.0, -(b.weights * (s - mean @ s))
+                                     @ (b.np_adjoint @ x + 0.5 * x))))
+    small, best = _PARITY_TOL * np.sqrt(w @ (start * start)), (-np.inf, 0.0)
+    for norm, b in sorted(zip(norms, held), key=lambda pair: -pair[0]):
+        if norm > best[0]:
+            best = max(best, _follow_in_block(b, eps, branch, start, small))
+    return float(1.0 / best[1])
 
 
 def _follow_in_block(home, eps, branch, start, small):

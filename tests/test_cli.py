@@ -157,8 +157,9 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
 
 
 def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
-    # N >= 8 (num + 12) solves by the block Arnoldi step on K* (one
-    # converged block solve per spectrum); below that the dense pencil
+    # the kite's one block of N = 1024 rows solves by the block Arnoldi
+    # step on K* (one converged block solve per spectrum); 128 rows for num
+    # 40 by the dense pencil
     calls = count_block_steps(monkeypatch)
     for n, expected in ((1024, [True]), (128, [])):
         calls.clear()
@@ -167,9 +168,10 @@ def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
         assert main(["spectrum", "--config", cfg, "--out",
                      str(tmp_path / str(n))]) == 0
         assert calls == expected
-    # the README 2D perturb job at N = 512 makes 7 spectrum solves (the base
-    # and two per step), all by the block step; epsdot is the dense pencil's
-    # value
+    # the README 2D perturb job at N = 512: the base spectrum by the block
+    # step; each of the 6 followed eigenvalues on its mirror block's pencil,
+    # which costs less than a block step on both blocks; epsdot is the dense
+    # pencil's value
     job = {"mode": "2d", "curve": ELLIPSE,
            "a": {"cos": [0.0, 0.0, 1.0], "sin": []}, "N": 512,
            "eps_index": 0, "h_list": [1e-2, 5e-3, 2.5e-3]}
@@ -177,7 +179,7 @@ def test_spectrum_takes_arnoldi_only_at_large_n(tmp_path, monkeypatch):
     calls.clear()
     assert main(["perturb", "--config", cfg, "--out",
                  str(tmp_path / "perturb")]) == 0
-    assert calls == [True] * 7
+    assert calls == [True]
     record, _ = read_record(tmp_path / "perturb", "perturb")
     assert record["flags"] == {"fd_slope_ok": True}
     dense = -0.7179890884119251

@@ -12,19 +12,21 @@ from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve)
 from plasmeig.dtn_shape import fd_operator_check
 from plasmeig.errors import NumericalError
+from plasmeig.perturb import epsdot_2d
 from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
                                  follow_branch, np_route, rayleigh,
                                  solve_plasmonic)
 from plasmeig.validate import elliptic_eigenvalues
 
-from test_spectrum2d import STAR, count_block_steps, count_dense_solves
+from test_spectrum2d import (STAR, count_block_steps, count_dense_solves,
+                             force_route)
 
 KITE = CurveParam.fourier(cos=[1.0, 0.25, 0.15], sin=[0.0, 0.0, 0.05])
 MIRRORED = {"ellipse": CurveParam.ellipse(2.0, 1.0),
             "circle": CurveParam.circle(1.0),
             "fourier": CurveParam.fourier(cos=[1.0, 0.0, 0.1, 0.05])}
 SIZES = [128, 256]
-# a num that keeps solve_plasmonic on the dense pencil at each size
+# a num that keeps solve_plasmonic on the blocks' dense pencils at each size
 DENSE_NUM = {128: 10, 256: 30}
 COS2 = ShapeFn2D(cos=(0.0, 0.0, 1.0))
 
@@ -218,6 +220,9 @@ def test_split_spectra_match_the_one_block_solve(curve, n):
 def test_followed_branch_matches_the_one_block_solve(monkeypatch, curve, n,
                                                      solves):
     monkeypatch.setattr(spectrum2d, "_FOLLOW_SOLVES", solves)
+    # both follow on their pencils, also the one block of 256 rows, where
+    # the size rule reads the block step's pairs
+    force_route(monkeypatch, False)
     num = DENSE_NUM[n]
     base, shifted = perturbed_sample(MIRRORED[curve], COS2, [0.0, 1e-3], n)
     spec = solve_plasmonic(build_dtn(base), num)
@@ -232,9 +237,9 @@ def test_followed_branch_matches_the_one_block_solve(monkeypatch, curve, n,
 def test_mixed_parity_branch_follows_each_block(monkeypatch):
     # the ellipse's two eigendensities farthest from 1 lie in different
     # blocks; a branch of the first plus a quarter of the second is followed
-    # on both blocks' pencils (63 and 64 rows, the even one, which holds no
-    # start density, by its dense eigh), whose best overlap is the whole
-    # pencil's by inverse iteration and by eigh alike; a pure branch is
+    # on the first's block alone (63 rows): the quarter's A+ norm is half the
+    # overlap found there, so the even block cannot win and its pencil is
+    # not formed, and the answer is the whole pencil's; a pure branch is
     # followed on its block alone
     dtn = build_dtn(sample_curve(MIRRORED["ellipse"], 128))
     spec = solve_plasmonic(dtn, 10)
@@ -256,7 +261,7 @@ def test_mixed_parity_branch_follows_each_block(monkeypatch):
     for branch in (phi[:, 0], phi[:, 0] + 0.25 * phi[:, 9]):
         eps = follow_branch(dtn, spec.eigenvalues[0], phi[:, :3], branch, 10)
         assert abs(eps - spec.eigenvalues[0]) <= 1e-13
-    assert sizes == [63, 65, 63]
+    assert sizes == [63, 63]
 
 
 def test_block_step_never_forms_the_whole_pair(monkeypatch):
@@ -296,21 +301,66 @@ def test_follow_without_a_start_density_in_the_branch_block():
 
 @pytest.mark.parametrize("n, num", [(256, 12), (128, 4)])
 def test_band_jobs_never_form_the_whole_pair(monkeypatch, n, num):
-    # N and num where the block step runs on the whole sample's size but
-    # not on each block's for its share: the step runs per block all the
-    # same, on the rows 0 to N/2, and its selection is the one-block
+    # N and num where a rule on the whole sample's N took the block step:
+    # each mirror block (129 or 65 rows) is below the two-block floor and
+    # solves its own pencil, formed on the rows 0 to N/2; the block step
+    # run on the same blocks agrees. Both selections are the one-block
     # solve's and the closed form's
     sample = sample_curve(MIRRORED["ellipse"], n)
     whole = solve_plasmonic(one_block(sample), num).eigenvalues
-    assert spectrum2d._takes_block_step(n, num)
-    assert not spectrum2d._takes_block_step(n // 2 - 1, -(-num // 2))
     assembled = record_assembly(monkeypatch)
     steps = count_block_steps(monkeypatch)
-    spec = solve_plasmonic(build_dtn(sample), num)
-    assert assembled == [2] and steps == [True]
-    assert np.all(np.abs(spec.eigenvalues - whole) <= 1e-13 * whole)
+    solves = count_dense_solves(monkeypatch)
+    dtn = build_dtn(sample)
+    spec = solve_plasmonic(dtn, num)
+    assert assembled == [2] and steps == []
+    assert solves == ["solve_plasmonic"] * 2
     exact = np.array(elliptic_eigenvalues(2.0, 1.0, num))
-    assert np.all(np.abs(spec.eigenvalues - exact) <= 1e-13 * exact)
+    for eps in (spec.eigenvalues, spectrum2d._block_step(dtn, num)[0]):
+        assert np.all(np.abs(eps - whole) <= 1e-13 * whole)
+        assert np.all(np.abs(eps - exact) <= 1e-13 * exact)
+
+
+def test_follow_skips_the_blocks_that_cannot_win(monkeypatch):
+    # the threefold curve under cos 6t at N = 64: the branch of each of its
+    # twofold eigenvalues has parts of both parities, the smaller 3e-6 to
+    # 3e-3 of the larger. Its block is not followed, since the A+ norm of
+    # that part is below the overlap found in the other block: one pencil
+    # per followed eigenvalue where following every block holding a part
+    # forms two, and the same eigenvalue, bit for bit
+    curve = CurveParam.fourier(cos=[1.0, 0.0, 0.0, 0.1])
+    shape = ShapeFn2D(cos=(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0))
+    base, shifted = perturbed_sample(curve, shape, [0.0, 1e-2], 64)
+    dtn, moved = build_dtn(base), build_dtn(shifted)
+    spec = solve_plasmonic(dtn, 12)
+    w = shifted.weights
+    sizes = []
+    pencil = DtNBlock.pencil
+
+    def recording(block):
+        sizes.append(len(block.weights))
+        return pencil(block)
+
+    monkeypatch.setattr(DtNBlock, "pencil", recording)
+    mixed = 0
+    for i in range(12):
+        branch = epsdot_2d(dtn, spec, i, shape)[1]
+        start = spec.densities[:, max(0, i - 2):i + 3]
+        eps = spec.eigenvalues[i]
+        sizes.clear()
+        got = follow_branch(moved, eps, start, branch, 12)
+        assert len(sizes) == 1
+        parts = [np.linalg.norm(b.restrict(branch)) for b in moved.blocks]
+        held = [b for b, part in zip(moved.blocks, parts)
+                if part >= spectrum2d._PARITY_TOL * max(parts)]
+        small = spectrum2d._PARITY_TOL * np.sqrt(w @ (start * start))
+        sizes.clear()
+        every = max(spectrum2d._follow_in_block(b, eps, branch, start, small)
+                    for b in held)
+        assert len(sizes) == len(held)
+        assert got == 1.0 / every[1]
+        mixed += len(held) == 2
+    assert mixed == 8
 
 
 @pytest.mark.parametrize("curve", [KITE, STAR], ids=["kite", "star"])
@@ -350,9 +400,9 @@ def test_union_guard_resumes_only_the_short_blocks(monkeypatch, num, margin,
     # (both at num 20 with a margin of 1, the even block alone at num 23
     # with 3); the flux carrier, K*'s eigenvalue 1/2, is in the even block
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 1024))
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
+    force_route(monkeypatch, False)
     dense = solve_plasmonic(dtn, num).eigenvalues
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
+    force_route(monkeypatch, True)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", margin)
     runs, rounds = [], []
     run, pairs = spectrum2d._block_krylov, spectrum2d._k_star_pairs

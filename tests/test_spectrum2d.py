@@ -535,6 +535,13 @@ def test_selection_guard_sees_a_cut_through_the_wanted_values():
         assert np.array_equal(chosen, exact) is complete
 
 
+def force_route(monkeypatch, block_step):
+    """Make the size rule (_takes_block_step) choose the block step (True)
+    or the dense pencil (False) wherever it is asked."""
+    monkeypatch.setattr(spectrum2d, "_takes_block_step",
+                        lambda *args: block_step)
+
+
 def count_dense_solves(monkeypatch):
     """Record the dense pencil solves (_pencil_eigh) by operation."""
     calls = []
@@ -555,11 +562,11 @@ def test_failed_guard_grows_the_block_step(monkeypatch):
     # dimension 96 with the dense pencil's answer (on the whole K*: k = 21,
     # then 29 at the dimension 136)
     dtn = build_dtn(sample_curve(CurveParam.ellipse(20.0, 1.0), 256))
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
+    force_route(monkeypatch, False)
     dense = solve_plasmonic(dtn, num=20).eigenvalues
     calls = count_block_steps(monkeypatch)
     solves = count_dense_solves(monkeypatch)
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
+    force_route(monkeypatch, True)
     monkeypatch.setattr(spectrum2d, "_ARNOLDI_MARGIN", 1)
     spec = solve_plasmonic(dtn, num=20)
     assert calls == [True]
@@ -583,9 +590,32 @@ def test_elongated_ellipse_needs_no_dense_solve(monkeypatch):
 def test_unconverged_block_step_falls_back_to_the_dense_pencil(monkeypatch):
     # a block step that stops at its cap leaves the solve to the dense pencil
     dtn = build_dtn(sample_curve(KITE, 512))
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 10 ** 6)
+    force_route(monkeypatch, False)
     dense = solve_plasmonic(dtn, num=20)
-    monkeypatch.setattr(spectrum2d, "_ARNOLDI_N_PER_PAIR", 8)
+    force_route(monkeypatch, True)
     monkeypatch.setattr(spectrum2d, "_block_step", lambda dtn, num: None)
     spec = solve_plasmonic(dtn, num=20)
     assert np.array_equal(spec.eigenvalues, dense.eigenvalues)
+
+
+@pytest.mark.parametrize("curve, n, num, block_step", [
+    (KITE, 256, 40, True), (CurveParam.ellipse(5.0, 1.0), 256, 10, False),
+    (CurveParam.ellipse(10.0, 1.0), 1024, 40, True), (STAR, 1024, 40, True)],
+    ids=["kite-256", "ellipse5-256", "ellipse10-1024", "star-1024"])
+def test_route_follows_the_symmetry_block_size(monkeypatch, curve, n, num,
+                                               block_step):
+    # the size rule reads the rows of the largest symmetry block: the kite's
+    # one block of 256 rows takes the block step for num 40, the two blocks
+    # of 129 rows of ellipse(5, 1) their dense pencils for num 10, and both
+    # spectrum_large shapes at N = 1024 (ellipse, radial star) the block
+    # step; the other route, forced, gives the same eigenvalues
+    dtn = build_dtn(sample_curve(curve, n))
+    steps = count_block_steps(monkeypatch)
+    solves = count_dense_solves(monkeypatch)
+    chosen = solve_plasmonic(dtn, num).eigenvalues
+    assert steps == ([True] if block_step else [])
+    assert solves == ([] if block_step
+                      else ["solve_plasmonic"] * len(dtn.blocks))
+    force_route(monkeypatch, not block_step)
+    other = solve_plasmonic(dtn, num).eigenvalues
+    assert np.all(np.abs(chosen - other) <= 1e-13 * np.abs(other))
