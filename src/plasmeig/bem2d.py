@@ -24,15 +24,11 @@ N- g from the K* phi its caller holds, so work on densities (both spectrum
 routes, the plane eigenvalue derivative) factors nothing.
 
 A DtNPair is its list of DtNBlocks: the even and the odd block of a
-mirror-symmetric sample, whose S and K* commute with the node reversal
-j -> -j mod N, assembled on the rows 0 to N/2 alone; else one block of
-plain (N, N) S and K*, two slices of one allocation. Each block owns its
-fold, its mean-zero basis, its DtN pencil and its LU: B on the block with
-the constants, plain S on the odd block, whose densities are mean-zero.
-The maps, the products with S and K*, farfield_log_coefficient and
-spectrum2d's eigensolves all run per block, so all N rows of S and K* are
-assembled only for an asymmetric sample. The quadrature weights of
-<f, g> = sum f g w come only from the sample.
+mirrored sample (CurveSample.mirrored), assembled on the rows 0 to N/2
+alone, else the one block of all N rows. The maps, the products with S and
+K*, farfield_log_coefficient and spectrum2d's eigensolves all run per
+block. The quadrature weights of <f, g> = sum f g w come only from the
+sample.
 """
 
 import functools
@@ -55,18 +51,16 @@ _RCOND_FLOOR = 1e-12
 # whole-matrix passes; at N = 128 one block took 0.28 ms (whole-matrix
 # passes 0.31 ms, 32 rows 0.37 ms).
 _BLOCK_ENTRIES = 1 << 15
-# Largest relative mirror mismatch of a mirror-symmetric sample
-_MIRROR_TOL = 1e-12
 
 
 class DtNPair:
     """S and K* on one curve sample as its symmetry blocks, the even and odd
-    DtNBlock of a mirror-symmetric sample (rows 0 to N/2) or the one block
-    of all N rows, with N- and N+ applied block by block."""
+    DtNBlock of a mirrored sample (rows 0 to N/2) or the one block of all N
+    rows, read-only, with N- and N+ applied block by block."""
 
     def __init__(self, sample):
         self.sample = sample
-        if not _is_mirrored(sample):
+        if not sample.mirrored:
             self.blocks = [DtNBlock(sample.weights, _assemble(sample))]
             return
         m = sample.n // 2
@@ -80,6 +74,9 @@ class DtNPair:
         self.blocks = [DtNBlock(sample.weights, even, slice(0, m + 1), 1.0),
                        DtNBlock(sample.weights, odd, slice(1, m), -1.0)]
         _assemble(sample, self.blocks)
+        for block in self.blocks:   # read-only, as the one block's pair
+            for a in (block.pair, block.single_layer, block.np_adjoint):
+                a.setflags(write=False)
 
     def apply(self, g):
         """(N- g, N+ g) = ((K* - 1/2) phi, (K* + 1/2) phi), phi = B g, for one
@@ -274,17 +271,6 @@ def _checked_lu(mat, operation, contract):
         raise NumericalError("bem2d", operation, contract,
                              "rcond=%.3g < %.0e" % (rcond, _RCOND_FLOOR))
     return lu, piv
-
-
-def _is_mirrored(sample):
-    """Whether node -j mod N is the reflection (x, -y) of node j, with its
-    normal, speed and curvature, to roundoff (cos-only Fourier curves and
-    ellipses: 2.3e-14 of scale at most, to N = 4096)."""
-    f = np.column_stack([sample.nodes, sample.normals, sample.speed,
-                         sample.curvature])
-    mirror = -np.arange(sample.n) % sample.n
-    return bool(np.all(np.abs(f[mirror] * [1.0, -1.0, 1.0, -1.0, 1.0, 1.0]
-                              - f) <= _MIRROR_TOL * np.abs(f).max(axis=0)))
 
 
 def build_dtn(sample):

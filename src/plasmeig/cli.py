@@ -315,6 +315,10 @@ def main(argv=None):
     except PlasmeigError as exc:
         print(str(exc), file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print("cli.main: the %s job (--config %s) ran out of memory. %s"
+              % (args.command, args.config, exc), file=sys.stderr)
+        return 3
     elapsed = time.perf_counter() - start
 
     if args.out:

@@ -133,6 +133,8 @@ class CurveParam:
             raise ConfigError("curve2d", "CurveParam",
                               "kind must be circle, ellipse or fourier",
                               "kind=%r" % kind)
+        # whether (x, y) -> (x, -y) maps the point at t to the one at -t
+        self.mirrored = kind != "fourier" or not any(self.radial.sin)
 
     @classmethod
     def circle(cls, radius):
@@ -226,15 +228,18 @@ class CurveSample:
     Normals are unit length and point out of the enclosed domain; weights
     are the trapezoid weights (2*pi/N) * speed, so sum(weights) is the
     perimeter and dot products against weights are boundary integrals.
+    mirrored: the parameters make node -j mod N the image (x, -y) of node j.
     """
 
-    def __init__(self, t, nodes, normals, curvature, speed, weights):
+    def __init__(self, t, nodes, normals, curvature, speed, weights,
+                 mirrored=False):
         self.t = t
         self.nodes = nodes
         self.normals = normals
         self.curvature = curvature
         self.speed = speed
         self.weights = weights
+        self.mirrored = mirrored
         for arr in (t, nodes, normals, curvature, speed, weights):
             arr.setflags(write=False)
 
@@ -243,7 +248,7 @@ class CurveSample:
         return len(self.t)
 
 
-def _geometry_from_derivatives(t, der, operation):
+def _geometry_from_derivatives(t, der, operation, mirrored=False):
     x, xp, xpp = der[0], der[1], der[2]
     # the extent of the nodes bounds every offset from above, and
     # neighbouring nodes give the smallest offsets of a resolved sample
@@ -268,7 +273,7 @@ def _geometry_from_derivatives(t, der, operation):
     n = len(t)
     weights = (_TWOPI / n) * speed
     return CurveSample(t=t, nodes=x, normals=normals, curvature=curvature,
-                       speed=speed, weights=weights)
+                       speed=speed, weights=weights, mirrored=mirrored)
 
 
 def _nodes(n, operation):
@@ -283,7 +288,8 @@ def _nodes(n, operation):
 def sample_curve(curve, n):
     """Sample a curve at n uniform parameter values with exact geometry."""
     t = _nodes(n, "sample_curve")
-    return _geometry_from_derivatives(t, curve.derivatives(t), "sample_curve")
+    return _geometry_from_derivatives(t, curve.derivatives(t), "sample_curve",
+                                      curve.mirrored)
 
 
 def tangential_derivative(sample, values):
@@ -312,9 +318,10 @@ def perturbed_sample(curve, a, steps, n):
     plasmonic eigenvalues depend on the shifted domain and not on how its
     boundary is parametrized, so no re-parametrization is needed. The base
     curve and the shape are evaluated once, on the n nodes and on the dense
-    star-check grid, whatever the number of steps. Raises, at the first step
-    in order that does so, if the shift folds the boundary or it stops being
-    star-shaped (local self-intersection proxies).
+    star-check grid, whatever the number of steps. A step h != 0 keeps the
+    curve's mirror symmetry when a has no nonzero sin term. Raises, at the
+    first step in order that does so, if the shift folds the boundary or it
+    stops being star-shaped (local self-intersection proxies).
     """
     t = _nodes(n, "perturbed_sample")
     fine = _shift_terms(curve, a, _nodes(_STAR_CHECK_NODES,
@@ -323,8 +330,9 @@ def perturbed_sample(curve, a, steps, n):
     samples = []
     for h in steps:
         _check_star_shaped(h, fine)
-        samples.append(_geometry_from_derivatives(t, _shifted(coarse, h),
-                                                  "perturbed_sample"))
+        samples.append(_geometry_from_derivatives(
+            t, _shifted(coarse, h), "perturbed_sample",
+            curve.mirrored and (h == 0 or not any(a.sin))))
     return samples
 
 

@@ -57,8 +57,6 @@ _BLOCK_TOL = 50.0
 _FOLLOW_SOLVES = 8
 _FOLLOW_TOL = 1e-11
 _FOLLOW_ROWS_PER_VALUE = 2.75
-# Largest relative part of the other mirror parity in a one-parity density
-_PARITY_TOL = 1e-8
 
 
 class PlasmonicSpectrum:
@@ -361,9 +359,9 @@ def follow_branch(dtn, eps, start, branch, num):
     LU and solves (_FOLLOW_ROWS_PER_VALUE, fitted at 2.6-3.2), the num
     eigenpairs of solve_plasmonic are read by their A+-weighted overlap
     with branch, <x, y>+ = -<P S x, (K* + 1/2) y> on mean-zero densities.
-    Else each block holding a part of branch follows it on its own pencil
-    from its parts of start (_follow_in_block), by decreasing A+ norm of
-    that part, skipped once the best overlap found reaches it
+    Else each block holding a nonzero part of branch follows it on its own
+    pencil from its parts of start (_follow_in_block), by decreasing A+
+    norm of that part, skipped once the best overlap found reaches it
     (Cauchy-Schwarz). The pair of largest overlap wins, not the value
     nearest eps, so branches that cross between the guess and the answer
     are told apart; A+ is block-diagonal, so the blocks' overlaps compare.
@@ -372,14 +370,17 @@ def follow_branch(dtn, eps, start, branch, num):
     images of the base nodes (perturbed_sample), base densities carry over
     node for node."""
     blocks, w = dtn.blocks, dtn.sample.weights
+    # densities on a mirrored sample have exact parity (DtNBlock.extend)
+    held = [b for b in blocks if b.restrict(branch).any()]
+    if not held:
+        raise ConfigError("spectrum2d", "follow_branch",
+                          "branch must be a nonzero density")
     if _takes_block_step(blocks, num, _FOLLOW_ROWS_PER_VALUE * len(blocks)):
         spec = solve_plasmonic(dtn, num)
         flux = w * (dtn.product("np_adjoint", branch) + 0.5 * branch)
         # at unit interior energy <phi, phi>+ = eps <g, N- g> = eps
         return float(spec.eigenvalues[np.argmax(
             np.abs(flux @ spec.eigenfunctions) / np.sqrt(spec.eigenvalues))])
-    parts = [np.linalg.norm(b.restrict(branch)) for b in blocks]
-    held = [b for b, p in zip(blocks, parts) if p >= _PARITY_TOL * max(parts)]
     norms = [0.0] * len(held)
     if len(held) > 1:   # <x, x>+ = -<P S x, (K* + 1/2) x>, x each held part
         norms = []
@@ -390,25 +391,25 @@ def follow_branch(dtn, eps, start, branch, num):
             s = b.single_layer @ x
             norms.append(np.sqrt(max(0.0, -(b.weights * (s - mean @ s))
                                      @ (b.np_adjoint @ x + 0.5 * x))))
-    small, best = _PARITY_TOL * np.sqrt(w @ (start * start)), (-np.inf, 0.0)
+    best = (-np.inf, 0.0)
     for norm, b in sorted(zip(norms, held), key=lambda pair: -pair[0]):
         if norm > best[0]:
-            best = max(best, _follow_in_block(b, eps, branch, start, small))
+            best = max(best, _follow_in_block(b, eps, branch, start))
     return float(1.0 / best[1])
 
 
-def _follow_in_block(home, eps, branch, start, small):
+def _follow_in_block(home, eps, branch, start):
     """(overlap, mu) of the pair of home's pencil of largest A+-weighted
     overlap with the density branch, by block inverse iteration from the
-    parts in home of the start densities, those whose part has an M-norm
-    above small: one LU of A- - A+ / eps, then up to _FOLLOW_SOLVES solves,
-    with Rayleigh-Ritz on the block after each from the second on, until
-    the pair's residual is below _FOLLOW_TOL; else, or with no start part,
-    by the dense eigh of the same pencil."""
+    nonzero parts in home of the start densities: one LU of A- - A+ / eps,
+    then up to _FOLLOW_SOLVES solves, with Rayleigh-Ritz on the block after
+    each from the second on, until the pair's residual is below
+    _FOLLOW_TOL; else, or with no start part, by the dense eigh of the same
+    pencil."""
     aminus, aplus = home.pencil()
     target = aplus @ home.coordinates(branch)[:, 0]
     start = home.coordinates(start)
-    start = np.compress(np.linalg.norm(start, axis=0) > small, start, 1)
+    start = np.compress(np.any(start, axis=0), start, 1)
 
     def closest(vectors, mu):
         # vectors are A+-orthonormal; (overlap, mu) of the pick, its index

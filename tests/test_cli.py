@@ -11,7 +11,7 @@ import scipy.linalg
 from hypothesis import given, strategies as st
 
 import plasmeig
-from plasmeig import validate
+from plasmeig import cli, validate
 from plasmeig.cli import canonical_json, cmd_perturb, main
 from plasmeig.curve2d import CurveParam
 from plasmeig.errors import NumericalError, PlasmeigError
@@ -755,6 +755,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("perturb", {"curve": ELLIPSE, "a": {"cos": [0.0, 1.0]}}, "mode"),
     ("perturb", {"mode": "3d", "curve": ELLIPSE, "a": {"cos": [0.0, 1.0]}},
      "mode"),
+    ("spectrum", {"curve": {"radius": 1.0}}, "'kind'"),
+    ("perturb", {"mode": "2d", "curve": ELLIPSE,
+                 "a": {"cos": [0.0, 1.0], "tan": [1.0]}}, "tan"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):
@@ -791,6 +794,24 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "found 9 at N=64, largest extra flux cosine 1.77e-06" in err
     assert "extra carriers mean N does not resolve the curve" in err
+
+
+def test_failed_allocation_exits_3_naming_the_job(tmp_path, capsys,
+                                                  monkeypatch):
+    # a job too large for memory (a sphere perturbation at k = 1e10 asks
+    # for such arrays) exits 3, not with a traceback and exit 1, which
+    # means a failed check
+    def too_large(config, seed):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setitem(cli._COMMANDS, "perturb", too_large)
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "sphere", "k": 10 ** 10,
+                        "a": {"uniform": 1.0}, "order": 1})
+    assert main(["perturb", "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert "perturb job" in err and cfg in err
+    assert "ran out of memory. Unable to allocate 745. GiB" in err
 
 
 def test_stdout_mode_prints_record_and_wall_time(tmp_path, capsys):

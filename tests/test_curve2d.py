@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from plasmeig.curve2d import (CurveParam, ShapeFn2D,
+from plasmeig.curve2d import (CurveParam, CurveSample, ShapeFn2D,
                               _geometry_from_derivatives, perturbed_sample,
                               sample_curve, tangential_derivative)
 from plasmeig.errors import (ConfigError, GeometryError, PerturbationError,
@@ -123,6 +123,39 @@ def test_perturbed_sample_at_zero_matches_base():
                                   getattr(base, field))
 
 
+def mirror_mismatch(sample):
+    """Largest relative distance of node -j mod N, with its normal, speed
+    and curvature, from the reflection (x, -y) of node j's."""
+    f = np.column_stack([sample.nodes, sample.normals, sample.speed,
+                         sample.curvature])
+    mirror = -np.arange(sample.n) % sample.n
+    return np.max(np.abs(f[mirror] * [1.0, -1.0, 1.0, -1.0, 1.0, 1.0] - f)
+                  / np.abs(f).max(axis=0))
+
+
+def test_mirror_symmetry_comes_from_the_parameters():
+    # circles, ellipses and radial curves with no nonzero sin term are
+    # mirrored; a normal shift keeps it at h = 0 and, for an even shape, at
+    # every step. The flagged samples are mirror images to roundoff; a
+    # sin term of 1e-13, below roundoff in the nodes, counts as asymmetric,
+    # as does a sample built by hand
+    even, odd = ShapeFn2D(cos=(0.1, 0.2)), ShapeFn2D(cos=(0.1,), sin=(0, 0.2))
+    for curve, mirrored in (
+            (CurveParam.circle(1.0), True),
+            (CurveParam.ellipse(2.0, 1.0), True),
+            (CurveParam.fourier(cos=[1.0, 0.0, 0.1], sin=[0.0, -0.0]), True),
+            (CurveParam.fourier(cos=[1.0, 0.0, 0.1], sin=[1e-13]), False)):
+        assert sample_curve(curve, 64).mirrored is mirrored
+        for shape, moved in ((even, mirrored), (odd, False)):
+            samples = perturbed_sample(curve, shape, [0.0, 0.1, -0.1], 64)
+            assert [s.mirrored for s in samples] == [mirrored, moved, moved]
+            for sample in samples:
+                assert not sample.mirrored or mirror_mismatch(sample) < 1e-13
+    base = sample_curve(CurveParam.ellipse(2.0, 1.0), 64)
+    fields = ("t", "nodes", "normals", "curvature", "speed", "weights")
+    assert not CurveSample(*(getattr(base, f) for f in fields)).mirrored
+
+
 def test_perturbed_circle_with_constant_shift_is_circle():
     [sample] = perturbed_sample(CurveParam.circle(1.0),
                                 ShapeFn2D.constant(0.5), [0.2], 64)
@@ -201,6 +234,14 @@ def test_config_validation():
         CurveParam.from_config({"kind": "ellipse", "a": 2.0})
     with pytest.raises(ConfigError):
         CurveParam.from_config({"kind": "triangle"})
+    with pytest.raises(ConfigError):
+        CurveParam("triangle")
+    with pytest.raises(ConfigError):
+        CurveParam.from_config({"kind": "circle"})
+    with pytest.raises(ConfigError):
+        CurveParam.from_config(["circle", 1.0])
+    with pytest.raises(GeometryError):
+        CurveParam.ellipse(2.0, 0.0)
     with pytest.raises(GeometryError):
         CurveParam.circle(-1.0)
     with pytest.raises(GeometryError):

@@ -11,7 +11,7 @@ from plasmeig.bem2d import (DtNBlock, build_dtn, compute_g0,
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, perturbed_sample,
                               sample_curve)
 from plasmeig.dtn_shape import fd_operator_check
-from plasmeig.errors import NumericalError
+from plasmeig.errors import ConfigError, NumericalError
 from plasmeig.perturb import epsdot_2d
 from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
                                  follow_branch, np_route, rayleigh,
@@ -19,7 +19,7 @@ from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
 from plasmeig.validate import elliptic_eigenvalues
 
 from test_spectrum2d import (STAR, count_block_steps, count_dense_solves,
-                             force_route)
+                             force_route, one_block)
 
 KITE = CurveParam.fourier(cos=[1.0, 0.25, 0.15], sin=[0.0, 0.0, 0.05])
 MIRRORED = {"ellipse": CurveParam.ellipse(2.0, 1.0),
@@ -29,14 +29,6 @@ SIZES = [128, 256]
 # a num that keeps solve_plasmonic on the blocks' dense pencils at each size
 DENSE_NUM = {128: 10, 256: 30}
 COS2 = ShapeFn2D(cos=(0.0, 0.0, 1.0))
-
-
-def one_block(sample):
-    """The DtNPair of sample built as if it were asymmetric: one block of
-    all N rows, on which every solve runs."""
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bem2d, "_is_mirrored", lambda sample: False)
-        return build_dtn(sample)
 
 
 def refuse_whole(monkeypatch):
@@ -69,6 +61,15 @@ def record_assembly(monkeypatch):
     return calls
 
 
+def assert_read_only(blocks):
+    """Every block's pair, S and K* refuse a write."""
+    for block in blocks:
+        for op in (block.pair, block.single_layer, block.np_adjoint):
+            assert not op.flags.writeable
+            with pytest.raises(ValueError):
+                op[..., 0, 0] = 1.0
+
+
 def missing_partners(eps, rtol=1e-10):
     """Selected eps < 1 whose partner 1/eps is not among the selection."""
     return [e for e in eps
@@ -81,9 +82,11 @@ def test_mirror_symmetric_samples_split(curve):
     samples = perturbed_sample(MIRRORED[curve], ShapeFn2D(cos=(0.1, 0.2, 0.3)),
                                [0.0, 0.05, -0.05], 128)
     for sample in [sample_curve(MIRRORED[curve], 256)] + samples:
+        assert sample.mirrored
         blocks = build_dtn(sample).blocks
         assert [len(b.weights) for b in blocks] == [sample.n // 2 + 1,
                                                      sample.n // 2 - 1]
+        assert_read_only(blocks)
 
 
 @pytest.mark.parametrize("n", [4, 64, 182, 1024])
@@ -111,9 +114,11 @@ def test_half_row_blocks_are_the_fold_of_the_whole_pair(n):
     sample_curve(CurveParam.fourier(cos=[1.0, 0.0, 0.1], sin=[1e-6]), 128)],
     ids=["kite", "sin-shifted-ellipse", "fourier-sin-1e-6"])
 def test_asymmetric_samples_stay_one_block(sample):
+    assert not sample.mirrored
     [block] = build_dtn(sample).blocks
     assert block.nodes is None
     assert block.single_layer.shape == (128, 128)
+    assert_read_only([block])
 
 
 @pytest.mark.parametrize("curve", [KITE, STAR], ids=["kite", "star"])
@@ -299,6 +304,18 @@ def test_follow_without_a_start_density_in_the_branch_block():
         assert abs(got - want) <= 1e-13 * abs(want)
 
 
+@pytest.mark.parametrize("curve", [KITE, MIRRORED["ellipse"]],
+                         ids=["kite", "ellipse"])
+def test_zero_branch_is_refused(curve):
+    # a block holds a part of branch when that part is nonzero: a zero
+    # branch is held by no block, and no overlap can pick its eigenvalue
+    dtn = build_dtn(sample_curve(curve, 64))
+    spec = solve_plasmonic(dtn, 4)
+    with pytest.raises(ConfigError, match="branch must be a nonzero"):
+        follow_branch(dtn, spec.eigenvalues[0], spec.densities,
+                      np.zeros(64), 4)
+
+
 @pytest.mark.parametrize("n, num", [(256, 12), (128, 4)])
 def test_band_jobs_never_form_the_whole_pair(monkeypatch, n, num):
     # N and num where a rule on the whole sample's N took the block step:
@@ -333,7 +350,6 @@ def test_follow_skips_the_blocks_that_cannot_win(monkeypatch):
     base, shifted = perturbed_sample(curve, shape, [0.0, 1e-2], 64)
     dtn, moved = build_dtn(base), build_dtn(shifted)
     spec = solve_plasmonic(dtn, 12)
-    w = shifted.weights
     sizes = []
     pencil = DtNBlock.pencil
 
@@ -350,12 +366,9 @@ def test_follow_skips_the_blocks_that_cannot_win(monkeypatch):
         sizes.clear()
         got = follow_branch(moved, eps, start, branch, 12)
         assert len(sizes) == 1
-        parts = [np.linalg.norm(b.restrict(branch)) for b in moved.blocks]
-        held = [b for b, part in zip(moved.blocks, parts)
-                if part >= spectrum2d._PARITY_TOL * max(parts)]
-        small = spectrum2d._PARITY_TOL * np.sqrt(w @ (start * start))
+        held = [b for b in moved.blocks if b.restrict(branch).any()]
         sizes.clear()
-        every = max(spectrum2d._follow_in_block(b, eps, branch, start, small)
+        every = max(spectrum2d._follow_in_block(b, eps, branch, start)
                     for b in held)
         assert len(sizes) == len(held)
         assert got == 1.0 / every[1]
@@ -375,19 +388,21 @@ def test_asymmetric_samples_assemble_every_row(monkeypatch, curve):
 
 
 def test_near_symmetric_samples_follow_the_mirror_test(monkeypatch):
-    # a sin t term inside _MIRROR_TOL takes the half-row path, one outside
-    # it all rows; their spectra agree, and each keeps its eps <-> 1/eps
-    # partners
+    # any nonzero sin t term makes the curve asymmetric, all rows assembled,
+    # also one of 1e-13 that moves the nodes by less than roundoff; the
+    # spectra agree with the cos-only curve's, split into its two blocks,
+    # and each keeps its eps <-> 1/eps partners
     assembled = record_assembly(monkeypatch)
     spectra = []
-    for amp, path in ((1e-13, [2]), (1e-9, [0])):
+    for amp, path in ((0.0, [2]), (1e-13, [0]), (1e-9, [0])):
         assembled.clear()
         curve = CurveParam.fourier(cos=[1.0, 0.0, 0.1], sin=[amp])
         spectra.append(solve_plasmonic(build_dtn(sample_curve(curve, 1024)),
                                        40).eigenvalues)
         assert assembled == path
         assert missing_partners(spectra[-1]) == []
-    assert np.all(np.abs(spectra[0] - spectra[1]) <= 1e-12 * spectra[1])
+    for spectrum in spectra[1:]:
+        assert np.all(np.abs(spectra[0] - spectrum) <= 1e-12 * spectrum)
 
 
 @pytest.mark.parametrize("num, margin, accepted", [

@@ -1,11 +1,13 @@
 """Plasmonic spectrum solves: selection, invariances and diagnostics."""
 
+import copy
 import json
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from plasmeig import bem2d, spectrum2d
 from plasmeig.bem2d import DtNBlock, build_dtn
@@ -28,6 +30,15 @@ def bordered_residuals(dtn, eps, g):
     nminus_g, nplus_g = dtn.apply(g)
     r = nminus_g * eps + nplus_g
     return np.sqrt(dtn.sample.weights @ (r * r))
+
+
+def one_block(sample):
+    """The DtNPair of sample built as if it were asymmetric (its mirrored
+    flag cleared on a copy): one block of all N rows, on which every solve
+    runs."""
+    sample = copy.copy(sample)
+    sample.mirrored = False
+    return build_dtn(sample)
 
 
 def count_block_steps(monkeypatch):
@@ -493,10 +504,8 @@ def test_block_step_stops_within_the_space(monkeypatch):
     # the space, after 12 passes over K*, and at the dimension 40 of each
     # mirror block (53 and 51 rows) after 5; ellipse(30, 1) needs more
     sample = sample_curve(CurveParam.ellipse(30.0, 1.0), 104)
-    with monkeypatch.context() as patch:
-        patch.setattr(bem2d, "_is_mirrored", lambda sample: False)
-        whole = build_dtn(sample)
-    for dtn, passes in ((whole, [12]), (build_dtn(sample), [5, 5])):
+    for dtn, passes in ((one_block(sample), [12]),
+                        (build_dtn(sample), [5, 5])):
         with monkeypatch.context() as patch:
             assert block_step_passes(patch, dtn, 1) == (None, passes)
 
@@ -619,3 +628,55 @@ def test_route_follows_the_symmetry_block_size(monkeypatch, curve, n, num,
     force_route(monkeypatch, not block_step)
     other = solve_plasmonic(dtn, num).eigenvalues
     assert np.all(np.abs(chosen - other) <= 1e-13 * np.abs(other))
+
+
+def twin_gap(eps):
+    """The largest relative distance from 1/eps to the nearest selected
+    value, over the selected eps whose twin 1/eps lies farther from 1 than
+    every value left out (by more than roundoff), and how many those are."""
+    inside = eps[np.abs(1.0 / eps - 1.0) > np.min(np.abs(eps - 1.0)) + 1e-12]
+    gaps = np.min(np.abs(np.outer(inside, eps) - 1.0), axis=1)
+    return float(np.max(gaps, initial=0.0)), len(inside)
+
+
+@st.composite
+def resolved_curves(draw):
+    """A random curve resolved at N = 256, (curve, symmetry blocks): an
+    ellipse of aspect 1.2 to 4, or r = r0 + sum_{m=2}^{4} (c_m cos m t +
+    s_m sin m t) with |c_m|, |s_m| <= 0.12 r0 / m (the spectrum_large
+    radial curves), c_2 at least 0.02 r0 in modulus, and either no sine
+    term or s_2 at least 0.02 r0 in modulus."""
+    kind = draw(st.sampled_from(["radial", "cos", "ellipse"]))
+    if kind == "ellipse":
+        return CurveParam.ellipse(draw(st.floats(1.2, 4.0)), 1.0), 2
+    r0 = draw(st.floats(1.5, 2.0))
+
+    def coefficients():
+        # the m = 2 term at 1/3 of its largest size or more: 0.02 r0
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=3,
+                              max_size=3))
+        sizes = [draw(st.floats(1.0 / 3.0, 1.0))] + draw(st.lists(
+            st.floats(0.0, 1.0), min_size=2, max_size=2))
+        return [0.12 * r0 / m * x * sign
+                for m, x, sign in zip((2, 3, 4), sizes, signs)]
+
+    cos = [r0, 0.0] + coefficients()
+    if kind == "cos":
+        return CurveParam.fourier(cos=cos), 2
+    return CurveParam.fourier(cos=cos, sin=[0.0] + coefficients()), 1
+
+
+@given(resolved_curves())
+def test_twins_are_selected_together_on_both_routes(drawn):
+    # on a simply connected domain K*'s spectrum without 1/2 is symmetric
+    # about 0, so every eps has its twin 1/eps; both routes keep the
+    # twins of a resolved curve to roundoff (2.6e-16 to 7.5e-15 measured)
+    curve, blocks = drawn
+    dtn = build_dtn(sample_curve(curve, 256))
+    assert len(dtn.blocks) == blocks
+    for block_step in (True, False):
+        with pytest.MonkeyPatch.context() as patch:
+            force_route(patch, block_step)
+            gap, twins = twin_gap(solve_plasmonic(dtn, 40).eigenvalues)
+        assert twins >= 8
+        assert gap <= 1e-12
