@@ -35,7 +35,7 @@ import functools
 import math
 
 import numpy as np
-import scipy.linalg
+import scipy.linalg.lapack
 
 from .errors import GeometryError, NumericalError
 
@@ -51,6 +51,8 @@ _RCOND_FLOOR = 1e-12
 # whole-matrix passes; at N = 128 one block took 0.28 ms (whole-matrix
 # passes 0.31 ms, 32 rows 0.37 ms).
 _BLOCK_ENTRIES = 1 << 15
+# The contract of the bordered systems behind the DtN maps
+_BORDERED = ("bem2d", "build_dtn", "single-layer system must be invertible")
 
 
 class DtNPair:
@@ -149,18 +151,19 @@ class DtNBlock:
         """LU of [[S, 1], [w^T, 0]] on the block with the constants, where S
         is singular at capacity 1; of S on the odd block (an empty border)."""
         m = len(self.weights)
-        mat = np.zeros((m + self._skip,) * 2)
+        mat = np.zeros((m + self._skip,) * 2, order="F")   # factored in place
         mat[:m, :m] = self.single_layer
         mat[:m, m:], mat[m:, :m] = 1.0, self.weights
-        return _checked_lu(mat, "build_dtn",
-                           "single-layer system must be invertible")
+        return _checked_lu(mat, _BORDERED)
 
     def apply(self, y):
         """((K* - 1/2) phi, (K* + 1/2) phi) for the coordinates y of data,
         phi the density of the bordered solve S phi + c = y, <phi, 1>_w = 0
         (S phi = y on the odd block)."""
-        rhs = np.concatenate([y, np.zeros((self._skip,) + np.shape(y)[1:])])
-        phi = scipy.linalg.lu_solve(self._lu, rhs)[:len(y)]
+        rhs = np.zeros((len(y) + self._skip,) + np.shape(y)[1:], order="F")
+        rhs[:len(y)] = y
+        phi = _lapack("dgetrs", _BORDERED, *self._lu, rhs,
+                      overwrite_b=1)[:len(y)]
         kphi = self.np_adjoint @ phi
         phi *= 0.5
         return kphi - phi, kphi + phi
@@ -258,18 +261,42 @@ def _log_quadrature_weights(n):
         np.concatenate([[0.0], 1.0 / np.arange(1, n // 2 + 1)]), n)
 
 
-def _checked_lu(mat, operation, contract):
-    """LU factors of mat, refused when LAPACK's condition estimate is tiny.
+def _lapack(routine, error, *args, **options):
+    """The outputs, but info, of the scipy.linalg.lapack routine named
+    routine (one output bare); a nonzero info raises NumericalError(*error)."""
+    *out, info = getattr(scipy.linalg.lapack, routine)(*args, **options)
+    if info != 0:
+        raise NumericalError(*error, "%s info=%d" % (routine, info))
+    return out[0] if len(out) == 1 else out
+
+
+@functools.lru_cache(maxsize=8)
+def _log_circulant(n):
+    """The circulant [c[(i - j) % n]] of S's log weights and its smooth
+    remainder's circulant term, c = w / 2pi, as a read-only strided view
+    (row i at n - 1 - i of c reversed twice over), not an (N, N) copy."""
+    w = _log_quadrature_weights(n)
+    w[1:] -= (2.0 * math.pi / n) * np.log(
+        2.0 * np.sin(math.pi * np.arange(1, n) / n))
+    c = w / (2.0 * math.pi)
+    return np.lib.stride_tricks.sliding_window_view(
+        np.concatenate([c[::-1], c[:0:-1]]), n)[::-1]
+
+
+def _checked_lu(mat, error):
+    """getrf's LU of mat (in place if Fortran-ordered), refused by
+    NumericalError(*error) when LAPACK's condition estimate is tiny.
 
     The reciprocal 1-norm condition number comes from gecon on the factors,
-    O(N^2) on top of the O(N^3) factorization.
+    O(N^2) on top of the O(N^3) factorization; lange sums each column in
+    row order, as numpy's 1-norm of a C-ordered matrix does.
     """
-    anorm = np.linalg.norm(mat, 1)
-    lu, piv = scipy.linalg.lu_factor(mat)
-    rcond, _ = scipy.linalg.lapack.dgecon(lu, anorm, norm="1")
+    anorm = scipy.linalg.lapack.dlange("1", mat)
+    lu, piv = _lapack("dgetrf", error, mat, overwrite_a=1)
+    rcond = _lapack("dgecon", error, lu, anorm, norm="1")
     if not rcond >= _RCOND_FLOOR:
-        raise NumericalError("bem2d", operation, contract,
-                             "rcond=%.3g < %.0e" % (rcond, _RCOND_FLOOR))
+        raise NumericalError(*error, "rcond=%.3g < %.0e"
+                             % (rcond, _RCOND_FLOOR))
     return lu, piv
 
 
@@ -311,14 +338,7 @@ def _assemble(sample, blocks=()):
     (x0, x1), (n0, n1) = (np.ascontiguousarray(sample.nodes.T),
                           np.ascontiguousarray(sample.normals.T))
     speed = sample.speed
-    w = _log_quadrature_weights(n)
-    w[1:] -= (2.0 * math.pi / n) * np.log(
-        2.0 * np.sin(math.pi * np.arange(1, n) / n))
-    # circulant [c[(i - j) % n]] as a strided view, row i at n - 1 - i of c
-    # reversed twice over, not an (N, N) copy
-    c = w / (2.0 * math.pi)
-    circ = np.lib.stride_tricks.sliding_window_view(
-        np.concatenate([c[::-1], c[:0:-1]]), n)[::-1]
+    circ = _log_circulant(n)
     rows = max(1, _BLOCK_ENTRIES // n)
     stop = n // 2 + 1 if blocks else n
     pair = np.empty((2, min(rows, stop), n) if blocks else (2, n, n))
@@ -393,7 +413,7 @@ def compute_g0(dtn, y0=None):
     dn_newton = np.einsum("ij,ij->i", sample.normals, diff) / (2.0 * math.pi * r2)
     g0 = dn_newton - dtn.apply(boundary_vals)[1]
     flux = float(np.dot(g0, sample.weights))
-    if abs(flux) < 1e-8:
+    if not abs(flux) >= 1e-8:   # a NaN flux is refused too
         raise NumericalError("bem2d", "compute_g0",
                              "total flux of the log-growing solution must be 1",
                              "flux=%.3g" % flux)
@@ -412,8 +432,9 @@ def farfield_log_coefficient(dtn, g):
     the odd part of the density has no weighted mean.
     """
     block = dtn.blocks[0]
-    lu = _checked_lu(block.single_layer, "farfield_log_coefficient",
-                     "plain single layer must be invertible; logarithmic "
-                     "capacity is 1")
-    phi = scipy.linalg.lu_solve(lu, block.restrict(np.asarray(g, dtype=float)))
+    error = ("bem2d", "farfield_log_coefficient", "plain single layer must "
+             "be invertible; logarithmic capacity is 1")
+    lu = _checked_lu(np.asfortranarray(block.single_layer), error)
+    phi = _lapack("dgetrs", error, *lu,
+                  block.restrict(np.asarray_chkfinite(g, dtype=float)))
     return float(np.dot(phi, block.weights)) / (2.0 * math.pi)

@@ -319,17 +319,24 @@ def perturbed_sample(curve, a, steps, n):
     boundary is parametrized, so no re-parametrization is needed. The base
     curve and the shape are evaluated once, on the n nodes and on the dense
     star-check grid, whatever the number of steps. A step h != 0 keeps the
-    curve's mirror symmetry when a has no nonzero sin term. Raises, at the
-    first step in order that does so, if the shift folds the boundary or it
-    stops being star-shaped (local self-intersection proxies).
+    curve's mirror symmetry when a has no nonzero sin term. One stacked
+    star check of all steps refuses the first step in order whose shift
+    folds the boundary or stops being star-shaped (self-intersection proxies).
     """
     t = _nodes(n, "perturbed_sample")
     fine = _shift_terms(curve, a, _nodes(_STAR_CHECK_NODES,
                                          "perturbed_sample"))
     coarse = _shift_terms(curve, a, t)
+    bounds = _star_check_bounds(steps, fine)
     samples = []
-    for h in steps:
-        _check_star_shaped(h, fine)
+    for i, h in enumerate(steps):
+        for name, lo, hi, contract in bounds:
+            # written as not (x > 0) so that a NaN fails every test
+            if not (lo[i] > 0 and hi[i] < np.inf):
+                raise PerturbationError(
+                    "curve2d", "perturbed_sample",
+                    "%s, with finite %s > 0" % (contract, name),
+                    "h=%g, %s in [%.3g, %.3g]" % (h, name, lo[i], hi[i]))
         samples.append(_geometry_from_derivatives(
             t, _shifted(coarse, h), "perturbed_sample",
             curve.mirrored and (h == 0 or not any(a.sin))))
@@ -370,23 +377,19 @@ def _shifted(terms, h):
     return x + h * av * nrm, xp + h * dp, xpp + h * dpp
 
 
-def _check_star_shaped(h, terms):
-    p, pp, _ = _shifted(terms, h)
-    with np.errstate(all="ignore"):  # an overflow or a NaN is refused below
-        r2 = np.einsum("ij,ij->i", p, p)
-        dtheta = (p[:, 0] * pp[:, 1] - p[:, 1] * pp[:, 0]) / r2
+def _star_check_bounds(steps, terms):
+    """(name, minima, maxima, contract) of each star-shape test value on
+    the shifted star-check grid, one minimum and maximum per step."""
+    p, pp, _ = _shifted(terms, np.asarray(steps, dtype=float)[:, None, None])
+    with np.errstate(all="ignore"):  # an overflow or a NaN is refused
+        r2 = np.einsum("sij,sij->si", p, p)
+        dtheta = (p[..., 0] * pp[..., 1] - p[..., 1] * pp[..., 0]) / r2
         # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary
-        fold = np.einsum("ij,ij->i", terms[0][1], pp)
-    for name, values, contract in (
-            ("|p|^2", r2, "shifted boundary must stay away from the origin"),
-            ("dtheta/dt", dtheta, "shifted boundary must stay star-shaped "
-             "(no local self-intersection)"),
-            ("x'.p'", fold, "normal shift must not fold the boundary "
-             "(1 - h a kappa > 0)")):
-        # written as not (x > 0) so that a NaN fails every test
-        if not (values.min() > 0 and values.max() < np.inf):
-            raise PerturbationError(
-                "curve2d", "perturbed_sample",
-                "%s, with finite %s > 0" % (contract, name),
-                "h=%g, %s in [%.3g, %.3g]"
-                % (h, name, values.min(), values.max()))
+        fold = np.einsum("ij,sij->si", terms[0][1], pp)
+    tests = (("|p|^2", r2, "shifted boundary must stay away from the origin"),
+             ("dtheta/dt", dtheta, "shifted boundary must stay star-shaped "
+              "(no local self-intersection)"),
+             ("x'.p'", fold, "normal shift must not fold the boundary "
+              "(1 - h a kappa > 0)"))
+    return [(name, values.min(axis=1), values.max(axis=1), contract)
+            for name, values, contract in tests]

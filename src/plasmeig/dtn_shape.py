@@ -24,12 +24,13 @@ entrywise. Every operator is applied to the band basis only, never formed
 as an (N, N) matrix.
 """
 
+import functools
 import math
 
 import numpy as np
 import scipy.linalg
 
-from .bem2d import build_dtn
+from .bem2d import _lapack, build_dtn
 from .curve2d import perturbed_sample, tangential_derivative
 from .errors import ConfigError
 from .perturb import epsdot_2d
@@ -54,13 +55,12 @@ def band_domain(weights, t, max_degree):
     compared, so convergence statements are measured on a band the grid
     genuinely resolves.
     """
-    n = len(t)
-    cols = [np.full(n, 1.0 / math.sqrt(n))]
-    for l in range(1, max_degree + 1):
-        cols.append(np.cos(l * t) * math.sqrt(2.0 / n))
-        if l < n // 2:
-            cols.append(np.sin(l * t) * math.sqrt(2.0 / n))
-    basis = np.array(cols).T
+    n, l = len(t), np.arange(1, max_degree + 1)
+    # cos(l t), sin(l t) for l = 1, 2, ...; no sine from the Nyquist on
+    trig = np.stack([np.cos(l[:, None] * t), np.sin(l[:, None] * t)], axis=1)
+    keep = np.stack([l > 0, l < n // 2], axis=1).reshape(-1)
+    basis = np.vstack([np.full(n, 1.0 / math.sqrt(n)),
+                       trig.reshape(-1, n)[keep] * math.sqrt(2.0 / n)]).T
     root = np.sqrt(np.asarray(weights, dtype=float))
     _, r = np.linalg.qr(root[:, None] * basis)
     return root, scipy.linalg.solve_triangular(r, basis.T, trans="T").T
@@ -72,11 +72,23 @@ def banded_opnorm(applied, root):
     from the block applied = map @ domain: the largest singular value of
     Y = root * applied, as the square root of the top eigenvalue of the
     k x k Gram matrix Y^T Y (on an (N, k) block half the time of the SVD of
-    Y, and the same to a few units of roundoff)."""
+    Y, and the same to a few units of roundoff), from syevr."""
     y = root[:, None] * applied
     k = y.shape[1]
-    top = scipy.linalg.eigvalsh(y.T @ y, subset_by_index=[k - 1, k - 1])[0]
-    return math.sqrt(top)
+    lwork, liwork = _syevr_work(k)
+    top = _lapack("dsyevr", ("dtn_shape", "banded_opnorm",
+                             "Gram eigenvalue solver must converge"),
+                  y.T @ y, compute_v=0, range="I", il=k, iu=k, lower=1,
+                  lwork=lwork, liwork=liwork)[0]
+    return math.sqrt(top[0])
+
+
+@functools.lru_cache(maxsize=8)
+def _syevr_work(k):
+    """syevr's optimal work sizes on k x k matrices, eigvalsh's: the default
+    ones pick another block size of the reduction and move the last bits."""
+    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(k, lower=1)
+    return int(lwork), int(liwork)
 
 
 def shape_derivative(dtn, a, x):

@@ -21,7 +21,7 @@ farthest from 1, reported in ascending order.
 import numpy as np
 import scipy.linalg
 
-from .bem2d import _BLOCK_ENTRIES
+from .bem2d import _BLOCK_ENTRIES, _lapack
 from .errors import ConfigError, DegeneracyError, EInfinitySignal, NumericalError
 
 _DENOM_TOL = 1e-12
@@ -106,19 +106,18 @@ class PlasmonicSpectrum:
 
 
 def _pencil_eigh(aminus, aplus, operation, **options):
-    """eigh of a plasmonic pencil (A-, A+) or of its projection on a block,
-    whose contracts are A+ positive definite and every mu = 1/eps positive."""
-    try:
-        mu, y = scipy.linalg.eigh(aminus, aplus, **options)
-    except scipy.linalg.LinAlgError as exc:
-        raise NumericalError("spectrum2d", operation,
-                             "exterior energy form must be positive definite "
-                             "on mean-zero data", str(exc))
-    if np.any(mu <= 0.0):
-        bad = int(np.count_nonzero(mu <= 0.0))
+    """sygvd (eigh's driver) of a plasmonic pencil (A-, A+) or of its
+    projection on a block, whose contracts are A+ positive definite and
+    every mu = 1/eps positive (a NaN is refused)."""
+    mu, y = _lapack("dsygvd", ("spectrum2d", operation,
+                               "exterior energy form must be positive "
+                               "definite on mean-zero data"),
+                    aminus, aplus, uplo="L", **options)
+    if not np.all(mu > 0.0):
+        bad = int(np.count_nonzero(~(mu > 0.0)))
         raise NumericalError("spectrum2d", operation,
                              "pencil eigenvalues must be positive "
-                             "(eps = 1/mu > 0)", "%d nonpositive" % bad)
+                             "(eps = 1/mu > 0)", "%d nonpositive or NaN" % bad)
     return mu, y
 
 
@@ -418,12 +417,12 @@ def _follow_in_block(home, eps, branch, start):
         return (overlaps[pick], mu[pick]), pick
 
     if start.size:
-        lu = scipy.linalg.lu_factor(aminus - aplus / eps, overwrite_a=True,
-                                    check_finite=False)
+        error = ("spectrum2d", "follow_branch",
+                 "shifted pencil must be invertible")
+        lu = _lapack("dgetrf", error, aminus - aplus / eps, overwrite_a=1)
         block = aplus @ start
         for solve in range(_FOLLOW_SOLVES):
-            y = np.linalg.qr(scipy.linalg.lu_solve(lu, block,
-                                                   check_finite=False))[0]
+            y = np.linalg.qr(_lapack("dgetrs", error, *lu, block))[0]
             block = aplus @ y
             if solve == 0:
                 # from a start block O(h) off and a guess O(h^2) off, one

@@ -163,6 +163,10 @@ class SHField:
             raise ConfigError("sphere3d", "SHField.from_json_dict",
                               "band limit L must be a nonnegative integer "
                               "and coeffs a list", "L=%r coeffs=%r" % (L, coeffs))
+        if (L + 1) * (2 * L + 1) > np.iinfo(np.intp).max // 8:
+            raise ConfigError("sphere3d", "SHField.from_json_dict",
+                              "band limit L must leave numpy an addressable "
+                              "(L+1, 2L+1) float table", "L=%d" % L)
         f = cls(L)
         seen = set()
         for entry in coeffs:

@@ -8,8 +8,8 @@ import pytest
 import scipy.linalg
 
 from plasmeig import bem2d
-from plasmeig.bem2d import (_log_quadrature_weights, build_dtn, compute_g0,
-                            farfield_log_coefficient)
+from plasmeig.bem2d import (DtNBlock, _log_quadrature_weights, build_dtn,
+                            compute_g0, farfield_log_coefficient)
 from plasmeig.curve2d import CurveParam, sample_curve
 from plasmeig.errors import GeometryError, NumericalError
 
@@ -220,13 +220,13 @@ def test_boundary_operator_validation():
 
 def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
     calls = []
-    lu_factor = scipy.linalg.lu_factor
+    getrf = scipy.linalg.lapack.dgetrf
 
     def counting(a, *args, **kwargs):
         calls.append(len(a))
-        return lu_factor(a, *args, **kwargs)
+        return getrf(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counting)
     for curve, sizes in ((KITE, [65]), (CurveParam.ellipse(2.0, 1.0),
                                         [34, 31])):
         # once per block: the bordered system of the block with the
@@ -237,6 +237,55 @@ def test_dtn_maps_are_factored_once_on_first_use(monkeypatch):
         dtn.apply(np.cos(dtn.sample.t))
         dtn.apply(np.eye(64))
         assert calls == sizes
+
+
+def random_block(rows, seed):
+    """A DtNBlock on random S, K* and weights, and its generator: bordered
+    when rows is even (rows - 1 weights and the constants), else plain S."""
+    rng = np.random.default_rng(seed)
+    m = rows - (rows % 2 == 0)
+    return DtNBlock(rng.uniform(0.5, 1.5, m), rng.standard_normal((2, m, m)),
+                    sign=1.0 if m < rows else -1.0), rng
+
+
+def bordered(block):
+    """[[S, 1], [w^T, 0]] of block, C-ordered; S alone on a plain block."""
+    m = len(block.weights)
+    mat = np.zeros((m + block._skip,) * 2)
+    mat[:m, :m] = block.single_layer
+    mat[:m, m:], mat[m:, :m] = 1.0, block.weights
+    return mat
+
+
+@pytest.mark.parametrize("rows", [66, 63])
+@pytest.mark.parametrize("columns", [1, 65, 130])
+def test_lapack_calls_match_the_scipy_wrappers_bit_for_bit(rows, columns):
+    # getrf/getrs on the Fortran-ordered bordered system and right-hand
+    # side against lu_factor/lu_solve on C-ordered copies (one column: a
+    # vector)
+    block, rng = random_block(rows, rows * columns)
+    lu, piv = scipy.linalg.lu_factor(bordered(block))
+    assert all(np.array_equal(a, b) for a, b in zip(block._lu, (lu, piv)))
+    m = len(block.weights)
+    y = rng.standard_normal((m, columns) if columns > 1 else m)
+    phi = scipy.linalg.lu_solve((lu, piv), np.concatenate(
+        [y, np.zeros((block._skip,) + y.shape[1:])]))[:len(y)]
+    kphi = block.np_adjoint @ phi
+    for got, want in zip(block.apply(y), (kphi - 0.5 * phi, kphi + 0.5 * phi)):
+        assert np.array_equal(got, want)
+
+
+def test_nearly_singular_bordered_block_is_refused():
+    # S of rank m - 2: the border fills one missing direction, not two; the
+    # factors exist (no zero pivot), the condition estimate is refused
+    block, rng = random_block(66, 0)
+    m = len(block.weights)
+    u, _, vt = np.linalg.svd(rng.standard_normal((m, m)))
+    s = np.r_[np.ones(m - 2), 1e-20, 1e-20]
+    block.single_layer = (u * s) @ vt
+    with pytest.raises(NumericalError, match="rcond") as info:
+        block.apply(np.ones(m))
+    assert info.value.contract == "single-layer system must be invertible"
 
 
 def test_g0_constant_on_circle_and_normalized():

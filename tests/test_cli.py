@@ -136,13 +136,13 @@ def test_spectrum_dtn_route_factors_nothing(tmp_path, monkeypatch):
     # factored. The only LU is 2D perturb's shifted pencil, (N - 1) square,
     # one per shifted curve
     calls = []
-    lu_factor = scipy.linalg.lu_factor
+    getrf = scipy.linalg.lapack.dgetrf
 
     def counting(a, *args, **kwargs):
         calls.append(len(a))
-        return lu_factor(a, *args, **kwargs)
+        return getrf(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counting)
     jobs = {"dtn": ("spectrum", {"curve": KITE, "N": 64, "num_eigs": 8}),
             "np": ("spectrum", {"curve": KITE, "N": 64, "num_eigs": 8,
                                 "route": "np"}),
@@ -758,6 +758,9 @@ def test_config_errors_exit_2(tmp_path, capsys):
     ("spectrum", {"curve": {"radius": 1.0}}, "'kind'"),
     ("perturb", {"mode": "2d", "curve": ELLIPSE,
                  "a": {"cos": [0.0, 1.0], "tan": [1.0]}}, "tan"),
+    # a coefficient table numpy cannot address is refused before allocating
+    ("perturb", {"mode": "sphere", "k": 1,
+                 "a": {"L": 10000000000, "coeffs": []}}, "addressable"),
 ])
 def test_malformed_config_values_exit_2(tmp_path, capsys, command, payload,
                                         key):

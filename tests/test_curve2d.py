@@ -169,13 +169,20 @@ def test_shift_losing_star_shape_is_rejected():
     with pytest.raises(PerturbationError):
         perturbed_sample(CurveParam.ellipse(4.0, 1.0),
                          ShapeFn2D(sin=[0.0, 1.0]), [0.8], 64)
-    # radius 1 - 1.5 < 0: the shift folds the circle onto its opposite side
-    with pytest.raises(PerturbationError) as info:
-        perturbed_sample(CurveParam.circle(1.0), ShapeFn2D(cos=[-1.0]),
-                         [0.5, 1.5], 64)
-    assert info.value.operation == "perturbed_sample"
-    assert "fold" in info.value.contract
-    assert "h=1.5" in info.value.detail
+    # radius 1 - h: at h = 1 the circle shrinks to the origin, beyond it the
+    # shift folds the circle onto its opposite side. The stacked star checks
+    # still refuse the first failing step in order, also when a later step
+    # fails a test listed before its own
+    for steps, named, contract in (([0.5, 1.5], "h=1.5", "fold"),
+                                   ([0.5, 1.2, 1.5], "h=1.2", "fold"),
+                                   ([0.5, 1.5, 1.0], "h=1.5", "fold"),
+                                   ([0.5, 1.0, 1.5], "h=1,", "origin")):
+        with pytest.raises(PerturbationError) as info:
+            perturbed_sample(CurveParam.circle(1.0), ShapeFn2D(cos=[-1.0]),
+                             steps, 64)
+        assert info.value.operation == "perturbed_sample"
+        assert contract in info.value.contract
+        assert named in info.value.detail
 
 
 @pytest.mark.parametrize("h", [1e154, 1e160, 1e200])

@@ -187,18 +187,18 @@ def test_fd_check_solves_only_the_band_basis(monkeypatch):
     # many columns, each shifted pair to it once; forming the full maps
     # would solve N columns on each block of the 1 + 2 len(h_list) pairs
     factored, columns = [], []
-    lu_factor, lu_solve = scipy.linalg.lu_factor, scipy.linalg.lu_solve
+    getrf, getrs = scipy.linalg.lapack.dgetrf, scipy.linalg.lapack.dgetrs
 
     def counting_factor(*args, **kwargs):
         factored.append(1)
-        return lu_factor(*args, **kwargs)
+        return getrf(*args, **kwargs)
 
-    def counting_solve(lu, b, *args, **kwargs):
+    def counting_solve(lu, piv, b, *args, **kwargs):
         columns.append(1 if b.ndim == 1 else b.shape[1])
-        return lu_solve(lu, b, *args, **kwargs)
+        return getrs(lu, piv, b, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "lu_factor", counting_factor)
-    monkeypatch.setattr(scipy.linalg, "lu_solve", counting_solve)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrf", counting_factor)
+    monkeypatch.setattr(scipy.linalg.lapack, "dgetrs", counting_solve)
     fd_operator_check(ELLIPSE, A_COS, 128, [1e-2, 5e-3, 2.5e-3])
     assert len(factored) == 2 * 7
     assert sum(columns) == 2 * (1 + 2 + 6) * 65
@@ -245,6 +245,23 @@ def test_opnorm_helpers():
     t = 2.0 * np.pi * np.arange(8) / 8
     root, domain = band_domain(w, t, 2)
     assert banded_opnorm(mat @ domain, root) <= full + 1e-12
+
+
+def test_banded_opnorm_matches_eigvalsh_bit_for_bit():
+    # syevr on the lower triangle with eigvalsh's work sizes, as its
+    # subset_by_index calls it, on the band of N = 128: random maps, whose
+    # bits the upper triangle moves, and the ellipse's N- and N+, whose
+    # bits syevr's default work sizes move
+    rng = np.random.default_rng(65)
+    maps = [(rng.standard_normal((128, 65)), rng.uniform(0.1, 1.0, 128))
+            for _ in range(5)]
+    dtn = build_dtn(sample_curve(ELLIPSE, 128))
+    root, domain = band_domain(dtn.sample.weights, dtn.sample.t, 32)
+    maps += [(applied, root) for applied in dtn.apply(domain)]
+    for applied, root in maps:
+        y = root[:, None] * applied
+        top = scipy.linalg.eigvalsh(y.T @ y, subset_by_index=[64, 64])[0]
+        assert banded_opnorm(applied, root) == math.sqrt(top)
 
 
 def test_loglog_slope_drops_steps_at_their_floor():

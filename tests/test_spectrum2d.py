@@ -7,14 +7,17 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
 from plasmeig import bem2d, spectrum2d
 from plasmeig.bem2d import DtNBlock, build_dtn
 from plasmeig.cli import canonical_json
 from plasmeig.curve2d import CurveParam, sample_curve
-from plasmeig.errors import ConfigError, EInfinitySignal
-from plasmeig.spectrum2d import (_selection_complete, criticality_residual,
+from plasmeig.errors import (ConfigError, EInfinitySignal, NumericalError,
+                             PlasmeigError)
+from plasmeig.spectrum2d import (_pencil_eigh, _selection_complete,
+                                 criticality_residual, follow_branch,
                                  np_route, rayleigh, select_far_from_one,
                                  solve_plasmonic)
 from plasmeig.validate import elliptic_eigenvalues
@@ -319,6 +322,48 @@ def test_num_validation():
     for num in (0, -3, 32):
         with pytest.raises(ConfigError):
             np_route(dtn, num=num)
+
+
+@pytest.mark.parametrize("n", [5, 63, 64])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_pencil_eigh_matches_the_scipy_wrapper_bit_for_bit(n, order):
+    # sygvd with eigh's arguments; the Fortran-ordered pencil is solved in
+    # place, as solve_plasmonic's is
+    rng = np.random.default_rng(n)
+    x, z = rng.standard_normal((2, n, n))
+    pencil = [np.array(m @ m.T + n * np.eye(n), order=order) for m in (x, z)]
+    want = scipy.linalg.eigh(*pencil)
+    got = _pencil_eigh(*pencil, "solve_plasmonic", overwrite_a=order == "F",
+                       overwrite_b=order == "F")
+    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+def test_indefinite_exterior_form_is_refused():
+    with pytest.raises(NumericalError) as info:
+        _pencil_eigh(np.eye(3), np.diag([1.0, -1.0, 2.0]), "follow_branch")
+    assert (info.value.module, info.value.operation, info.value.contract) == (
+        "spectrum2d", "follow_branch", "exterior energy form must be "
+        "positive definite on mean-zero data")
+
+
+@pytest.mark.parametrize("operation", ["solve_plasmonic", "follow_branch",
+                                       "compute_g0"])
+def test_nan_in_k_star_is_refused(operation):
+    # no finiteness scan guards the LAPACK calls: a NaN in K* must still
+    # end in a named error, from the block pencils or the flux
+    dtn = build_dtn(sample_curve(CurveParam.ellipse(2.0, 1.0), 64))
+    spec = solve_plasmonic(dtn, num=4)
+    for block in dtn.blocks:
+        block.np_adjoint = block.np_adjoint.copy()
+        block.np_adjoint[3, 5] = np.nan
+    run = {"solve_plasmonic": lambda: solve_plasmonic(dtn, num=4),
+           "follow_branch": lambda: follow_branch(
+               dtn, spec.eigenvalues[0], spec.densities[:, :3],
+               spec.densities[:, 0], 4),
+           "compute_g0": lambda: bem2d.compute_g0(dtn)}[operation]
+    with pytest.raises(PlasmeigError) as info:
+        run()
+    assert info.value.operation == operation
 
 
 def test_clustering_stats_shrink_with_the_window():

@@ -210,7 +210,7 @@ def test_fd_report_solves_one_dense_pencil(monkeypatch):
     # the base curve is evaluated once per grid: the N nodes, shared by the
     # base and every shifted sample, and the star-check grid
     n = 128
-    sizes = {"eigh": [], "lu_factor": [], "derivatives": []}
+    sizes = {"dsygvd": [], "dgetrf": [], "derivatives": []}
 
     def counting(owner, name, sized):
         fn = getattr(owner, name)
@@ -221,15 +221,15 @@ def test_fd_report_solves_one_dense_pencil(monkeypatch):
 
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(scipy.linalg, "eigh", 0)
-    counting(scipy.linalg, "lu_factor", 0)
+    counting(scipy.linalg.lapack, "dsygvd", 0)
+    counting(scipy.linalg.lapack, "dgetrf", 0)
     counting(CurveParam, "derivatives", 1)
     report = epsdot_fd_report(CurveParam.from_config(ELLIPSE),
                               ShapeFn2D(cos=(0.0, 0.0, 1.0)), H_LIST, n=n)
     assert report["slope"] is not None
-    assert [s for s in sizes["eigh"] if s >= n // 2 - 1] == [n // 2,
+    assert [s for s in sizes["dsygvd"] if s >= n // 2 - 1] == [n // 2,
                                                             n // 2 - 1]
-    assert sizes["lu_factor"] == [n // 2 - 1] * 2 * len(H_LIST)
+    assert sizes["dgetrf"] == [n // 2 - 1] * 2 * len(H_LIST)
     assert sorted(sizes["derivatives"]) == [n, 720]
 
 
@@ -252,13 +252,13 @@ def test_dense_fallback_follows_the_same_branch(monkeypatch, case):
     monkeypatch.undo()
     monkeypatch.setattr(spectrum2d, "_FOLLOW_SOLVES", 0)
     sizes = []
-    eigh = scipy.linalg.eigh
+    sygvd = scipy.linalg.lapack.dsygvd
 
     def counting(a, *args, **kwargs):
         sizes.append(len(a))
-        return eigh(a, *args, **kwargs)
+        return sygvd(a, *args, **kwargs)
 
-    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsygvd", counting)
     dense = [eps for _, eps in followed_eigenvalues(monkeypatch, case)]
     # the base solve, both halves of the mirror-symmetric curve, then one
     # dense eigh per shifted curve, on the half that holds the branch
