@@ -18,11 +18,11 @@ generalized eigenvalues are the branch derivatives, as on the sphere.
 Both sides build q1 from one weighted Gram product, and the second-order
 chain passes objects: q1_matrix(k, a) -> solve_udot(report, branch) ->
 epsddot(udot) or epsddot_flux_route(udot). The solution carries the
-P1 u = -div(a grad u) and the grid values of a and dn u that its solve
-formed, so neither route forms them again.
+P1 u = -div(a grad u), the projection of a dn u and the grid values of a
+and dn u that its solve formed, so neither route forms them again.
 
-All sphere quadratures run on grids sized from the exact band arithmetic of
-the integrands, so the only error is roundoff.
+Every sphere quadrature runs on sphere3d.exact_grid of its integrand's
+degree, so the only error is roundoff.
 """
 
 import math
@@ -34,7 +34,7 @@ from .curve2d import tangential_derivative
 from .errors import (ConfigError, NumericalError, PerturbationError,
                      SplittingError)
 from .sphere3d import (SHField, analyze, degree_harmonics, dtn_sphere_apply,
-                       sphere_grid, synthesize)
+                       exact_grid, synthesize)
 
 # Mean curvature of the unit sphere, outward normal: the Weingarten map is
 # -I, so H = -1 and the trace-free part W0 = W - H I vanishes.
@@ -60,14 +60,14 @@ def _ball_eps(k):
 
 
 def _check_finite(operation, what, *values):
-    """Refuse a NaN or an infinity where a stage of the second-order chain
-    forms it: the chain is quadratic in the shape, so a shape whose squared
-    size overflows makes them, and no later test could catch all of them
-    (an infinite compatibility scale passes any residual)."""
+    """Refuse a NaN or an infinity where a stage forms it: q1 is linear and
+    the rest of the chain quadratic in the shape, so a huge shape makes
+    them, and no later test could catch all of them (an infinite
+    compatibility scale passes any residual)."""
     if not all(np.all(np.isfinite(x)) for x in values):
         raise NumericalError("perturb", operation,
-                             "%s must be finite; the shape's squared size "
-                             "must not overflow" % what)
+                             "%s must be finite; the shape must not be so "
+                             "large that the chain overflows" % what)
 
 
 def _first_order_form(eps, wa, grads, dns):
@@ -158,6 +158,7 @@ class FirstOrderReport:
         }
 
 
+@np.errstate(all="ignore")  # an overflow or a NaN is refused below
 def q1_matrix(k, a):
     """First-order splitting of the ball eigenvalue (k+1)/k for shape a.
 
@@ -165,7 +166,7 @@ def q1_matrix(k, a):
     normal derivatives are sqrt(k) Y_{k,m}, read off the grid's tables.
     """
     eps = _ball_eps(k)
-    grid = sphere_grid(k + a.L + 2)
+    grid = exact_grid(2 * k + a.L, max(k, a.L))
     w = grid.area_weights.ravel()
     vals, grads = degree_harmonics(k, grid)
     d = 2 * k + 1
@@ -173,6 +174,7 @@ def q1_matrix(k, a):
     mat = _first_order_form(eps, w * synthesize(grid, [a])[0][0].ravel(),
                             grads.reshape(d, 2, -1) / math.sqrt(k),
                             math.sqrt(k) * vals)
+    _check_finite("q1_matrix", "the splitting matrix", mat)
     branches, vecs = scipy.linalg.eigh(mat)
     basis = _canonical_eigenbasis(branches, vecs)
     # quadrature check of <u_i, dn u_j> = delta_ij for the branch basis
@@ -189,19 +191,20 @@ class UdotSolution:
     the non-uniqueness noted for the first-derivative system. The solution
     keeps the first-order report, the branch index and the branch trace u it
     was solved for; its epsdot is always report.branches[branch]. The
-    second-order routes reuse p1u = -div(a grad u) (band phi.L) and a_vals
-    and dnu_vals, a and dn u on sphere_grid(phi.L), from the solve. The
+    second-order routes reuse p1u = -div(a grad u) and adnu, a dn u (band
+    phi.L), and a_vals and dnu_vals, a and dn u on the solve's grid. The
     compatibility residual is the one solve_udot accepted: roundoff on
     coefficients of the shape's size.
     """
 
-    def __init__(self, report, branch, trace, phi, p1u, a_vals, dnu_vals,
-                 compatibility_residual):
+    def __init__(self, report, branch, trace, phi, p1u, adnu, a_vals,
+                 dnu_vals, compatibility_residual):
         self.report = report
         self.branch = branch
         self.trace = trace
         self.phi = phi
         self.p1u = p1u
+        self.adnu = adnu
         self.a_vals = a_vals
         self.dnu_vals = dnu_vals
         self.compatibility_residual = compatibility_residual
@@ -209,6 +212,7 @@ class UdotSolution:
         self.epsdot = float(report.branches[branch])
 
 
+@np.errstate(all="ignore")  # an overflow or a NaN is refused below
 def solve_udot(report, branch):
     """Solve the first-derivative transmission system for one branch of a
     FirstOrderReport.
@@ -220,15 +224,14 @@ def solve_udot(report, branch):
     """
     ub = report.branch_trace(branch)
     k, a, eps = report.k, report.a, report.epsilon
-    epsdot = float(report.branches[branch])
     dnu = dtn_sphere_apply(ub)
-    l_sys = a.L + k + 2
-    grid = sphere_grid(l_sys)
+    # a dn u and P1 u = -div(a grad u) have band L + k: degree 2(L + k)
+    l_sys = a.L + k
+    grid = exact_grid(2 * l_sys, l_sys)
     (a_vals, dnu_vals), (gu,) = synthesize(grid, [a, dnu], [ub])
-    # P1 u = -div(a grad u), on the solve's grid and band
-    f1, p1u = analyze(grid, l_sys, [-(eps + 1.0) * a_vals * dnu_vals],
-                      [-a_vals * gu])
-    gtil = p1u.scaled(-(eps + 1.0)).plus(dnu, -epsdot)
+    adnu, p1u = analyze(grid, l_sys, [a_vals * dnu_vals], [-a_vals * gu])
+    f1 = adnu.scaled(-(eps + 1.0))
+    gtil = p1u.scaled(-(eps + 1.0)).plus(dnu, -report.branches[branch])
 
     flux, source = gtil.coeffs[k], eps * k * f1.coeffs[k]
     compat = float(np.linalg.norm(flux - source))
@@ -247,7 +250,7 @@ def solve_udot(report, branch):
     denom[k] = np.inf
     phi = SHField(l_sys, (gtil.coeffs - (lvec + 1.0) * f1.coeffs) / denom)
     _check_finite("solve_udot", "u-dot", phi.coeffs)
-    return UdotSolution(report, branch, ub, phi, p1u, a_vals, dnu_vals,
+    return UdotSolution(report, branch, ub, phi, p1u, adnu, a_vals, dnu_vals,
                         compat)
 
 
@@ -299,6 +302,7 @@ def _epsddot_lines(grid, eps, epsdot, a_vals, u_vals, dnu_vals, gu, gw, gphi,
             for x3, x4, x6 in zip(l3, l4, l6)]
 
 
+@np.errstate(all="ignore")  # an overflow or a NaN is refused below
 def epsddot(udot):
     """Second derivative of the eigenvalue along the branch of udot, the
     solve_udot solution (zero-E gauge).
@@ -308,21 +312,17 @@ def epsddot(udot):
     re-evaluating with the eigenfunction derivative shifted by an element
     of the eigenspace.
     """
-    report, ub = udot.report, udot.trace
-    k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
-    phi, shifted = udot.phi, udot.phi.plus(ub)
-    # the solve's grid, where udot keeps the values of a and dn u
-    grid = sphere_grid(phi.L)
-    a_vals, dnu_vals = udot.a_vals, udot.dnu_vals
-    (w_field,) = analyze(grid, a.L + k, [a_vals * dnu_vals])
+    ub, phi, shifted = udot.trace, udot.phi, udot.phi.plus(udot.trace)
+    # degree 2 phi.L: the solve's grid, where udot keeps a and dn u
+    grid = exact_grid(2 * phi.L, phi.L)
     # the shifted trace gets transforms of its own, so that the gauge
     # residual compares two evaluations and not a sum with itself
     vals, grads = synthesize(grid, [ub, dtn_sphere_apply(phi),
                                     dtn_sphere_apply(shifted)],
-                             [ub, w_field, phi, shifted])
-    lines, lines_shifted = _epsddot_lines(grid, eps, epsdot, a_vals, vals[0],
-                                          dnu_vals, grads[0], grads[1],
-                                          grads[2:], vals[1:])
+                             [ub, udot.adnu, phi, shifted])
+    lines, lines_shifted = _epsddot_lines(
+        grid, udot.epsilon, udot.epsdot, udot.a_vals, vals[0], udot.dnu_vals,
+        grads[0], grads[1], grads[2:], vals[1:])
     total = 2.0 * sum(lines)
     gauge_residual = abs(2.0 * sum(lines_shifted) - total)
     _check_finite("epsddot", "the second derivative and its gauge residual",
@@ -330,6 +330,7 @@ def epsddot(udot):
     return SecondOrderReport(udot, total, lines, gauge_residual)
 
 
+@np.errstate(all="ignore")  # an overflow or a NaN is refused below
 def epsddot_flux_route(udot):
     """Second derivative via the compatibility identity of the
     second-derivative transmission system: <G2, u> - eps <F2, dn u>.
@@ -338,13 +339,12 @@ def epsddot_flux_route(udot):
     different intermediate expressions, so agreement is a strong
     cross-check. P1 u is the field udot.p1u that the solve formed.
     """
-    report, ub = udot.report, udot.trace
-    k, a, eps, epsdot = report.k, report.a, udot.epsilon, udot.epsdot
+    a, ub, eps, epsdot = udot.report.a, udot.trace, udot.epsilon, udot.epsdot
     dnu, dnudot = dtn_sphere_apply(ub), dtn_sphere_apply(udot.phi)
     # B = -2 div(a^2 W0 grad u) + 2 P1(a dn u + u-dot), W0 = 0 on the sphere,
-    # on the grid and band of P1 of the band-(a.L + k + 2) inner field
-    L_b = 2 * a.L + k + 4
-    grid = sphere_grid(L_b)
+    # has band 2L + k: its projection onto that band has degree 2(2L + k)
+    L_b = a.L + udot.phi.L
+    grid = exact_grid(2 * L_b, L_b)
     (a_vals, u_vals, dnu_vals, p1u_vals, dnudot_vals), (ga, gdnu, gphi) = \
         synthesize(grid, [a, ub, dnu, udot.p1u, dnudot], [a, dnu, udot.phi])
     # grad(a dn u + u-dot), with grad(a dn u) = dn u grad a + a grad dn u

@@ -13,9 +13,9 @@ Conventions: fully normalized real harmonics
 with int_{S^2} Y^2 dS = 1. Coefficients are stored as an (L+1, 2L+1) array
 indexed [l, m+L]. A grid of band L has L+1 Gauss-Legendre nodes in
 cos(theta) and 2L+2 uniform nodes in phi, integrating products of total
-spherical-polynomial degree up to 2L+1 exactly; band bookkeeping for
-quadrature exactness is the caller's job and every routine here states its
-requirement.
+spherical-polynomial degree up to 2L+1 exactly; exact_grid(degree, band),
+the smallest with 2L+1 >= degree and L >= band, sizes every grid of the
+perturbation chain, and every routine here states its requirement.
 
 The only transforms are synthesize(grid, fields, gradients), the values of
 a list of fields and the gradients of another as arrays with a leading
@@ -112,6 +112,11 @@ class SphereGrid:
 @functools.lru_cache(maxsize=64)
 def sphere_grid(L):
     return SphereGrid(L)
+
+
+def exact_grid(degree, band):
+    """The smallest grid exact for degree (2L+1 >= degree) and band."""
+    return sphere_grid(max(degree // 2, band))
 
 
 class SHField:

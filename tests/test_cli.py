@@ -266,7 +266,7 @@ def test_perturb_sphere_uniform_shift(tmp_path):
 
 
 def test_perturb_sphere_flags_scale_with_the_terms(tmp_path):
-    # k = L = 30: the route gap (~1.4e-8) and the gauge residual (~4.7e-10)
+    # k = L = 30: the route gap (~3.5e-8) and the gauge residual (~4.7e-10)
     # are roundoff on quadrature terms summing to ~2.8e6 in magnitude
     cfg = write_config(tmp_path, "job.json",
                        {"mode": "sphere", "k": 30, "branch": 0, "order": 2,
@@ -343,8 +343,8 @@ def test_perturb_sphere_overflow_writes_no_artifact(tmp_path, c):
     # epsddot is quadratic in the shape, so a huge quadrupole overflows to
     # inf and nan, which the chain refuses where it forms them (here the
     # compatibility scale of solve_udot): the job exits 3 naming the
-    # contract, and writes nothing. A fresh interpreter, since the test
-    # suite turns numpy's overflow warnings into exceptions
+    # contract, and writes nothing. A fresh interpreter runs it at numpy's
+    # default warning filter, as a user would
     cfg = write_config(tmp_path, "job.json",
                        {"mode": "sphere", "k": 1, "branch": 0, "order": 2,
                         "a": {"L": 2, "coeffs": coeff_list(c, (2, 0))}})
@@ -359,6 +359,27 @@ def test_perturb_sphere_overflow_writes_no_artifact(tmp_path, c):
     assert run.returncode == 3
     assert "perturb.solve_udot" in run.stderr
     assert "must be finite" in run.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("c, stage", [
+    (1e155, "solve_udot"), (1.5e154, "epsddot"),
+    (8e153, "epsddot_flux_route"), (1e308, "q1_matrix")])
+def test_perturb_sphere_overflow_is_one_named_line(tmp_path, capsys, c,
+                                                   stage):
+    # each stage computes under np.errstate, so the named error is all
+    # that reaches stderr; the suite turns numpy warnings into errors, as
+    # `python -W error::RuntimeWarning` does, so a leaked warning would end
+    # the job in a traceback (exit 1, the code of a failed check)
+    cfg = write_config(tmp_path, "job.json",
+                       {"mode": "sphere", "k": 1, "branch": 0, "order": 2,
+                        "a": {"L": 2, "coeffs": coeff_list(c, (2, 0))}})
+    out = tmp_path / "out"
+    assert main(["perturb", "--config", cfg, "--out", str(out)]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("perturb.%s: " % stage)
+    assert "must be finite" in err[0]
     assert not out.exists()
 
 

@@ -1,19 +1,23 @@
 """Eigenvalue perturbation under normal shifts: sphere and plane branches."""
 
 import collections
+import json
 import math
+import os
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from plasmeig import bem2d, sphere3d
 from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
                               tangential_derivative)
 from plasmeig.errors import (ConfigError, NumericalError,
-                             PerturbationError, SplittingError)
+                             PerturbationError, ShapeMismatchError,
+                             SplittingError)
 from plasmeig.perturb import (_first_order_form, epsddot, epsddot_flux_route,
                               epsdot_2d, q1_matrix, solve_udot,
                               uniform_shape)
@@ -155,15 +159,18 @@ def test_flux_route_agrees_with_quadrature_formula():
 
 @pytest.mark.parametrize("c, stage", [
     (1e160, "solve_udot"), (1e300, "solve_udot"),
-    (1.5e154, "epsddot"), (5e153, "epsddot_flux_route")])
+    (1.5e154, "epsddot"), (8e153, "epsddot_flux_route"),
+    (1e308, "q1_matrix")])
 def test_overflowing_shape_is_refused_where_it_overflows(c, stage):
     # the chain is quadratic in the shape: a Y20 shape whose squared size
     # overflows gives inf and nan, which each stage refuses where it forms
     # them. From 1e160 the compatibility scale is inf, which would pass any
     # residual; just below it epsddot or only the flux route overflows
+    # (the flux route alone from about 5.6e153 to 1.2e154), and at 1e308 q1
+    # itself. Each stage computes under np.errstate, so no numpy warning
+    # leaks (the suite turns warnings into errors)
     a = SHField.basis(2, 2, 0).scaled(c)
-    with np.errstate(all="ignore"), \
-            pytest.raises(NumericalError, match="must be finite") as info:
+    with pytest.raises(NumericalError, match="must be finite") as info:
         udot = solve_udot(q1_matrix(1, a), 0)
         epsddot(udot)
         epsddot_flux_route(udot)
@@ -177,7 +184,7 @@ def test_p1u_on_the_uniform_shape():
         report = q1_matrix(k, uniform_shape(1.0))
         for branch in range(2 * k + 1):
             sol = solve_udot(report, branch)
-            assert sol.p1u.L == sol.phi.L == k + 2
+            assert sol.p1u.L == sol.phi.L == k
             want = sol.trace.truncated(sol.p1u.L).scaled(k * (k + 1.0))
             assert np.max(np.abs(sol.p1u.coeffs - want.coeffs)) < 1e-12
 
@@ -185,7 +192,8 @@ def test_p1u_on_the_uniform_shape():
 def test_kernel_calls_do_not_grow_with_the_degree(monkeypatch):
     # the 2k + 1 basis harmonics are read off the grid tables, every stage
     # stacks the fields it evaluates on one grid, and the second-order
-    # routes take P1 u and the values of a and dn u from the solve
+    # routes take P1 u, the projection of a dn u and the values of a and
+    # dn u from the solve
     counts = collections.Counter()
     for name in ("_to_grid", "_from_grid"):
         def counted(*args, _kernel=getattr(sphere3d, name), _name=name):
@@ -203,14 +211,106 @@ def test_kernel_calls_do_not_grow_with_the_degree(monkeypatch):
     for k in (1, 30):
         report = q1_matrix(k, a)
         udot = solve_udot(report, 0)
-        # q1 1, solve_udot 4, epsddot 3, the flux route 5: 13 per chain
+        # q1 1, solve_udot 4, epsddot 2, the flux route 5: 12 per chain
         assert calls(lambda: q1_matrix(k, a)) == {"_to_grid": 1}
         assert calls(lambda: solve_udot(report, 0)) == {
             "_to_grid": 2, "_from_grid": 2}
-        assert calls(lambda: epsddot(udot)) == {
-            "_to_grid": 2, "_from_grid": 1}
+        assert calls(lambda: epsddot(udot)) == {"_to_grid": 2}
         assert calls(lambda: epsddot_flux_route(udot)) == {
             "_to_grid": 3, "_from_grid": 2}
+
+
+def grids_asked(pad, run):
+    """run() with every sphere_grid(B) answered by the grid of band B + pad;
+    returns run()'s result and the bands B asked for."""
+    asked = []
+
+    def padded(band):
+        asked.append(band)
+        return sphere_grid(band + pad)
+
+    with mock.patch.object(sphere3d, "sphere_grid", padded):
+        return run(), asked
+
+
+@given(k=st.integers(1, 12), L=st.integers(0, 12),
+       seed=st.integers(0, 10_000))
+@example(k=3, L=0, seed=0)
+@example(k=5, L=1, seed=1)
+@example(k=4, L=7, seed=2)
+@example(k=2, L=12, seed=3)
+@example(k=12, L=12, seed=4)
+def test_each_stage_asks_for_its_exact_band(k, L, seed):
+    # a grid of band B integrates degree 2B + 1 exactly, so each stage asks
+    # for the smallest band that integrates its integrand and holds the
+    # fields it synthesizes: q1 max(k + floor(L/2), L), the solve and
+    # epsddot L + k, the flux route 2L + k. Two bands more change nothing
+    # beyond roundoff; one band less is refused or moves q1 by O(1)
+    a = random_shape(L, seed)
+    report, (q1_band,) = grids_asked(0, lambda: q1_matrix(k, a))
+    udot, (udot_band,) = grids_asked(0, lambda: solve_udot(report, 0))
+    second, (second_band,) = grids_asked(0, lambda: epsddot(udot))
+    flux, (flux_band,) = grids_asked(0, lambda: epsddot_flux_route(udot))
+    assert (q1_band, udot_band, second_band, flux_band) \
+        == (max(k + L // 2, L), L + k, L + k, 2 * L + k)
+    assert udot.phi.L == udot.p1u.L == udot.adnu.L == L + k
+
+    # the padded chain starts from the same report, so that a nearly
+    # degenerate branch does not amplify q1's roundoff into u-dot
+    eps = report.epsilon
+    a_max = float(np.max(np.abs(synthesize(sphere_grid(L), [a])[0])))
+    q1_scale = (eps + 1.0) * (k + 1.0 + eps * k) * a_max
+    padded_q1, _ = grids_asked(2, lambda: q1_matrix(k, a))
+    assert np.max(np.abs(padded_q1.matrix - report.matrix)) \
+        <= 1e-12 * q1_scale
+    assert np.max(np.abs(padded_q1.branches - report.branches)) \
+        <= 1e-12 * q1_scale
+    padded_udot, _ = grids_asked(2, lambda: solve_udot(report, 0))
+    padded_second, _ = grids_asked(2, lambda: epsddot(padded_udot))
+    padded_flux, _ = grids_asked(2, lambda: epsddot_flux_route(padded_udot))
+    scale = max(1.0, sum(abs(x) for x in second.lines))
+    assert abs(padded_second.epsddot - second.epsddot) <= 1e-12 * scale
+    assert abs(padded_flux - flux) <= 1e-12 * scale
+
+    if q1_band - 1 < max(k, L):
+        # the grid must hold the degree-k basis and the shape
+        with pytest.raises(ShapeMismatchError):
+            grids_asked(-1, lambda: q1_matrix(k, a))
+    else:
+        short, _ = grids_asked(-1, lambda: q1_matrix(k, a))
+        assert np.max(np.abs(short.matrix - report.matrix)) \
+            > 1e-3 * np.max(np.abs(report.matrix))
+
+
+with open(os.path.join(os.path.dirname(__file__), "ledger.json")) as _f:
+    LEDGER = json.load(_f)
+
+
+def ledger_shape(L):
+    """The ledger's fixed shape: cos(l^2 + 3m + 1) times Y_{l,m}."""
+    f = SHField(L)
+    for l in range(L + 1):
+        for m in range(-l, l + 1):
+            f.set_coeff(l, m, math.cos(l * l + 3 * m + 1))
+    return f
+
+
+@pytest.mark.parametrize("entry", LEDGER["sphere"],
+                         ids=lambda e: "k%d-L%d" % (e["k"], e["L"]))
+def test_sphere_answers_match_the_ledger(entry):
+    # the ledger remembers the chain's answers: a move beyond an entry's
+    # tolerance (sized by its thread noise, see ledger.json) is a change of
+    # answer, to be made by editing the ledger, not by roundoff
+    report = q1_matrix(entry["k"], ledger_shape(entry["L"]))
+    udot = solve_udot(report, entry["branch"])
+    second = epsddot(udot)
+    pinned = np.array(entry["branches"])
+    assert np.max(np.abs(report.branches - pinned)) \
+        <= entry["branches_rtol"] * np.max(np.abs(pinned))
+    scale = max(1.0, sum(abs(x) for x in second.lines))
+    for got, key in ((second.epsddot, "epsddot"),
+                     (epsddot_flux_route(udot), "flux_route")):
+        assert abs(got - entry[key]) <= entry["second_rtol"] * scale
 
 
 def test_degree_validation():
