@@ -271,6 +271,15 @@ def _lapack(routine, error, *args, **options):
 
 
 @functools.lru_cache(maxsize=8)
+def _syevr_work(k):
+    """syevr's optimal work sizes on k x k matrices, eigh's and eigvalsh's:
+    the default ones pick another block size of the reduction and move the
+    last bits."""
+    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(k, lower=1)
+    return int(lwork), int(liwork)
+
+
+@functools.lru_cache(maxsize=8)
 def _log_circulant(n):
     """The circulant [c[(i - j) % n]] of S's log weights and its smooth
     remainder's circulant term, c = w / 2pi, as a read-only strided view

@@ -24,13 +24,12 @@ entrywise. Every operator is applied to the band basis only, never formed
 as an (N, N) matrix.
 """
 
-import functools
 import math
 
 import numpy as np
 import scipy.linalg
 
-from .bem2d import _lapack, build_dtn
+from .bem2d import _lapack, _syevr_work, build_dtn
 from .curve2d import perturbed_sample, tangential_derivative
 from .errors import ConfigError
 from .perturb import epsdot_2d
@@ -81,14 +80,6 @@ def banded_opnorm(applied, root):
                   y.T @ y, compute_v=0, range="I", il=k, iu=k, lower=1,
                   lwork=lwork, liwork=liwork)[0]
     return math.sqrt(top[0])
-
-
-@functools.lru_cache(maxsize=8)
-def _syevr_work(k):
-    """syevr's optimal work sizes on k x k matrices, eigvalsh's: the default
-    ones pick another block size of the reduction and move the last bits."""
-    lwork, liwork, _ = scipy.linalg.lapack.dsyevr_lwork(k, lower=1)
-    return int(lwork), int(liwork)
 
 
 def shape_derivative(dtn, a, x):

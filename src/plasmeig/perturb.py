@@ -22,14 +22,19 @@ P1 u = -div(a grad u), the projection of a dn u and the grid values of a
 and dn u that its solve formed, so neither route forms them again.
 
 Every sphere quadrature runs on sphere3d.exact_grid of its integrand's
-degree, so the only error is roundoff.
+degree, so the only error is roundoff. q1's tables of degree k on a grid
+stay read-only in a cache of 8 (k, grid) entries, about 6 MB at k = 30 on
+the band-45 grid and kilobytes at k <= 3. q1 calls LAPACK's syevr at
+eigh's work sizes, and epsdot_2d's pencil sygvd, eigh's drivers; a nonzero
+info raises NumericalError, for sygvd a singular Gram matrix.
 """
 
+import functools
 import math
 
 import numpy as np
-import scipy.linalg
 
+from .bem2d import _lapack, _syevr_work
 from .curve2d import tangential_derivative
 from .errors import (ConfigError, NumericalError, PerturbationError,
                      SplittingError)
@@ -64,7 +69,8 @@ def _check_finite(operation, what, *values):
     the rest of the chain quadratic in the shape, so a huge shape makes
     them, and no later test could catch all of them (an infinite
     compatibility scale passes any residual)."""
-    if not all(np.all(np.isfinite(x)) for x in values):
+    if not all(math.isfinite(x) if isinstance(x, float)
+               else np.isfinite(x).all() for x in values):
         raise NumericalError("perturb", operation,
                              "%s must be finite; the shape must not be so "
                              "large that the chain overflows" % what)
@@ -84,18 +90,16 @@ def _first_order_form(eps, wa, grads, dns):
 
 def _canonical_eigenbasis(vals, vecs):
     """Deterministic eigenbasis: within each (near-)equal eigenvalue group,
-    Gram-Schmidt on the spectral projector columns in index order, then a
-    positive-leading-entry sign convention."""
+    Gram-Schmidt on the spectral projector columns in index order, then one
+    positive-leading-entry sign pass over all columns."""
     d = len(vals)
     scale = max(1.0, float(np.max(np.abs(vals))))
     out = np.array(vecs, dtype=float)
-    start = 0
-    while start < d:
-        stop = start + 1
-        while stop < d and abs(vals[stop] - vals[stop - 1]) <= _EIG_TIE_RTOL * scale:
-            stop += 1
-        group = slice(start, stop)
+    cuts = (np.flatnonzero(np.abs(np.diff(vals)) > _EIG_TIE_RTOL * scale)
+            + 1).tolist()
+    for start, stop in zip([0] + cuts, cuts + [d]):
         if stop - start > 1:
+            group = slice(start, stop)
             proj = vecs[:, group] @ vecs[:, group].T
             chosen = []
             for col in range(d):
@@ -108,11 +112,8 @@ def _canonical_eigenbasis(vals, vecs):
                 if len(chosen) == stop - start:
                     break
             out[:, group] = np.array(chosen).T
-        for j in range(start, stop):
-            lead = np.nonzero(np.abs(out[:, j]) > 1e-8)[0]
-            if len(lead) and out[lead[0], j] < 0:
-                out[:, j] = -out[:, j]
-        start = stop
+    # a unit column has an entry above 1e-8, so argmax finds its lead
+    out *= np.sign(out[np.argmax(np.abs(out) > 1e-8, axis=0), np.arange(d)])
     return out
 
 
@@ -158,6 +159,27 @@ class FirstOrderReport:
         }
 
 
+@functools.lru_cache(maxsize=8)
+def _q1_tables(k, grid):
+    """What q1_matrix needs of degree k on grid, read-only: the quadrature
+    weights, the gradients of u_m = Y_{k,m} / sqrt(k), their normal
+    derivatives sqrt(k) Y_{k,m}, and the Gram matrix <Y_i, Y_j> of the
+    basis check."""
+    w = grid.area_weights.ravel()
+    vals, grads = degree_harmonics(k, grid)
+    d = 2 * k + 1
+    vals = vals.reshape(d, -1)
+    gram = (vals * w) @ vals.T
+    # scaled in place, so that the tables are the only copies
+    grads = grads.reshape(d, 2, -1)
+    grads /= math.sqrt(k)
+    vals *= math.sqrt(k)
+    tables = (w, grads, vals, gram)
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 @np.errstate(all="ignore")  # an overflow or a NaN is refused below
 def q1_matrix(k, a):
     """First-order splitting of the ball eigenvalue (k+1)/k for shape a.
@@ -167,19 +189,19 @@ def q1_matrix(k, a):
     """
     eps = _ball_eps(k)
     grid = exact_grid(2 * k + a.L, max(k, a.L))
-    w = grid.area_weights.ravel()
-    vals, grads = degree_harmonics(k, grid)
-    d = 2 * k + 1
-    vals = vals.reshape(d, -1)
+    w, grads, dns, gram = _q1_tables(k, grid)
     mat = _first_order_form(eps, w * synthesize(grid, [a])[0][0].ravel(),
-                            grads.reshape(d, 2, -1) / math.sqrt(k),
-                            math.sqrt(k) * vals)
+                            grads, dns)
     _check_finite("q1_matrix", "the splitting matrix", mat)
-    branches, vecs = scipy.linalg.eigh(mat)
+    d = len(mat)
+    lwork, liwork = _syevr_work(d)
+    branches, vecs = _lapack("dsyevr", ("perturb", "q1_matrix",
+                                        "splitting eigensolver must converge"),
+                             mat, lower=1, lwork=lwork, liwork=liwork)[:2]
     basis = _canonical_eigenbasis(branches, vecs)
     # quadrature check of <u_i, dn u_j> = delta_ij for the branch basis
-    bg = basis.T @ ((vals * w) @ vals.T) @ basis
-    basis_residual = float(np.max(np.abs(bg - np.eye(len(vals)))))
+    bg = basis.T @ gram @ basis
+    basis_residual = float(np.max(np.abs(bg - np.eye(d))))
     return FirstOrderReport(k, eps, a, mat, branches, basis, basis_residual)
 
 
@@ -403,6 +425,10 @@ def epsdot_2d(dtn, spectrum, index, a):
                                 "off by %.3g" % gap)
     qmat = _first_order_form(eps, w * a.value(sample.t),
                              tangential_derivative(sample, g).T, dng.T)
-    branches, vecs = scipy.linalg.eigh(qmat, 0.5 * (gram + gram.T))
+    _check_finite("epsdot_2d", "the first-order form", qmat)
+    branches, vecs = _lapack("dsygvd", ("perturb", "epsdot_2d",
+                                        "interior-energy Gram matrix must be "
+                                        "positive definite"),
+                             qmat, 0.5 * (gram + gram.T), uplo="L")
     pos = np.searchsorted(close, index)
     return float(branches[pos]), phi @ vecs[:, pos]

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, strategies as st
 
-from plasmeig import bem2d, sphere3d
+from plasmeig import bem2d, perturb, sphere3d
 from plasmeig.bem2d import build_dtn
 from plasmeig.curve2d import (CurveParam, ShapeFn2D, sample_curve,
                               tangential_derivative)
@@ -313,6 +313,101 @@ def test_sphere_answers_match_the_ledger(entry):
         assert abs(got - entry[key]) <= entry["second_rtol"] * scale
 
 
+def chain_answers(k, a):
+    """Every array and number of a chain on branch k, as bytes."""
+    report = q1_matrix(k, a)
+    udot = solve_udot(report, k)
+    second = epsddot(udot)
+    return [x.tobytes() for x in (
+        report.matrix, report.branches, report.basis, np.array(second.lines),
+        np.array([report.basis_residual, second.epsddot,
+                  epsddot_flux_route(udot), second.gauge_residual,
+                  udot.compatibility_residual]))]
+
+
+@pytest.mark.parametrize("k, L", [(1, 2), (8, 6), (30, 4)])
+def test_q1_tables_give_the_same_bits_cold_and_warm(k, L):
+    # q1's degree-k tables are kept per (k, grid): a warm call repeats the
+    # cold one bit for bit, also on a padded grid after the unpadded one
+    # has left its own entry
+    a = random_shape(L, seed=k + L)
+    for pad in (0, 2):
+        perturb._q1_tables.cache_clear()
+        cold, _ = grids_asked(pad, lambda: chain_answers(k, a))
+        grids_asked(2 - pad, lambda: chain_answers(k, a))
+        warm, _ = grids_asked(pad, lambda: chain_answers(k, a))
+        assert warm == cold
+
+
+def test_q1_tables_are_read_only():
+    q1_matrix(3, random_shape(2, seed=0))
+    tables = perturb._q1_tables(3, sphere3d.exact_grid(8, 3))
+    assert perturb._q1_tables.cache_info().hits >= 1
+    for table in tables:
+        with pytest.raises(ValueError, match="read-only"):
+            table[...] = 0.0
+
+
+def per_column_eigenbasis(vals, vecs):
+    """_canonical_eigenbasis with its sign convention applied one column at
+    a time, group by group: the reference of the vectorized pass."""
+    d = len(vals)
+    scale = max(1.0, float(np.max(np.abs(vals))))
+    out = np.array(vecs, dtype=float)
+    start = 0
+    while start < d:
+        stop = start + 1
+        while stop < d and abs(vals[stop] - vals[stop - 1]) \
+                <= perturb._EIG_TIE_RTOL * scale:
+            stop += 1
+        group = slice(start, stop)
+        if stop - start > 1:
+            proj = vecs[:, group] @ vecs[:, group].T
+            chosen = []
+            for col in range(d):
+                w = proj[:, col].copy()
+                for b in chosen:
+                    w -= (b @ w) * b
+                nrm = np.linalg.norm(w)
+                if nrm > 1e-6:
+                    chosen.append(w / nrm)
+                if len(chosen) == stop - start:
+                    break
+            out[:, group] = np.array(chosen).T
+        for j in range(start, stop):
+            lead = np.nonzero(np.abs(out[:, j]) > 1e-8)[0]
+            if len(lead) and out[lead[0], j] < 0:
+                out[:, j] = -out[:, j]
+        start = stop
+    return out
+
+
+@given(sizes=st.lists(st.integers(1, 3), min_size=1, max_size=6),
+       blocks=st.integers(1, 4), seed=st.integers(0, 10_000))
+@example(sizes=[3, 1, 2], blocks=3, seed=0)
+def test_sign_pass_matches_the_per_column_loop(sizes, blocks, seed):
+    # eigenvalues in groups tied to well inside the tie tolerance; an
+    # orthogonal basis that is block diagonal up to a row permutation, so
+    # that many columns lead with exact zeros
+    rng = np.random.default_rng(seed)
+    d = sum(sizes)
+    vals = np.sort(np.repeat(np.cumsum(rng.uniform(0.1, 2.0, len(sizes))),
+                             sizes) + rng.uniform(-1e-11, 1e-11, d))
+    vecs = np.zeros((d, d))
+    for part in np.array_split(np.arange(d), min(blocks, d)):
+        q = np.linalg.qr(rng.standard_normal((len(part), len(part))))[0]
+        vecs[np.ix_(part, part)] = q
+    # and a rotation of two rows by a tiny angle, orthogonal too, gives
+    # some columns tiny entries below the sign threshold
+    i, j = rng.integers(d, size=2)
+    if i != j:
+        c, s = math.cos(5e-9), math.sin(5e-9)
+        vecs[[i, j]] = [c * vecs[i] - s * vecs[j], s * vecs[i] + c * vecs[j]]
+    vecs = np.asfortranarray(vecs[rng.permutation(d)])
+    assert perturb._canonical_eigenbasis(vals, vecs).tobytes() \
+        == per_column_eigenbasis(vals, vecs).tobytes()
+
+
 def test_degree_validation():
     with pytest.raises(ConfigError):
         q1_matrix(0, Y20)
@@ -355,6 +450,30 @@ def test_plane_derivative_preconditions():
                           (corrupted(spec, densities=shifted), "mean-zero")):
         with pytest.raises(PerturbationError, match=contract):
             epsdot_2d(dtn, bad, 0, a)
+
+
+def test_plane_derivative_refuses_a_singular_energy_gram():
+    # a cluster whose two densities coincide passes every diagonal
+    # contract, but its interior-energy Gram matrix is singular
+    dtn = build_dtn(sample_curve(C3_CURVE, 132))
+    spec = solve_plasmonic(dtn, num=6)
+    eps, phi = spec.eigenvalues.copy(), spec.densities.copy()
+    eps[1], phi[:, 1] = eps[0], phi[:, 0]
+    with pytest.raises(NumericalError) as err:
+        epsdot_2d(dtn, corrupted(spec, eigenvalues=eps, densities=phi), 0,
+                  ShapeFn2D(cos=[0.0, 0.0, 1.0]))
+    assert (err.value.module, err.value.operation, err.value.contract) == (
+        "perturb", "epsdot_2d",
+        "interior-energy Gram matrix must be positive definite")
+
+
+def test_plane_derivative_refuses_an_overflowing_shape():
+    # the form is linear in the shape: a NaN never reaches the eigensolver
+    dtn = build_dtn(sample_curve(C3_CURVE, 132))
+    spec = solve_plasmonic(dtn, num=6)
+    with np.errstate(all="ignore"), \
+            pytest.raises(NumericalError, match="must be finite"):
+        epsdot_2d(dtn, spec, 0, ShapeFn2D(cos=[1e308, 1e308, 1e308]))
 
 
 @pytest.mark.parametrize("n", [132, 512])
