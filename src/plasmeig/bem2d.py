@@ -131,6 +131,8 @@ class DtNBlock:
 
     def __init__(self, weights, pair, nodes=None, sign=1.0):
         self.nodes, self.sign, self.n = nodes, sign, len(weights)
+        # the nodes as an index of node values: all N without a mirror
+        self.rows = slice(None) if nodes is None else nodes
         self._join = np.add if sign > 0 else np.subtract   # node and mirror
         if nodes is not None:
             index = np.arange(self.n)[nodes]

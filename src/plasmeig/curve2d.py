@@ -345,7 +345,8 @@ def perturbed_sample(curve, a, steps, n):
 
 def _shift_terms(curve, a, t):
     """x, x', x'' of the base curve at t, a n and the t-derivatives of
-    a n: h times these are the shift and its first two derivatives."""
+    a n: h times these are the shift and its first two derivatives; a
+    non-finite one, or a, a', a'', is refused by name before any step."""
     x, xp, xpp, xppp = curve.derivatives(t)
     speed = np.linalg.norm(xp, axis=-1)
 
@@ -364,11 +365,17 @@ def _shift_terms(curve, a, t):
     nrm_pp = (rot(xppp) * inv[:, None] + 2.0 * rot(xpp) * inv_p[:, None]
               + rot(xp) * inv_pp[:, None])
 
-    av = a.value(t)[:, None]
-    a1 = a.d1(t)[:, None]
-    a2 = a.d2(t)[:, None]
-    return ((x, xp, xpp), (av, nrm, a1 * nrm + av * nrm_p,
-                           a2 * nrm + 2.0 * a1 * nrm_p + av * nrm_pp))
+    with np.errstate(all="ignore"):   # an overflow is refused below
+        av, a1, a2 = (f(t)[:, None] for f in (a.value, a.d1, a.d2))
+        dp = a1 * nrm + av * nrm_p
+        dpp = a2 * nrm + 2.0 * a1 * nrm_p + av * nrm_pp
+    for name, values in (("a", av), ("a'", a1), ("a''", a2),
+                         ("(a n)'", dp), ("(a n)''", dpp)):
+        if not np.isfinite(values).all():
+            raise PerturbationError("curve2d", "perturbed_sample", "a, a', "
+                                    "a'' and (a n)', (a n)'' must be finite",
+                                    "%s is not finite" % name)
+    return (x, xp, xpp), (av, nrm, dp, dpp)
 
 
 def _shifted(terms, h):
@@ -380,8 +387,9 @@ def _shifted(terms, h):
 def _star_check_bounds(steps, terms):
     """(name, minima, maxima, contract) of each star-shape test value on
     the shifted star-check grid, one minimum and maximum per step."""
-    p, pp, _ = _shifted(terms, np.asarray(steps, dtype=float)[:, None, None])
     with np.errstate(all="ignore"):  # an overflow or a NaN is refused
+        p, pp, _ = _shifted(terms,
+                            np.asarray(steps, dtype=float)[:, None, None])
         r2 = np.einsum("sij,sij->si", p, p)
         dtheta = (p[..., 0] * pp[..., 1] - p[..., 1] * pp[..., 0]) / r2
         # x'.p' = |x'|^2 (1 - h a kappa): a sign change reverses the boundary

@@ -22,8 +22,17 @@ the images x(t) + h a(t) n(t) of the base nodes, so its DtN maps act
 directly on base node values and operator differences make sense
 entrywise. Every operator is applied to the band basis only, never formed
 as an (N, N) matrix.
+
+On a mirror-symmetric curve with a shape of no sin term, every sample is
+mirrored and each map the check differences keeps the mirror parity, so
+the check runs per symmetry block (bem2d.DtNBlock), in block coordinates,
+on the band's constant and cos(l t) (even block) and sin(l t) (odd
+block), each family orthonormal in its block's weights. Even and odd data
+are weighted-orthogonal, so the band norm of such a map is exactly the
+larger of its blocks' norms. Any other curve or shape makes one block.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -44,58 +53,72 @@ _EIGENVALUE_FD_FLOOR = 1e3
 SIDES = ("interior", "exterior")
 
 
-def band_domain(weights, t, max_degree):
-    """sqrt(weights) and a basis, orthonormal in <f, g> = sum f g weights,
-    of the trigonometric polynomials of degree at most max_degree on the
-    nodes t: banded_opnorm takes root and a map applied to domain.
+def band_domain(block, t, max_degree):
+    """sqrt(weights) of the DtNBlock block and its family of trigonometric
+    polynomials of degree at most max_degree on the sample's nodes t, in
+    the block's coordinates and orthonormal in its weights E^T W E:
+    banded_opnorm takes root and a map applied to domain.
 
     Unresolved frequencies near the grid Nyquist carry discretization
     aliasing of size O(n^2) that has nothing to do with the operators being
     compared, so convergence statements are measured on a band the grid
     genuinely resolves.
     """
-    n, l = len(t), np.arange(1, max_degree + 1)
+    n, l, t = len(t), np.arange(1, max_degree + 1), t[block.rows]
+    # the one block (no nodes, sign +1) takes both families
+    cosines, sines = block.sign > 0, block.sign < 0 or block.nodes is None
     # cos(l t), sin(l t) for l = 1, 2, ...; no sine from the Nyquist on
     trig = np.stack([np.cos(l[:, None] * t), np.sin(l[:, None] * t)], axis=1)
-    keep = np.stack([l > 0, l < n // 2], axis=1).reshape(-1)
-    basis = np.vstack([np.full(n, 1.0 / math.sqrt(n)),
-                       trig.reshape(-1, n)[keep] * math.sqrt(2.0 / n)]).T
-    root = np.sqrt(np.asarray(weights, dtype=float))
-    _, r = np.linalg.qr(root[:, None] * basis)
+    keep = np.stack([np.full(len(l), cosines), sines & (l < n // 2)],
+                    axis=1).reshape(-1)
+    basis = np.vstack([np.full((int(cosines), len(t)), 1.0 / math.sqrt(n)),
+                       trig.reshape(-1, len(t))[keep] * math.sqrt(2.0 / n)]).T
+    root = np.sqrt(block.weights)
+    r = np.linalg.qr(root[:, None] * basis, mode="r")
     return root, scipy.linalg.solve_triangular(r, basis.T, trans="T").T
 
 
-def banded_opnorm(applied, root):
-    """Weighted operator norm of a map restricted to the inputs spanned by
-    the domain of band_domain(weights, t, max_degree) = (root, domain),
-    from the block applied = map @ domain: the largest singular value of
-    Y = root * applied, as the square root of the top eigenvalue of the
-    k x k Gram matrix Y^T Y (on an (N, k) block half the time of the SVD of
-    Y, and the same to a few units of roundoff), from syevr."""
-    y = root[:, None] * applied
-    k = y.shape[1]
-    lwork, liwork = _syevr_work(k)
-    top = _lapack("dsyevr", ("dtn_shape", "banded_opnorm",
-                             "Gram eigenvalue solver must converge"),
-                  y.T @ y, compute_v=0, range="I", il=k, iu=k, lower=1,
-                  lwork=lwork, liwork=liwork)[0]
-    return math.sqrt(top[0])
+def banded_opnorm(applied, roots):
+    """Weighted operator norm over the band of a map M that keeps each
+    symmetry block, from applied = [M_b @ domain_b] and the roots of the
+    blocks' band_domain: the largest over the blocks of the top singular
+    value of Y = root * M_b @ domain_b, the square root of the top
+    eigenvalue of the k x k Gram matrix Y^T Y (on an (N, k) block half the
+    time of the SVD of Y, and the same to a few units of roundoff), from
+    syevr."""
+    top = 0.0
+    for part, root in zip(applied, roots):
+        y = root[:, None] * part
+        k = y.shape[1]
+        lwork, liwork = _syevr_work(k)
+        top = max(top, _lapack(
+            "dsyevr", ("dtn_shape", "banded_opnorm",
+                       "Gram eigenvalue solver must converge"),
+            y.T @ y, compute_v=0, range="I", il=k, iu=k, lower=1,
+            lwork=lwork, liwork=liwork)[0][0])
+    return math.sqrt(top)
 
 
-def shape_derivative(dtn, a, x):
-    """(dN- x, dN+ x), (N- x, N+ x): the shape derivative of each DtN map
-    applied to the columns of the (N, k) block x, and the maps themselves
-    applied to it, with one apply for N x and one for N (a N x) on both
-    sides."""
+def shape_derivative(dtn, block, a, y):
+    """(dN- y, dN+ y), (N- y, N+ y) on the columns of the coordinates y on
+    block, one of dtn.blocks: the shape derivative of each DtN map and the
+    map itself, with one block solve for N y and one for N (a N y) on both
+    sides. The arclength derivatives run on node values, extended and
+    restricted. Only a shape with no sin term keeps a mirror block, so any
+    other is refused there."""
+    if block.nodes is not None and any(a.sin):
+        raise ConfigError("dtn_shape", "shape_derivative", "a mirror block "
+                          "takes only a shape with no sin term", "sin=%r"
+                          % (a.sin,))
     sample = dtn.sample
     a_vals = a.value(sample.t)[:, None]
-    local = -tangential_derivative(
-        sample, a_vals * tangential_derivative(sample, x))
-    applied = dtn.apply(x)
-    an = [a_vals * side for side in applied]
-    minus, plus = dtn.apply(np.hstack(an))
+    local = -block.restrict(tangential_derivative(
+        sample, a_vals * tangential_derivative(sample, block.extend(y))))
+    applied = block.apply(y)
+    an = [a_vals[block.rows] * side for side in applied]
+    minus, plus = block.apply(np.hstack(an))
     k = an[0].shape[1]
-    kappa = sample.curvature[:, None]
+    kappa = sample.curvature[block.rows, None]
     return (local + kappa * an[0] - minus[:, :k],
             local + kappa * an[1] - plus[:, k:]), applied
 
@@ -153,34 +176,41 @@ def fd_operator_check(curve, a, n, h_list, sides=SIDES):
     norm over trigonometric inputs of degree at most n // 4, for the
     interior and the exterior operator, or only the sides named.
 
-    The base sample and the shifted ones at +-h are each assembled and
-    applied to the band basis once for both sides, one step at a time.
-    Returns {side: report}, each with one-sided and central errors and the
-    roundoff floor _OPERATOR_FD_FLOOR u max(1, ||N||_band) / h per step, and
-    the log-log slopes (expected near 1 and 2) of the errors above their
-    floors.
+    Every sample, the base one and those at +-h, is assembled with the same
+    symmetry blocks, each applied to its own band family once for both
+    sides, one step at a time. Returns {side: report}, each with one-sided
+    and central errors and the roundoff floor _OPERATOR_FD_FLOOR u max(1,
+    ||N||_band) / h per step, and the log-log slopes (expected near 1 and 2)
+    of the errors above their floors.
     """
     sample, steps = _central_samples(curve, a, h_list, n, "fd_operator_check")
-    index = [SIDES.index(side) for side in sides]
+    # the base pair takes the shifted pairs' blocks: one for a sin shape
+    sample = copy.copy(sample)
+    sample.mirrored = steps[0][1].mirrored
     max_degree = n // 4
     dtn = build_dtn(sample)
-    root, domain = band_domain(dtn.sample.weights, dtn.sample.t, max_degree)
+    roots, domains = zip(*[band_domain(block, sample.t, max_degree)
+                           for block in dtn.blocks])
     # both sides come from one stacked solve, whose bits depend on the block
     # layout, so a one-side job forms both and keeps its own
-    derivs, applied = shape_derivative(dtn, a, domain)
-    base, derivs = [applied[i] for i in index], [derivs[i] for i in index]
+    derivs, base = zip(*[shape_derivative(dtn, block, a, domain)
+                         for block, domain in zip(dtn.blocks, domains)])
     errors = []
     for h, up, down in steps:
-        up = build_dtn(up).apply(domain)
-        down = build_dtn(down).apply(domain)
+        up, down = ([block.apply(domain) for block, domain
+                     in zip(build_dtn(shifted).blocks, domains)]
+                    for shifted in (up, down))
         errors.append([
-            (banded_opnorm((up[i] - n0) / h - d, root),
-             banded_opnorm((up[i] - down[i]) / (2.0 * h) - d, root))
-            for i, n0, d in zip(index, base, derivs)])
+            (banded_opnorm([(u[i] - n0[i]) / h - d[i]
+                            for u, n0, d in zip(up, base, derivs)], roots),
+             banded_opnorm([(u[i] - v[i]) / (2.0 * h) - d[i]
+                            for u, v, d in zip(up, down, derivs)], roots))
+            for i in map(SIDES.index, sides)])
     reports = {}
     for j, side in enumerate(sides):
         one_sided, central = np.array(errors)[:, j].T
-        unit = np.finfo(float).eps * max(1.0, banded_opnorm(base[j], root))
+        unit = np.finfo(float).eps * max(1.0, banded_opnorm(
+            [n0[SIDES.index(side)] for n0 in base], roots))
         floors = [_OPERATOR_FD_FLOOR * unit / h for h in h_list]
         reports[side] = {
             "curve": curve.to_config(), "a": a.to_config(),

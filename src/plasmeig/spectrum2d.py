@@ -487,37 +487,55 @@ def rayleigh(dtn, g):
     g = np.asarray(g, dtype=float)
     nminus, nplus = dtn.apply(g)
     wg = (w * g.T).T
-    denom = np.sum(wg * nminus, axis=0)
-    if np.any(np.abs(denom) * w.sum()
-              <= _DENOM_TOL * np.sum(wg * g, axis=0)):
+    quotients = _quotient(np.sum(wg * nminus, axis=0),
+                          np.sum(wg * nplus, axis=0),
+                          np.sum(wg * g, axis=0), w.sum())
+    return float(quotients) if g.ndim == 1 else quotients
+
+
+def _quotient(minus, plus, mass, length):
+    """rayleigh's -plus / minus from <g, N- g>, <g, N+ g> and <g, g>."""
+    if np.any(np.abs(minus) * length <= _DENOM_TOL * mass):
         raise EInfinitySignal("spectrum2d", "rayleigh",
                               "quotient undefined on (near-)constant data "
                               "with zero interior energy",
-                              "<g,N-g>=%.3g" % np.min(np.abs(denom)))
-    quotients = -np.sum(wg * nplus, axis=0) / denom
-    return float(quotients) if g.ndim == 1 else quotients
+                              "<g,N-g>=%.3g" % np.min(np.abs(minus)))
+    return -plus / minus
 
 
 def criticality_residual(dtn, g, seed=0):
     """Max first-order variation of the Rayleigh quotient at g, or one per
     column of g, the i-th probed from the seed seed + i.
 
-    Probes _CRIT_DIRECTIONS random weighted-mean-zero directions with
-    central differences of step _CRIT_STEP, the 2 _CRIT_DIRECTIONS
-    quotients of every column from one apply; near zero at eigenfunctions
+    Probes _CRIT_DIRECTIONS random weighted-mean-zero directions v with
+    central differences of step _CRIT_STEP, from one apply to every column
+    and its directions: each form <p, M p> of p = g +- s v is expanded by
+    bilinearity, with no symmetry of M assumed; near zero at eigenfunctions
     since they are critical points.
     """
     w = dtn.sample.weights
     base = np.asarray(g, dtype=float)
-    probes = []
-    for i, col in enumerate(base.reshape(len(base), -1).T):
+    cols = base.reshape(len(base), -1)
+    k, step = cols.shape[1], _CRIT_STEP
+    dirs = np.empty((len(base), k, _CRIT_DIRECTIONS))
+    for i, col in enumerate(cols.T):
         scale = np.sqrt(float(col @ (w * col)))
         v = np.random.default_rng(seed + i).standard_normal(
             (_CRIT_DIRECTIONS, len(col))).T
         v -= (w @ v) / w.sum()
         v *= scale / np.sqrt(w @ (v * v))
-        probes.append(col[:, None] + _CRIT_STEP * np.hstack([v, -v]))
-    plus, minus = rayleigh(dtn, np.hstack(probes)).reshape(
-        -1, 2, _CRIT_DIRECTIONS).transpose(1, 0, 2)
-    worst = np.max(np.abs(plus - minus), axis=1) / (2.0 * _CRIT_STEP)
+        dirs[:, i] = v
+    x = np.hstack([cols, dirs.reshape(len(base), -1)])
+    wg, wv = w[:, None] * cols, w[:, None, None] * dirs
+    probes = []   # [M][sign]: <p, M p> at p = g + sign s v, M = N-, N+, I
+    for m in (*dtn.apply(x), x):
+        mg, mv = m[:, :k], m[:, k:].reshape(dirs.shape)
+        gg = np.sum(wg * mg, axis=0)[:, None]
+        cross = (np.einsum("ik,ikd->kd", wg, mv)
+                 + np.einsum("ikd,ik->kd", wv, mg))
+        vv = np.einsum("ikd,ikd->kd", wv, mv)
+        probes.append([gg + sign * step * cross + step * step * vv
+                       for sign in (1.0, -1.0)])
+    plus, minus = (_quotient(*forms, w.sum()) for forms in zip(*probes))
+    worst = np.max(np.abs(plus - minus), axis=1) / (2.0 * step)
     return float(worst[0]) if base.ndim == 1 else worst

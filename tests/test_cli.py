@@ -820,6 +820,21 @@ def test_numerical_errors_exit_3(tmp_path, capsys):
     assert "extra carriers mean N does not resolve the curve" in err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("perturb", {"mode": "2d"}), ("dn-derivative", {})])
+def test_overflowing_shape_exits_3_naming_it(tmp_path, capsys, command,
+                                             extra):
+    # a(0) = 3e308 overflows; so would 0 * inf at h = 0, and each numpy
+    # warning would be an error under the suite's warning filter
+    cfg = write_config(tmp_path, "job.json",
+                       dict(extra, curve=ELLIPSE, N=64,
+                            a={"cos": [1e308, 1e308, 1e308]}))
+    assert main([command, "--config", cfg]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("curve2d.perturbed_sample: a is not finite")
+
+
 def test_failed_allocation_exits_3_naming_the_job(tmp_path, capsys,
                                                   monkeypatch):
     # a job too large for memory (a sphere perturbation at k = 1e10 asks
